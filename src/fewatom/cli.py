@@ -7,8 +7,8 @@ oracle (stationary distribution of the configured rate model).
 
 Outputs land in --out-dir under conventional names (events.csv, trace.csv,
 detected_events.csv, rates_by_n.csv, fit.csv, shield.csv, stationary.csv,
-report.txt). Exit codes: 0 success, 2 configuration or usage error,
-3 numerical failure, 4 detection quality failure.
+report.txt). Exit codes: 0 success, 2 configuration, usage or input-file
+error, 3 numerical failure, 4 detection quality failure.
 """
 
 from __future__ import annotations

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter1d
-from scipy.signal import find_peaks
 
 from .markov import EventLog, KIND_LOAD, KIND_LOSS1, KIND_LOSS2
 from .trace import FluorescenceTrace
@@ -73,11 +71,7 @@ def calibrate(trace: FluorescenceTrace) -> Calibration:
         raise CalibrationError("trace too short to calibrate")
     hist = np.bincount(counts)
     sigma = max(1.0, np.sqrt(max(float(np.median(counts)), 1.0)) / 2.0)
-    smooth = gaussian_filter1d(hist.astype(float), sigma)
-    min_height = smooth.max() * 0.005
-    min_dist = max(2, int(2.0 * sigma))
-    peaks, _ = find_peaks(smooth, height=min_height, distance=min_dist,
-                          prominence=min_height)
+    peaks = _comb_peaks(hist, sigma)
     if len(peaks) < 2:
         raise CalibrationError(f"found {len(peaks)} count level(s); need at least 2")
     spacing = float(np.median(np.diff(np.sort(peaks))))
@@ -86,28 +80,94 @@ def calibrate(trace: FluorescenceTrace) -> Calibration:
     # assign each bin to the comb and refine by a global regression
     n_hat = np.round((counts - base) / spacing).astype(np.int64)
     n_hat = np.clip(n_hat, 0, None)
-    if len(np.unique(n_hat)) < 2:
+    bins_per_level = np.bincount(n_hat)
+    n_levels = int(np.count_nonzero(bins_per_level))
+    if n_levels < 2:
         raise CalibrationError("level assignment collapsed onto a single level")
-    coef, cov = _linfit(n_hat.astype(float), counts.astype(float))
-    a, b = coef
+    # exact integers: a per-level count sum stays far below 2**53
+    counts_per_level = np.bincount(n_hat, weights=counts).astype(np.int64)
+    (a, b), cov = _linfit(bins_per_level, counts_per_level, int(counts @ counts))
     if b <= 0:
         raise CalibrationError("non-positive comb spacing after refinement")
     w = trace.bin_width
     return Calibration(per_atom_rate=b / w, bg_rate=max(a, 0.0) / w,
-                       per_atom_err=float(np.sqrt(cov[1, 1])) / w,
-                       bg_err=float(np.sqrt(cov[0, 0])) / w,
-                       n_levels=len(np.unique(n_hat)))
+                       per_atom_err=float(np.sqrt(cov[1][1])) / w,
+                       bg_err=float(np.sqrt(cov[0][0])) / w,
+                       n_levels=n_levels)
 
 
-def _linfit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """OLS for y = a + b x returning coefficients and their covariance."""
-    design = np.column_stack([np.ones_like(x), x])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    dof = max(len(x) - 2, 1)
-    resid = y - design @ coef
-    s2 = float(resid @ resid) / dof
-    cov = s2 * np.linalg.inv(design.T @ design)
-    return coef, cov
+def _comb_peaks(hist: np.ndarray, sigma: float) -> np.ndarray:
+    """Level peaks of the count histogram.
+
+    Gaussian smoothing (radius int(4 sigma + 0.5), symmetric edges), then
+    local maxima with plateaus resolved to their middle sample, kept when
+    they reach 0.5% of the highest point, are at least 2 sigma apart (higher
+    peaks first) and stand out from their surroundings by that same 0.5%.
+    The same operations as scipy's gaussian_filter1d and find_peaks with
+    height, distance and prominence, applied in that order.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    kernel = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    kernel = kernel / kernel.sum()
+    smooth = np.convolve(np.pad(hist.astype(float), radius, mode="symmetric"),
+                         kernel, mode="valid")
+    min_height = smooth.max() * 0.005
+    min_dist = max(2, int(2.0 * sigma))
+
+    # runs of equal samples; a run is a maximum if both neighbouring runs are
+    # lower, so a run touching either end of the histogram never is
+    starts = np.flatnonzero(np.r_[True, smooth[1:] != smooth[:-1]])
+    ends = np.r_[starts[1:] - 1, len(smooth) - 1]
+    level = smooth[starts]
+    top = np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1
+    peaks = (starts[top] + ends[top]) // 2
+    peaks = peaks[smooth[peaks] >= min_height]
+
+    keep = np.ones(len(peaks), dtype=bool)
+    for j in np.argsort(smooth[peaks])[::-1]:
+        if keep[j]:
+            near = np.abs(peaks - peaks[j]) < min_dist
+            near[j] = False
+            keep &= ~near
+    peaks = peaks[keep]
+
+    # prominence: height above the higher of the two minima reached before
+    # the trace climbs above the peak on either side
+    prominence = np.empty(len(peaks))
+    for m, p in enumerate(peaks):
+        higher = np.flatnonzero(smooth[:p] > smooth[p])
+        lo = higher[-1] + 1 if len(higher) else 0
+        higher = np.flatnonzero(smooth[p:] > smooth[p])
+        hi = p + higher[0] if len(higher) else len(smooth)
+        prominence[m] = smooth[p] - max(smooth[lo:p + 1].min(), smooth[p:hi].min())
+    return peaks[prominence >= min_height]
+
+
+def _linfit(bins_per_level: np.ndarray, counts_per_level: np.ndarray,
+            sum_sq_counts: int) -> tuple[tuple[float, float], list[list[float]]]:
+    """OLS for counts = a + b*N over all bins, from per-level sums.
+
+    bins_per_level[N] bins sit at level N and their counts add up to
+    counts_per_level[N]; sum_sq_counts is the sum of squared counts. Returns
+    (a, b) and their covariance. The centred sums are exact Python integers
+    (n*sum(y^2) overflows int64 on long traces), so each result is rounded
+    once.
+    """
+    level = np.arange(len(bins_per_level))
+    n = int(bins_per_level.sum())
+    sx = int(level @ bins_per_level)
+    sxx = int((level * level) @ bins_per_level)
+    sy = int(counts_per_level.sum())
+    sxy = int(level @ counts_per_level)
+    dxx = n * sxx - sx * sx
+    dxy = n * sxy - sx * sy
+    dyy = n * sum_sq_counts - sy * sy
+    b = dxy / dxx
+    a = (sy * dxx - sx * dxy) / (n * dxx)
+    # residual sum of squares / dof, over dxx: the covariance scale
+    scale = (dyy * dxx - dxy * dxy) / (n * dxx * dxx * max(n - 2, 1))
+    return (a, b), [[scale * sxx, -scale * sx], [-scale * sx, scale * n]]
 
 
 # Above this SNR a single-bin level excursion cannot plausibly be shot noise
@@ -162,15 +222,7 @@ def detect(trace: FluorescenceTrace, cal: Calibration,
     # down-down one-bin dwell back into a single -2 step; genuine one-atom
     # losses one bin apart are rarer than this artifact by roughly the event
     # rate times the bin width.
-    merged = 0
-    nu = (trace.counts - offset) / spacing
-    for i in range(1, len(n_hat) - 1):
-        if n_hat[i] - n_hat[i - 1] == -1 and n_hat[i + 1] - n_hat[i] == -1:
-            # park the transition bin on whichever side its mean count favors,
-            # otherwise dwell time is systematically pushed to the upper level
-            upper = n_hat[i - 1]
-            n_hat[i] = upper if nu[i] >= upper - 1.0 else n_hat[i + 1]
-            merged += 1
+    merged = _merge_down_down(n_hat, trace.counts, offset, spacing)
 
     # re-vote implausible jumps with the local median
     ambiguous = 0
@@ -186,18 +238,14 @@ def detect(trace: FluorescenceTrace, cal: Calibration,
     if snr >= SPIKE_KEEP_SNR:
         bt, bk, bb, bumps = _bump_pairs(trace.counts, n_hat, offset, spacing, w)
         if bumps:
-            times += bt
-            kinds += bk
-            befores += bb
+            times = np.concatenate([times, bt])
+            kinds = np.concatenate([kinds, np.asarray(bk, dtype=np.int8)])
+            befores = np.concatenate([befores, bb])
             order = np.argsort(times, kind="stable")
-            times = [times[i] for i in order]
-            kinds = [kinds[i] for i in order]
-            befores = [befores[i] for i in order]
+            times, kinds, befores = times[order], kinds[order], befores[order]
 
     log = EventLog(
-        times=np.asarray(times, dtype=np.float64),
-        kinds=np.asarray(kinds, dtype=np.int8),
-        n_before=np.asarray(befores, dtype=np.int64),
+        times=times, kinds=kinds, n_before=befores,
         n0=int(n_hat[0]) if len(n_hat) else 0,
         duration=len(n_hat) * w,
         seed=trace.seed)
@@ -211,44 +259,58 @@ def detect(trace: FluorescenceTrace, cal: Calibration,
     return log, report
 
 
-def _events_from_levels(n_hat: np.ndarray,
-                        bin_width: float) -> tuple[list, list, list]:
-    """Boundary events (times, kinds, n_before) of a per-bin level sequence."""
-    times: list[float] = []
-    kinds: list[int] = []
-    befores: list[int] = []
-    deltas = np.diff(n_hat)
-    for i in np.nonzero(deltas)[0]:
-        d = int(deltas[i])
-        t = float((i + 1) * bin_width)
-        n_prev = int(n_hat[i])
-        if d == 1:
-            times.append(t); kinds.append(KIND_LOAD); befores.append(n_prev)
-        elif d == -1:
-            times.append(t); kinds.append(KIND_LOSS1); befores.append(n_prev)
-        elif d == -2:
-            times.append(t); kinds.append(KIND_LOSS2); befores.append(n_prev)
-        elif d == 2:
-            # two loads sharing a bin; keep strict time ordering
-            times.append(t - bin_width / 2); kinds.append(KIND_LOAD); befores.append(n_prev)
-            times.append(t); kinds.append(KIND_LOAD); befores.append(n_prev + 1)
-        elif d > 0:
-            # residual multi-step change after the re-vote: unfold into unit steps
-            for j in range(d):
-                times.append(t - bin_width + (j + 1) * bin_width / d)
-                kinds.append(KIND_LOAD)
-                befores.append(n_prev + j)
-        else:
-            # downward jump: unfold into the fewest-event composition,
-            # two-atom steps first
-            k2, k1 = divmod(-d, 2)
-            steps = [KIND_LOSS2] * k2 + [KIND_LOSS1] * k1
-            n = n_prev
-            for j, kind in enumerate(steps):
-                times.append(t - bin_width + (j + 1) * bin_width / len(steps))
-                kinds.append(kind)
-                befores.append(n)
-                n -= 2 if kind == KIND_LOSS2 else 1
+def _merge_down_down(n_hat: np.ndarray, counts: np.ndarray, offset: float,
+                     spacing: float) -> int:
+    """Fold one-bin down-down dwells into two-atom steps in place; return the count.
+
+    Bins are visited in order and each one is judged on the level sequence
+    as rewritten so far. Only down-down bins of the sequence as given can
+    qualify, since a rewrite at i leaves bin i+1 with a step of 0 or -2 to
+    its left; the bin after each rewrite is still re-checked.
+    """
+    d = np.diff(n_hat)
+    candidates = np.flatnonzero((d[:-1] == -1) & (d[1:] == -1)) + 1
+    last = len(n_hat) - 1
+    merged = 0
+    for i in candidates.tolist():
+        while (i < last and n_hat[i] - n_hat[i - 1] == -1
+               and n_hat[i + 1] - n_hat[i] == -1):
+            # park the transition bin on whichever side its mean count favors,
+            # otherwise dwell time is systematically pushed to the upper level
+            upper = n_hat[i - 1]
+            nu = (counts[i] - offset) / spacing
+            n_hat[i] = upper if nu >= upper - 1.0 else n_hat[i + 1]
+            merged += 1
+            i += 1
+    return merged
+
+
+def _events_from_levels(n_hat: np.ndarray, bin_width: float
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Boundary events (times, kinds, n_before) of a per-bin level sequence.
+
+    A boundary with dN = +1, -1 or -2 holds one event at the boundary, and
+    dN = +2 two loads, at mid-bin and at the boundary. A residual |dN| > 2
+    left by the re-vote unfolds into unit loads or, going down, into the
+    fewest-event composition with two-atom steps first, spread evenly over
+    the bin before the boundary.
+    """
+    bounds = np.flatnonzero(n_hat[1:] != n_hat[:-1])
+    d = n_hat[bounds + 1] - n_hat[bounds]
+    per_bound = np.where(d > 0, d, (1 - d) // 2)  # losses: ceil(|dN| / 2)
+    owner = np.repeat(np.arange(len(bounds)), per_bound)
+    j = np.arange(len(owner)) - np.repeat(np.cumsum(per_bound) - per_bound,
+                                          per_bound)
+    d = d[owner]
+    up = d > 0
+    times = (bounds[owner] + 1) * bin_width
+    times[(d == 2) & (j == 0)] -= bin_width / 2
+    multi = np.abs(d) > 2
+    times[multi] = (times[multi] - bin_width
+                    + (j[multi] + 1) * bin_width / per_bound[owner[multi]])
+    kinds = np.where(up, KIND_LOAD,
+                     np.where(j < -d // 2, KIND_LOSS2, KIND_LOSS1)).astype(np.int8)
+    befores = n_hat[bounds[owner]] + np.where(up, j, -2 * j)
     return times, kinds, befores
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from math import erfc
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .constants import CESIUM, PhysConstants
 from .detect import BUMP_NSIGMA, Calibration
@@ -298,6 +297,10 @@ class SuppressionFit:
 def fit_repump_decay(s0: np.ndarray, y: np.ndarray,
                      sigma: np.ndarray | None = None) -> SuppressionFit:
     """Fit the shielding decay y(s0) = offset + amplitude*exp(-s0/scale)."""
+    # imported here so that `import fewatom` does not pay for scipy.optimize,
+    # which nothing else in the package needs
+    from scipy.optimize import least_squares
+
     s0 = np.asarray(s0, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(s0) < 4:

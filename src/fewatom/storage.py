@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .markov import EventLog
+from .markov import KIND_DELTA, EventLog
 from .trace import FluorescenceTrace
 
 
@@ -26,6 +26,10 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -43,17 +47,21 @@ def _parse_header(lines: list[str]) -> dict[str, str]:
     return meta
 
 
-def _split_file(path: str | Path) -> tuple[dict[str, str], list[str]]:
-    """Return (header metadata, data lines incl. the column header row)."""
+def _split_file(path: str | Path
+                ) -> tuple[dict[str, str], list[str], list[int]]:
+    """Return (header metadata, data lines incl. the column header row, and
+    the 1-based file line number of each data line)."""
     header: list[str] = []
     data: list[str] = []
+    line_nos: list[int] = []
     with open(path, newline="") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             if line.startswith("#"):
                 header.append(line)
             elif line.strip():
                 data.append(line)
-    return _parse_header(header), data
+                line_nos.append(line_no)
+    return _parse_header(header), data, line_nos
 
 
 def _require(meta: dict[str, str], keys: tuple[str, ...], path) -> None:
@@ -72,19 +80,44 @@ def write_event_csv(log: EventLog, path: str | Path) -> None:
     atomic_write_text(path, buf.getvalue())
 
 
+def _event_row(row: list[str]) -> tuple[float, int, int]:
+    """(time, kind, n_before) of one event row, checked against its n_after."""
+    if len(row) != 4:
+        raise ValueError(f"expected 4 columns, got {len(row)}")
+    t, kind, n_before, n_after = float(row[0]), int(row[1]), int(row[2]), int(row[3])
+    if not 0 <= kind < len(KIND_DELTA):
+        raise ValueError(f"unknown event kind {kind}")
+    if n_after != n_before + KIND_DELTA[kind]:
+        raise ValueError(f"n_after {n_after} does not follow from n_before "
+                         f"{n_before} and kind {kind}")
+    return t, kind, n_before
+
+
 def read_event_csv(path: str | Path) -> EventLog:
-    meta, data = _split_file(path)
+    """Read an event log, rejecting any file its writer could not have made."""
+    meta, data, line_nos = _split_file(path)
     _require(meta, ("n0", "duration_s", "seed"), path)
     rows = list(csv.reader(data))
-    if not rows or rows[0][:2] != ["time_s", "kind"]:
+    if not rows or rows[0] != ["time_s", "kind", "n_before", "n_after"]:
         raise ValueError(f"{path}: missing event column header")
-    body = rows[1:]
-    return EventLog(
-        times=np.array([float(r[0]) for r in body], dtype=np.float64),
-        kinds=np.array([int(r[1]) for r in body], dtype=np.int8),
-        n_before=np.array([int(r[2]) for r in body], dtype=np.int64),
-        n0=int(meta["n0"]), duration=float(meta["duration_s"]),
-        seed=int(meta["seed"]))
+    events = []
+    for line_no, row in zip(line_nos[1:], rows[1:]):
+        try:
+            events.append(_event_row(row))
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {line_no}: {exc}") from None
+    times, kinds, n_before = zip(*events) if events else ((), (), ())
+    try:
+        log = EventLog(
+            times=np.array(times, dtype=np.float64),
+            kinds=np.array(kinds, dtype=np.int8),
+            n_before=np.array(n_before, dtype=np.int64),
+            n0=int(meta["n0"]), duration=float(meta["duration_s"]),
+            seed=int(meta["seed"]))
+        log.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return log
 
 
 def write_trace_csv(trace: FluorescenceTrace, path: str | Path) -> None:
@@ -101,7 +134,7 @@ def write_trace_csv(trace: FluorescenceTrace, path: str | Path) -> None:
 
 
 def read_trace_csv(path: str | Path) -> FluorescenceTrace:
-    meta, data = _split_file(path)
+    meta, data, _ = _split_file(path)
     _require(meta, ("bin_width_s", "per_atom_rate_hz", "bg_rate_hz", "seed"), path)
     rows = list(csv.reader(data))
     if not rows or rows[0] != ["t_start_s", "counts"]:

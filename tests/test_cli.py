@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fewatom
 from fewatom.cli import main
 from fewatom.markov import EventLog
 from fewatom.storage import read_event_csv
@@ -89,3 +95,24 @@ def test_fit_consumes_detected_log(tmp_path):
     # re-fit from the files alone
     assert main(["fit", "--preset", "fig2", "--out-dir", str(tmp_path)]) == 0
     assert "source = detected_events.csv" in (tmp_path / "report.txt").read_text()
+
+
+def test_fit_rejects_inconsistent_log(tmp_path, capsys):
+    path = tmp_path / "detected_events.csv"
+    path.write_text("# n0=0\n# duration_s=10.0\n# seed=1\n"
+                    "time_s,kind,n_before,n_after\n2.0,0,0,1\n1.0,0,1,2\n")
+    assert main(["fit", "--out-dir", str(tmp_path)]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "fit.csv").exists()
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.optimize is imported by fit_repump_decay alone, and the peak
+    # search needs neither scipy.signal nor scipy.ndimage
+    code = ("import sys, fewatom, fewatom.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.ndimage', "
+            "'scipy.optimize') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(Path(fewatom.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"

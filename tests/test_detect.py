@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fewatom.detect import (Calibration, CalibrationError,
-                            DetectionQualityError, calibrate,
-                            coincidence_probability, detect)
+                            DetectionQualityError, _comb_peaks,
+                            _events_from_levels, _linfit, _merge_down_down,
+                            calibrate, coincidence_probability, detect)
 from fewatom.markov import (KIND_LOAD, KIND_LOSS1, KIND_LOSS2, EventLog,
                             RateModel, simulate)
 from fewatom.trace import FluorescenceTrace, synthesize
@@ -152,3 +154,186 @@ def test_detect_report_rates():
     det, rep = detect(tr, cal)
     assert rep.event_rate == pytest.approx(len(det) / tr.duration, rel=1e-9)
     assert 0.0 < rep.coincidence_probability < 0.1
+
+
+# --- reference implementations -------------------------------------------
+# The per-bin loops and the lstsq regression that detect.py replaced with
+# whole-array code. The vectorized versions must reproduce them exactly
+# (levels and events) or to 1e-12 relative (regression floats).
+
+def _merge_reference(n_hat, counts, offset, spacing):
+    n_hat = n_hat.copy()
+    merged = 0
+    nu = (counts - offset) / spacing
+    for i in range(1, len(n_hat) - 1):
+        if n_hat[i] - n_hat[i - 1] == -1 and n_hat[i + 1] - n_hat[i] == -1:
+            upper = n_hat[i - 1]
+            n_hat[i] = upper if nu[i] >= upper - 1.0 else n_hat[i + 1]
+            merged += 1
+    return n_hat, merged
+
+
+def _events_reference(n_hat, bin_width):
+    times, kinds, befores = [], [], []
+    deltas = np.diff(n_hat)
+    for i in np.nonzero(deltas)[0]:
+        d = int(deltas[i])
+        t = float((i + 1) * bin_width)
+        n_prev = int(n_hat[i])
+        if d == 1:
+            times.append(t); kinds.append(KIND_LOAD); befores.append(n_prev)
+        elif d == -1:
+            times.append(t); kinds.append(KIND_LOSS1); befores.append(n_prev)
+        elif d == -2:
+            times.append(t); kinds.append(KIND_LOSS2); befores.append(n_prev)
+        elif d == 2:
+            times.append(t - bin_width / 2); kinds.append(KIND_LOAD); befores.append(n_prev)
+            times.append(t); kinds.append(KIND_LOAD); befores.append(n_prev + 1)
+        elif d > 0:
+            for j in range(d):
+                times.append(t - bin_width + (j + 1) * bin_width / d)
+                kinds.append(KIND_LOAD)
+                befores.append(n_prev + j)
+        else:
+            k2, k1 = divmod(-d, 2)
+            steps = [KIND_LOSS2] * k2 + [KIND_LOSS1] * k1
+            n = n_prev
+            for j, kind in enumerate(steps):
+                times.append(t - bin_width + (j + 1) * bin_width / len(steps))
+                kinds.append(kind)
+                befores.append(n)
+                n -= 2 if kind == KIND_LOSS2 else 1
+    return (np.asarray(times, dtype=np.float64), np.asarray(kinds, dtype=np.int8),
+            np.asarray(befores, dtype=np.int64))
+
+
+def _linfit_reference(x, y):
+    design = np.column_stack([np.ones_like(x), x])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    dof = max(len(x) - 2, 1)
+    resid = y - design @ coef
+    s2 = float(resid @ resid) / dof
+    cov = s2 * np.linalg.inv(design.T @ design)
+    return coef, cov
+
+
+@st.composite
+def _level_sequences(draw):
+    """Per-bin levels with one-bin down chains of 3+ steps, dN = +2 and
+    |dN| > 2 jumps at random places, ending on a down-down candidate in the
+    last interior bin; plus counts whose mean lands on either side of the
+    merge vote."""
+    chain = [-1] * draw(st.integers(3, 6))
+    jump = [draw(st.sampled_from([-7, -5, -4, -3, 3, 4, 6]))]
+    pieces = draw(st.permutations([chain, [2], jump, [-1, 2, -1], [-2, -1, -1]]))
+    filler = st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -2]), max_size=6)
+    steps = draw(filler)
+    for piece in pieces:
+        steps += piece + draw(filler)
+    steps += [-1, -1]
+    path = np.concatenate([[0], np.cumsum(steps)])
+    n_hat = (path - path.min() + draw(st.integers(0, 3))).astype(np.int64)
+    offset = draw(st.sampled_from([0.0, 37.5, 500.0]))
+    spacing = draw(st.sampled_from([100.0, 1000.0]))
+    frac = np.array(draw(st.lists(st.floats(-0.5, 0.5), min_size=len(n_hat),
+                                  max_size=len(n_hat))))
+    counts = np.round(offset + spacing * (n_hat + frac)).astype(np.int64)
+    return n_hat, counts, offset, spacing
+
+
+def _assert_same_events(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_level_sequences(), st.sampled_from([0.1, 0.05, 0.03]))
+def test_merge_and_events_match_reference(case, bin_width):
+    n_hat, counts, offset, spacing = case
+    want_levels, want_merged = _merge_reference(n_hat, counts, offset, spacing)
+    got_levels = n_hat.copy()
+    got_merged = _merge_down_down(got_levels, counts, offset, spacing)
+    np.testing.assert_array_equal(got_levels, want_levels)
+    assert got_merged == want_merged
+    for levels in (n_hat, got_levels):
+        _assert_same_events(_events_from_levels(levels, bin_width),
+                            _events_reference(levels, bin_width))
+
+
+def test_events_from_empty_and_flat_levels():
+    for levels in ([], [3], [2, 2, 2]):
+        got = _events_from_levels(np.array(levels, dtype=np.int64), 0.1)
+        _assert_same_events(got, _events_reference(np.array(levels, dtype=np.int64), 0.1))
+
+
+# Calibration grid: rate models x (per-atom rate, background rate) x seeds.
+_MODELS = [
+    RateModel(load_rate=0.1403, bg_rate=1.0 / 60.0, b1=0.004, b2=0.006),
+    RateModel(load_rate=0.8, bg_rate=1.0 / 30.0, b1=0.01, b2=0.02),
+    RateModel(load_rate=0.03, bg_rate=1.0 / 20.0, b2=0.05),
+]
+_RATES = [(10_000.0, 500.0), (3_000.0, 800.0), (800.0, 60.0)]
+
+
+def _grid_traces(model, rates):
+    for seed in range(6):
+        log = simulate(model, duration=3000.0, seed=seed)
+        yield synthesize(log, per_atom_rate=rates[0], bg_rate=rates[1],
+                         seed=1000 + seed)
+
+
+def _scipy_peaks(hist, sigma):
+    from scipy.ndimage import gaussian_filter1d
+    from scipy.signal import find_peaks
+
+    smooth = gaussian_filter1d(hist.astype(float), sigma)
+    min_height = smooth.max() * 0.005
+    peaks, _ = find_peaks(smooth, height=min_height,
+                          distance=max(2, int(2.0 * sigma)),
+                          prominence=min_height)
+    return peaks
+
+
+@pytest.mark.parametrize("rates", _RATES)
+@pytest.mark.parametrize("model", _MODELS)
+def test_comb_peaks_match_scipy(model, rates):
+    for tr in _grid_traces(model, rates):
+        hist = np.bincount(tr.counts)
+        sigma = max(1.0, np.sqrt(max(float(np.median(tr.counts)), 1.0)) / 2.0)
+        np.testing.assert_array_equal(_comb_peaks(hist, sigma),
+                                      _scipy_peaks(hist, sigma))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_comb_peaks_match_scipy_on_rough_histograms(seed):
+    # a comb of period 2*sigma leaves maxima exactly the minimum distance
+    # apart, and a flat top wider than the kernel leaves a plateau
+    for period, sigma in ((2, 1.0), (3, 1.5), (4, 2.0), (4, 2.6)):
+        hist = np.random.default_rng(seed).poisson(20.0, size=300)
+        hist[100:130] = 400
+        hist[200:260:period] = 400
+        np.testing.assert_array_equal(_comb_peaks(hist, sigma),
+                                      _scipy_peaks(hist, sigma))
+
+
+@pytest.mark.parametrize("rates", _RATES)
+@pytest.mark.parametrize("model", _MODELS)
+def test_linfit_matches_lstsq(model, rates):
+    for tr in _grid_traces(model, rates):
+        peaks = _comb_peaks(np.bincount(tr.counts), max(
+            1.0, np.sqrt(max(float(np.median(tr.counts)), 1.0)) / 2.0))
+        if len(peaks) < 2:
+            continue
+        spacing = float(np.median(np.diff(peaks)))
+        n_hat = np.clip(np.round((tr.counts - float(peaks[0])) / spacing), 0,
+                        None).astype(np.int64)
+        if len(np.unique(n_hat)) < 2:
+            continue
+        coef, cov = _linfit(np.bincount(n_hat),
+                            np.bincount(n_hat, weights=tr.counts).astype(np.int64),
+                            int(tr.counts @ tr.counts))
+        want_coef, want_cov = _linfit_reference(n_hat.astype(float),
+                                                tr.counts.astype(float))
+        np.testing.assert_allclose(coef, want_coef, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(cov, want_cov, rtol=1e-12, atol=0)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,49 @@ def test_atomic_write_replaces(tmp_path):
     assert path.read_text() == "second"
     # no stray temp files left behind
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o002, 0o664),
+                                         (0o077, 0o600)],
+                         ids=["umask022", "umask002", "umask077"])
+def test_atomic_write_follows_umask(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        atomic_write_text(tmp_path / "out.txt", "x")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "out.txt").stat().st_mode & 0o777 == mode
+
+
+_EVENT_HEADER = "# n0=0\n# duration_s=10.0\n# seed=1\ntime_s,kind,n_before,n_after\n"
+
+
+@pytest.mark.parametrize("rows, message", [
+    # decreasing times
+    ("2.0,0,0,1\n1.0,0,1,2\n", "strictly increasing"),
+    # second event does not start where the first ended
+    ("1.0,0,0,1\n2.0,1,3,2\n", "not self-consistent"),
+])
+def test_read_event_csv_validates_log(tmp_path, rows, message):
+    path = tmp_path / "events.csv"
+    path.write_text(_EVENT_HEADER + rows)
+    with pytest.raises(ValueError, match=message) as info:
+        read_event_csv(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("row", [
+    "2.0,0,1,3",  # n_after is not n_before + 1 for a load
+    "2.0,7,1,2",  # no such kind
+    "2.0,0,abc,2",  # not a number
+    "2.0,0,1",  # missing column
+])
+def test_read_event_csv_names_bad_row(tmp_path, row):
+    path = tmp_path / "events.csv"
+    path.write_text(_EVENT_HEADER + "1.0,0,0,1\n\n" + row + "\n")
+    with pytest.raises(ValueError) as info:
+        read_event_csv(path)
+    assert f"{path}, line 7" in str(info.value)
 
 
 def test_read_event_csv_requires_header(tmp_path):

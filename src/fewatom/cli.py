@@ -2,13 +2,16 @@
 
 Subcommands cover the full measurement chain: simulate (event log), synth
 (photon trace), detect (log recovery from a trace), fit (per-occupancy rates),
-shield (suppression curves), pipeline (all of the above end to end), and
-oracle (stationary distribution of the configured rate model).
+shield (suppression curves), pipeline (synth, detect and fit in one process),
+and oracle (stationary distribution of the configured rate model). synth,
+detect, fit and pipeline share one function per stage.
 
 Outputs land in --out-dir under conventional names (events.csv, trace.csv,
 detected_events.csv, rates_by_n.csv, fit.csv, shield.csv, stationary.csv,
-report.txt). Exit codes: 0 success, 2 configuration, usage or input-file
-error, 3 numerical failure, 4 detection quality failure.
+report.txt). detected_events.csv records the trace bin width and calibration,
+so fit re-fits it without trace.csv or a config. Exit codes: 0 success, 2
+configuration, usage or input-file error, 3 numerical failure, 4 detection
+quality failure.
 """
 
 from __future__ import annotations
@@ -22,13 +25,16 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, PRESETS, RunConfig, load_config
 from .detect import (Calibration, CalibrationError, DetectionQualityError,
-                     calibrate, detect)
+                     DetectionReport, calibrate, detect)
 from .fitting import (ConvergenceError, DegenerateDataError, FitResult,
                       fit_rates, tabulate)
-from .markov import (EventLog, RateModel, TruncationError, expected_event_rates,
-                     master_stationary, simulate, stationary_moments)
+from .markov import (KIND_NAMES, EventLog, RateModel, TruncationError,
+                     expected_event_rates, master_stationary, simulate,
+                     stationary_moments)
 from .channels import scaling_constant, suppression_ratio
-from .storage import atomic_write_text, write_table_csv
+from .storage import (atomic_write_text, read_detected_csv, read_event_csv,
+                      read_trace_csv, write_detected_csv, write_event_csv,
+                      write_table_csv, write_trace_csv)
 from .trace import FluorescenceTrace, synthesize
 
 EXIT_OK = 0
@@ -53,15 +59,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Few-atom trap loss statistics toolkit")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_ in [
-            ("simulate", "generate an event log from the configured rate model"),
-            ("synth", "simulate and render a photon-count trace"),
-            ("detect", "recover an event log from trace.csv"),
-            ("fit", "tabulate and fit per-occupancy rates from an event log"),
-            ("shield", "tabulate suppression curves over the configured scan"),
-            ("pipeline", "simulate, synth, detect, and fit in one run"),
-            ("oracle", "stationary distribution and expected rates of the model")]:
+    for name, run, help_ in [
+            ("simulate", _cmd_simulate, "generate an event log from the configured rate model"),
+            ("synth", _cmd_synth, "simulate and render a photon-count trace"),
+            ("detect", _cmd_detect, "recover an event log from trace.csv"),
+            ("fit", _cmd_fit, "tabulate and fit per-occupancy rates from an event log"),
+            ("shield", _cmd_shield, "tabulate suppression curves over the configured scan"),
+            ("pipeline", _cmd_pipeline, "simulate, synth, detect, and fit in one run"),
+            ("oracle", _cmd_oracle, "stationary distribution and expected rates of the model")]:
         p = sub.add_parser(name, help=help_)
+        p.set_defaults(run=run)
         p.add_argument("--config", type=Path, default=None,
                        help="key=value config file")
         p.add_argument("--preset", choices=sorted(PRESETS), default=None,
@@ -88,24 +95,16 @@ def _require_duration(cfg: RunConfig) -> None:
         raise UsageError("sim.duration_s must be positive for this command")
 
 
-def _simulate_ensemble(cfg: RunConfig, model: RateModel) -> list[EventLog]:
-    seeds = _stage_seeds(cfg.seed, 2 * cfg.ensemble)
-    return [simulate(model, n0=cfg.n0, duration=cfg.duration, seed=seeds[2 * i])
-            for i in range(cfg.ensemble)]
+def _write_report(out_dir: Path, command: str, *sections: list[str]) -> None:
+    """report.txt: the command, then each section after a blank line."""
+    blocks = [[f"command = {command}"], *sections]
+    atomic_write_text(out_dir / "report.txt",
+                      "\n\n".join("\n".join(b) for b in blocks) + "\n")
 
 
-def _write_logs(logs: list[EventLog], out_dir: Path) -> list[Path]:
-    paths = []
-    for i, log in enumerate(logs):
-        name = "events.csv" if len(logs) == 1 else f"events_{i:03d}.csv"
-        path = out_dir / name
-        log.write_csv(path)
-        paths.append(path)
-    return paths
-
-
-def _model_summary(cfg: RunConfig, model: RateModel) -> list[str]:
+def _model_section(cfg: RunConfig, model: RateModel) -> list[str]:
     return [
+        "true model:",
         f"load_rate_per_s = {model.load_rate:.6g}",
         f"bg_rate_per_s = {model.bg_rate:.6g}",
         f"b1_per_s = {model.b1:.6g}",
@@ -114,23 +113,10 @@ def _model_summary(cfg: RunConfig, model: RateModel) -> list[str]:
     ]
 
 
-def _cmd_simulate(args) -> int:
-    cfg, out_dir = _load(args)
-    _require_duration(cfg)
-    model = cfg.rate_model()
-    logs = _simulate_ensemble(cfg, model)
-    _write_logs(logs, out_dir)
-    lines = ["command = simulate"] + _model_summary(cfg, model)
-    for i, log in enumerate(logs):
-        lines.append(f"run_{i:03d}: events = {len(log)}, final_n = "
-                     f"{int(log.n_after[-1]) if len(log) else cfg.n0}")
-    atomic_write_text(out_dir / "report.txt", "\n".join(lines) + "\n")
-    print(f"wrote {len(logs)} event log(s) to {out_dir}")
-    return EXIT_OK
-
-
-def _cmd_synth(args) -> int:
-    cfg, out_dir = _load(args)
+def _synth_stage(cfg: RunConfig, out_dir: Path
+                 ) -> tuple[RateModel, EventLog, FluorescenceTrace]:
+    """Simulate the configured model and render its photon trace; writes
+    events.csv and trace.csv."""
     _require_duration(cfg)
     model = cfg.rate_model()
     seeds = _stage_seeds(cfg.seed, 2)
@@ -138,19 +124,20 @@ def _cmd_synth(args) -> int:
     trace = synthesize(log, per_atom_rate=cfg.per_atom_rate,
                        bg_rate=cfg.trace_bg_rate, bin_width=cfg.bin_width,
                        seed=seeds[1])
-    log.write_csv(out_dir / "events.csv")
-    trace.write_csv(out_dir / "trace.csv")
-    print(f"wrote events.csv ({len(log)} events) and trace.csv "
-          f"({len(trace)} bins) to {out_dir}")
-    return EXIT_OK
+    write_event_csv(log, out_dir / "events.csv")
+    write_trace_csv(trace, out_dir / "trace.csv")
+    return model, log, trace
 
 
-def _detect_on(trace: FluorescenceTrace, cfg: RunConfig, out_dir: Path):
+def _detect_stage(trace: FluorescenceTrace, cfg: RunConfig, out_dir: Path
+                  ) -> tuple[EventLog, Calibration, DetectionReport, list[str]]:
+    """Calibrate and read the event log back from a trace; writes
+    detected_events.csv with the bin width and calibration a re-fit needs."""
     cal = calibrate(trace)
     log, report = detect(trace, cal, min_snr=cfg.min_snr)
-    log.write_csv(out_dir / "detected_events.csv")
-    lines = [
-        "command = detect",
+    write_detected_csv(log, trace.bin_width, cal, out_dir / "detected_events.csv")
+    return log, cal, report, [
+        "detection:",
         f"per_atom_rate_hz = {cal.per_atom_rate:.6g} +- {cal.per_atom_err:.2g}",
         f"bg_rate_hz = {cal.bg_rate:.6g} +- {cal.bg_err:.2g}",
         f"levels_used = {cal.n_levels}",
@@ -164,8 +151,68 @@ def _detect_on(trace: FluorescenceTrace, cfg: RunConfig, out_dir: Path):
         f"ambiguous_bins = {report.ambiguous_bins}",
         f"coincidence_probability = {report.coincidence_probability:.4g}",
     ]
-    atomic_write_text(out_dir / "report.txt", "\n".join(lines) + "\n")
-    return log, report
+
+
+_FIT_COLUMNS = ("load_rate", "load_rate_err", "bg_rate", "bg_rate_err", "b1",
+                "b1_err", "b2_event", "b2_event_err", "beta2_over_v",
+                "beta2_over_v_err", "beta_total_over_v", "beta_total_over_v_err",
+                "chi2", "dof")
+
+
+def _fit_stage(log: EventLog, source: str, out_dir: Path,
+               bin_width: float | None, cal: Calibration | None
+               ) -> tuple[FitResult, list[str]]:
+    """Tabulate and fit the per-occupancy rates of `log`, which file
+    `source` holds; writes rates_by_n.csv and fit.csv. A detected log passes
+    its trace bin width and calibration for the pile-up corrections."""
+    table = tabulate(log)
+    cols = {"n": table.n, "occupancy_s": table.occupancy_s}
+    cols.update((f"n_{kind}", getattr(table, f"n_{kind}").astype(np.int64))
+                for kind in KIND_NAMES)
+    for kind in KIND_NAMES:
+        cols[f"rate_{kind}"] = table.rate(kind)
+        cols[f"rate_{kind}_err"] = table.rate_err(kind)
+    write_table_csv(out_dir / "rates_by_n.csv", cols)
+    fit = fit_rates(table, coincidence_width=bin_width, calibration=cal)
+    clipped = ",".join(fit.clipped) or "none"
+    write_table_csv(out_dir / "fit.csv",
+                    {name: [getattr(fit, name)] for name in _FIT_COLUMNS},
+                    header={"clipped": clipped})
+    return fit, [
+        "fit:",
+        f"source = {source}",
+        f"load_rate_per_s = {fit.load_rate:.6g} +- {fit.load_rate_err:.2g}",
+        f"bg_lifetime_s = {fit.bg_lifetime:.6g} +- {fit.bg_lifetime_err:.2g}",
+        f"b1_per_s = {fit.b1:.6g} +- {fit.b1_err:.2g}",
+        f"b2_event_per_s = {fit.b2_event:.6g} +- {fit.b2_event_err:.2g}",
+        f"chi2/dof = {fit.chi2:.4g}/{fit.dof}",
+        f"clipped = {clipped}",
+    ]
+
+
+def _cmd_simulate(args) -> int:
+    cfg, out_dir = _load(args)
+    _require_duration(cfg)
+    model = cfg.rate_model()
+    seeds = _stage_seeds(cfg.seed, 2 * cfg.ensemble)
+    runs = ["runs:"]
+    for i in range(cfg.ensemble):
+        log = simulate(model, n0=cfg.n0, duration=cfg.duration, seed=seeds[2 * i])
+        name = "events.csv" if cfg.ensemble == 1 else f"events_{i:03d}.csv"
+        write_event_csv(log, out_dir / name)
+        runs.append(f"run_{i:03d}: events = {len(log)}, final_n = "
+                    f"{int(log.n_after[-1]) if len(log) else cfg.n0}")
+    _write_report(out_dir, "simulate", _model_section(cfg, model), runs)
+    print(f"wrote {cfg.ensemble} event log(s) to {out_dir}")
+    return EXIT_OK
+
+
+def _cmd_synth(args) -> int:
+    cfg, out_dir = _load(args)
+    _, log, trace = _synth_stage(cfg, out_dir)
+    print(f"wrote events.csv ({len(log)} events) and trace.csv "
+          f"({len(trace)} bins) to {out_dir}")
+    return EXIT_OK
 
 
 def _cmd_detect(args) -> int:
@@ -173,73 +220,26 @@ def _cmd_detect(args) -> int:
     trace_path = out_dir / "trace.csv"
     if not trace_path.is_file():
         raise UsageError(f"no trace.csv in {out_dir}; run 'fewatom synth' first")
-    trace = FluorescenceTrace.read_csv(trace_path)
-    _, report = _detect_on(trace, cfg, out_dir)
+    _, _, report, detection = _detect_stage(read_trace_csv(trace_path), cfg, out_dir)
+    _write_report(out_dir, "detect", detection)
     print(f"detected {report.n_events} events at snr {report.snr:.1f}; "
           f"wrote detected_events.csv to {out_dir}")
     return EXIT_OK
 
 
-def _write_fit_outputs(log: EventLog, out_dir: Path,
-                       extra_lines: list[str] | None = None,
-                       coincidence_width: float | None = None,
-                       cal: Calibration | None = None) -> FitResult:
-    table = tabulate(log)
-    write_table_csv(out_dir / "rates_by_n.csv", {
-        "n": table.n,
-        "occupancy_s": table.occupancy_s,
-        "n_load": table.n_load.astype(np.int64),
-        "n_loss1": table.n_loss1.astype(np.int64),
-        "n_loss2": table.n_loss2.astype(np.int64),
-        "rate_load": table.rate("load"),
-        "rate_load_err": table.rate_err("load"),
-        "rate_loss1": table.rate("loss1"),
-        "rate_loss1_err": table.rate_err("loss1"),
-        "rate_loss2": table.rate("loss2"),
-        "rate_loss2_err": table.rate_err("loss2"),
-    })
-    fit = fit_rates(table, coincidence_width=coincidence_width, calibration=cal)
-    write_table_csv(out_dir / "fit.csv", {
-        "load_rate": [fit.load_rate], "load_rate_err": [fit.load_rate_err],
-        "bg_rate": [fit.bg_rate], "bg_rate_err": [fit.bg_rate_err],
-        "b1": [fit.b1], "b1_err": [fit.b1_err],
-        "b2_event": [fit.b2_event], "b2_event_err": [fit.b2_event_err],
-        "beta2_over_v": [fit.beta2_over_v],
-        "beta2_over_v_err": [fit.beta2_over_v_err],
-        "beta_total_over_v": [fit.beta_total_over_v],
-        "beta_total_over_v_err": [fit.beta_total_over_v_err],
-        "chi2": [fit.chi2], "dof": [fit.dof],
-    }, header={"clipped": ",".join(fit.clipped) or "none"})
-    lines = ["command = fit",
-             f"load_rate_per_s = {fit.load_rate:.6g} +- {fit.load_rate_err:.2g}",
-             f"bg_lifetime_s = {fit.bg_lifetime:.6g} +- {fit.bg_lifetime_err:.2g}",
-             f"b1_per_s = {fit.b1:.6g} +- {fit.b1_err:.2g}",
-             f"b2_event_per_s = {fit.b2_event:.6g} +- {fit.b2_event_err:.2g}",
-             f"chi2/dof = {fit.chi2:.4g}/{fit.dof}",
-             f"clipped = {','.join(fit.clipped) or 'none'}"]
-    if extra_lines:
-        lines += extra_lines
-    atomic_write_text(out_dir / "report.txt", "\n".join(lines) + "\n")
-    return fit
-
-
 def _cmd_fit(args) -> int:
-    cfg, out_dir = _load(args)
+    _, out_dir = _load(args)
     src = out_dir / "detected_events.csv"
-    if not src.is_file():
+    if src.is_file():
+        log, bin_width, cal = read_detected_csv(src)
+    else:
+        # an exact simulation log: no binning, so no pile-up correction
         src = out_dir / "events.csv"
-    if not src.is_file():
-        raise UsageError(f"no detected_events.csv or events.csv in {out_dir}")
-    log = EventLog.read_csv(src)
-    # detected logs carry the binning pile-up; exact simulation logs do not
-    width = cal = None
-    if src.name == "detected_events.csv":
-        width = cfg.bin_width
-        trace_path = out_dir / "trace.csv"
-        if trace_path.is_file():
-            cal = calibrate(FluorescenceTrace.read_csv(trace_path))
-    fit = _write_fit_outputs(log, out_dir, [f"source = {src.name}"],
-                             coincidence_width=width, cal=cal)
+        if not src.is_file():
+            raise UsageError(f"no detected_events.csv or events.csv in {out_dir}")
+        log, bin_width, cal = read_event_csv(src), None, None
+    fit, fitted = _fit_stage(log, src.name, out_dir, bin_width, cal)
+    _write_report(out_dir, "fit", fitted)
     print(f"fit from {src.name}: load {fit.load_rate:.4g}/s, "
           f"b1 {fit.b1:.4g}/s, b2 {fit.b2_event:.4g}/s; wrote fit.csv to {out_dir}")
     return EXIT_OK
@@ -263,29 +263,12 @@ def _cmd_shield(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     cfg, out_dir = _load(args)
-    _require_duration(cfg)
-    model = cfg.rate_model()
-    seeds = _stage_seeds(cfg.seed, 2)
-    log = simulate(model, n0=cfg.n0, duration=cfg.duration, seed=seeds[0])
-    trace = synthesize(log, per_atom_rate=cfg.per_atom_rate,
-                       bg_rate=cfg.trace_bg_rate, bin_width=cfg.bin_width,
-                       seed=seeds[1])
-    log.write_csv(out_dir / "events.csv")
-    trace.write_csv(out_dir / "trace.csv")
-    cal = calibrate(trace)
-    detected, report = detect(trace, cal, min_snr=cfg.min_snr)
-    detected.write_csv(out_dir / "detected_events.csv")
-    extra = ["", "true model:"] + _model_summary(cfg, model) + [
-        "", "detection:",
-        f"snr = {report.snr:.3f}",
-        f"true_events = {len(log)}",
-        f"detected_events = {report.n_events}",
-        f"spike_bins = {report.spike_bins}",
-        f"pair_bumps = {report.pair_bumps}",
-        f"merged_bins = {report.merged_bins}",
-        f"ambiguous_bins = {report.ambiguous_bins}"]
-    fit = _write_fit_outputs(detected, out_dir, extra,
-                             coincidence_width=cfg.bin_width, cal=cal)
+    model, log, trace = _synth_stage(cfg, out_dir)
+    detected, cal, report, detection = _detect_stage(trace, cfg, out_dir)
+    fit, fitted = _fit_stage(detected, "detected_events.csv", out_dir,
+                             trace.bin_width, cal)
+    _write_report(out_dir, "pipeline", detection, fitted,
+                  _model_section(cfg, model) + [f"true_events = {len(log)}"])
     print(f"pipeline done in {out_dir}: {len(log)} true events, "
           f"{report.n_events} detected, fitted b2 {fit.b2_event:.4g}/s "
           f"(model {model.b2:.4g}/s)")
@@ -310,25 +293,11 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "synth": _cmd_synth,
-    "detect": _cmd_detect,
-    "fit": _cmd_fit,
-    "shield": _cmd_shield,
-    "pipeline": _cmd_pipeline,
-    "oracle": _cmd_oracle,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except ConfigError as exc:  # includes UsageError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return args.run(args)
     except (TruncationError, ConvergenceError, DegenerateDataError,
             np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
@@ -336,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CalibrationError, DetectionQualityError) as exc:
         print(f"detection error: {exc}", file=sys.stderr)
         return EXIT_DETECTION
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError includes ConfigError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

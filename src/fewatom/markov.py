@@ -96,15 +96,6 @@ class EventLog:
         n = np.concatenate([[self.n0], self.n_after])
         return t, n
 
-    def write_csv(self, path) -> None:
-        from .storage import write_event_csv
-        write_event_csv(self, path)
-
-    @staticmethod
-    def read_csv(path) -> "EventLog":
-        from .storage import read_event_csv
-        return read_event_csv(path)
-
 
 _BUF = 4096
 

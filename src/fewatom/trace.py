@@ -35,15 +35,6 @@ class FluorescenceTrace:
     def t_start(self) -> np.ndarray:
         return np.arange(len(self.counts)) * self.bin_width
 
-    def write_csv(self, path) -> None:
-        from .storage import write_trace_csv
-        write_trace_csv(self, path)
-
-    @staticmethod
-    def read_csv(path) -> "FluorescenceTrace":
-        from .storage import read_trace_csv
-        return read_trace_csv(path)
-
 
 def binned_mean_counts(log: EventLog, per_atom_rate: float, bg_rate: float,
                        bin_width: float) -> np.ndarray:

@@ -97,13 +97,55 @@ def test_fit_consumes_detected_log(tmp_path):
     assert "source = detected_events.csv" in (tmp_path / "report.txt").read_text()
 
 
+_PROVENANCE = ("# bin_width_s=0.1\n# cal_per_atom_rate_hz=10000.0\n"
+               "# cal_bg_rate_hz=500.0\n# cal_per_atom_err_hz=1.0\n"
+               "# cal_bg_err_hz=1.0\n# cal_n_levels=4\n")
+
+
 def test_fit_rejects_inconsistent_log(tmp_path, capsys):
     path = tmp_path / "detected_events.csv"
-    path.write_text("# n0=0\n# duration_s=10.0\n# seed=1\n"
+    path.write_text("# n0=0\n# duration_s=10.0\n# seed=1\n" + _PROVENANCE +
                     "time_s,kind,n_before,n_after\n2.0,0,0,1\n1.0,0,1,2\n")
     assert main(["fit", "--out-dir", str(tmp_path)]) == 2
     assert str(path) in capsys.readouterr().err
     assert not (tmp_path / "fit.csv").exists()
+
+
+def test_fit_requires_detection_provenance(tmp_path, capsys):
+    path = tmp_path / "detected_events.csv"
+    path.write_text("# n0=0\n# duration_s=10.0\n# seed=1\n"
+                    "time_s,kind,n_before,n_after\n1.0,0,0,1\n2.0,0,1,2\n")
+    assert main(["fit", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "bin_width_s" in err
+    assert not (tmp_path / "fit.csv").exists()
+
+
+@pytest.mark.parametrize("config, drop_trace", [
+    ("trace.bin_width_s = 0.05\n", False),  # not the preset's 0.1 s
+    ("", True),  # the calibration comes from the detected log alone
+], ids=["bin_width_0.05", "without_trace"])
+def test_fit_reproduces_pipeline_fit(tmp_path, config, drop_trace):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sim.duration_s = 8000\n" + config)
+    out = tmp_path / "out"
+    assert main(["pipeline", "--preset", "fig2", "--config", str(cfg),
+                 "--seed", "12", "--out-dir", str(out)]) == 0
+    want = (out / "fit.csv").read_bytes()
+    (out / "fit.csv").unlink()
+    if drop_trace:
+        (out / "trace.csv").unlink()
+    assert main(["fit", "--out-dir", str(out)]) == 0
+    assert (out / "fit.csv").read_bytes() == want
+
+
+def test_detect_names_bad_trace_row(tmp_path, capsys):
+    path = tmp_path / "trace.csv"
+    path.write_text("# bin_width_s=0.1\n# per_atom_rate_hz=10000.0\n"
+                    "# bg_rate_hz=500.0\n# seed=1\nt_start_s,counts\n"
+                    "0.0,510\n12,abc\n")
+    assert main(["detect", "--out-dir", str(tmp_path)]) == 2
+    assert f"{path}, line 7" in capsys.readouterr().err
 
 
 def test_import_leaves_scipy_unloaded():

@@ -1,12 +1,16 @@
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fewatom.markov import RateModel, simulate
-from fewatom.storage import (atomic_write_text, read_event_csv,
-                             read_trace_csv, write_event_csv, write_table_csv,
-                             write_trace_csv)
+from fewatom.detect import Calibration
+from fewatom.markov import KIND_DELTA, KIND_LOAD, EventLog, RateModel, simulate
+from fewatom.storage import (atomic_write_text, read_detected_csv,
+                             read_event_csv, read_trace_csv,
+                             write_detected_csv, write_event_csv,
+                             write_table_csv, write_trace_csv)
 from fewatom.trace import synthesize
 
 
@@ -38,15 +42,6 @@ def test_trace_roundtrip_exact(tmp_path):
     assert back.per_atom_rate == tr.per_atom_rate
     assert back.bg_rate == tr.bg_rate
     assert back.seed == tr.seed
-
-
-def test_methods_match_module_functions(tmp_path):
-    model = RateModel(load_rate=0.2, bg_rate=0.02)
-    log = simulate(model, duration=500.0, seed=8)
-    p1 = tmp_path / "a.csv"
-    log.write_csv(p1)
-    back = type(log).read_csv(p1)
-    np.testing.assert_array_equal(back.times, log.times)
 
 
 def test_write_table_csv(tmp_path):
@@ -130,3 +125,74 @@ def test_read_trace_csv_requires_header(tmp_path):
     path.write_text("counts\n10\n12\n")
     with pytest.raises(ValueError):
         read_trace_csv(path)
+
+
+_TRACE_HEADER = ("# bin_width_s=0.1\n# per_atom_rate_hz=10000.0\n"
+                 "# bg_rate_hz=500.0\n# seed=1\nt_start_s,counts\n")
+
+
+@pytest.mark.parametrize("row", [
+    "0.1,abc",  # not a number
+    "0.1",  # missing column
+    "0.1,12,3",  # extra column
+    "0.1,-4",  # negative count
+])
+def test_read_trace_csv_names_bad_row(tmp_path, row):
+    path = tmp_path / "trace.csv"
+    path.write_text(_TRACE_HEADER + "0.0,510\n\n" + row + "\n0.2,505\n")
+    with pytest.raises(ValueError) as info:
+        read_trace_csv(path)
+    assert f"{path}, line 8" in str(info.value)
+
+
+@st.composite
+def _event_logs(draw) -> EventLog:
+    """A valid log: increasing times in (0, duration], kinds that never take
+    the atom number below zero."""
+    times = sorted(set(draw(st.lists(
+        st.floats(min_value=0.0, max_value=1e6, exclude_min=True), max_size=40))))
+    n = n0 = draw(st.integers(0, 4))
+    kinds, n_before = [], []
+    for kind in draw(st.lists(st.integers(0, len(KIND_DELTA) - 1),
+                              min_size=len(times), max_size=len(times))):
+        if n + KIND_DELTA[kind] < 0:
+            kind = KIND_LOAD
+        kinds.append(kind)
+        n_before.append(n)
+        n += KIND_DELTA[kind]
+    duration = draw(st.floats(min_value=times[-1] if times else 1e-3,
+                              max_value=1e7))
+    return EventLog(times=np.array(times, dtype=np.float64),
+                    kinds=np.array(kinds, dtype=np.int8),
+                    n_before=np.array(n_before, dtype=np.int64), n0=n0,
+                    duration=duration, seed=draw(st.integers(0, 2**64 - 1)))
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(log=_event_logs(),
+       bin_width=st.floats(min_value=0.0, max_value=1e3, exclude_min=True),
+       cal=st.builds(Calibration, per_atom_rate=_FINITE, bg_rate=_FINITE,
+                     per_atom_err=_FINITE, bg_err=_FINITE,
+                     n_levels=st.integers(0, 10_000)))
+def test_detected_log_roundtrip_bitwise(tmp_path, log, bin_width, cal):
+    path = tmp_path / "detected_events.csv"
+    write_detected_csv(log, bin_width, cal, path)
+    back, back_width, back_cal = read_detected_csv(path)
+    for name in ("times", "kinds", "n_before"):
+        got, want = getattr(back, name), getattr(log, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert (back.n0, back.seed) == (log.n0, log.seed)
+    assert _bits(back.duration) == _bits(log.duration)
+    assert _bits(back_width) == _bits(bin_width)
+    for name in ("per_atom_rate", "bg_rate", "per_atom_err", "bg_err"):
+        assert _bits(getattr(back_cal, name)) == _bits(getattr(cal, name)), name
+    assert back_cal.n_levels == cal.n_levels
+

@@ -31,10 +31,6 @@ class FluorescenceTrace:
     def duration(self) -> float:
         return len(self.counts) * self.bin_width
 
-    @property
-    def t_start(self) -> np.ndarray:
-        return np.arange(len(self.counts)) * self.bin_width
-
 
 def binned_mean_counts(log: EventLog, per_atom_rate: float, bg_rate: float,
                        bin_width: float) -> np.ndarray:

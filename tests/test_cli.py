@@ -121,6 +121,23 @@ def test_fit_requires_detection_provenance(tmp_path, capsys):
     assert not (tmp_path / "fit.csv").exists()
 
 
+_DETECTED_HEAD = "# n0=0\n# duration_s=10.0\n# seed=1\n" + _PROVENANCE  # 9 lines
+_DETECTED_ROWS = "time_s,kind,n_before,n_after\n1.0,0,0,1\n2.0,0,1,2\n"
+
+
+@pytest.mark.parametrize("text, line", [
+    # after the rows, where fit once took the bin width from
+    (_DETECTED_HEAD + _DETECTED_ROWS + "# bin_width_s=0.05\n", 13),
+    (_DETECTED_HEAD + "# n0=0\n" + _DETECTED_ROWS, 10),  # a key given twice
+], ids=["after_rows", "repeated_key"])
+def test_fit_rejects_stray_header_line(tmp_path, capsys, text, line):
+    path = tmp_path / "detected_events.csv"
+    path.write_text(text)
+    assert main(["fit", "--out-dir", str(tmp_path)]) == 2
+    assert f"{path}, line {line}" in capsys.readouterr().err
+    assert not (tmp_path / "fit.csv").exists()
+
+
 @pytest.mark.parametrize("config, drop_trace", [
     ("trace.bin_width_s = 0.05\n", False),  # not the preset's 0.1 s
     ("", True),  # the calibration comes from the detected log alone

@@ -21,7 +21,7 @@ from .detect import (Calibration, CalibrationError, DetectionQualityError,
 from .fitting import (ConvergenceError, DegenerateDataError, EventRateTable,
                       FitResult, SuppressionFit, correct_coincidences,
                       extrapolate_beta_hcc, fit_rates, fit_repump_decay,
-                      infer_temperature, tabulate, weighted_mean)
+                      infer_temperature, tabulate)
 from .config import PRESETS, ConfigError, RunConfig, build_config, load_config
 
 __version__ = "0.1.0"
@@ -43,7 +43,6 @@ __all__ = [
     "ConvergenceError", "DegenerateDataError", "EventRateTable", "FitResult",
     "SuppressionFit", "correct_coincidences", "extrapolate_beta_hcc",
     "fit_rates", "fit_repump_decay", "infer_temperature", "tabulate",
-    "weighted_mean",
     "PRESETS", "ConfigError", "RunConfig", "build_config", "load_config",
     "__version__",
 ]

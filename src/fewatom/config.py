@@ -118,6 +118,10 @@ PRESETS: dict[str, dict[str, str]] = {
 }
 
 
+# seed of the Monte Carlo that composes the collision channels into b1 and b2
+RATE_MODEL_MC_SEED = 7070
+
+
 @dataclass
 class RunConfig:
     """Everything a run needs, in internal units."""
@@ -145,7 +149,7 @@ class RunConfig:
     def volume_cm3(self) -> float:
         return effective_volume(self.trap.r0) * CM3_PER_M3
 
-    def rate_model(self, mc_seed: int = 7070) -> RateModel:
+    def rate_model(self) -> RateModel:
         """Birth-death rates at this operating point.
 
         Explicit rates.b1/b2 take precedence; otherwise the channel set is
@@ -155,7 +159,7 @@ class RunConfig:
         b1, b2 = self.b1, self.b2
         if b1 is None or b2 is None:
             e1, e2 = effective_betas(self.trap, self.channels, self.shielding,
-                                     self.constants, seed=mc_seed)
+                                     self.constants, seed=RATE_MODEL_MC_SEED)
             v = self.volume_cm3()
             if b1 is None:
                 b1 = e1 / v

@@ -36,6 +36,25 @@ class Calibration:
     bg_err: float
     n_levels: int  # distinct levels used in the fit
 
+    def per_bin(self, bin_width: float) -> tuple[float, float]:
+        """(offset, spacing): the background counts and the counts per atom
+        in one bin of width bin_width."""
+        spacing = self.per_atom_rate * bin_width
+        if spacing <= 0:
+            raise ValueError("calibration has non-positive per-atom rate")
+        return self.bg_rate * bin_width, spacing
+
+
+def shot_noise(level, offset: float, spacing: float):
+    """Poisson standard deviation, in counts, of a bin at atom number level
+    (negative levels count as 0, and the variance as at least 1 count)."""
+    return np.sqrt(np.maximum(offset + spacing * np.maximum(level, 0), 1.0))
+
+
+def _levels(counts: np.ndarray, offset: float, spacing: float) -> np.ndarray:
+    """Each bin's atom number: counts rounded to the nearest comb level, >= 0."""
+    return np.clip(np.round((counts - offset) / spacing).astype(np.int64), 0, None)
+
 
 @dataclass
 class DetectionReport:
@@ -78,8 +97,7 @@ def calibrate(trace: FluorescenceTrace) -> Calibration:
     base = float(peaks.min())
 
     # assign each bin to the comb and refine by a global regression
-    n_hat = np.round((counts - base) / spacing).astype(np.int64)
-    n_hat = np.clip(n_hat, 0, None)
+    n_hat = _levels(counts, base, spacing)
     bins_per_level = np.bincount(n_hat)
     n_levels = int(np.count_nonzero(bins_per_level))
     if n_levels < 2:
@@ -191,16 +209,11 @@ def detect(trace: FluorescenceTrace, cal: Calibration,
     the typical occupancy falls below min_snr.
     """
     w = trace.bin_width
-    spacing = cal.per_atom_rate * w
-    offset = cal.bg_rate * w
-    if spacing <= 0:
-        raise ValueError("calibration has non-positive per-atom rate")
-    n_hat = np.round((trace.counts - offset) / spacing).astype(np.int64)
-    n_hat = np.clip(n_hat, 0, None)
+    offset, spacing = cal.per_bin(w)
+    n_hat = _levels(trace.counts, offset, spacing)
 
     n_typ = float(np.percentile(n_hat, 99.5))
-    noise = np.sqrt(max(offset + spacing * max(n_typ, 1.0), 1.0))
-    snr = float(spacing / noise)
+    snr = float(spacing / shot_noise(max(n_typ, 1.0), offset, spacing))
     if snr < min_snr:
         raise DetectionQualityError(
             f"level separation / shot noise = {snr:.2f} below minimum {min_snr:.2f}")
@@ -236,13 +249,12 @@ def detect(trace: FluorescenceTrace, cal: Calibration,
     times, kinds, befores = _events_from_levels(n_hat, w)
     bumps = 0
     if snr >= SPIKE_KEEP_SNR:
-        bt, bk, bb, bumps = _bump_pairs(trace.counts, n_hat, offset, spacing, w)
-        if bumps:
-            times = np.concatenate([times, bt])
-            kinds = np.concatenate([kinds, np.asarray(bk, dtype=np.int8)])
-            befores = np.concatenate([befores, bb])
-            order = np.argsort(times, kind="stable")
-            times, kinds, befores = times[order], kinds[order], befores[order]
+        pairs = _bump_pairs(trace.counts, n_hat, offset, spacing, w)
+        bumps = len(pairs[0]) // 2
+        times, kinds, befores = (np.concatenate(parts) for parts in
+                                 zip((times, kinds, befores), pairs))
+        order = np.argsort(times, kind="stable")
+        times, kinds, befores = times[order], kinds[order], befores[order]
 
     log = EventLog(
         times=times, kinds=kinds, n_before=befores,
@@ -315,52 +327,38 @@ def _events_from_levels(n_hat: np.ndarray, bin_width: float
 
 
 def _bump_pairs(counts: np.ndarray, n_hat: np.ndarray, offset: float,
-                spacing: float, bin_width: float,
-                thresh: float = BUMP_NSIGMA) -> tuple[list, list, list, int]:
-    """Quick load/loss pairs too short to flip any bin's rounded level.
+                spacing: float, bin_width: float
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Quick load/loss pairs (times, kinds, n_before) too short to flip any
+    bin's rounded level.
 
     A pair contained in a level-N stretch leaves one or two adjacent bins
     whose counts sit between levels. Bins deviating from their assigned level
-    by more than `thresh` standard deviations (without reaching the rounding
-    midpoint, or they would have flipped) are read back as one pair: up-bump
-    load-then-loss, down-bump loss-then-load.
+    by more than BUMP_NSIGMA standard deviations (without reaching the
+    rounding midpoint, or they would have flipped) are read back as one pair
+    per run of adjacent such bins of one sign: up-bump load-then-loss,
+    down-bump loss-then-load, at the thirds of a single bin or the middles of
+    a run's first and last bins.
     """
-    times: list[float] = []
-    kinds: list[int] = []
-    befores: list[int] = []
-    if len(n_hat) < 3:
-        return times, kinds, befores, 0
     resid = (counts - offset) / spacing - n_hat
-    sig = np.sqrt(np.maximum(offset + spacing * np.maximum(n_hat, 0), 1.0)) / spacing
     strong = np.zeros(len(n_hat), dtype=bool)
     strong[1:-1] = (n_hat[1:-1] == n_hat[:-2]) & (n_hat[1:-1] == n_hat[2:])
-    strong &= np.abs(resid) > thresh * sig
+    strong &= np.abs(resid) > BUMP_NSIGMA * (shot_noise(n_hat, offset, spacing)
+                                             / spacing)
     # a downward bump at level 0 has no loss to pair with a load
     strong &= ~((n_hat == 0) & (resid < 0))
-    idx = np.nonzero(strong)[0]
-    n_pairs = 0
-    j = 0
+    idx = np.flatnonzero(strong)
+    up = resid[idx] > 0
+    # runs of adjacent strong bins of one sign: a gap or a sign change ends one
+    first = idx[(np.diff(idx, prepend=-2) != 1) | np.diff(up, prepend=up[:1])]
+    last = idx[(np.diff(idx, append=idx[-1:] + 2) != 1) | np.diff(up, append=up[-1:])]
+    up = resid[first] > 0
     w = bin_width
-    while j < len(idx):
-        i = idx[j]
-        k = j
-        while (k + 1 < len(idx) and idx[k + 1] == idx[k] + 1
-               and (resid[idx[k + 1]] > 0) == (resid[i] > 0)):
-            k += 1
-        last = idx[k]
-        lvl = int(n_hat[i])
-        if i == last:
-            t1, t2 = i * w + w / 3.0, i * w + 2.0 * w / 3.0
-        else:
-            t1, t2 = i * w + w / 2.0, last * w + w / 2.0
-        if resid[i] > 0:
-            times += [t1, t2]
-            kinds += [KIND_LOAD, KIND_LOSS1]
-            befores += [lvl, lvl + 1]
-        else:
-            times += [t1, t2]
-            kinds += [KIND_LOSS1, KIND_LOAD]
-            befores += [lvl, lvl - 1]
-        n_pairs += 1
-        j = k + 1
-    return times, kinds, befores, n_pairs
+    single = first == last
+    t1 = np.where(single, first * w + w / 3.0, first * w + w / 2.0)
+    t2 = np.where(single, first * w + 2.0 * w / 3.0, last * w + w / 2.0)
+    kinds = np.column_stack([np.where(up, KIND_LOAD, KIND_LOSS1),
+                             np.where(up, KIND_LOSS1, KIND_LOAD)])
+    n_before = n_hat[first]
+    return (np.column_stack([t1, t2]).ravel(), kinds.ravel().astype(np.int8),
+            np.column_stack([n_before, n_before + np.where(up, 1, -1)]).ravel())

@@ -16,7 +16,7 @@ from math import erfc
 import numpy as np
 
 from .constants import CESIUM, PhysConstants
-from .detect import BUMP_NSIGMA, Calibration
+from .detect import BUMP_NSIGMA, Calibration, shot_noise
 from .markov import EventLog, KIND_LOAD, KIND_LOSS1, KIND_LOSS2
 
 
@@ -60,14 +60,10 @@ def tabulate(log: EventLog) -> EventRateTable:
     n_max = int(levels.max()) if len(levels) else 0
     if len(log.n_before):
         n_max = max(n_max, int(log.n_before.max()))
-    occ = np.zeros(n_max + 1)
-    np.add.at(occ, levels, dwell)
-    loads = np.zeros(n_max + 1)
-    loss1 = np.zeros(n_max + 1)
-    loss2 = np.zeros(n_max + 1)
-    for kind, acc in ((KIND_LOAD, loads), (KIND_LOSS1, loss1), (KIND_LOSS2, loss2)):
-        sel = log.n_before[log.kinds == kind]
-        np.add.at(acc, sel, 1.0)
+    occ = np.bincount(levels, weights=dwell, minlength=n_max + 1)
+    loads, loss1, loss2 = (
+        np.bincount(log.n_before[log.kinds == kind], minlength=n_max + 1).astype(float)
+        for kind in (KIND_LOAD, KIND_LOSS1, KIND_LOSS2))
     return EventRateTable(n=np.arange(n_max + 1), occupancy_s=occ,
                           n_load=loads, n_loss1=loss1, n_loss2=loss2)
 
@@ -131,14 +127,9 @@ def correct_coincidences(table: EventRateTable, bin_width: float,
     loss2 = table.n_loss2 - fuse + swallow
 
     if calibration is not None:
-        s_w = calibration.per_atom_rate * bin_width
-        o_w = calibration.bg_rate * bin_width
-        if s_w <= 0:
-            raise ValueError("calibration has non-positive per-atom rate")
-        # same noise floor as the detection bump pass
-        lvl = np.maximum(table.n.astype(float), 0.0)
-        sig = np.sqrt(np.maximum(o_w + s_w * lvl, 1.0)) / s_w
-        theta = np.minimum(BUMP_NSIGMA * sig, 0.5)
+        o_w, s_w = calibration.per_bin(bin_width)
+        # the detection bump pass's threshold, in atoms
+        theta = np.minimum(BUMP_NSIGMA * (shot_noise(table.n, o_w, s_w) / s_w), 0.5)
         k_half = (theta + 0.5 * theta**2) * bin_width * load_rate
         # load-first pair at N eats a load(N) and a loss1(N+1)
         f_up = occ * k_half * np.append(r1[1:], 0.0)
@@ -213,71 +204,51 @@ def _wls(design: np.ndarray, y: np.ndarray, sigma: np.ndarray):
     return coef, cov, chi2
 
 
+# (channel, lowest N fitted, fitted coefficients, their design columns in N)
+_CHANNELS = (
+    ("load", 0, ("load_rate",), lambda n: [np.ones_like(n)]),
+    ("loss1", 1, ("bg_rate", "b1"), lambda n: [n, n * (n - 1.0)]),
+    ("loss2", 2, ("b2_event",), lambda n: [n * (n - 1.0)]),
+)
+
+
 def fit_rates(table: EventRateTable,
               coincidence_width: float | None = None,
               calibration: Calibration | None = None) -> FitResult:
     """Fit the occupancy dependence of the three event channels.
 
-    load: constant R. loss1: bg*N + b1*N(N-1). loss2: b2*N(N-1). Coefficients
-    driven negative by noise are clipped to zero and flagged. Pass the trace
-    bin width as coincidence_width (plus the calibration, when at hand) when
-    the table comes from binned detection to apply the pile-up corrections;
-    leave both None for exact logs.
+    load: constant R. loss1: bg*N + b1*N(N-1). loss2: b2*N(N-1). Each is a
+    weighted least-squares fit over the populated levels from its lowest N
+    on. Coefficients driven negative by noise are clipped to zero and
+    flagged. Pass the trace bin width as coincidence_width (plus the
+    calibration, when at hand) when the table comes from binned detection to
+    apply the pile-up corrections; leave both None for exact logs.
     """
     if coincidence_width is not None:
         table = correct_coincidences(table, coincidence_width, calibration)
-    pop = table.occupancy_s > 0
-    n = table.n
-
-    sel = pop
-    if sel.sum() < 1:
-        raise DegenerateDataError("no populated occupancy levels")
-    r = table.rate("load")[sel]
-    e = table.rate_err("load")[sel]
-    wmean, werr = weighted_mean(r, e)
-    chi2 = float(np.sum(((r - wmean) / e) ** 2))
-    dof = int(sel.sum()) - 1
-
-    sel1 = pop & (n >= 1)
-    if sel1.sum() < 2:
-        raise DegenerateDataError(
-            f"{int(sel1.sum())} populated level(s) with N >= 1; need 2 to "
-            "separate background and one-atom collisional loss")
-    x1 = n[sel1].astype(float)
-    design1 = np.column_stack([x1, x1 * (x1 - 1.0)])
-    coef1, cov1, chi2_1 = _wls(design1, table.rate("loss1")[sel1],
-                               table.rate_err("loss1")[sel1])
-    chi2 += chi2_1
-    dof += int(sel1.sum()) - 2
-
-    sel2 = pop & (n >= 2)
-    if sel2.sum() < 1:
-        raise DegenerateDataError("no populated levels with N >= 2 for pair loss")
-    x2 = n[sel2].astype(float)
-    design2 = (x2 * (x2 - 1.0))[:, None]
-    coef2, cov2, chi2_2 = _wls(design2, table.rate("loss2")[sel2],
-                               table.rate_err("loss2")[sel2])
-    chi2 += chi2_2
-    dof += int(sel2.sum()) - 1
-
-    clipped = []
-    bg, b1 = float(coef1[0]), float(coef1[1])
-    b2 = float(coef2[0])
-    if bg < 0:
-        bg = 0.0
-        clipped.append("bg_rate")
-    if b1 < 0:
-        b1 = 0.0
-        clipped.append("b1")
-    if b2 < 0:
-        b2 = 0.0
-        clipped.append("b2_event")
-    return FitResult(
-        load_rate=float(wmean), load_rate_err=float(werr),
-        bg_rate=bg, bg_rate_err=float(np.sqrt(cov1[0, 0])),
-        b1=b1, b1_err=float(np.sqrt(cov1[1, 1])),
-        b2_event=b2, b2_event_err=float(np.sqrt(cov2[0, 0])),
-        chi2=chi2, dof=max(dof, 0), clipped=tuple(clipped))
+    fields: dict[str, float] = {}
+    clipped: list[str] = []
+    chi2, dof = 0.0, 0
+    for channel, lowest, names, columns in _CHANNELS:
+        sel = (table.occupancy_s > 0) & (table.n >= lowest)
+        levels = int(sel.sum())
+        if levels < len(names):
+            raise DegenerateDataError(
+                f"{levels} populated level(s) with N >= {lowest}; the {channel} "
+                f"fit of {', '.join(names)} needs {len(names)}")
+        n = table.n[sel].astype(float)
+        coef, cov, chi2_channel = _wls(np.column_stack(columns(n)),
+                                       table.rate(channel)[sel],
+                                       table.rate_err(channel)[sel])
+        chi2 += chi2_channel
+        dof += levels - len(names)
+        for name, value, var in zip(names, coef, np.diag(cov)):
+            if value < 0:
+                value = 0.0
+                clipped.append(name)
+            fields[name] = float(value)
+            fields[name + "_err"] = float(np.sqrt(var))
+    return FitResult(**fields, chi2=chi2, dof=max(dof, 0), clipped=tuple(clipped))
 
 
 @dataclass
@@ -373,15 +344,3 @@ def extrapolate_beta_hcc(fit: SuppressionFit, volume_cm3: float,
         var += (fit.amplitude * volume_cm3 * 3.0 * dr0_m / r0_m) ** 2
     return float(beta), float(np.sqrt(var))
 
-
-def weighted_mean(values: np.ndarray, errors: np.ndarray) -> tuple[float, float]:
-    """Inverse-variance weighted mean and its standard error."""
-    values = np.asarray(values, dtype=float)
-    errors = np.asarray(errors, dtype=float)
-    if len(values) == 0:
-        raise ValueError("empty input")
-    if np.any(errors <= 0):
-        raise ValueError("errors must be positive")
-    w = 1.0 / errors**2
-    mean = float(np.sum(w * values) / np.sum(w))
-    return mean, float(1.0 / np.sqrt(np.sum(w)))

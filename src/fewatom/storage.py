@@ -230,15 +230,15 @@ def read_detected_csv(path: str | Path) -> tuple[EventLog, float, Calibration]:
     return log, bin_width, cal
 
 
-_TRACE_COLUMNS = {"t_start_s": np.float64, "counts": np.int64}
+# bin i starts at i * bin_width_s, so the counts are the only column
+_TRACE_COLUMNS = {"counts": np.int64}
 
 
 def write_trace_csv(trace: FluorescenceTrace, path: str | Path) -> None:
     _write_csv(path, {"bin_width_s": trace.bin_width,
                       "per_atom_rate_hz": trace.per_atom_rate,
                       "bg_rate_hz": trace.bg_rate, "seed": trace.seed},
-               dict(zip(_TRACE_COLUMNS, (np.arange(len(trace)) * trace.bin_width,
-                                         trace.counts))))
+               {"counts": trace.counts})
 
 
 def read_trace_csv(path: str | Path) -> FluorescenceTrace:

@@ -111,13 +111,11 @@ def trap_depth(config: TrapConfig, polar_angle, pc: PhysConstants = CESIUM):
     symmetric under theta -> pi - theta, max/min ratio exactly a.
     Accepts scalar or ndarray polar_angle.
     """
-    du_min = depth_minimum(config, pc)
-    c2 = np.cos(polar_angle) ** 2
-    return du_min * (1.0 + (config.depth_anisotropy - 1.0) * c2)
+    return depth_from_cos(config, np.cos(polar_angle), pc)
 
 
 def depth_from_cos(config: TrapConfig, cos_theta, pc: PhysConstants = CESIUM):
-    """Same as trap_depth but parametrized by cos(theta); handy for sampled directions."""
+    """trap_depth's dU(theta), parametrized by cos(theta); handy for sampled directions."""
     du_min = depth_minimum(config, pc)
     return du_min * (1.0 + (config.depth_anisotropy - 1.0) * np.asarray(cos_theta) ** 2)
 

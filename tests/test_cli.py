@@ -156,13 +156,25 @@ def test_fit_reproduces_pipeline_fit(tmp_path, config, drop_trace):
     assert (out / "fit.csv").read_bytes() == want
 
 
+_TRACE_HEAD = ("# bin_width_s=0.1\n# per_atom_rate_hz=10000.0\n"
+               "# bg_rate_hz=500.0\n# seed=1\n")
+
+
 def test_detect_names_bad_trace_row(tmp_path, capsys):
     path = tmp_path / "trace.csv"
-    path.write_text("# bin_width_s=0.1\n# per_atom_rate_hz=10000.0\n"
-                    "# bg_rate_hz=500.0\n# seed=1\nt_start_s,counts\n"
-                    "0.0,510\n12,abc\n")
+    path.write_text(_TRACE_HEAD + "counts\n510\nabc\n")
     assert main(["detect", "--out-dir", str(tmp_path)]) == 2
     assert f"{path}, line 7" in capsys.readouterr().err
+
+
+def test_detect_rejects_two_column_trace(tmp_path, capsys):
+    # trace.csv holds the counts alone; bin i starts at i * bin_width_s
+    path = tmp_path / "trace.csv"
+    path.write_text(_TRACE_HEAD + "t_start_s,counts\n0.0,510\n0.1,512\n")
+    assert main(["detect", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "counts" in err
+    assert not (tmp_path / "detected_events.csv").exists()
 
 
 def test_import_leaves_scipy_unloaded():

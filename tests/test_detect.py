@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fewatom.detect import (Calibration, CalibrationError,
-                            DetectionQualityError, _comb_peaks,
-                            _events_from_levels, _linfit, _merge_down_down,
-                            calibrate, coincidence_probability, detect)
+from fewatom.detect import (BUMP_NSIGMA, Calibration, CalibrationError,
+                            DetectionQualityError, _bump_pairs, _comb_peaks,
+                            _events_from_levels, _levels, _linfit,
+                            _merge_down_down, calibrate,
+                            coincidence_probability, detect)
 from fewatom.markov import (KIND_LOAD, KIND_LOSS1, KIND_LOSS2, EventLog,
                             RateModel, simulate)
 from fewatom.trace import FluorescenceTrace, synthesize
@@ -137,6 +138,12 @@ def test_spike_suppressed_at_moderate_snr():
     assert det.kinds.tolist() == [KIND_LOAD]
 
 
+def test_levels_round_to_the_comb_and_stop_at_zero():
+    levels = _levels(np.array([0, 440, 460, 500, 1049, 1051]), 500.0, 100.0)
+    assert levels.dtype == np.int64
+    assert levels.tolist() == [0, 0, 0, 0, 5, 6]
+
+
 def test_coincidence_probability():
     # fraction of events sharing a bin with another event
     assert coincidence_probability(0.0, 0.1) == 0.0
@@ -156,9 +163,27 @@ def test_detect_report_rates():
     assert 0.0 < rep.coincidence_probability < 0.1
 
 
+# the second rate pair's SNR rounds differently if its division is regrouped
+@pytest.mark.parametrize("per_atom_rate, bg_rate", [(10_000.0, 500.0),
+                                                    (10_000.0, 321.0)])
+def test_detect_snr_bitwise(per_atom_rate, bg_rate):
+    # spacing over the shot noise at the 99.5th-percentile level, taken as
+    # at least one atom, bit for bit
+    model = RateModel(load_rate=0.3, bg_rate=1.0 / 60.0, b1=0.004, b2=0.006)
+    tr = synthesize(simulate(model, duration=2000.0, seed=9),
+                    per_atom_rate=per_atom_rate, bg_rate=bg_rate, seed=109)
+    cal = Calibration(per_atom_rate=per_atom_rate, bg_rate=bg_rate,
+                      per_atom_err=1.0, bg_err=1.0, n_levels=8)
+    _, rep = detect(tr, cal)
+    offset, spacing = bg_rate * tr.bin_width, per_atom_rate * tr.bin_width
+    levels = np.clip(np.round((tr.counts - offset) / spacing), 0, None)
+    n_typ = max(float(np.percentile(levels, 99.5)), 1.0)
+    assert rep.snr == spacing / np.sqrt(max(offset + spacing * n_typ, 1.0))
+
+
 # --- reference implementations -------------------------------------------
-# The per-bin loops and the lstsq regression that detect.py replaced with
-# whole-array code. The vectorized versions must reproduce them exactly
+# The per-bin loops (merge, event builder, bump pass) and the lstsq
+# regression that detect.py replaced with whole-array code. The vectorized versions must reproduce them exactly
 # (levels and events) or to 1e-12 relative (regression floats).
 
 def _merge_reference(n_hat, counts, offset, spacing):
@@ -205,6 +230,46 @@ def _events_reference(n_hat, bin_width):
                 n -= 2 if kind == KIND_LOSS2 else 1
     return (np.asarray(times, dtype=np.float64), np.asarray(kinds, dtype=np.int8),
             np.asarray(befores, dtype=np.int64))
+
+
+def _bump_reference(counts, n_hat, offset, spacing, bin_width,
+                    thresh=BUMP_NSIGMA):
+    times, kinds, befores = [], [], []
+    if len(n_hat) < 3:
+        return times, kinds, befores, 0
+    resid = (counts - offset) / spacing - n_hat
+    sig = np.sqrt(np.maximum(offset + spacing * np.maximum(n_hat, 0), 1.0)) / spacing
+    strong = np.zeros(len(n_hat), dtype=bool)
+    strong[1:-1] = (n_hat[1:-1] == n_hat[:-2]) & (n_hat[1:-1] == n_hat[2:])
+    strong &= np.abs(resid) > thresh * sig
+    strong &= ~((n_hat == 0) & (resid < 0))
+    idx = np.nonzero(strong)[0]
+    n_pairs = 0
+    j = 0
+    w = bin_width
+    while j < len(idx):
+        i = idx[j]
+        k = j
+        while (k + 1 < len(idx) and idx[k + 1] == idx[k] + 1
+               and (resid[idx[k + 1]] > 0) == (resid[i] > 0)):
+            k += 1
+        last = idx[k]
+        lvl = int(n_hat[i])
+        if i == last:
+            t1, t2 = i * w + w / 3.0, i * w + 2.0 * w / 3.0
+        else:
+            t1, t2 = i * w + w / 2.0, last * w + w / 2.0
+        if resid[i] > 0:
+            times += [t1, t2]
+            kinds += [KIND_LOAD, KIND_LOSS1]
+            befores += [lvl, lvl + 1]
+        else:
+            times += [t1, t2]
+            kinds += [KIND_LOSS1, KIND_LOAD]
+            befores += [lvl, lvl - 1]
+        n_pairs += 1
+        j = k + 1
+    return times, kinds, befores, n_pairs
 
 
 def _linfit_reference(x, y):
@@ -337,3 +402,72 @@ def test_linfit_matches_lstsq(model, rates):
                                                 tr.counts.astype(float))
         np.testing.assert_allclose(coef, want_coef, rtol=1e-12, atol=0)
         np.testing.assert_allclose(cov, want_cov, rtol=1e-12, atol=0)
+
+
+def _assert_same_bumps(counts, n_hat, offset, spacing, bin_width):
+    """_bump_pairs against the loop it replaced, after detect's conversion
+    of the loop's lists; returns the number of pairs."""
+    times, kinds, befores, n_pairs = _bump_reference(counts, n_hat, offset,
+                                                     spacing, bin_width)
+    got = _bump_pairs(counts, n_hat, offset, spacing, bin_width)
+    _assert_same_events(got, (np.asarray(times, dtype=np.float64),
+                              np.asarray(kinds, dtype=np.int8),
+                              np.asarray(befores, dtype=np.int64)))
+    assert len(got[0]) // 2 == n_pairs
+    return n_pairs
+
+
+@st.composite
+def _bump_traces(draw):
+    """Flat stretches at levels 0-4 (0 to 48 bins in all) and counts whose
+    residual per bin is quiet or a bump of either sign, mostly strong."""
+    stretches = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 8)),
+                              max_size=6))
+    n_hat = np.repeat([lvl for lvl, _ in stretches],
+                      [k for _, k in stretches]).astype(np.int64)
+    offset = draw(st.sampled_from([0.0, 37.5, 500.0]))
+    spacing = draw(st.sampled_from([1000.0, 10000.0]))
+    frac = draw(st.lists(st.one_of(st.floats(-0.02, 0.02), st.floats(0.1, 0.49),
+                                   st.floats(-0.49, -0.1)),
+                         min_size=len(n_hat), max_size=len(n_hat)))
+    counts = np.maximum(np.round(offset + spacing * (n_hat + np.array(frac))),
+                        0).astype(np.int64)
+    return counts, n_hat, offset, spacing
+
+
+@settings(max_examples=400, deadline=None)
+@given(_bump_traces(), st.sampled_from([0.1, 0.05, 0.03]))
+def test_bump_pairs_match_reference(case, bin_width):
+    _assert_same_bumps(*case, bin_width)
+
+
+# (levels, residuals in atoms, pairs read): runs of 1-3 strong bins, two
+# of opposite sign side by side, downward bumps at level 0, strong bins at
+# either end, traces of 0-2 bins, no bumps
+_BUMP_CASES = [
+    ([2] * 7, {3: 0.3}, 1),
+    ([2] * 7, {2: 0.3, 3: 0.25}, 1),
+    ([2] * 7, {2: -0.3, 3: -0.25, 4: -0.35}, 1),
+    ([2] * 7, {2: 0.3, 4: 0.3}, 2),
+    ([2] * 7, {3: 0.3, 4: -0.3}, 2),
+    ([1] * 4 + [2] * 4, {1: -0.3, 2: 0.3, 5: 0.3, 6: 0.3}, 3),
+    ([0] * 7, {2: -0.3, 3: -0.3, 5: 0.3}, 1),
+    ([0] * 7, {3: 0.3, 4: -0.3}, 1),
+    ([3] * 7, {0: 0.3, 6: -0.3}, 0),
+    ([3] * 7, {0: 0.3, 1: 0.3, 5: -0.3, 6: -0.3}, 2),
+    ([], {}, 0),
+    ([2], {0: 0.3}, 0),
+    ([2, 2], {0: 0.3, 1: -0.3}, 0),
+    ([1, 1, 2, 2, 3, 3], {}, 0),
+]
+
+
+@pytest.mark.parametrize("levels, resid, pairs", _BUMP_CASES, ids=[
+    "one_bin", "two_bins", "three_bins", "two_runs", "opposite_signs",
+    "signs_and_step", "down_at_0", "up_then_down_at_0", "ends", "ends_runs",
+    "length_0", "length_1", "length_2", "no_bumps"])
+def test_bump_pairs_cases(levels, resid, pairs):
+    n_hat = np.array(levels, dtype=np.int64)
+    frac = np.array([resid.get(i, 0.0) for i in range(len(levels))])
+    counts = np.round(500.0 + 10_000.0 * (n_hat + frac)).astype(np.int64)
+    assert _assert_same_bumps(counts, n_hat, 500.0, 10_000.0, 0.1) == pairs

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from fewatom.detect import Calibration
-from fewatom.fitting import (DegenerateDataError, EventRateTable,
-                             SuppressionFit, correct_coincidences,
+from fewatom.fitting import (DegenerateDataError, EventRateTable, FitResult,
+                             SuppressionFit, _wls, correct_coincidences,
                              extrapolate_beta_hcc, fit_rates, fit_repump_decay,
-                             infer_temperature, tabulate, weighted_mean)
+                             infer_temperature, tabulate)
 from fewatom.channels import scaling_constant
 from fewatom.markov import (KIND_LOAD, KIND_LOSS1, KIND_LOSS2, EventLog,
                             RateModel, simulate)
+from test_storage import _event_logs
 
 FIG2 = RateModel(load_rate=0.1403, bg_rate=1.0 / 60.0, b1=0.004, b2=0.006)
 
@@ -198,9 +200,211 @@ def test_extrapolate_beta_hcc_error_budget():
     assert err2 == pytest.approx(expect, rel=1e-12)
 
 
-def test_weighted_mean():
-    m, e = weighted_mean(np.array([3.3, 4.6, 4.3]), np.array([1.8, 1.7, 1.9]))
-    assert m == pytest.approx(4.080141555715732, rel=1e-12)
-    assert e == pytest.approx(1.036021338192853, rel=1e-12)
-    with pytest.raises(ValueError):
-        weighted_mean(np.array([1.0]), np.array([0.0]))
+
+# --- reference implementations -------------------------------------------
+# The np.add.at tabulation, the pile-up correction with its own copy of the
+# bump threshold, and the three hand-written channel fits (with the weighted
+# mean for the load rate) that the bincount tabulation, detect.shot_noise
+# and the loop over fitting._CHANNELS replaced. Tables must match bitwise;
+# fitted floats to 1e-12 relative, since the load rate is now a one-column
+# weighted least-squares fit instead of a weighted mean.
+
+def _tabulate_reference(log):
+    t_break, levels = log.staircase()
+    dwell = np.diff(np.append(t_break, log.duration))
+    n_max = int(levels.max()) if len(levels) else 0
+    if len(log.n_before):
+        n_max = max(n_max, int(log.n_before.max()))
+    occ = np.zeros(n_max + 1)
+    np.add.at(occ, levels, dwell)
+    loads = np.zeros(n_max + 1)
+    loss1 = np.zeros(n_max + 1)
+    loss2 = np.zeros(n_max + 1)
+    for kind, acc in ((KIND_LOAD, loads), (KIND_LOSS1, loss1), (KIND_LOSS2, loss2)):
+        sel = log.n_before[log.kinds == kind]
+        np.add.at(acc, sel, 1.0)
+    return EventRateTable(n=np.arange(n_max + 1), occupancy_s=occ,
+                          n_load=loads, n_loss1=loss1, n_loss2=loss2)
+
+
+def _correct_coincidences_reference(table, bin_width, calibration=None):
+    from fewatom.fitting import (BUMP_FP_PER_BIN, BUMP_NSIGMA, PAIR_FUSE_BINS,
+                                 PAIR_SWALLOW_BINS)
+    occ = table.occupancy_s
+    total = float(occ.sum())
+    load_rate = float(table.n_load.sum()) / total if total > 0 else 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r1 = np.where(occ > 0, table.n_loss1 / occ, 0.0)
+        r2 = np.where(occ > 0, table.n_loss2 / occ, 0.0)
+    fuse = np.zeros_like(occ)
+    fuse[1:] = r1[1:] * r1[:-1] * PAIR_FUSE_BINS * bin_width * occ[1:]
+    fuse = np.minimum(fuse, table.n_loss2)
+    swallow = r2 * load_rate * PAIR_SWALLOW_BINS * bin_width * occ
+    loss1 = table.n_loss1 + fuse - swallow
+    loss1[:-1] += fuse[1:]
+    loads = table.n_load + swallow
+    loss2 = table.n_loss2 - fuse + swallow
+    if calibration is not None:
+        s_w = calibration.per_atom_rate * bin_width
+        o_w = calibration.bg_rate * bin_width
+        lvl = np.maximum(table.n.astype(float), 0.0)
+        sig = np.sqrt(np.maximum(o_w + s_w * lvl, 1.0)) / s_w
+        theta = np.minimum(BUMP_NSIGMA * sig, 0.5)
+        k_half = (theta + 0.5 * theta**2) * bin_width * load_rate
+        f_up = occ * k_half * np.append(r1[1:], 0.0)
+        f_dn = occ * k_half * r1
+        loads += f_up
+        loads[:-1] += f_dn[1:]
+        loss1 += f_dn
+        loss1[1:] += f_up[:-1]
+        fp = BUMP_FP_PER_BIN * occ / bin_width
+        loads[:-1] -= fp[:-1]
+        loss1[1:] -= fp[:-1]
+    return EventRateTable(n=table.n.copy(), occupancy_s=occ.copy(),
+                          n_load=np.maximum(loads, 0.0),
+                          n_loss1=np.maximum(loss1, 0.0),
+                          n_loss2=np.maximum(loss2, 0.0))
+
+
+def _weighted_mean_reference(values, errors):
+    w = 1.0 / errors**2
+    mean = float(np.sum(w * values) / np.sum(w))
+    return mean, float(1.0 / np.sqrt(np.sum(w)))
+
+
+def _fit_rates_reference(table, coincidence_width=None, calibration=None):
+    if coincidence_width is not None:
+        table = correct_coincidences(table, coincidence_width, calibration)
+    pop = table.occupancy_s > 0
+    n = table.n
+
+    sel = pop
+    if sel.sum() < 1:
+        raise DegenerateDataError("no populated occupancy levels")
+    r = table.rate("load")[sel]
+    e = table.rate_err("load")[sel]
+    wmean, werr = _weighted_mean_reference(r, e)
+    chi2 = float(np.sum(((r - wmean) / e) ** 2))
+    dof = int(sel.sum()) - 1
+
+    sel1 = pop & (n >= 1)
+    if sel1.sum() < 2:
+        raise DegenerateDataError("too few levels with N >= 1")
+    x1 = n[sel1].astype(float)
+    design1 = np.column_stack([x1, x1 * (x1 - 1.0)])
+    coef1, cov1, chi2_1 = _wls(design1, table.rate("loss1")[sel1],
+                               table.rate_err("loss1")[sel1])
+    chi2 += chi2_1
+    dof += int(sel1.sum()) - 2
+
+    sel2 = pop & (n >= 2)
+    if sel2.sum() < 1:
+        raise DegenerateDataError("no populated levels with N >= 2 for pair loss")
+    x2 = n[sel2].astype(float)
+    design2 = (x2 * (x2 - 1.0))[:, None]
+    coef2, cov2, chi2_2 = _wls(design2, table.rate("loss2")[sel2],
+                               table.rate_err("loss2")[sel2])
+    chi2 += chi2_2
+    dof += int(sel2.sum()) - 1
+
+    clipped = []
+    bg, b1 = float(coef1[0]), float(coef1[1])
+    b2 = float(coef2[0])
+    if bg < 0:
+        bg = 0.0
+        clipped.append("bg_rate")
+    if b1 < 0:
+        b1 = 0.0
+        clipped.append("b1")
+    if b2 < 0:
+        b2 = 0.0
+        clipped.append("b2_event")
+    return FitResult(
+        load_rate=float(wmean), load_rate_err=float(werr),
+        bg_rate=bg, bg_rate_err=float(np.sqrt(cov1[0, 0])),
+        b1=b1, b1_err=float(np.sqrt(cov1[1, 1])),
+        b2_event=b2, b2_event_err=float(np.sqrt(cov2[0, 0])),
+        chi2=chi2, dof=max(dof, 0), clipped=tuple(clipped))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_event_logs())
+def test_tabulate_matches_reference(log):
+    got, want = tabulate(log), _tabulate_reference(log)
+    for name in ("n", "occupancy_s", "n_load", "n_loss1", "n_loss2"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def _clipping_tables():
+    """Populated tables whose loss1 rates bend down (b1 < 0) or rise as
+    0.06 N(N-1) - 0.03 N, with none at N = 1 (bg < 0)."""
+    occ = np.array([4.0e3, 8.0e3, 9.0e3, 6.0e3, 3.0e3, 1.2e3, 4.0e2])
+    load = np.array([560.0, 1100.0, 1260.0, 840.0, 420.0, 170.0, 50.0])
+    loss2 = np.array([0.0, 0.0, 110.0, 140.0, 110.0, 60.0, 25.0])
+    for loss1 in ([0.0, 400.0, 828.0, 756.0, 456.0, 204.0, 72.0],
+                  [0.0, 0.0, 540.0, 1620.0, 1800.0, 1260.0, 648.0]):
+        yield EventRateTable(n=np.arange(7), occupancy_s=occ, n_load=load,
+                             n_loss1=np.array(loss1), n_loss2=loss2)
+
+
+def _reference_tables():
+    for seed in range(4):
+        yield tabulate(simulate(FIG2, duration=20_000.0, seed=seed))
+    yield tabulate(simulate(RateModel(0.5, 0.05, 0.0, 0.0), duration=5000.0,
+                            seed=4))
+    yield _dense_table()
+    yield from _clipping_tables()
+
+
+_CAL = Calibration(per_atom_rate=10_000.0, bg_rate=500.0,
+                   per_atom_err=50.0, bg_err=20.0, n_levels=10)
+
+
+# rates whose bump threshold, regrouped, moves the corrected dense table
+_CAL_ODD = Calibration(per_atom_rate=7000.0, bg_rate=321.0,
+                       per_atom_err=50.0, bg_err=20.0, n_levels=10)
+
+
+@pytest.mark.parametrize("cal", [None, _CAL, _CAL_ODD],
+                         ids=["bin_width", "calibration", "odd_calibration"])
+def test_correct_coincidences_matches_reference(cal):
+    for table in _reference_tables():
+        got = correct_coincidences(table, 0.1, cal)
+        want = _correct_coincidences_reference(table, 0.1, cal)
+        for name in ("n", "occupancy_s", "n_load", "n_loss1", "n_loss2"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("width, cal", [(None, None), (0.1, None), (0.1, _CAL)],
+                         ids=["exact", "bin_width", "bin_width_and_calibration"])
+def test_fit_rates_matches_reference(width, cal):
+    clipped = set()
+    for table in _reference_tables():
+        got = fit_rates(table, width, cal)
+        want = _fit_rates_reference(table, width, cal)
+        assert got.clipped == want.clipped
+        assert got.dof == want.dof
+        for name in ("load_rate", "load_rate_err", "bg_rate", "bg_rate_err", "b1",
+                     "b1_err", "b2_event", "b2_event_err", "chi2"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name),
+                                                       rel=1e-12, abs=0), name
+        clipped.update(got.clipped)
+    assert clipped >= {"bg_rate", "b1"}
+
+
+def test_fit_rates_degenerate_tables():
+    # each channel needs as many populated levels from its lowest N as it
+    # fits coefficients; with two levels from N = 1 on, one is at N >= 2
+    for populated, needed in (([], "N >= 0"), ([0], "N >= 1"), ([0, 1], "N >= 1"),
+                              ([0, 1, 3], None)):
+        table = EventRateTable(
+            n=np.arange(4), occupancy_s=np.where(np.isin(np.arange(4), populated),
+                                                 10.0, 0.0),
+            n_load=np.ones(4), n_loss1=np.ones(4), n_loss2=np.ones(4))
+        if needed is None:
+            assert fit_rates(table).dof == 2
+        else:
+            with pytest.raises(DegenerateDataError, match=needed):
+                fit_rates(table)

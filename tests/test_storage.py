@@ -128,18 +128,17 @@ def test_read_trace_csv_requires_header(tmp_path):
 
 
 _TRACE_HEADER = ("# bin_width_s=0.1\n# per_atom_rate_hz=10000.0\n"
-                 "# bg_rate_hz=500.0\n# seed=1\nt_start_s,counts\n")
+                 "# bg_rate_hz=500.0\n# seed=1\ncounts\n")
 
 
 @pytest.mark.parametrize("row", [
-    "0.1,abc",  # not a number
-    "0.1",  # missing column
-    "0.1,12,3",  # extra column
-    "0.1,-4",  # negative count
+    "abc",  # not a number
+    "12,3",  # extra column
+    "-4",  # negative count
 ])
 def test_read_trace_csv_names_bad_row(tmp_path, row):
     path = tmp_path / "trace.csv"
-    path.write_text(_TRACE_HEADER + "0.0,510\n\n" + row + "\n0.2,505\n")
+    path.write_text(_TRACE_HEADER + "510\n\n" + row + "\n505\n")
     with pytest.raises(ValueError) as info:
         read_trace_csv(path)
     assert f"{path}, line 8" in str(info.value)
@@ -224,8 +223,7 @@ def _reference_trace(trace: FluorescenceTrace) -> bytes:
     return _reference_csv(
         {"bin_width_s": trace.bin_width, "per_atom_rate_hz": trace.per_atom_rate,
          "bg_rate_hz": trace.bg_rate, "seed": trace.seed},
-        ["t_start_s", "counts"],
-        ([repr(i * trace.bin_width), int(c)] for i, c in enumerate(trace.counts)))
+        ["counts"], ([int(c)] for c in trace.counts))
 
 
 def _reference_table(columns, header=None) -> bytes:
@@ -282,7 +280,7 @@ def test_table_writer_edge_shapes(tmp_path):
         write_table_csv(tmp_path / "t.csv", {"a": [1, 2], "b": [1.0]})
 
 
-# bin widths around where repr(i * w) switches between positional and
+# bin widths around where the header's repr switches between positional and
 # exponent form (below 1e-4 and from 1e16 up), and ordinary ones
 _BIN_WIDTHS = st.one_of(
     st.floats(min_value=1e-7, max_value=1e-4),
@@ -322,7 +320,7 @@ def test_event_writer_matches_csv_writer(tmp_path, log):
 
 # past the first writer chunk and loadtxt's own 50 000-row blocks
 _N_ROWS = 70_002
-_TRACE_ROWS = [f"{i * 0.1!r},{500 + i % 7}" for i in range(_N_ROWS)]
+_TRACE_ROWS = [f"{500 + i % 7}" for i in range(_N_ROWS)]
 _EVENT_ROWS = [f"{(i + 1) * 0.5!r},{i % 2},{i % 2},{1 - i % 2}"
                for i in range(_N_ROWS)]
 
@@ -345,11 +343,10 @@ _BAD_ROWS = pytest.mark.parametrize("bad_row, newline", [
 
 @_BAD_ROWS
 @pytest.mark.parametrize("bad, fault", [
-    ("0.1,-4", "negative count -4"),  # an array check
-    ("0.1,abc", "counts"),  # does not parse
-    ("0.1,12,3", "expected 2 columns, got 3"),
-    ("0.1", "expected 2 columns, got 1"),
-    ("0.1,1.0", "counts"),  # a float in the int column
+    ("-4", "negative count -4"),  # an array check
+    ("abc", "counts"),  # does not parse
+    ("12,3", "expected 1 columns, got 2"),
+    ("1.0", "counts"),  # a float in the int column
     ("# seed=2", "header line after the column row"),
 ])
 def test_read_trace_csv_names_bad_line(tmp_path, newline, bad_row, bad, fault):
@@ -402,9 +399,9 @@ def test_readers_accept_either_row_end(tmp_path, newline):
 
 
 @pytest.mark.parametrize("text, line, fault", [
-    ("# bin_width_s=0.05\n" + _TRACE_HEADER + "0.0,510\n", 2,
+    ("# bin_width_s=0.05\n" + _TRACE_HEADER + "510\n", 2,
      "header key bin_width_s given twice"),
-    ("# a note\n" + _TRACE_HEADER + "0.0,510\n", 1, "not '# key=value'"),
+    ("# a note\n" + _TRACE_HEADER + "510\n", 1, "not '# key=value'"),
 ], ids=["repeated_key", "no_value"])
 def test_read_trace_csv_rejects_stray_header_line(tmp_path, text, line, fault):
     path = tmp_path / "trace.csv"

@@ -6,12 +6,10 @@ the dominant two-atom loss channel.
 """
 
 from .constants import CESIUM, PhysConstants, c3_atomic_to_si
-from .trap import (TrapConfig, depth_minimum, effective_volume,
-                   pair_rate_gradient_scaling, photons_to_stop,
-                   saturation_parameter, trap_depth)
-from .channels import (ChannelSet, Outcome, ShieldingParams, classify_outcome,
-                       condon_radius, effective_betas, lz_pass_probability,
-                       lz_thermal_average, outcome_probabilities,
+from .trap import (TrapConfig, depth_from_cos, depth_minimum, effective_volume,
+                   photons_to_stop, saturation_parameter)
+from .channels import (ChannelSet, ShieldingParams, condon_radius,
+                       effective_betas, outcome_probabilities,
                        scaling_constant, suppression_ratio)
 from .markov import (EventLog, RateModel, TruncationError, expected_event_rates,
                      master_stationary, simulate, stationary_moments)
@@ -28,13 +26,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CESIUM", "PhysConstants", "c3_atomic_to_si",
-    "TrapConfig", "depth_minimum", "effective_volume",
-    "pair_rate_gradient_scaling", "photons_to_stop", "saturation_parameter",
-    "trap_depth",
-    "ChannelSet", "Outcome", "ShieldingParams", "classify_outcome",
-    "condon_radius", "effective_betas", "lz_pass_probability",
-    "lz_thermal_average", "outcome_probabilities", "scaling_constant",
-    "suppression_ratio",
+    "TrapConfig", "depth_from_cos", "depth_minimum", "effective_volume",
+    "photons_to_stop", "saturation_parameter",
+    "ChannelSet", "ShieldingParams", "condon_radius", "effective_betas",
+    "outcome_probabilities", "scaling_constant", "suppression_ratio",
     "EventLog", "RateModel", "TruncationError", "expected_event_rates",
     "master_stationary", "simulate", "stationary_moments",
     "FluorescenceTrace", "binned_mean_counts", "synthesize",

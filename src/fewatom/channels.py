@@ -22,30 +22,18 @@ floor sqrt(2)*kB*T_D add in quadrature:
     Omega = rabi_coeff * Gamma * sqrt(s0).
 
 With the default rabi_coeff = 1/sqrt(2) this is identical to exp(-s0 / A(T))
-with A(T) = 1 + (T/T_D)^2 / 2. The explicit single-crossing Landau-Zener
-average (lz_thermal_average) is kept as a reference model; at 9 GHz detuning
-its crossing is traversed almost fully diabatically, so it suppresses far less
-than the calibrated law and is not used for rate composition.
+with A(T) = 1 + (T/T_D)^2 / 2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
-from .constants import CESIUM, H_PLANCK, PhysConstants
-from .trap import TrapConfig, depth_from_cos, depth_minimum
-
-
-class Outcome(IntEnum):
-    """Atoms lost in a single two-body collision event."""
-
-    NONE = 0
-    ONE_ATOM = 1
-    TWO_ATOMS = 2
+from .constants import CESIUM, H_PLANCK, PhysConstants, c3_atomic_to_si
+from .trap import TrapConfig, depth_from_cos
 
 
 CHANNELS = ("hcc", "re", "fcc")
@@ -79,42 +67,21 @@ class ShieldingParams:
     """Repump-dressing parameters for the ground-channel suppression."""
 
     repump_detuning: float = 9.0e9  # Hz, blue detuning of the repump
-    c3: float | None = None  # J m^3; None -> constants default
+    c3: float = c3_atomic_to_si(12.0)  # J m^3, excited-pair dispersion coefficient
     rabi_coeff: float = 1.0 / math.sqrt(2.0)  # Omega = rabi_coeff * Gamma * sqrt(s0)
 
     def __post_init__(self):
         if self.repump_detuning <= 0:
             raise ValueError("repump_detuning must be positive")
-        if self.c3 is not None and self.c3 <= 0:
-            raise ValueError("c3 must be positive when given")
+        if self.c3 <= 0:
+            raise ValueError("c3 must be positive")
         if self.rabi_coeff <= 0:
             raise ValueError("rabi_coeff must be positive")
 
-    def c3_value(self, pc: PhysConstants) -> float:
-        return pc.c3 if self.c3 is None else self.c3
 
-
-def condon_radius(params: ShieldingParams, pc: PhysConstants = CESIUM) -> float:
+def condon_radius(params: ShieldingParams) -> float:
     """Crossing radius R_C = (C3 / (h * detuning))^(1/3), meters."""
-    return (params.c3_value(pc) / (H_PLANCK * params.repump_detuning)) ** (1.0 / 3.0)
-
-
-def lz_pass_probability(v_rel: float, omega: float, params: ShieldingParams,
-                        pc: PhysConstants = CESIUM):
-    """Diabatic passage probability through the dressed crossing.
-
-    exp(-2 pi (hbar Omega / 2)^2 / (hbar v |dV/dR|)) with the difference-potential
-    slope 3 C3 / R_C^4 at the Condon point. This is the probability that an
-    incoming pair stays on the ground curve.
-    """
-    v = np.asarray(v_rel, dtype=float)
-    if np.any(v <= 0):
-        raise ValueError("v_rel must be positive (sub-threshold pairs are handled by the caller)")
-    rc = condon_radius(params, pc)
-    slope = 3.0 * params.c3_value(pc) / rc**4
-    expo = 2.0 * math.pi * (pc.hbar * omega / 2.0) ** 2 / (pc.hbar * v * slope)
-    out = np.exp(-expo)
-    return float(out) if np.isscalar(v_rel) else out
+    return (params.c3 / (H_PLANCK * params.repump_detuning)) ** (1.0 / 3.0)
 
 
 def scaling_constant(temperature: float, pc: PhysConstants = CESIUM):
@@ -148,45 +115,6 @@ def suppression_ratio(s0, temperature: float, params: ShieldingParams | None = N
     return float(out) if np.isscalar(s0) else out
 
 
-def lz_thermal_average(s0: float, temperature: float,
-                       params: ShieldingParams | None = None,
-                       pc: PhysConstants = CESIUM, n_grid: int = 20000) -> float:
-    """Reference model: 1D Maxwell-Boltzmann average of the single-crossing pass probability.
-
-    Pairs whose asymptotic kinetic energy (reduced mass m/2) is below the
-    avoided-crossing barrier hbar*Omega/2 contribute zero; surviving pairs pass
-    diabatically with lz_pass_probability evaluated at the decelerated local
-    speed. Shares the qualitative properties of suppression_ratio but not its
-    calibration; kept for transparency of the microscopic picture.
-    """
-    if params is None:
-        params = ShieldingParams()
-    if s0 < 0:
-        raise ValueError("s0 must be non-negative")
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    if s0 == 0:
-        return 1.0
-    mu = pc.mass / 2.0
-    omega = params.rabi_coeff * pc.gamma * math.sqrt(s0)
-    v_barrier = math.sqrt(pc.hbar * omega / mu)  # mu v^2 / 2 = hbar Omega / 2
-    sigma = math.sqrt(pc.kb * temperature / mu)
-    v = np.linspace(1e-9, v_barrier + 10.0 * sigma, n_grid)
-    weight = np.exp(-(v**2) / (2.0 * sigma**2))
-    v_local = np.sqrt(np.clip(v**2 - v_barrier**2, 0.0, None))
-    passed = np.zeros_like(v)
-    over = v_local > 0
-    passed[over] = lz_pass_probability(v_local[over], omega, params, pc)
-    return float(np.trapezoid(weight * passed, v) / np.trapezoid(weight, v))
-
-
-def re_energy_sample(rng: np.random.Generator, e0: float, size=None):
-    """Draw the shared per-atom kinetic energy of a radiative-escape pair, kelvin."""
-    if e0 <= 0:
-        raise ValueError("e0 must be positive")
-    return rng.exponential(e0, size)
-
-
 def _escape_counts(channel: str, trap: TrapConfig, cs: ChannelSet,
                    rng: np.random.Generator, n: int, pc: PhysConstants) -> np.ndarray:
     """Vectorized outcome sampler; returns the number of escaping atoms per trial."""
@@ -212,14 +140,8 @@ def _escape_counts(channel: str, trap: TrapConfig, cs: ChannelSet,
     elif channel == "fcc":
         energy = np.full(n, pc.e_fcc_per_atom)
     else:
-        energy = re_energy_sample(rng, cs.re_energy_scale, n)
+        energy = rng.exponential(cs.re_energy_scale, n)
     return (energy > d1).astype(np.int64) + (energy > d2)
-
-
-def classify_outcome(channel: str, trap: TrapConfig, cs: ChannelSet,
-                     rng: np.random.Generator, pc: PhysConstants = CESIUM) -> Outcome:
-    """Sample one collision event and report how many atoms left the trap."""
-    return Outcome(int(_escape_counts(channel, trap, cs, rng, 1, pc)[0]))
 
 
 def outcome_probabilities(channel: str, trap: TrapConfig, cs: ChannelSet,

@@ -1,6 +1,6 @@
 """Flat key=value run configuration.
 
-Keys are dotted and unit-suffixed (trap.r0_um, shielding.repump_detuning_ghz);
+Keys are dotted and unit-suffixed (trap.r0_um, trace.per_atom_rate_hz);
 values are converted to the SI quantities the library works in. Unknown keys
 are rejected rather than ignored so a typo cannot silently fall back to a
 default. Presets bundle the operating points of the standard measurement runs
@@ -16,7 +16,7 @@ from typing import Callable
 
 from .channels import ChannelSet, ShieldingParams, effective_betas
 from .constants import (CESIUM, BOHR_MAGNETON, CM3_PER_M3, G_PER_CM_TO_T_PER_M,
-                        MW_PER_CM2_TO_W_PER_M2, PhysConstants, c3_atomic_to_si)
+                        MW_PER_CM2_TO_W_PER_M2, PhysConstants)
 from .markov import RateModel
 from .trap import TrapConfig, effective_volume
 
@@ -58,15 +58,12 @@ _KEYS: dict[str, tuple[str, str, Callable[[str], object]]] = {
     "channels.re_energy_k": ("channels", "re_energy_scale", float),
     "channels.depth_jitter": ("channels", "depth_jitter", float),
     "channels.angular_spread_rad": ("channels", "angular_spread", float),
-    "shielding.repump_detuning_ghz": ("shielding", "repump_detuning", _scaled(1e9)),
-    "shielding.c3_au": ("shielding", "c3", lambda v: c3_atomic_to_si(float(v))),
     "shielding.rabi_coeff": ("shielding", "rabi_coeff", float),
     "constants.gamma_mhz": ("constants", "gamma", _gamma_mhz),
     "constants.lambda_nm": ("constants", "wavelength", _scaled(1e-9)),
     "constants.i_sat_mw_cm2": ("constants", "i_sat", _scaled(MW_PER_CM2_TO_W_PER_M2)),
     "constants.e_hcc_k": ("constants", "e_hcc_per_atom", float),
     "constants.e_fcc_k": ("constants", "e_fcc_per_atom", float),
-    "constants.c3_au": ("constants", "c3", lambda v: c3_atomic_to_si(float(v))),
     "sim.duration_s": ("run", "duration", float),
     "sim.n0": ("run", "n0", int),
     "sim.seed": ("run", "seed", int),

@@ -1,8 +1,8 @@
 """Physical constants for the cesium D2 system and the unit conversions used package-wide.
 
 Internal unit system is SI. Energies that parametrize collision channels and
-trap depths are quoted as temperatures (kelvin); convert with kelvin_to_joule
-/ joule_to_kelvin at the boundary.
+trap depths are quoted as temperatures (kelvin) and multiplied by kb where an
+energy in joules is needed.
 """
 
 from __future__ import annotations
@@ -25,14 +25,6 @@ CS_MASS = 132.905451961 * ATOMIC_MASS  # kg, Cs-133
 G_PER_CM_TO_T_PER_M = 1e-2
 MW_PER_CM2_TO_W_PER_M2 = 10.0
 CM3_PER_M3 = 1e6
-
-
-def kelvin_to_joule(t_kelvin: float) -> float:
-    return KB * t_kelvin
-
-
-def joule_to_kelvin(e_joule: float) -> float:
-    return e_joule / KB
 
 
 def c3_atomic_to_si(c3_au: float) -> float:
@@ -60,12 +52,11 @@ class PhysConstants:
     hbar: float = HBAR
     e_hcc_per_atom: float = 0.22  # K, kinetic energy per atom after a hyperfine-changing collision
     e_fcc_per_atom: float = 400.0  # K, per atom after a fine-structure-changing collision
-    c3: float = c3_atomic_to_si(12.0)  # J m^3, excited-pair dispersion coefficient
     i_sat: float = 11.0  # W/m^2 (1.1 mW/cm^2)
 
     def __post_init__(self):
         for name in ("gamma", "wavelength", "mass", "kb", "hbar",
-                     "e_hcc_per_atom", "e_fcc_per_atom", "c3", "i_sat"):
+                     "e_hcc_per_atom", "e_fcc_per_atom", "i_sat"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -78,16 +69,6 @@ class PhysConstants:
         """Single-photon recoil speed hbar*k/m, m/s."""
         k = 2.0 * math.pi / self.wavelength
         return self.hbar * k / self.mass
-
-    def thermal_speed(self, temperature: float) -> float:
-        """Most probable relative speed of an identical-atom pair at `temperature`.
-
-        Uses the pair reduced mass mu = m/2, i.e. sqrt(2 kB T / mu).
-        """
-        if temperature < 0:
-            raise ValueError("temperature must be non-negative")
-        mu = self.mass / 2.0
-        return math.sqrt(2.0 * self.kb * temperature / mu)
 
 
 CESIUM = PhysConstants()

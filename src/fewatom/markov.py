@@ -51,8 +51,8 @@ class RateModel:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
-    def channel_rates(self, n: int) -> tuple[float, float, float]:
-        """(load, loss1, loss2) event rates out of state n."""
+    def channel_rates(self, n: int | np.ndarray) -> tuple:
+        """(load, loss1, loss2) event rates out of state n (an int or an int array)."""
         pairs = n * (n - 1)
         return (self.load_rate,
                 n * self.bg_rate + self.b1 * pairs,
@@ -128,6 +128,7 @@ def simulate(model: RateModel, n0: int = 0, duration: float = 0.0,
     b1 = model.b1
     b2 = model.b2
     while True:
+        # channel_rates inline: a method call per event would slow this loop
         pairs = n * (n - 1)
         a1 = n * bg + b1 * pairs
         a2 = b2 * pairs
@@ -165,16 +166,13 @@ def simulate(model: RateModel, n0: int = 0, duration: float = 0.0,
 
 
 def _generator_matrix(model: RateModel, n_max: int) -> np.ndarray:
+    n = np.arange(n_max + 1)
+    load, loss1, loss2 = model.channel_rates(n)
     q = np.zeros((n_max + 1, n_max + 1))
-    for n in range(n_max + 1):
-        load, loss1, loss2 = model.channel_rates(n)
-        if n < n_max:
-            q[n, n + 1] = load
-        if n >= 1:
-            q[n, n - 1] = loss1
-        if n >= 2:
-            q[n, n - 2] = loss2
-        q[n, n] = -q[n].sum()
+    q[n[:-1], n[1:]] = load
+    q[n[1:], n[:-1]] = loss1[1:]
+    q[n[2:], n[:-2]] = loss2[2:]
+    q[n, n] = -q.sum(axis=1)
     return q
 
 
@@ -220,13 +218,13 @@ class ExpectedRates:
 
 def expected_event_rates(p: np.ndarray, model: RateModel) -> ExpectedRates:
     n = np.arange(len(p))
-    pairs = n * (n - 1)
+    load, loss1, loss2 = model.channel_rates(n)
     return ExpectedRates(
         n=n,
         probability=np.asarray(p, dtype=float),
-        load=np.full(len(p), model.load_rate),
-        loss1=n * model.bg_rate + model.b1 * pairs,
-        loss2=model.b2 * pairs)
+        load=np.full(len(p), load),
+        loss1=loss1,
+        loss2=loss2)
 
 
 def stationary_moments(p: np.ndarray) -> tuple[float, float]:

@@ -82,13 +82,6 @@ def effective_volume(r0: float) -> float:
     return (math.pi / 2.0) ** 1.5 * r0**3
 
 
-def pair_rate_gradient_scaling(gradient_from: float, gradient_to: float) -> float:
-    """Two-body rate scaling between gradients: density goes as B'^(3/2), pair rate as B'^3."""
-    if gradient_from <= 0 or gradient_to <= 0:
-        raise ValueError("gradients must be positive")
-    return (gradient_to / gradient_from) ** 3
-
-
 def depth_minimum(config: TrapConfig, pc: PhysConstants = CESIUM) -> float:
     """Shallow-axis trap depth in kelvin.
 
@@ -104,18 +97,13 @@ def depth_minimum(config: TrapConfig, pc: PhysConstants = CESIUM) -> float:
     return config.kappa_geom * f_max * d_eff / pc.kb
 
 
-def trap_depth(config: TrapConfig, polar_angle, pc: PhysConstants = CESIUM):
-    """Direction-dependent escape threshold dU(theta), kelvin.
+def depth_from_cos(config: TrapConfig, cos_theta, pc: PhysConstants = CESIUM):
+    """Direction-dependent escape threshold dU(theta), kelvin, parametrized by cos(theta).
 
     dU(theta) = dU_min * (1 + (a - 1) cos^2 theta) with a = depth_anisotropy;
     symmetric under theta -> pi - theta, max/min ratio exactly a.
-    Accepts scalar or ndarray polar_angle.
+    Accepts scalar or ndarray cos_theta.
     """
-    return depth_from_cos(config, np.cos(polar_angle), pc)
-
-
-def depth_from_cos(config: TrapConfig, cos_theta, pc: PhysConstants = CESIUM):
-    """trap_depth's dU(theta), parametrized by cos(theta); handy for sampled directions."""
     du_min = depth_minimum(config, pc)
     return du_min * (1.0 + (config.depth_anisotropy - 1.0) * np.asarray(cos_theta) ** 2)
 

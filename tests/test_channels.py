@@ -3,13 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fewatom.channels import (ChannelSet, Outcome, ShieldingParams,
-                              classify_outcome, condon_radius, effective_betas,
-                              lz_pass_probability, lz_thermal_average,
-                              outcome_probabilities, re_energy_sample,
+from fewatom.channels import (ChannelSet, ShieldingParams, condon_radius,
+                              effective_betas, outcome_probabilities,
                               scaling_constant, suppression_ratio)
-from fewatom.constants import CESIUM, c3_atomic_to_si
-from fewatom.trap import TrapConfig
+from fewatom.trap import TrapConfig, depth_from_cos
 
 
 def test_condon_radius_default():
@@ -21,7 +18,7 @@ def test_condon_radius_default():
 
 def test_condon_radius_c3_scaling():
     rc1 = condon_radius(ShieldingParams())
-    rc2 = condon_radius(ShieldingParams(c3=2.0 * CESIUM.c3))
+    rc2 = condon_radius(ShieldingParams(c3=2.0 * ShieldingParams().c3))
     assert rc2 / rc1 == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12)
     # doubling C3 moves the crossing by under 26%
     assert rc2 / rc1 - 1.0 < 0.26
@@ -44,27 +41,6 @@ def test_suppression_ratio():
     assert suppression_ratio(0.0, 316e-6) == 1.0
     assert suppression_ratio(4.0, 316e-6) == pytest.approx(0.38640288987361304,
                                                            rel=1e-12)
-
-
-def test_lz_pass_probability_limits():
-    sp = ShieldingParams()
-    v = CESIUM.thermal_speed(316e-6)
-    # no dressing field -> fully diabatic
-    assert lz_pass_probability(v, 0.0, sp) == pytest.approx(1.0)
-    # monotone decreasing in coupling, increasing in speed
-    p1 = lz_pass_probability(v, 1e6, sp)
-    p2 = lz_pass_probability(v, 2e6, sp)
-    assert 0.0 < p2 < p1 < 1.0
-    assert lz_pass_probability(2 * v, 1e6, sp) > p1
-    with pytest.raises(ValueError):
-        lz_pass_probability(0.0, 1e6, sp)
-
-
-def test_lz_thermal_average_monotone():
-    # the explicit crossing average also decays with repump power
-    vals = [lz_thermal_average(s0, 316e-6) for s0 in (0.0, 1.0, 4.0)]
-    assert vals[0] == pytest.approx(1.0)
-    assert vals[0] > vals[1] > vals[2] > 0.0
 
 
 def test_outcome_probabilities_normalized():
@@ -104,19 +80,18 @@ def test_hcc_deep_trap_is_mixed():
     assert p0 > 0.1 and p1 > 0.02 and p2 > 0.1
 
 
-def test_classify_outcome_values():
-    rng = np.random.default_rng(5)
-    outs = {classify_outcome("re", TrapConfig(), ChannelSet(), rng)
-            for _ in range(200)}
-    assert outs <= {Outcome.NONE, Outcome.ONE_ATOM, Outcome.TWO_ATOMS}
-    assert len(outs) > 1
-
-
-def test_re_energy_sample_distribution():
+def test_re_outcome_follows_exponential_energy():
+    # back-to-back atoms at one fixed depth share the RE energy: both or neither
+    # escape, with P2 = <exp(-dU(c)/e0)> over the isotropic cos(theta) = c
+    n = 200_000
+    trap = TrapConfig(depth_min=0.1)
+    cs = ChannelSet(angular_spread=0.0, depth_jitter=0.0)
     rng = np.random.default_rng(6)
-    e = re_energy_sample(rng, 0.43, size=200_000)
-    assert e.min() > 0.0
-    assert e.mean() == pytest.approx(0.43, rel=0.02)
+    _, p1, p2 = outcome_probabilities("re", trap, cs, rng, n_samples=n)
+    assert p1 == 0.0
+    c = np.linspace(-1.0, 1.0, 200_001)
+    expect = np.exp(-depth_from_cos(trap, c) / cs.re_energy_scale).mean()
+    assert abs(p2 - expect) < 4.0 * math.sqrt(expect * (1.0 - expect) / n)
 
 
 def test_effective_betas_default_point():
@@ -149,3 +124,5 @@ def test_channel_set_validation():
         ChannelSet(depth_jitter=0.5)
     with pytest.raises(ValueError):
         ShieldingParams(repump_detuning=0.0)
+    with pytest.raises(ValueError):
+        ShieldingParams(c3=-1.0)

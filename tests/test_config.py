@@ -2,7 +2,6 @@ import pytest
 
 from fewatom.config import (PRESETS, ConfigError, RunConfig, build_config,
                             load_config, parse_pairs)
-from fewatom.constants import c3_atomic_to_si
 
 
 def test_defaults():
@@ -39,19 +38,28 @@ def test_unknown_key_hints_prefix():
     assert "trap.r0_um" in str(err.value)
 
 
+@pytest.mark.parametrize("key, known", [
+    ("shielding.repump_detuning_ghz", "shielding.rabi_coeff"),
+    ("shielding.c3_au", "shielding.rabi_coeff"),
+    ("constants.c3_au", "constants.gamma_mhz"),
+])
+def test_removed_keys_rejected(key, known):
+    # these keys only fed condon_radius, which no run reads
+    with pytest.raises(ConfigError) as err:
+        build_config({key: "9"})
+    hint = str(err.value).split("known keys with this prefix")[1]
+    assert known in hint and key not in hint
+
+
 def test_unit_conversions():
     cfg = build_config({
         "trap.intensity_mw_cm2": "42",
         "trap.temperature_uk": "316",
         "trap.r0_um": "10",
-        "shielding.repump_detuning_ghz": "9",
-        "constants.c3_au": "12",
     })
     assert cfg.trap.intensity == pytest.approx(420.0)
     assert cfg.trap.temperature == pytest.approx(316e-6)
     assert cfg.trap.r0 == pytest.approx(10e-6)
-    assert cfg.shielding.repump_detuning == pytest.approx(9e9)
-    assert cfg.constants.c3 == pytest.approx(c3_atomic_to_si(12.0), rel=1e-12)
 
 
 def test_gamma_mhz_key():

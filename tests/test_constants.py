@@ -3,8 +3,7 @@ import math
 import pytest
 
 from fewatom.constants import (CESIUM, CM3_PER_M3, PhysConstants,
-                               c3_atomic_to_si, joule_to_kelvin,
-                               kelvin_to_joule)
+                               c3_atomic_to_si)
 
 
 def test_doppler_temperature():
@@ -18,17 +17,6 @@ def test_c3_conversion():
     # E_h * a0^3 per atomic unit
     assert c3_atomic_to_si(1.0) == pytest.approx(6.460475137525437e-49, rel=1e-12)
     assert c3_atomic_to_si(12.0) == pytest.approx(12.0 * c3_atomic_to_si(1.0), rel=1e-14)
-    assert CESIUM.c3 == pytest.approx(c3_atomic_to_si(12.0), rel=1e-14)
-
-
-def test_thermal_speed():
-    # most probable pair relative speed, reduced mass m/2
-    v = CESIUM.thermal_speed(125e-6)
-    assert v == pytest.approx(0.1768604380914101, rel=1e-12)
-    assert v == pytest.approx(
-        math.sqrt(4.0 * CESIUM.kb * 125e-6 / CESIUM.mass), rel=1e-14)
-    # sqrt scaling in T
-    assert CESIUM.thermal_speed(500e-6) == pytest.approx(2.0 * v, rel=1e-12)
 
 
 def test_recoil_speed():
@@ -36,12 +24,6 @@ def test_recoil_speed():
     assert v == pytest.approx(3.52246080675107e-3, rel=1e-12)
     k = 2.0 * math.pi / CESIUM.wavelength
     assert v == pytest.approx(CESIUM.hbar * k / CESIUM.mass, rel=1e-14)
-
-
-def test_temperature_energy_roundtrip():
-    for t in (1e-6, 0.22, 400.0):
-        assert joule_to_kelvin(kelvin_to_joule(t)) == pytest.approx(t, rel=1e-14)
-    assert kelvin_to_joule(1.0) == pytest.approx(CESIUM.kb, rel=1e-14)
 
 
 def test_volume_unit_factor():

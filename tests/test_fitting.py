@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from fewatom.detect import Calibration
 from fewatom.fitting import (DegenerateDataError, EventRateTable, FitResult,
@@ -9,7 +9,8 @@ from fewatom.fitting import (DegenerateDataError, EventRateTable, FitResult,
                              infer_temperature, tabulate)
 from fewatom.channels import scaling_constant
 from fewatom.markov import (KIND_LOAD, KIND_LOSS1, KIND_LOSS2, EventLog,
-                            RateModel, simulate)
+                            RateModel, expected_event_rates, master_stationary,
+                            simulate)
 from test_storage import _event_logs
 
 FIG2 = RateModel(load_rate=0.1403, bg_rate=1.0 / 60.0, b1=0.004, b2=0.006)
@@ -408,3 +409,29 @@ def test_fit_rates_degenerate_tables():
         else:
             with pytest.raises(DegenerateDataError, match=needed):
                 fit_rates(table)
+
+
+_PAIR_COEFF = st.one_of(st.just(0.0), st.floats(1e-4, 0.05))
+
+
+@settings(max_examples=200, deadline=None)
+@given(load=st.floats(0.01, 1.0), bg=st.floats(1e-3, 0.1), b1=_PAIR_COEFF,
+       b2=_PAIR_COEFF)
+def test_fit_rates_recovers_expectation_table(load, bg, b1, b2):
+    # occupancy p*T and counts rate*occupancy: the fit must give the model back
+    model = RateModel(load_rate=load, bg_rate=bg, b1=b1, b2=b2)
+    expect = expected_event_rates(master_stationary(model), model)
+    occ = expect.probability * 1e6
+    table = EventRateTable(n=expect.n, occupancy_s=occ, n_load=expect.load * occ,
+                           n_loss1=expect.loss1 * occ, n_loss2=expect.loss2 * occ)
+    fit = fit_rates(table)
+    for name, true in (("load_rate", load), ("bg_rate", bg), ("b1", b1),
+                       ("b2_event", b2)):
+        got = getattr(fit, name)
+        if name in fit.clipped:
+            assert true == 0.0 and got == 0.0
+        elif true == 0.0:
+            # b1 shares its fit with bg_rate; b2_event = 0 fits exactly
+            assert 0.0 <= got <= 1e-9 * bg
+        else:
+            assert abs(got / true - 1.0) <= 1e-9

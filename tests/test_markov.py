@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from fewatom.config import load_config
 from fewatom.markov import (KIND_LOAD, KIND_LOSS1, KIND_LOSS2, EventLog,
-                            RateModel, TruncationError, expected_event_rates,
-                            master_stationary, simulate, stationary_moments)
+                            RateModel, TruncationError, _generator_matrix,
+                            expected_event_rates, master_stationary, simulate,
+                            stationary_moments)
 
 
 def test_kind_codes_distinct():
@@ -132,3 +135,53 @@ def test_simulate_matches_master_short():
                       minlength=len(p))
     p_hat = occ[:len(p)] / occ.sum()
     assert 0.5 * np.abs(p_hat - p).sum() < 0.02
+
+
+def _generator_matrix_loop(model, n_max):
+    """The per-state loop _generator_matrix replaced; kept as its reference."""
+    q = np.zeros((n_max + 1, n_max + 1))
+    for n in range(n_max + 1):
+        load, loss1, loss2 = model.channel_rates(n)
+        if n < n_max:
+            q[n, n + 1] = load
+        if n >= 1:
+            q[n, n - 1] = loss1
+        if n >= 2:
+            q[n, n - 2] = loss2
+        q[n, n] = -q[n].sum()
+    return q
+
+
+def _reference_models():
+    models = [
+        RateModel(load_rate=0.1403, bg_rate=1.0 / 60.0, b1=0.004, b2=0.006),  # fig2
+        RateModel(load_rate=0.08, bg_rate=1.0 / 60.0, b1=0.002, b2=0.004),  # accept-02
+    ]
+    models += [load_config(preset=p).rate_model() for p in ("fig4a", "fig4b", "fig4c")]
+    rng = np.random.default_rng(20)
+    for _ in range(200):
+        load, bg, b1, b2 = rng.uniform(0.0, 1.0, 4) * [1.0, 0.1, 0.02, 0.02]
+        models.append(RateModel(load_rate=load, bg_rate=bg, b1=b1, b2=b2))
+    return models
+
+
+def test_generator_matrix_matches_loop():
+    for model in _reference_models():
+        for n_max in (64, 128, 256):
+            q = _generator_matrix(model, n_max)
+            ref = _generator_matrix_loop(model, n_max)
+            assert q.tobytes() == ref.tobytes()
+
+
+_RATES = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(load=st.floats(0.0, 5.0), bg=_RATES, b1=_RATES, b2=_RATES,
+       n0=st.integers(0, 30), duration=st.floats(1e-3, 500.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_simulate_always_validates(load, bg, b1, b2, n0, duration, seed):
+    model = RateModel(load_rate=load, bg_rate=bg, b1=b1, b2=b2)
+    log = simulate(model, n0=n0, duration=duration, seed=seed)
+    log.validate()
+    assert log.n0 == n0 and log.duration == duration and log.seed == seed

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fewatom.trap import (TrapConfig, depth_from_cos, depth_minimum,
-                          effective_volume, pair_rate_gradient_scaling,
-                          photons_to_stop, saturation_parameter, trap_depth)
+                          effective_volume, photons_to_stop,
+                          saturation_parameter)
 
 
 def test_saturation_parameter_default():
@@ -53,16 +53,14 @@ def test_depth_reference_point():
 
 def test_trap_depth_anisotropy():
     cfg = TrapConfig(depth_anisotropy=4.0)
-    d_min = trap_depth(cfg, math.pi / 2.0)
-    d_max = trap_depth(cfg, 0.0)
+    d_min = depth_from_cos(cfg, math.cos(math.pi / 2.0))
+    d_max = depth_from_cos(cfg, math.cos(0.0))
     assert d_min == pytest.approx(depth_minimum(cfg), rel=1e-12)
     assert d_max / d_min == pytest.approx(4.0, rel=1e-12)
     # symmetric under theta -> pi - theta
     th = np.linspace(0.0, math.pi / 2.0, 7)
-    np.testing.assert_allclose(trap_depth(cfg, th), trap_depth(cfg, math.pi - th),
-                               rtol=1e-12)
-    np.testing.assert_allclose(depth_from_cos(cfg, np.cos(th)), trap_depth(cfg, th),
-                               rtol=1e-12)
+    np.testing.assert_allclose(depth_from_cos(cfg, np.cos(th)),
+                               depth_from_cos(cfg, np.cos(math.pi - th)), rtol=1e-12)
 
 
 def test_photons_to_stop():
@@ -72,16 +70,6 @@ def test_photons_to_stop():
     assert photons_to_stop(0.4) == pytest.approx(2.0 * n, rel=1e-12)
     with pytest.raises(ValueError):
         photons_to_stop(-0.1)
-
-
-def test_pair_rate_gradient_scaling():
-    # density ~ B'^{3/2} per atom, so the pair rate goes as the cube
-    assert pair_rate_gradient_scaling(8.0, 3.75) == pytest.approx(
-        (3.75 / 8.0) ** 3, rel=1e-14)
-    assert pair_rate_gradient_scaling(3.75, 8.0) == pytest.approx(
-        9.709037037037037, rel=1e-10)
-    with pytest.raises(ValueError):
-        pair_rate_gradient_scaling(0.0, 1.0)
 
 
 def test_trap_config_validation():

@@ -6,16 +6,21 @@ regression. detect() rounds each bin to its nearest level, applies two
 structural corrections (single-bin excursions are noise-suppressed only at low
 SNR, and down-down transition bins are folded into two-atom steps), and emits
 number-changing events at bin boundaries.
+
+Neither stage keeps a per-bin temporary beyond the level sequence it
+returns or rewrites: calibrate() works on the count histogram alone, and
+the per-bin passes of detect() run BLOCK_BINS bins at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .markov import EventLog, KIND_LOAD, KIND_LOSS1, KIND_LOSS2
-from .trace import FluorescenceTrace
+from .trace import BLOCK_BINS, FluorescenceTrace
 
 
 class CalibrationError(RuntimeError):
@@ -53,7 +58,31 @@ def shot_noise(level, offset: float, spacing: float):
 
 def _levels(counts: np.ndarray, offset: float, spacing: float) -> np.ndarray:
     """Each bin's atom number: counts rounded to the nearest comb level, >= 0."""
-    return np.clip(np.round((counts - offset) / spacing).astype(np.int64), 0, None)
+    n_hat = np.empty(len(counts), dtype=np.int64)
+    for lo in range(0, len(counts), BLOCK_BINS):
+        x = counts[lo:lo + BLOCK_BINS] - offset
+        x /= spacing
+        np.round(x, out=x)
+        np.maximum(x, 0.0, out=x)
+        n_hat[lo:lo + BLOCK_BINS] = x
+    return n_hat
+
+
+def _hist_percentile(cum: np.ndarray, q: float) -> float:
+    """np.percentile(x, q) bit for bit, by its default linear rule, from
+    cum = np.cumsum(np.bincount(x)) of a non-empty sample x of integers >= 0.
+
+    The sorted sample's order statistics k and k+1 around (len(x)-1)*q/100
+    are read off cum, then interpolated as numpy does: from the lower one
+    below half-way and from the upper one from half-way on. For integers
+    below 2**52 the median (q = 50) is also np.median(x) bit for bit.
+    """
+    n = int(cum[-1])
+    pos = (n - 1) * (q / 100)
+    k = math.floor(pos)
+    a, b = np.searchsorted(cum, [k, min(k + 1, n - 1)], side="right").tolist()
+    g = pos - k
+    return a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
 
 
 @dataclass
@@ -84,27 +113,32 @@ def calibrate(trace: FluorescenceTrace) -> Calibration:
     Peaks of the smoothed histogram give candidate levels; the median spacing
     seeds an assignment of every bin to an integer level, and a linear
     regression counts = a + b*N refines both parameters with standard errors.
+    All bins of one count share a level, so the regression sums come from
+    the histogram.
     """
     counts = trace.counts
     if len(counts) < 10:
         raise CalibrationError("trace too short to calibrate")
     hist = np.bincount(counts)
-    sigma = max(1.0, np.sqrt(max(float(np.median(counts)), 1.0)) / 2.0)
+    median = _hist_percentile(np.cumsum(hist), 50.0)
+    sigma = max(1.0, np.sqrt(max(median, 1.0)) / 2.0)
     peaks = _comb_peaks(hist, sigma)
     if len(peaks) < 2:
         raise CalibrationError(f"found {len(peaks)} count level(s); need at least 2")
     spacing = float(np.median(np.diff(np.sort(peaks))))
     base = float(peaks.min())
 
-    # assign each bin to the comb and refine by a global regression
-    n_hat = _levels(counts, base, spacing)
-    bins_per_level = np.bincount(n_hat)
+    # assign each count to the comb and refine by a global regression
+    value = np.arange(len(hist))
+    level = _levels(value, base, spacing)
+    # exact integers: a per-level count sum stays far below 2**53
+    bins_per_level = np.bincount(level, weights=hist).astype(np.int64)
     n_levels = int(np.count_nonzero(bins_per_level))
     if n_levels < 2:
         raise CalibrationError("level assignment collapsed onto a single level")
-    # exact integers: a per-level count sum stays far below 2**53
-    counts_per_level = np.bincount(n_hat, weights=counts).astype(np.int64)
-    (a, b), cov = _linfit(bins_per_level, counts_per_level, int(counts @ counts))
+    counts_per_level = np.bincount(level, weights=value * hist).astype(np.int64)
+    (a, b), cov = _linfit(bins_per_level, counts_per_level,
+                          int((value * value) @ hist))
     if b <= 0:
         raise CalibrationError("non-positive comb spacing after refinement")
     w = trace.bin_width
@@ -212,7 +246,7 @@ def detect(trace: FluorescenceTrace, cal: Calibration,
     offset, spacing = cal.per_bin(w)
     n_hat = _levels(trace.counts, offset, spacing)
 
-    n_typ = float(np.percentile(n_hat, 99.5))
+    n_typ = _hist_percentile(np.cumsum(np.bincount(n_hat)), 99.5)
     snr = float(spacing / shot_noise(max(n_typ, 1.0), offset, spacing))
     if snr < min_snr:
         raise DetectionQualityError(
@@ -224,10 +258,12 @@ def detect(trace: FluorescenceTrace, cal: Calibration,
     # loss+load) pair, so it is left in place.
     spikes = 0
     if len(n_hat) >= 3 and snr < SPIKE_KEEP_SNR:
-        mask = (n_hat[1:-1] != n_hat[:-2]) & (n_hat[2:] == n_hat[:-2])
-        spikes = int(mask.sum())
+        steps = _steps(n_hat, lambda d: d != 0)
+        d = n_hat[steps + 1] - n_hat[steps]
+        # a step into the bin and the opposite step out of it
+        idx = steps[1:][(np.diff(steps) == 1) & (d[1:] == -d[:-1])]
+        spikes = len(idx)
         if spikes:
-            idx = np.nonzero(mask)[0] + 1
             n_hat[idx] = n_hat[idx - 1]
 
     # A two-atom loss mid-bin leaves one transition bin at the intermediate
@@ -239,7 +275,7 @@ def detect(trace: FluorescenceTrace, cal: Calibration,
 
     # re-vote implausible jumps with the local median
     ambiguous = 0
-    bad = np.nonzero(np.abs(np.diff(n_hat)) > 2)[0]
+    bad = _steps(n_hat, lambda d: np.abs(d, out=d) > 2)
     for i in bad:
         ambiguous += 1
         lo = max(i - 1, 0)
@@ -271,6 +307,16 @@ def detect(trace: FluorescenceTrace, cal: Calibration,
     return log, report
 
 
+def _steps(n_hat: np.ndarray, test) -> np.ndarray:
+    """Boundaries i, between bins i and i+1, whose step
+    d = n_hat[i+1] - n_hat[i] passes test(d), found BLOCK_BINS at a time."""
+    found = [np.empty(0, dtype=np.int64)]
+    for lo in range(0, len(n_hat) - 1, BLOCK_BINS):
+        d = np.diff(n_hat[lo:lo + BLOCK_BINS + 1])
+        found.append(np.flatnonzero(test(d)) + lo)
+    return np.concatenate(found)
+
+
 def _merge_down_down(n_hat: np.ndarray, counts: np.ndarray, offset: float,
                      spacing: float) -> int:
     """Fold one-bin down-down dwells into two-atom steps in place; return the count.
@@ -280,8 +326,8 @@ def _merge_down_down(n_hat: np.ndarray, counts: np.ndarray, offset: float,
     qualify, since a rewrite at i leaves bin i+1 with a step of 0 or -2 to
     its left; the bin after each rewrite is still re-checked.
     """
-    d = np.diff(n_hat)
-    candidates = np.flatnonzero((d[:-1] == -1) & (d[1:] == -1)) + 1
+    down = _steps(n_hat, lambda d: d == -1)
+    candidates = down[1:][np.diff(down) == 1]
     last = len(n_hat) - 1
     merged = 0
     for i in candidates.tolist():
@@ -307,7 +353,7 @@ def _events_from_levels(n_hat: np.ndarray, bin_width: float
     fewest-event composition with two-atom steps first, spread evenly over
     the bin before the boundary.
     """
-    bounds = np.flatnonzero(n_hat[1:] != n_hat[:-1])
+    bounds = _steps(n_hat, lambda d: d != 0)
     d = n_hat[bounds + 1] - n_hat[bounds]
     per_bound = np.where(d > 0, d, (1 - d) // 2)  # losses: ceil(|dN| / 2)
     owner = np.repeat(np.arange(len(bounds)), per_bound)
@@ -340,19 +386,31 @@ def _bump_pairs(counts: np.ndarray, n_hat: np.ndarray, offset: float,
     down-bump loss-then-load, at the thirds of a single bin or the middles of
     a run's first and last bins.
     """
-    resid = (counts - offset) / spacing - n_hat
-    strong = np.zeros(len(n_hat), dtype=bool)
-    strong[1:-1] = (n_hat[1:-1] == n_hat[:-2]) & (n_hat[1:-1] == n_hat[2:])
-    strong &= np.abs(resid) > BUMP_NSIGMA * (shot_noise(n_hat, offset, spacing)
-                                             / spacing)
-    # a downward bump at level 0 has no loss to pair with a load
-    strong &= ~((n_hat == 0) & (resid < 0))
-    idx = np.flatnonzero(strong)
-    up = resid[idx] > 0
+    # the residual threshold of each level, in atoms
+    thresh = BUMP_NSIGMA * (shot_noise(np.arange(n_hat.max(initial=0) + 1),
+                                       offset, spacing) / spacing)
+    idx, resid = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for start in range(0, len(n_hat), BLOCK_BINS):
+        # the block's bins lo..hi-1 that have a neighbour on either side
+        lo, hi = max(start, 1), min(start + BLOCK_BINS, len(n_hat) - 1)
+        level = n_hat[lo:hi]
+        r = counts[lo:hi] - offset
+        r /= spacing
+        r -= level
+        strong = (level == n_hat[lo - 1:hi - 1]) & (level == n_hat[lo + 1:hi + 1])
+        strong &= np.abs(r) > thresh[level]
+        # a downward bump at level 0 has no loss to pair with a load
+        strong &= ~((level == 0) & (r < 0))
+        i = np.flatnonzero(strong)
+        idx.append(i + lo)
+        resid.append(r[i])
+    idx = np.concatenate(idx)
+    up = np.concatenate(resid) > 0
     # runs of adjacent strong bins of one sign: a gap or a sign change ends one
-    first = idx[(np.diff(idx, prepend=-2) != 1) | np.diff(up, prepend=up[:1])]
+    starts = (np.diff(idx, prepend=-2) != 1) | np.diff(up, prepend=up[:1])
+    first = idx[starts]
     last = idx[(np.diff(idx, append=idx[-1:] + 2) != 1) | np.diff(up, append=up[-1:])]
-    up = resid[first] > 0
+    up = up[starts]
     w = bin_width
     single = first == last
     t1 = np.where(single, first * w + w / 3.0, first * w + w / 2.0)

@@ -105,15 +105,17 @@ def simulate(model: RateModel, n0: int = 0, duration: float = 0.0,
     """Exact next-event simulation of the chain; bitwise reproducible per seed.
 
     Each step consumes one exponential and one uniform variate from a PCG64
-    stream, drawn in fixed-size blocks for speed.
+    stream, drawn in fixed-size blocks for speed. The loop works in Python
+    floats, which round as numpy's float64 does and overflow to inf without
+    a warning when the total rate is subnormal.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
     if n0 < 0:
         raise ValueError("n0 must be non-negative")
     rng = np.random.default_rng(np.random.PCG64(seed))
-    exp_buf = rng.standard_exponential(_BUF)
-    uni_buf = rng.random(_BUF)
+    exp_buf = rng.standard_exponential(_BUF).tolist()
+    uni_buf = rng.random(_BUF).tolist()
     i_exp = 0
     i_uni = 0
 
@@ -123,10 +125,10 @@ def simulate(model: RateModel, n0: int = 0, duration: float = 0.0,
 
     t = 0.0
     n = n0
-    load = model.load_rate
-    bg = model.bg_rate
-    b1 = model.b1
-    b2 = model.b2
+    load = float(model.load_rate)
+    bg = float(model.bg_rate)
+    b1 = float(model.b1)
+    b2 = float(model.b2)
     while True:
         # channel_rates inline: a method call per event would slow this loop
         pairs = n * (n - 1)
@@ -136,14 +138,14 @@ def simulate(model: RateModel, n0: int = 0, duration: float = 0.0,
         if total == 0.0:
             break
         if i_exp == _BUF:
-            exp_buf = rng.standard_exponential(_BUF)
+            exp_buf = rng.standard_exponential(_BUF).tolist()
             i_exp = 0
         t += exp_buf[i_exp] / total
         i_exp += 1
         if t > duration:
             break
         if i_uni == _BUF:
-            uni_buf = rng.random(_BUF)
+            uni_buf = rng.random(_BUF).tolist()
             i_uni = 0
         u = uni_buf[i_uni] * total
         i_uni += 1

@@ -3,15 +3,23 @@
 Counts in a bin are Poisson with mean bin_width * (bg_rate + per_atom_rate * Nbar)
 where Nbar is the exact time-weighted atom number within the bin, so events
 landing mid-bin produce the intermediate count levels seen in real traces.
+
+Means and Poisson draws are made BLOCK_BINS bins at a time, so a long trace
+costs its counts array plus one block; numpy's Generator draws the same
+stream in blocks as in one call.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .markov import EventLog
+
+# bins per block of the per-bin passes here and in detect.py
+BLOCK_BINS = 2 ** 20
 
 
 @dataclass
@@ -32,9 +40,9 @@ class FluorescenceTrace:
         return len(self.counts) * self.bin_width
 
 
-def binned_mean_counts(log: EventLog, per_atom_rate: float, bg_rate: float,
-                       bin_width: float) -> np.ndarray:
-    """Exact per-bin expected counts for the staircase N(t) of `log`."""
+def _whole_bins(log: EventLog, per_atom_rate: float, bg_rate: float,
+                bin_width: float) -> int:
+    """Checked arguments of a synthesis; the number of whole bins in `log`."""
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
     if per_atom_rate <= 0 or bg_rate < 0:
@@ -45,25 +53,44 @@ def binned_mean_counts(log: EventLog, per_atom_rate: float, bg_rate: float,
         n_bins = int(np.floor(log.duration / bin_width + 1e-12))
     if n_bins < 1:
         raise ValueError("duration shorter than one bin")
+    return n_bins
 
+
+def _mean_blocks(log: EventLog, per_atom_rate: float, bg_rate: float,
+                 bin_width: float, n_bins: int) -> Iterator[np.ndarray]:
+    """Exact expected counts of bins [0, n_bins), BLOCK_BINS bins at a time."""
     t_break, levels = log.staircase()
-    t_break = np.append(t_break, log.duration)
-    # cumulative integral of N(t) at the breakpoints
-    cum = np.concatenate([[0.0], np.cumsum(levels * np.diff(t_break))])
+    # cumulative integral of N(t) at each breakpoint, up to the last one
+    cum = np.concatenate([[0.0], np.cumsum(levels[:-1] * np.diff(t_break))])
+    for lo in range(0, n_bins, BLOCK_BINS):
+        hi = min(lo + BLOCK_BINS, n_bins)
+        edges = np.arange(lo, hi + 1) * bin_width
+        # each edge's step: the last breakpoint at or before it
+        j0, j1 = np.searchsorted(t_break, edges[[0, -1]], side="right")
+        idx = np.cumsum(np.bincount(np.searchsorted(edges, t_break[j0:j1], "left"),
+                                    minlength=len(edges)))
+        idx += j0 - 1
+        cum_at_edges = cum[idx] + (edges - t_break[idx]) * levels[idx]
+        nbar = np.diff(cum_at_edges) / bin_width
+        yield bin_width * (bg_rate + per_atom_rate * nbar)
 
-    edges = np.arange(n_bins + 1) * bin_width
-    idx = np.searchsorted(t_break, edges, side="right") - 1
-    idx = np.clip(idx, 0, len(levels) - 1)
-    cum_at_edges = cum[idx] + (edges - t_break[idx]) * levels[idx]
-    nbar = np.diff(cum_at_edges) / bin_width
-    return bin_width * (bg_rate + per_atom_rate * nbar)
+
+def binned_mean_counts(log: EventLog, per_atom_rate: float, bg_rate: float,
+                       bin_width: float) -> np.ndarray:
+    """Exact per-bin expected counts for the staircase N(t) of `log`."""
+    n_bins = _whole_bins(log, per_atom_rate, bg_rate, bin_width)
+    return np.concatenate(list(_mean_blocks(log, per_atom_rate, bg_rate,
+                                            bin_width, n_bins)))
 
 
 def synthesize(log: EventLog, per_atom_rate: float = 10_000.0, bg_rate: float = 500.0,
                bin_width: float = 0.1, seed: int = 0) -> FluorescenceTrace:
     """Poisson-sample a photon-count trace from an event log."""
-    means = binned_mean_counts(log, per_atom_rate, bg_rate, bin_width)
+    n_bins = _whole_bins(log, per_atom_rate, bg_rate, bin_width)
     rng = np.random.default_rng(np.random.PCG64(seed))
-    counts = rng.poisson(means).astype(np.int64)
+    counts = np.empty(n_bins, dtype=np.int64)
+    blocks = _mean_blocks(log, per_atom_rate, bg_rate, bin_width, n_bins)
+    for lo, means in zip(range(0, n_bins, BLOCK_BINS), blocks):
+        counts[lo:lo + len(means)] = rng.poisson(means)
     return FluorescenceTrace(bin_width=bin_width, counts=counts,
                              per_atom_rate=per_atom_rate, bg_rate=bg_rate, seed=seed)

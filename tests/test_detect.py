@@ -1,15 +1,21 @@
+import importlib
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from fewatom.detect import (BUMP_NSIGMA, Calibration, CalibrationError,
                             DetectionQualityError, _bump_pairs, _comb_peaks,
-                            _events_from_levels, _levels, _linfit,
-                            _merge_down_down, calibrate,
+                            _events_from_levels, _hist_percentile, _levels,
+                            _linfit, _merge_down_down, calibrate,
                             coincidence_probability, detect)
 from fewatom.markov import (KIND_LOAD, KIND_LOSS1, KIND_LOSS2, EventLog,
                             RateModel, simulate)
-from fewatom.trace import FluorescenceTrace, synthesize
+from fewatom.trace import BLOCK_BINS, FluorescenceTrace, synthesize
+
+# the module, not the function the package exports under the same name
+detect_module = importlib.import_module("fewatom.detect")
 
 # Hand-built calibration for the constructed micro-traces below. The comb
 # calibration is exercised separately on a long trace; tiny traces with two or
@@ -138,10 +144,64 @@ def test_spike_suppressed_at_moderate_snr():
     assert det.kinds.tolist() == [KIND_LOAD]
 
 
-def test_levels_round_to_the_comb_and_stop_at_zero():
-    levels = _levels(np.array([0, 440, 460, 500, 1049, 1051]), 500.0, 100.0)
+@pytest.mark.parametrize("block", [1, 4, BLOCK_BINS])
+def test_levels_round_to_the_comb_and_stop_at_zero(block):
+    with mock.patch.object(detect_module, "BLOCK_BINS", block):
+        levels = _levels(np.array([0, 440, 460, 500, 1049, 1051]), 500.0, 100.0)
     assert levels.dtype == np.int64
     assert levels.tolist() == [0, 0, 0, 0, 5, 6]
+
+
+def _same_float(got, want):
+    return np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+# (sample, q): odd and even lengths, order statistics k and k+1 that differ
+# below and above half-way, one value, the ends
+_PERCENTILE_CASES = [
+    ([3, 1, 2], 50.0), ([4, 1, 3, 2], 50.0), ([0, 7], 50.0), ([0, 10], 99.5),
+    ([0, 1, 5], 20.0), ([0, 1, 5], 30.0), ([2, 9, 9, 4, 0], 99.5),
+    ([6], 99.5), ([0, 3, 8], 0.0), ([0, 3, 8], 100.0),
+]
+
+
+@pytest.mark.parametrize("sample, q", _PERCENTILE_CASES)
+def test_hist_percentile_cases(sample, q):
+    x = np.array(sample)
+    got = _hist_percentile(np.cumsum(np.bincount(x)), q)
+    assert _same_float(got, np.percentile(x, q))
+    if q == 50.0:
+        assert _same_float(got, np.median(x))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.integers(0, 60), min_size=1, max_size=300),
+       st.one_of(st.sampled_from([50.0, 99.5]), st.floats(0.0, 100.0)))
+def test_hist_percentile_matches_numpy(sample, q):
+    x = np.array(sample, dtype=np.int64)
+    got = _hist_percentile(np.cumsum(np.bincount(x)), q)
+    assert _same_float(got, np.percentile(x, q))
+    assert _same_float(_hist_percentile(np.cumsum(np.bincount(x)), 50.0),
+                       np.median(x))
+
+
+@pytest.mark.parametrize("per_atom_rate, bg_rate", [(10_000.0, 500.0),
+                                                    (3_000.0, 500.0)])
+def test_detect_in_small_blocks(per_atom_rate, bg_rate):
+    # every per-bin pass (levels, spikes at the lower SNR, merges, re-votes,
+    # event bounds, bumps at the higher) reads the same with 7-bin blocks
+    model = RateModel(load_rate=0.3, bg_rate=1.0 / 60.0, b1=0.004, b2=0.006)
+    tr = synthesize(simulate(model, duration=2000.0, seed=4),
+                    per_atom_rate=per_atom_rate, bg_rate=bg_rate, seed=104)
+    cal = Calibration(per_atom_rate=per_atom_rate, bg_rate=bg_rate,
+                      per_atom_err=1.0, bg_err=1.0, n_levels=8)
+    want, want_rep = detect(tr, cal)
+    with mock.patch.object(detect_module, "BLOCK_BINS", 7):
+        got, got_rep = detect(tr, cal)
+    assert got_rep == want_rep
+    assert want_rep.spike_bins + want_rep.pair_bumps > 0
+    _assert_same_events((got.times, got.kinds, got.n_before),
+                        (want.times, want.kinds, want.n_before))
 
 
 def test_coincidence_probability():
@@ -313,17 +373,20 @@ def _assert_same_events(got, want):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_level_sequences(), st.sampled_from([0.1, 0.05, 0.03]))
-def test_merge_and_events_match_reference(case, bin_width):
+@given(_level_sequences(), st.sampled_from([0.1, 0.05, 0.03]),
+       st.sampled_from([1, 2, 3, 5, BLOCK_BINS]))
+def test_merge_and_events_match_reference(case, bin_width, block):
     n_hat, counts, offset, spacing = case
     want_levels, want_merged = _merge_reference(n_hat, counts, offset, spacing)
     got_levels = n_hat.copy()
-    got_merged = _merge_down_down(got_levels, counts, offset, spacing)
+    with mock.patch.object(detect_module, "BLOCK_BINS", block):
+        got_merged = _merge_down_down(got_levels, counts, offset, spacing)
+        got_events = [_events_from_levels(levels, bin_width)
+                      for levels in (n_hat, got_levels)]
     np.testing.assert_array_equal(got_levels, want_levels)
     assert got_merged == want_merged
-    for levels in (n_hat, got_levels):
-        _assert_same_events(_events_from_levels(levels, bin_width),
-                            _events_reference(levels, bin_width))
+    for levels, got in zip((n_hat, got_levels), got_events):
+        _assert_same_events(got, _events_reference(levels, bin_width))
 
 
 def test_events_from_empty_and_flat_levels():
@@ -436,9 +499,31 @@ def _bump_traces(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(_bump_traces(), st.sampled_from([0.1, 0.05, 0.03]))
-def test_bump_pairs_match_reference(case, bin_width):
-    _assert_same_bumps(*case, bin_width)
+@given(_bump_traces(), st.sampled_from([0.1, 0.05, 0.03]),
+       st.sampled_from([1, 2, 3, 5, BLOCK_BINS]))
+def test_bump_pairs_match_reference(case, bin_width, block):
+    with mock.patch.object(detect_module, "BLOCK_BINS", block):
+        _assert_same_bumps(*case, bin_width)
+
+
+# no shrinking: each failing example holds a few 8 MB arrays alive
+@settings(max_examples=30, deadline=None, report_multiple_bugs=False,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(_bump_traces(), st.sampled_from([0.3, -0.3]), st.integers(2, 3),
+       st.sampled_from([0.1, 0.05]))
+def test_bump_pairs_match_reference_across_block_edge(case, bump, run,
+                                                     bin_width):
+    # a quiet level-2 stretch with a strong run of 2-3 bins from bin
+    # BLOCK_BINS - 1, so the run straddles the first block edge, then the
+    # drawn trace
+    counts, n_hat, offset, spacing = case
+    lead = np.full(BLOCK_BINS + run, 2, dtype=np.int64)
+    frac = np.zeros(len(lead))
+    frac[BLOCK_BINS - 1:BLOCK_BINS - 1 + run] = bump
+    lead_counts = np.round(offset + spacing * (lead + frac)).astype(np.int64)
+    assert _assert_same_bumps(np.concatenate([lead_counts, counts]),
+                              np.concatenate([lead, n_hat]),
+                              offset, spacing, bin_width) >= 1
 
 
 # (levels, residuals in atoms, pairs read): runs of 1-3 strong bins, two

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -185,3 +187,14 @@ def test_simulate_always_validates(load, bg, b1, b2, n0, duration, seed):
     log = simulate(model, n0=n0, duration=duration, seed=seed)
     log.validate()
     assert log.n0 == n0 and log.duration == duration and log.seed == seed
+
+
+def test_simulate_subnormal_rate_is_quiet():
+    # the first waiting time overflows to inf: no event, and no warning
+    model = RateModel(load_rate=5e-324, bg_rate=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log = simulate(model, n0=0, duration=10.0, seed=1)
+    log.validate()
+    assert len(log) == 0 and log.n0 == 0 and log.duration == 10.0
+    assert log.times.dtype == np.float64 and log.kinds.dtype == np.int8

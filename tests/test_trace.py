@@ -1,8 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fewatom import trace
 from fewatom.markov import KIND_LOAD, KIND_LOSS1, EventLog, RateModel, simulate
-from fewatom.trace import FluorescenceTrace, binned_mean_counts, synthesize
+from fewatom.trace import (BLOCK_BINS, FluorescenceTrace, binned_mean_counts,
+                           synthesize)
 
 
 def _log(times, kinds, n0, duration):
@@ -78,3 +83,90 @@ def test_synthesize_validation():
         synthesize(log, per_atom_rate=-1.0)
     with pytest.raises(ValueError):
         synthesize(log, bin_width=0.0)
+
+
+# --- blocked synthesis against the whole-array code it replaced -----------
+
+def _binned_mean_reference(log, per_atom_rate, bg_rate, bin_width):
+    n_bins = int(round(log.duration / bin_width))
+    if n_bins < 1 or abs(n_bins * bin_width - log.duration) > 1e-9 * max(1.0, log.duration):
+        n_bins = int(np.floor(log.duration / bin_width + 1e-12))
+    t_break, levels = log.staircase()
+    t_break = np.append(t_break, log.duration)
+    cum = np.concatenate([[0.0], np.cumsum(levels * np.diff(t_break))])
+    edges = np.arange(n_bins + 1) * bin_width
+    idx = np.searchsorted(t_break, edges, side="right") - 1
+    idx = np.clip(idx, 0, len(levels) - 1)
+    cum_at_edges = cum[idx] + (edges - t_break[idx]) * levels[idx]
+    nbar = np.diff(cum_at_edges) / bin_width
+    return bin_width * (bg_rate + per_atom_rate * nbar)
+
+
+def _assert_synthesis_matches_reference(log, bin_width, seed=5):
+    means = _binned_mean_reference(log, 10_000.0, 500.0, bin_width)
+    got = binned_mean_counts(log, 10_000.0, 500.0, bin_width)
+    assert got.dtype == means.dtype and got.tobytes() == means.tobytes()
+    want = np.random.default_rng(np.random.PCG64(seed)).poisson(means).astype(np.int64)
+    counts = synthesize(log, bin_width=bin_width, seed=seed).counts
+    assert counts.dtype == np.int64 and counts.tobytes() == want.tobytes()
+
+
+def _walk(times, rng, n0):
+    """A load/loss1 log at the given times that never goes below zero atoms."""
+    kinds, n = [], n0
+    for _ in times:
+        kinds.append(KIND_LOAD if n == 0 or rng.random() < 0.5 else KIND_LOSS1)
+        n += 1 if kinds[-1] == KIND_LOAD else -1
+    return kinds
+
+
+@pytest.mark.parametrize("n_bins", [1, BLOCK_BINS - 1, BLOCK_BINS, BLOCK_BINS + 1,
+                                    2 * BLOCK_BINS + 1])
+def test_synthesis_blocks_match_whole_array(n_bins):
+    # random events plus events exactly on bin edges and on block edges
+    w = 0.1
+    rng = np.random.default_rng(n_bins)
+    on_edges = [k * w for k in (1, 7, BLOCK_BINS - 1, BLOCK_BINS, BLOCK_BINS + 1,
+                                2 * BLOCK_BINS, n_bins) if k <= n_bins]
+    times = np.unique(np.concatenate([rng.uniform(0.0, n_bins * w, 300), on_edges]))
+    times = times[times > 0]
+    log = _log(times, _walk(times, rng, 1), n0=1, duration=n_bins * w)
+    _assert_synthesis_matches_reference(log, w)
+
+
+@pytest.mark.parametrize("n0", [0, 3])
+def test_synthesis_blocks_of_an_empty_log(n0):
+    _assert_synthesis_matches_reference(
+        _log([], [], n0=n0, duration=(BLOCK_BINS + 1) * 0.1), 0.1)
+
+
+def test_synthesis_blocks_with_a_ragged_final_bin():
+    w = 0.1
+    times = np.array([BLOCK_BINS * w, (BLOCK_BINS + 0.25) * w])
+    log = _log(times, [KIND_LOAD, KIND_LOSS1], n0=0, duration=(BLOCK_BINS + 0.5) * w)
+    assert len(binned_mean_counts(log, 10_000.0, 500.0, w)) == BLOCK_BINS
+    _assert_synthesis_matches_reference(log, w)
+
+
+@st.composite
+def _small_logs(draw):
+    """Logs of 1-40 bins, ragged or not, whose events sit on bin edges or
+    anywhere inside; and a block size that puts block edges among them."""
+    w = draw(st.sampled_from([0.1, 0.05, 0.25]))
+    n_bins = draw(st.integers(1, 40))
+    duration = (n_bins + draw(st.sampled_from([0.0, 0.0, 0.5]))) * w
+    edge = st.integers(1, n_bins).map(lambda k: k * w)
+    inside = st.floats(0.0, duration, exclude_min=True)
+    times = np.unique(draw(st.lists(st.one_of(edge, inside), max_size=30)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n0 = draw(st.integers(0, 2))
+    log = _log(times, _walk(times, rng, n0), n0=n0, duration=duration)
+    return log, w, draw(st.sampled_from([1, 2, 3, 7, BLOCK_BINS]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_logs(), st.integers(0, 2**32 - 1))
+def test_synthesis_blocks_match_whole_array_on_small_logs(case, seed):
+    log, w, block = case
+    with mock.patch.object(trace, "BLOCK_BINS", block):
+        _assert_synthesis_matches_reference(log, w, seed)

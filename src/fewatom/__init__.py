@@ -15,7 +15,7 @@ from .markov import (EventLog, RateModel, TruncationError, expected_event_rates,
                      master_stationary, simulate, stationary_moments)
 from .trace import FluorescenceTrace, binned_mean_counts, synthesize
 from .detect import (Calibration, CalibrationError, DetectionQualityError,
-                     DetectionReport, calibrate, coincidence_probability, detect)
+                     DetectionReport, calibrate, detect)
 from .fitting import (ConvergenceError, DegenerateDataError, EventRateTable,
                       FitResult, SuppressionFit, correct_coincidences,
                       extrapolate_beta_hcc, fit_rates, fit_repump_decay,
@@ -34,7 +34,7 @@ __all__ = [
     "master_stationary", "simulate", "stationary_moments",
     "FluorescenceTrace", "binned_mean_counts", "synthesize",
     "Calibration", "CalibrationError", "DetectionQualityError",
-    "DetectionReport", "calibrate", "coincidence_probability", "detect",
+    "DetectionReport", "calibrate", "detect",
     "ConvergenceError", "DegenerateDataError", "EventRateTable", "FitResult",
     "SuppressionFit", "correct_coincidences", "extrapolate_beta_hcc",
     "fit_rates", "fit_repump_decay", "infer_temperature", "tabulate",

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CESIUM, H_PLANCK, PhysConstants, c3_atomic_to_si
+from .constants import (CESIUM, H_PLANCK, HBAR, KB, PhysConstants,
+                        c3_atomic_to_si)
 from .trap import TrapConfig, depth_from_cos
 
 
@@ -109,23 +110,29 @@ def suppression_ratio(s0, temperature: float, params: ShieldingParams | None = N
     if temperature < 0:
         raise ValueError("temperature must be non-negative")
     omega_sq = (params.rabi_coeff * pc.gamma) ** 2 * s
-    e_thermal = pc.kb * temperature
-    e_floor = pc.kb * pc.doppler_temp
-    out = np.exp(-(pc.hbar**2) * omega_sq / (e_thermal**2 + 2.0 * e_floor**2))
+    e_thermal = KB * temperature
+    e_floor = KB * pc.doppler_temp
+    out = np.exp(-(HBAR**2) * omega_sq / (e_thermal**2 + 2.0 * e_floor**2))
     return float(out) if np.isscalar(s0) else out
 
 
-def _escape_counts(channel: str, trap: TrapConfig, cs: ChannelSet,
-                   rng: np.random.Generator, n: int, pc: PhysConstants) -> np.ndarray:
-    """Vectorized outcome sampler; returns the number of escaping atoms per trial."""
+def outcome_probabilities(channel: str, trap: TrapConfig, cs: ChannelSet,
+                          rng: np.random.Generator, n_samples: int = 100_000,
+                          pc: PhysConstants = CESIUM) -> tuple[float, float, float]:
+    """Monte Carlo estimate of (P_none, P_one, P_two) for a channel: the
+    shares of n_samples collisions that eject no atom, one or both.
+
+    Each atom escapes when its energy exceeds the (jittered) trap depth
+    along its direction; atom 2 leaves back-to-back up to a random tilt.
+    """
     if channel not in CHANNELS:
         raise ValueError(f"unknown channel {channel!r}")
     # atom 1 direction: isotropic, only cos(theta) matters for the depth
-    c1 = rng.uniform(-1.0, 1.0, n)
+    c1 = rng.uniform(-1.0, 1.0, n_samples)
     # atom 2: back-to-back up to a half-normal tilt with uniform azimuth
     if cs.angular_spread > 0:
-        alpha = np.abs(rng.normal(0.0, cs.angular_spread, n))
-        phi = rng.uniform(0.0, 2.0 * math.pi, n)
+        alpha = np.abs(rng.normal(0.0, cs.angular_spread, n_samples))
+        phi = rng.uniform(0.0, 2.0 * math.pi, n_samples)
         s1 = np.sqrt(1.0 - c1**2)
         c2 = -c1 * np.cos(alpha) + s1 * np.sin(alpha) * np.cos(phi)
     else:
@@ -133,24 +140,16 @@ def _escape_counts(channel: str, trap: TrapConfig, cs: ChannelSet,
     d1 = depth_from_cos(trap, c1, pc)
     d2 = depth_from_cos(trap, c2, pc)
     if cs.depth_jitter > 0:
-        d1 = d1 * (1.0 + rng.normal(0.0, cs.depth_jitter, n))
-        d2 = d2 * (1.0 + rng.normal(0.0, cs.depth_jitter, n))
+        d1 = d1 * (1.0 + rng.normal(0.0, cs.depth_jitter, n_samples))
+        d2 = d2 * (1.0 + rng.normal(0.0, cs.depth_jitter, n_samples))
     if channel == "hcc":
-        energy = np.full(n, pc.e_hcc_per_atom)
+        energy = np.full(n_samples, pc.e_hcc_per_atom)
     elif channel == "fcc":
-        energy = np.full(n, pc.e_fcc_per_atom)
+        energy = np.full(n_samples, pc.e_fcc_per_atom)
     else:
-        energy = rng.exponential(cs.re_energy_scale, n)
-    return (energy > d1).astype(np.int64) + (energy > d2)
-
-
-def outcome_probabilities(channel: str, trap: TrapConfig, cs: ChannelSet,
-                          rng: np.random.Generator, n_samples: int = 100_000,
-                          pc: PhysConstants = CESIUM) -> tuple[float, float, float]:
-    """Monte Carlo estimate of (P_none, P_one, P_two) for a channel."""
-    counts = _escape_counts(channel, trap, cs, rng, n_samples, pc)
-    hist = np.bincount(counts, minlength=3)
-    return tuple(hist / n_samples)
+        energy = rng.exponential(cs.re_energy_scale, n_samples)
+    escaped = (energy > d1).astype(np.int64) + (energy > d2)
+    return tuple(np.bincount(escaped, minlength=3) / n_samples)
 
 
 def effective_betas(trap: TrapConfig, cs: ChannelSet,

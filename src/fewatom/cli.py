@@ -43,10 +43,6 @@ EXIT_NUMERICAL = 3
 EXIT_DETECTION = 4
 
 
-class UsageError(ConfigError):
-    pass
-
-
 def _stage_seeds(seed: int, n: int) -> list[int]:
     """Derive independent per-stage integer seeds from the run seed."""
     state = np.random.SeedSequence(seed).generate_state(max(n, 1), dtype=np.uint64)
@@ -75,8 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="named operating point applied under the config file")
         p.add_argument("--seed", type=int, default=None,
                        help="override sim.seed from the config")
-        p.add_argument("--out-dir", type=Path, default=None,
-                       help="output directory (default: io.out_dir, '.')")
+        p.add_argument("--out-dir", type=Path, default=Path("."),
+                       help="output directory (default: '.')")
     return parser
 
 
@@ -85,21 +81,20 @@ def _load(args) -> tuple[RunConfig, Path]:
     if args.seed is not None:
         overrides["sim.seed"] = str(args.seed)
     cfg = load_config(args.config, args.preset, overrides)
-    out_dir = Path(args.out_dir) if args.out_dir is not None else Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg, out_dir
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    return cfg, args.out_dir
 
 
 def _require_duration(cfg: RunConfig) -> None:
     if cfg.duration <= 0:
-        raise UsageError("sim.duration_s must be positive for this command")
+        raise ConfigError("sim.duration_s must be positive for this command")
 
 
 def _write_report(out_dir: Path, command: str, *sections: list[str]) -> None:
     """report.txt: the command, then each section after a blank line."""
     blocks = [[f"command = {command}"], *sections]
     atomic_write_text(out_dir / "report.txt",
-                      "\n\n".join("\n".join(b) for b in blocks) + "\n")
+                      ["\n\n".join("\n".join(b) for b in blocks) + "\n"])
 
 
 def _model_section(cfg: RunConfig, model: RateModel) -> list[str]:
@@ -219,7 +214,7 @@ def _cmd_detect(args) -> int:
     cfg, out_dir = _load(args)
     trace_path = out_dir / "trace.csv"
     if not trace_path.is_file():
-        raise UsageError(f"no trace.csv in {out_dir}; run 'fewatom synth' first")
+        raise ConfigError(f"no trace.csv in {out_dir}; run 'fewatom synth' first")
     _, _, report, detection = _detect_stage(read_trace_csv(trace_path), cfg, out_dir)
     _write_report(out_dir, "detect", detection)
     print(f"detected {report.n_events} events at snr {report.snr:.1f}; "
@@ -236,7 +231,7 @@ def _cmd_fit(args) -> int:
         # an exact simulation log: no binning, so no pile-up correction
         src = out_dir / "events.csv"
         if not src.is_file():
-            raise UsageError(f"no detected_events.csv or events.csv in {out_dir}")
+            raise ConfigError(f"no detected_events.csv or events.csv in {out_dir}")
         log, bin_width, cal = read_event_csv(src), None, None
     fit, fitted = _fit_stage(log, src.name, out_dir, bin_width, cal)
     _write_report(out_dir, "fit", fitted)

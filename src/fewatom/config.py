@@ -78,7 +78,6 @@ _KEYS: dict[str, tuple[str, str, Callable[[str], object]]] = {
     "shield.s0_min": ("run", "s0_min", float),
     "shield.s0_max": ("run", "s0_max", float),
     "shield.s0_points": ("run", "s0_points", int),
-    "io.out_dir": ("run", "out_dir", str),
 }
 
 # Operating points of the standard runs. fig2: steady-state statistics at a
@@ -115,10 +114,6 @@ PRESETS: dict[str, dict[str, str]] = {
 }
 
 
-# seed of the Monte Carlo that composes the collision channels into b1 and b2
-RATE_MODEL_MC_SEED = 7070
-
-
 @dataclass
 class RunConfig:
     """Everything a run needs, in internal units."""
@@ -141,7 +136,6 @@ class RunConfig:
     s0_min: float = 0.0
     s0_max: float = 50.0
     s0_points: int = 26
-    out_dir: str = "."
 
     def volume_cm3(self) -> float:
         return effective_volume(self.trap.r0) * CM3_PER_M3
@@ -156,7 +150,7 @@ class RunConfig:
         b1, b2 = self.b1, self.b2
         if b1 is None or b2 is None:
             e1, e2 = effective_betas(self.trap, self.channels, self.shielding,
-                                     self.constants, seed=RATE_MODEL_MC_SEED)
+                                     self.constants)
             v = self.volume_cm3()
             if b1 is None:
                 b1 = e1 / v

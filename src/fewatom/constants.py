@@ -1,7 +1,7 @@
 """Physical constants for the cesium D2 system and the unit conversions used package-wide.
 
 Internal unit system is SI. Energies that parametrize collision channels and
-trap depths are quoted as temperatures (kelvin) and multiplied by kb where an
+trap depths are quoted as temperatures (kelvin) and multiplied by KB where an
 energy in joules is needed.
 """
 
@@ -41,34 +41,32 @@ def c3_atomic_to_si(c3_au: float) -> float:
 class PhysConstants:
     """Atomic constants of the cooling transition plus collision energy scales.
 
-    All fields are overridable (the config file exposes the commonly tuned
-    ones); defaults describe the Cs D2 line.
+    Each field is set by one constants.* config key; defaults describe the
+    Cs D2 line. The fundamental constants and the Cs mass are the module
+    constants KB, HBAR and CS_MASS.
     """
 
     gamma: float = 2.0 * math.pi * 5.2e6  # natural linewidth, rad/s
     wavelength: float = 852.35e-9  # m
-    mass: float = CS_MASS  # kg
-    kb: float = KB
-    hbar: float = HBAR
     e_hcc_per_atom: float = 0.22  # K, kinetic energy per atom after a hyperfine-changing collision
     e_fcc_per_atom: float = 400.0  # K, per atom after a fine-structure-changing collision
     i_sat: float = 11.0  # W/m^2 (1.1 mW/cm^2)
 
     def __post_init__(self):
-        for name in ("gamma", "wavelength", "mass", "kb", "hbar",
-                     "e_hcc_per_atom", "e_fcc_per_atom", "i_sat"):
+        for name in ("gamma", "wavelength", "e_hcc_per_atom", "e_fcc_per_atom",
+                     "i_sat"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
     @property
     def doppler_temp(self) -> float:
         """Doppler temperature hbar*gamma/(2 kB), in kelvin (about 125 uK for Cs)."""
-        return self.hbar * self.gamma / (2.0 * self.kb)
+        return HBAR * self.gamma / (2.0 * KB)
 
     def recoil_speed(self) -> float:
         """Single-photon recoil speed hbar*k/m, m/s."""
         k = 2.0 * math.pi / self.wavelength
-        return self.hbar * k / self.mass
+        return HBAR * k / CS_MASS
 
 
 CESIUM = PhysConstants()

@@ -100,13 +100,6 @@ class DetectionReport:
     coincidence_probability: float  # chance two events share one bin at that rate
 
 
-def coincidence_probability(event_rate: float, bin_width: float) -> float:
-    """Probability that a bin holding one event holds at least another: 1 - exp(-r*w)."""
-    if event_rate < 0 or bin_width <= 0:
-        raise ValueError("event_rate >= 0 and bin_width > 0 required")
-    return 1.0 - float(np.exp(-event_rate * bin_width))
-
-
 def calibrate(trace: FluorescenceTrace) -> Calibration:
     """Estimate bg_rate and per_atom_rate from the count histogram comb.
 
@@ -232,6 +225,12 @@ SPIKE_KEEP_SNR = 9.0
 BUMP_NSIGMA = 4.5
 
 
+def bump_threshold(level, offset: float, spacing: float):
+    """The residual, in atoms, above which a flat-stretch bin at atom number
+    level is read as a quick load/loss pair: BUMP_NSIGMA shot-noise sigma."""
+    return BUMP_NSIGMA * (shot_noise(level, offset, spacing) / spacing)
+
+
 def detect(trace: FluorescenceTrace, cal: Calibration,
            min_snr: float = 5.0) -> tuple[EventLog, DetectionReport]:
     """Recover the event log from a trace.
@@ -242,6 +241,8 @@ def detect(trace: FluorescenceTrace, cal: Calibration,
     Raises DetectionQualityError when the level separation over shot noise at
     the typical occupancy falls below min_snr.
     """
+    if len(trace.counts) == 0:
+        raise ValueError("cannot detect events in an empty trace (0 bins)")
     w = trace.bin_width
     offset, spacing = cal.per_bin(w)
     n_hat = _levels(trace.counts, offset, spacing)
@@ -274,10 +275,9 @@ def detect(trace: FluorescenceTrace, cal: Calibration,
     merged = _merge_down_down(n_hat, trace.counts, offset, spacing)
 
     # re-vote implausible jumps with the local median
-    ambiguous = 0
     bad = _steps(n_hat, lambda d: np.abs(d, out=d) > 2)
+    ambiguous = len(bad)
     for i in bad:
-        ambiguous += 1
         lo = max(i - 1, 0)
         hi = min(i + 3, len(n_hat))
         n_hat[i + 1] = int(np.median(n_hat[lo:hi]))
@@ -294,7 +294,7 @@ def detect(trace: FluorescenceTrace, cal: Calibration,
 
     log = EventLog(
         times=times, kinds=kinds, n_before=befores,
-        n0=int(n_hat[0]) if len(n_hat) else 0,
+        n0=int(n_hat[0]),
         duration=len(n_hat) * w,
         seed=trace.seed)
     n_events = len(log.times)
@@ -303,7 +303,7 @@ def detect(trace: FluorescenceTrace, cal: Calibration,
         n_bins=len(trace.counts), n_events=n_events, snr=snr,
         spike_bins=spikes, merged_bins=merged, pair_bumps=bumps,
         ambiguous_bins=ambiguous, event_rate=rate,
-        coincidence_probability=coincidence_probability(rate, w))
+        coincidence_probability=1.0 - float(np.exp(-rate * w)))
     return log, report
 
 
@@ -324,22 +324,19 @@ def _merge_down_down(n_hat: np.ndarray, counts: np.ndarray, offset: float,
     Bins are visited in order and each one is judged on the level sequence
     as rewritten so far. Only down-down bins of the sequence as given can
     qualify, since a rewrite at i leaves bin i+1 with a step of 0 or -2 to
-    its left; the bin after each rewrite is still re-checked.
+    its left; the next candidate is still re-checked.
     """
     down = _steps(n_hat, lambda d: d == -1)
     candidates = down[1:][np.diff(down) == 1]
-    last = len(n_hat) - 1
     merged = 0
     for i in candidates.tolist():
-        while (i < last and n_hat[i] - n_hat[i - 1] == -1
-               and n_hat[i + 1] - n_hat[i] == -1):
+        if n_hat[i] - n_hat[i - 1] == -1 and n_hat[i + 1] - n_hat[i] == -1:
             # park the transition bin on whichever side its mean count favors,
             # otherwise dwell time is systematically pushed to the upper level
             upper = n_hat[i - 1]
             nu = (counts[i] - offset) / spacing
             n_hat[i] = upper if nu >= upper - 1.0 else n_hat[i + 1]
             merged += 1
-            i += 1
     return merged
 
 
@@ -386,9 +383,7 @@ def _bump_pairs(counts: np.ndarray, n_hat: np.ndarray, offset: float,
     down-bump loss-then-load, at the thirds of a single bin or the middles of
     a run's first and last bins.
     """
-    # the residual threshold of each level, in atoms
-    thresh = BUMP_NSIGMA * (shot_noise(np.arange(n_hat.max(initial=0) + 1),
-                                       offset, spacing) / spacing)
+    thresh = bump_threshold(np.arange(n_hat.max(initial=0) + 1), offset, spacing)
     idx, resid = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     for start in range(0, len(n_hat), BLOCK_BINS):
         # the block's bins lo..hi-1 that have a neighbour on either side

@@ -16,7 +16,7 @@ from math import erfc
 import numpy as np
 
 from .constants import CESIUM, PhysConstants
-from .detect import BUMP_NSIGMA, Calibration, shot_noise
+from .detect import BUMP_NSIGMA, Calibration, bump_threshold
 from .markov import EventLog, KIND_LOAD, KIND_LOSS1, KIND_LOSS2
 
 
@@ -128,8 +128,7 @@ def correct_coincidences(table: EventRateTable, bin_width: float,
 
     if calibration is not None:
         o_w, s_w = calibration.per_bin(bin_width)
-        # the detection bump pass's threshold, in atoms
-        theta = np.minimum(BUMP_NSIGMA * (shot_noise(table.n, o_w, s_w) / s_w), 0.5)
+        theta = np.minimum(bump_threshold(table.n, o_w, s_w), 0.5)
         k_half = (theta + 0.5 * theta**2) * bin_width * load_rate
         # load-first pair at N eats a load(N) and a loss1(N+1)
         f_up = occ * k_half * np.append(r1[1:], 0.0)
@@ -266,8 +265,9 @@ class SuppressionFit:
 
 
 def fit_repump_decay(s0: np.ndarray, y: np.ndarray,
-                     sigma: np.ndarray | None = None) -> SuppressionFit:
-    """Fit the shielding decay y(s0) = offset + amplitude*exp(-s0/scale)."""
+                     sigma: np.ndarray) -> SuppressionFit:
+    """Fit the shielding decay y(s0) = offset + amplitude*exp(-s0/scale),
+    weighting each point by its standard error sigma."""
     # imported here so that `import fewatom` does not pay for scipy.optimize,
     # which nothing else in the package needs
     from scipy.optimize import least_squares
@@ -276,8 +276,6 @@ def fit_repump_decay(s0: np.ndarray, y: np.ndarray,
     y = np.asarray(y, dtype=float)
     if len(s0) < 4:
         raise DegenerateDataError("need at least 4 points for the 3-parameter fit")
-    if sigma is None:
-        sigma = np.full_like(y, max(float(np.std(y)), 1e-300))
     sigma = np.asarray(sigma, dtype=float)
     if np.any(sigma <= 0):
         raise ValueError("sigma must be positive")

@@ -114,10 +114,7 @@ def simulate(model: RateModel, n0: int = 0, duration: float = 0.0,
     if n0 < 0:
         raise ValueError("n0 must be non-negative")
     rng = np.random.default_rng(np.random.PCG64(seed))
-    exp_buf = rng.standard_exponential(_BUF).tolist()
-    uni_buf = rng.random(_BUF).tolist()
-    i_exp = 0
-    i_uni = 0
+    i = _BUF
 
     times: list[float] = []
     kinds: list[int] = []
@@ -137,18 +134,15 @@ def simulate(model: RateModel, n0: int = 0, duration: float = 0.0,
         total = load + a1 + a2
         if total == 0.0:
             break
-        if i_exp == _BUF:
+        if i == _BUF:
             exp_buf = rng.standard_exponential(_BUF).tolist()
-            i_exp = 0
-        t += exp_buf[i_exp] / total
-        i_exp += 1
+            uni_buf = rng.random(_BUF).tolist()
+            i = 0
+        t += exp_buf[i] / total
         if t > duration:
             break
-        if i_uni == _BUF:
-            uni_buf = rng.random(_BUF).tolist()
-            i_uni = 0
-        u = uni_buf[i_uni] * total
-        i_uni += 1
+        u = uni_buf[i] * total
+        i += 1
         times.append(t)
         befores.append(n)
         if u < load:
@@ -178,19 +172,18 @@ def _generator_matrix(model: RateModel, n_max: int) -> np.ndarray:
     return q
 
 
-def master_stationary(model: RateModel, n_max: int | None = None) -> np.ndarray:
+def master_stationary(model: RateModel) -> np.ndarray:
     """Stationary occupancy of the truncated chain by direct global-balance solve.
 
-    With n_max=None the truncation is doubled from 64 until the boundary state
-    holds less than 1e-12 probability. An explicit n_max that violates that
-    bound raises TruncationError.
+    The truncation doubles from 64 until the boundary state holds less than
+    1e-12 probability, or raises TruncationError past _MASTER_NMAX_CAP.
+    With load_rate 0 it is the point mass at N = 0 over 65 states.
     """
+    n = 64
     if model.load_rate == 0.0:
-        p = np.zeros((n_max or 64) + 1)
+        p = np.zeros(n + 1)
         p[0] = 1.0
         return p
-    auto = n_max is None
-    n = 64 if auto else n_max
     while True:
         q = _generator_matrix(model, n)
         a = q.T.copy()
@@ -202,7 +195,7 @@ def master_stationary(model: RateModel, n_max: int | None = None) -> np.ndarray:
         p /= p.sum()
         if p[-1] < MASTER_TAIL_MASS:
             return p
-        if not auto or n >= _MASTER_NMAX_CAP:
+        if n >= _MASTER_NMAX_CAP:
             raise TruncationError(n, float(p[-1]))
         n *= 2
 

@@ -33,17 +33,14 @@ from .trace import FluorescenceTrace
 _CHUNK_ROWS = 1 << 16
 
 
-def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
-    """Write text, or an iterable of text chunks in order, to path atomically
-    (temp file + rename in the same dir)."""
+def atomic_write_text(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write the text chunks in order to path atomically (temp file + rename
+    in the same dir)."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            if isinstance(text, str):
-                fh.write(text)
-            else:
-                fh.writelines(text)
+            fh.writelines(chunks)
         # mkstemp creates the file 0600; give it the mode open() would
         umask = os.umask(0)
         os.umask(umask)

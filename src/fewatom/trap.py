@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CESIUM, BOHR_MAGNETON, PhysConstants
+from .constants import CESIUM, BOHR_MAGNETON, CS_MASS, HBAR, KB, PhysConstants
 
 # Calibrated so depth_minimum(375 G/cm, s=0.87) = 0.15 K with mu_eff = 1 Bohr magneton.
 KAPPA_GEOM_DEFAULT = 2.587
@@ -68,11 +68,9 @@ class TrapConfig:
             raise ValueError("load_rate >= 0 and bg_lifetime > 0 required")
 
 
-def saturation_parameter(config: TrapConfig, i_sat: float | None = None,
-                         pc: PhysConstants = CESIUM) -> float:
+def saturation_parameter(config: TrapConfig, pc: PhysConstants = CESIUM) -> float:
     """Off-resonance saturation parameter s = (I/I_sat) / (1 + (2 delta/gamma)^2)."""
-    isat = pc.i_sat if i_sat is None else i_sat
-    return (config.intensity / isat) / (1.0 + 4.0 * config.detuning**2)
+    return (config.intensity / pc.i_sat) / (1.0 + 4.0 * config.detuning**2)
 
 
 def effective_volume(r0: float) -> float:
@@ -90,11 +88,11 @@ def depth_minimum(config: TrapConfig, pc: PhysConstants = CESIUM) -> float:
     """
     if config.depth_min is not None:
         return config.depth_min
-    s = saturation_parameter(config, pc=pc)
+    s = saturation_parameter(config, pc)
     k = 2.0 * math.pi / pc.wavelength
-    f_max = (pc.hbar * k * pc.gamma / 2.0) * s / (1.0 + s)
-    d_eff = pc.hbar * pc.gamma * math.sqrt(1.0 + s) / (config.mu_eff * config.gradient)
-    return config.kappa_geom * f_max * d_eff / pc.kb
+    f_max = (HBAR * k * pc.gamma / 2.0) * s / (1.0 + s)
+    d_eff = HBAR * pc.gamma * math.sqrt(1.0 + s) / (config.mu_eff * config.gradient)
+    return config.kappa_geom * f_max * d_eff / KB
 
 
 def depth_from_cos(config: TrapConfig, cos_theta, pc: PhysConstants = CESIUM):
@@ -113,5 +111,5 @@ def photons_to_stop(energy_kelvin: float, pc: PhysConstants = CESIUM) -> float:
     given kinetic energy (kelvin): sqrt(2 kB E / m) / v_recoil."""
     if energy_kelvin < 0:
         raise ValueError("energy must be non-negative")
-    v = math.sqrt(2.0 * pc.kb * energy_kelvin / pc.mass)
+    v = math.sqrt(2.0 * KB * energy_kelvin / CS_MASS)
     return v / pc.recoil_speed()

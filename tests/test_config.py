@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fewatom.config import (PRESETS, ConfigError, RunConfig, build_config,
                             load_config, parse_pairs)
@@ -49,6 +50,15 @@ def test_removed_keys_rejected(key, known):
         build_config({key: "9"})
     hint = str(err.value).split("known keys with this prefix")[1]
     assert known in hint and key not in hint
+
+
+def test_out_dir_key_removed():
+    # the output directory is set by the CLI's --out-dir alone, and with no
+    # io.* key left the message has no prefix hint
+    key = "io." + "out_dir"
+    with pytest.raises(ConfigError) as err:
+        build_config({key: "runs"})
+    assert str(err.value) == f"unknown config key {key!r}"
 
 
 def test_unit_conversions():
@@ -102,6 +112,25 @@ def test_precedence_preset_file_overrides(tmp_path):
     assert cfg.trap.load_rate == pytest.approx(0.1403)  # untouched preset key
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.cfg")
+
+
+# a value drawn for each key a layer may set: the fig2 preset keys, plus
+# two the preset leaves alone
+_POSITIVE = st.floats(1e-3, 1e3).map(repr)
+_LAYER_VALUES = {**{key: _POSITIVE for key in PRESETS["fig2"]},
+                 "trace.bin_width_s": _POSITIVE,
+                 "sim.seed": st.integers(0, 2**31).map(str)}
+_LAYERS = st.lists(st.sampled_from(sorted(_LAYER_VALUES)), unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({k: _LAYER_VALUES[k] for k in keys}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_LAYERS, _LAYERS)
+def test_layering_is_preset_file_override(tmp_path_factory, file_pairs, overrides):
+    path = tmp_path_factory.mktemp("layers") / "run.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in file_pairs.items()))
+    want = build_config({**PRESETS["fig2"], **file_pairs, **overrides})
+    assert load_config(path, "fig2", overrides) == want
 
 
 def test_volume_cm3():

@@ -2,15 +2,15 @@ import math
 
 import pytest
 
-from fewatom.constants import (CESIUM, CM3_PER_M3, PhysConstants,
-                               c3_atomic_to_si)
+from fewatom.constants import (CESIUM, CM3_PER_M3, CS_MASS, HBAR, KB,
+                               PhysConstants, c3_atomic_to_si)
 
 
 def test_doppler_temperature():
     # hbar * gamma / (2 kB), frozen against a hand calculation
     assert CESIUM.doppler_temp == pytest.approx(124.78031983106645e-6, rel=1e-12)
     assert CESIUM.doppler_temp == pytest.approx(
-        CESIUM.hbar * CESIUM.gamma / (2.0 * CESIUM.kb), rel=1e-14)
+        HBAR * CESIUM.gamma / (2.0 * KB), rel=1e-14)
 
 
 def test_c3_conversion():
@@ -23,7 +23,7 @@ def test_recoil_speed():
     v = CESIUM.recoil_speed()
     assert v == pytest.approx(3.52246080675107e-3, rel=1e-12)
     k = 2.0 * math.pi / CESIUM.wavelength
-    assert v == pytest.approx(CESIUM.hbar * k / CESIUM.mass, rel=1e-14)
+    assert v == pytest.approx(HBAR * k / CS_MASS, rel=1e-14)
 
 
 def test_volume_unit_factor():
@@ -36,4 +36,4 @@ def test_constants_validation():
     with pytest.raises(ValueError):
         PhysConstants(wavelength=0.0)
     with pytest.raises(ValueError):
-        PhysConstants(mass=-CESIUM.mass)
+        PhysConstants(i_sat=-CESIUM.i_sat)

@@ -8,11 +8,11 @@ from hypothesis import Phase, given, settings, strategies as st
 from fewatom.detect import (BUMP_NSIGMA, Calibration, CalibrationError,
                             DetectionQualityError, _bump_pairs, _comb_peaks,
                             _events_from_levels, _hist_percentile, _levels,
-                            _linfit, _merge_down_down, calibrate,
-                            coincidence_probability, detect)
+                            _linfit, _merge_down_down, calibrate, detect)
 from fewatom.markov import (KIND_LOAD, KIND_LOSS1, KIND_LOSS2, EventLog,
                             RateModel, simulate)
-from fewatom.trace import BLOCK_BINS, FluorescenceTrace, synthesize
+from fewatom.trace import (BLOCK_BINS, FluorescenceTrace, binned_mean_counts,
+                           synthesize)
 
 # the module, not the function the package exports under the same name
 detect_module = importlib.import_module("fewatom.detect")
@@ -80,6 +80,13 @@ def test_detect_low_snr_rejected():
                       per_atom_err=5.0, bg_err=3.0, n_levels=4)
     with pytest.raises(DetectionQualityError):
         detect(tr, cal)
+
+
+def test_detect_rejects_empty_trace():
+    tr = FluorescenceTrace(bin_width=0.1, counts=np.zeros(0, dtype=np.int64),
+                           per_atom_rate=10_000.0, bg_rate=500.0, seed=0)
+    with pytest.raises(ValueError, match="empty trace"):
+        detect(tr, CAL)
 
 
 def test_same_bin_losses_read_as_pair_loss():
@@ -204,15 +211,6 @@ def test_detect_in_small_blocks(per_atom_rate, bg_rate):
                         (want.times, want.kinds, want.n_before))
 
 
-def test_coincidence_probability():
-    # fraction of events sharing a bin with another event
-    assert coincidence_probability(0.0, 0.1) == 0.0
-    assert coincidence_probability(0.05, 0.1) == pytest.approx(
-        1.0 - np.exp(-0.05 * 0.1), rel=1e-12)
-    with pytest.raises(ValueError):
-        coincidence_probability(-1.0, 0.1)
-
-
 def test_detect_report_rates():
     model = RateModel(load_rate=0.1403, bg_rate=1.0 / 60.0, b1=0.004, b2=0.006)
     log = simulate(model, duration=10_000.0, seed=8)
@@ -220,6 +218,8 @@ def test_detect_report_rates():
     cal = calibrate(tr)
     det, rep = detect(tr, cal)
     assert rep.event_rate == pytest.approx(len(det) / tr.duration, rel=1e-9)
+    # the chance that a bin holding one event holds another
+    assert rep.coincidence_probability == 1.0 - np.exp(-rep.event_rate * tr.bin_width)
     assert 0.0 < rep.coincidence_probability < 0.1
 
 
@@ -393,6 +393,44 @@ def test_events_from_empty_and_flat_levels():
     for levels in ([], [3], [2, 2, 2]):
         got = _events_from_levels(np.array(levels, dtype=np.int64), 0.1)
         _assert_same_events(got, _events_reference(np.array(levels, dtype=np.int64), 0.1))
+
+
+@st.composite
+def _spaced_logs(draw):
+    """An event log with each event at least 3 bins from the next and from
+    either end of its 0.1 s bins, and the trace's bin count. Two events 2
+    bins apart can already fuse into one read."""
+    n = n0 = draw(st.integers(0, 6))
+    bins = [draw(st.integers(3, 8))]
+    times, kinds = [], []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from([k for k, ok in ((KIND_LOAD, n < 10),
+                                                     (KIND_LOSS1, n >= 1),
+                                                     (KIND_LOSS2, n >= 2)) if ok]))
+        times.append((bins[-1] + draw(st.floats(0.0, 1.0, exclude_max=True))) * 0.1)
+        kinds.append(kind)
+        n += {KIND_LOAD: 1, KIND_LOSS1: -1, KIND_LOSS2: -2}[kind]
+        bins.append(bins[-1] + draw(st.integers(3, 8)))
+    n_bins = bins[-1] + 1
+    return _log(times, kinds, n0, n_bins * 0.1), n_bins
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spaced_logs(), st.sampled_from([1e4, 1e5]))
+def test_detect_exact_for_spaced_events_at_high_snr(case, per_atom_rate):
+    # noise-free counts, read with the calibration they were made with
+    log, n_bins = case
+    counts = np.round(binned_mean_counts(log, per_atom_rate, 500.0, 0.1))
+    tr = FluorescenceTrace(bin_width=0.1, counts=counts.astype(np.int64),
+                           per_atom_rate=per_atom_rate, bg_rate=500.0, seed=0)
+    assert len(tr) == n_bins
+    cal = Calibration(per_atom_rate=per_atom_rate, bg_rate=500.0,
+                      per_atom_err=0.0, bg_err=0.0, n_levels=2)
+    got, _ = detect(tr, cal)
+    assert got.n0 == log.n0
+    assert got.kinds.tolist() == log.kinds.tolist()
+    assert got.n_before.tolist() == log.n_before.tolist()
+    assert np.all(np.abs(got.times - log.times) <= 0.1 + 1e-12)
 
 
 # Calibration grid: rate models x (per-atom rate, background rate) x seeds.

@@ -171,7 +171,7 @@ def test_fit_repump_decay_needs_points():
     s0 = np.array([2.0, 4.0, 8.0])
     y = np.exp(-s0 / 4.0)
     with pytest.raises(DegenerateDataError):
-        fit_repump_decay(s0, y)
+        fit_repump_decay(s0, y, np.full_like(y, 0.01))
 
 
 def test_infer_temperature_quartet():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from fewatom import markov
 from fewatom.config import load_config
 from fewatom.markov import (KIND_LOAD, KIND_LOSS1, KIND_LOSS2, EventLog,
                             RateModel, TruncationError, _generator_matrix,
@@ -56,10 +57,14 @@ def test_master_stationary_pair_losses_narrow():
     assert q1 / m1 ** 2 < q0 / m0 ** 2
 
 
-def test_master_stationary_truncation_guard():
-    model = RateModel(load_rate=2.6 / 60.0, bg_rate=1.0 / 60.0, b1=0.0, b2=0.0)
-    with pytest.raises(TruncationError):
-        master_stationary(model, n_max=3)
+def test_master_stationary_truncation_guard(monkeypatch):
+    # Poisson(50) keeps far more than 1e-12 at N = 64, the only truncation
+    # the lowered cap allows
+    monkeypatch.setattr(markov, "_MASTER_NMAX_CAP", 64)
+    model = RateModel(load_rate=50.0, bg_rate=1.0, b1=0.0, b2=0.0)
+    with pytest.raises(TruncationError) as err:
+        master_stationary(model)
+    assert err.value.n_max == 64
 
 
 def test_simulate_reproducible():

@@ -63,8 +63,8 @@ def test_write_table_csv(tmp_path):
 
 def test_atomic_write_replaces(tmp_path):
     path = tmp_path / "out.txt"
-    atomic_write_text(path, "first")
-    atomic_write_text(path, "second")
+    atomic_write_text(path, ["first"])
+    atomic_write_text(path, ["sec", "ond"])
     assert path.read_text() == "second"
     # no stray temp files left behind
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
@@ -76,7 +76,7 @@ def test_atomic_write_replaces(tmp_path):
 def test_atomic_write_follows_umask(tmp_path, umask, mode):
     old = os.umask(umask)
     try:
-        atomic_write_text(tmp_path / "out.txt", "x")
+        atomic_write_text(tmp_path / "out.txt", ["x"])
     finally:
         os.umask(old)
     assert (tmp_path / "out.txt").stat().st_mode & 0o777 == mode

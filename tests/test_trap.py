@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fewatom.constants import PhysConstants
 from fewatom.trap import (TrapConfig, depth_from_cos, depth_minimum,
                           effective_volume, photons_to_stop,
                           saturation_parameter)
@@ -21,8 +22,8 @@ def test_saturation_parameter_scaling():
     # on resonance the Lorentzian factor drops out
     res = TrapConfig(detuning=0.0, intensity=11.0)
     assert saturation_parameter(res) == pytest.approx(1.0, rel=1e-12)
-    # explicit i_sat override
-    assert saturation_parameter(base, i_sat=22.0) == pytest.approx(s0 / 2.0)
+    # inverse in the saturation intensity
+    assert saturation_parameter(base, pc=PhysConstants(i_sat=22.0)) == pytest.approx(s0 / 2.0)
 
 
 def test_effective_volume():

@@ -149,7 +149,7 @@ def _comb_peaks(hist: np.ndarray, sigma: float) -> np.ndarray:
     they reach 0.5% of the highest point, are at least 2 sigma apart (higher
     peaks first) and stand out from their surroundings by that same 0.5%.
     The same operations as scipy's gaussian_filter1d and find_peaks with
-    height, distance and prominence, applied in that order.
+    height, distance and prominence, in that order, plus maxima at count 0.
     """
     radius = int(4.0 * sigma + 0.5)
     x = np.arange(-radius, radius + 1)
@@ -161,12 +161,13 @@ def _comb_peaks(hist: np.ndarray, sigma: float) -> np.ndarray:
     min_dist = max(2, int(2.0 * sigma))
 
     # runs of equal samples; a run is a maximum if both neighbouring runs are
-    # lower, so a run touching either end of the histogram never is
+    # lower, the run at count 0 (mirrored by the padding) if the next one is
     starts = np.flatnonzero(np.r_[True, smooth[1:] != smooth[:-1]])
     ends = np.r_[starts[1:] - 1, len(smooth) - 1]
     level = smooth[starts]
-    top = np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1
-    peaks = (starts[top] + ends[top]) // 2
+    rise = level[1:] > level[:-1]  # a run that does not rise from the last falls
+    top = np.flatnonzero(np.r_[True, rise] & ~np.r_[rise, True])
+    peaks = np.where(top > 0, (starts[top] + ends[top]) // 2, 0)
     peaks = peaks[smooth[peaks] >= min_height]
 
     keep = np.ones(len(peaks), dtype=bool)
@@ -178,14 +179,15 @@ def _comb_peaks(hist: np.ndarray, sigma: float) -> np.ndarray:
     peaks = peaks[keep]
 
     # prominence: height above the higher of the two minima reached before
-    # the trace climbs above the peak on either side
+    # the trace climbs above the peak on either side; at 0 both sides are one
     prominence = np.empty(len(peaks))
     for m, p in enumerate(peaks):
         higher = np.flatnonzero(smooth[:p] > smooth[p])
         lo = higher[-1] + 1 if len(higher) else 0
         higher = np.flatnonzero(smooth[p:] > smooth[p])
         hi = p + higher[0] if len(higher) else len(smooth)
-        prominence[m] = smooth[p] - max(smooth[lo:p + 1].min(), smooth[p:hi].min())
+        right = smooth[p:hi].min()
+        prominence[m] = smooth[p] - max(smooth[lo:p + 1].min() if p else right, right)
     return peaks[prominence >= min_height]
 
 
@@ -282,21 +284,17 @@ def detect(trace: FluorescenceTrace, cal: Calibration,
         hi = min(i + 3, len(n_hat))
         n_hat[i + 1] = int(np.median(n_hat[lo:hi]))
 
-    times, kinds, befores = _events_from_levels(n_hat, w)
+    times, kinds = _events_from_levels(n_hat, w)
     bumps = 0
     if snr >= SPIKE_KEEP_SNR:
-        pairs = _bump_pairs(trace.counts, n_hat, offset, spacing, w)
-        bumps = len(pairs[0]) // 2
-        times, kinds, befores = (np.concatenate(parts) for parts in
-                                 zip((times, kinds, befores), pairs))
+        pair_times, pair_kinds = _bump_pairs(trace.counts, n_hat, offset, spacing, w)
+        bumps = len(pair_times) // 2
+        times = np.concatenate([times, pair_times])
         order = np.argsort(times, kind="stable")
-        times, kinds, befores = times[order], kinds[order], befores[order]
+        times, kinds = times[order], np.concatenate([kinds, pair_kinds])[order]
 
-    log = EventLog(
-        times=times, kinds=kinds, n_before=befores,
-        n0=int(n_hat[0]),
-        duration=len(n_hat) * w,
-        seed=trace.seed)
+    log = EventLog(times=times, kinds=kinds, n0=int(n_hat[0]),
+                   duration=len(n_hat) * w, seed=trace.seed)
     n_events = len(log.times)
     rate = n_events / trace.duration if trace.duration > 0 else 0.0
     report = DetectionReport(
@@ -341,8 +339,8 @@ def _merge_down_down(n_hat: np.ndarray, counts: np.ndarray, offset: float,
 
 
 def _events_from_levels(n_hat: np.ndarray, bin_width: float
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Boundary events (times, kinds, n_before) of a per-bin level sequence.
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary events (times, kinds) of a per-bin level sequence.
 
     A boundary with dN = +1, -1 or -2 holds one event at the boundary, and
     dN = +2 two loads, at mid-bin and at the boundary. A residual |dN| > 2
@@ -365,15 +363,14 @@ def _events_from_levels(n_hat: np.ndarray, bin_width: float
                     + (j[multi] + 1) * bin_width / per_bound[owner[multi]])
     kinds = np.where(up, KIND_LOAD,
                      np.where(j < -d // 2, KIND_LOSS2, KIND_LOSS1)).astype(np.int8)
-    befores = n_hat[bounds[owner]] + np.where(up, j, -2 * j)
-    return times, kinds, befores
+    return times, kinds
 
 
 def _bump_pairs(counts: np.ndarray, n_hat: np.ndarray, offset: float,
                 spacing: float, bin_width: float
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quick load/loss pairs (times, kinds, n_before) too short to flip any
-    bin's rounded level.
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Quick load/loss pairs (times, kinds) too short to flip any bin's
+    rounded level.
 
     A pair contained in a level-N stretch leaves one or two adjacent bins
     whose counts sit between levels. Bins deviating from their assigned level
@@ -412,6 +409,4 @@ def _bump_pairs(counts: np.ndarray, n_hat: np.ndarray, offset: float,
     t2 = np.where(single, first * w + 2.0 * w / 3.0, last * w + w / 2.0)
     kinds = np.column_stack([np.where(up, KIND_LOAD, KIND_LOSS1),
                              np.where(up, KIND_LOSS1, KIND_LOAD)])
-    n_before = n_hat[first]
-    return (np.column_stack([t1, t2]).ravel(), kinds.ravel().astype(np.int8),
-            np.column_stack([n_before, n_before + np.where(up, 1, -1)]).ravel())
+    return np.column_stack([t1, t2]).ravel(), kinds.ravel().astype(np.int8)

@@ -57,14 +57,12 @@ def tabulate(log: EventLog) -> EventRateTable:
     """Accumulate per-occupancy dwell times and event counts from a log."""
     t_break, levels = log.staircase()
     dwell = np.diff(np.append(t_break, log.duration))
-    n_max = int(levels.max()) if len(levels) else 0
-    if len(log.n_before):
-        n_max = max(n_max, int(log.n_before.max()))
-    occ = np.bincount(levels, weights=dwell, minlength=n_max + 1)
+    # every atom number of the log is a level of its staircase
+    occ = np.bincount(levels, weights=dwell)
     loads, loss1, loss2 = (
-        np.bincount(log.n_before[log.kinds == kind], minlength=n_max + 1).astype(float)
+        np.bincount(log.n_before[log.kinds == kind], minlength=len(occ)).astype(float)
         for kind in (KIND_LOAD, KIND_LOSS1, KIND_LOSS2))
-    return EventRateTable(n=np.arange(n_max + 1), occupancy_s=occ,
+    return EventRateTable(n=np.arange(len(occ)), occupancy_s=occ,
                           n_load=loads, n_loss1=loss1, n_loss2=loss2)
 
 

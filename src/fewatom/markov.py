@@ -13,6 +13,7 @@ and beta_2atoms/V = 2*b2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -61,34 +62,51 @@ class RateModel:
 
 @dataclass
 class EventLog:
-    """Ordered record of number-changing events over [0, duration]."""
+    """Ordered record of number-changing events over [0, duration]. n_before
+    follows from n0 and the kinds, and is derived at construction."""
 
     times: np.ndarray  # s, strictly increasing
     kinds: np.ndarray  # int8 codes into KIND_NAMES
-    n_before: np.ndarray
     n0: int
     duration: float
     seed: int
+    n_before: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        delta = self._delta()
+        self.n_before = self.n0 + np.cumsum(delta) - delta
 
     def __len__(self) -> int:
         return len(self.times)
 
+    def _delta(self) -> np.ndarray:
+        """Each event's change of the atom number; 0 marks an unknown kind."""
+        known = (self.kinds >= 0) & (self.kinds < len(KIND_DELTA))
+        return np.where(known, np.take(KIND_DELTA, self.kinds, mode="clip"), 0)
+
     @property
     def n_after(self) -> np.ndarray:
-        return self.n_before + np.array(KIND_DELTA)[self.kinds]
+        return self.n_before + self._delta()
+
+    def faults(self) -> list[tuple[np.ndarray, Callable[[int], str]]]:
+        """Each invariant of a log as (mask of the events that break it,
+        message about event i), in the order validate() checks them."""
+        t, kinds, n_before, n_after = self.times, self.kinds, self.n_before, self.n_after
+        return [
+            (self._delta() == 0, lambda i: f"unknown event kind {kinds[i]}"),
+            (~(np.diff(t, prepend=0.0) > 0), lambda i:
+             f"event times must be strictly increasing from 0, got {t[i]}"),
+            (~(t <= self.duration), lambda i:
+             f"event times must lie in (0, duration], got {t[i]}"),
+            ((n_before < 0) | (n_after < 0), lambda i:
+             f"negative atom number in event log: {n_before[i]} -> {n_after[i]}"),
+        ]
 
     def validate(self) -> None:
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("event times must be strictly increasing")
-        if len(self.times) and (self.times[0] <= 0 or self.times[-1] > self.duration):
-            raise ValueError("event times must lie in (0, duration]")
-        if np.any(self.n_after < 0) or np.any(self.n_before < 0):
-            raise ValueError("negative atom number in event log")
-        # each event starts where the previous one ended
-        if len(self.times):
-            expect = np.concatenate([[self.n0], self.n_after[:-1]])
-            if np.any(self.n_before != expect):
-                raise ValueError("event sequence is not self-consistent")
+        """Raise ValueError about the first invariant the log breaks."""
+        for mask, message in self.faults():
+            if mask.any():
+                raise ValueError(message(int(np.argmax(mask))))
 
     def staircase(self) -> tuple[np.ndarray, np.ndarray]:
         """Breakpoints t_0=0 < t_1 < ... <= duration and the level on [t_i, t_{i+1})."""
@@ -118,7 +136,6 @@ def simulate(model: RateModel, n0: int = 0, duration: float = 0.0,
 
     times: list[float] = []
     kinds: list[int] = []
-    befores: list[int] = []
 
     t = 0.0
     n = n0
@@ -144,7 +161,6 @@ def simulate(model: RateModel, n0: int = 0, duration: float = 0.0,
         u = uni_buf[i] * total
         i += 1
         times.append(t)
-        befores.append(n)
         if u < load:
             kinds.append(KIND_LOAD)
             n += 1
@@ -157,7 +173,6 @@ def simulate(model: RateModel, n0: int = 0, duration: float = 0.0,
     return EventLog(
         times=np.asarray(times, dtype=np.float64),
         kinds=np.asarray(kinds, dtype=np.int8),
-        n_before=np.asarray(befores, dtype=np.int64),
         n0=n0, duration=duration, seed=seed)
 
 

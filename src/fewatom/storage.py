@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 import tempfile
 import warnings
+from dataclasses import astuple
 from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterable
@@ -25,7 +26,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .detect import Calibration
-from .markov import KIND_DELTA, EventLog
+from .markov import EventLog
 from .trace import FluorescenceTrace
 
 # rows formatted per string handed to the file: large enough that the
@@ -69,19 +70,14 @@ def _write_csv(path: str | Path, meta: dict[str, object],
     atomic_write_text(path, chain([head, ",".join(columns) + "\r\n"], chunks))
 
 
-# A row check: the mask of rows it rejects, and the message for the first
-# one, formatted with that row's fields by name
-_RowCheck = tuple[Callable[[np.ndarray], np.ndarray], str]
-
-
-def _read_csv(path: str | Path, keys: tuple[str, ...],
-              columns: dict[str, type], checks: tuple[_RowCheck, ...] = ()
-              ) -> tuple[dict[str, str], np.ndarray]:
-    """Header metadata, which must hold `keys`, and the rows under the
-    `columns` row as a structured array with those fields and types. Header
-    lines come only before the column row, each key once. A row that does
-    not parse or that a check rejects is reported with the file and line."""
-    meta: dict[str, str] = {}
+def _read_csv(path: str | Path, keys: dict[str, Callable[[str], object]],
+              columns: dict[str, type]
+              ) -> tuple[dict[str, object], np.ndarray, int]:
+    """Header metadata, which must hold `keys`, each converted by its
+    function; the rows under the `columns` row as a structured array with
+    those fields and types; and the line number of the column row. Header
+    lines come only before the column row, each key once."""
+    meta: dict[str, object] = {}
     with open(path) as fh:
         line_no = 0
         for line_no, line in enumerate(iter(fh.readline, ""), start=1):
@@ -92,16 +88,21 @@ def _read_csv(path: str | Path, keys: tuple[str, ...],
                     raise ValueError(f"{path}, line {line_no}: " + (
                         f"header key {key} given twice" if sep
                         else "header line is not '# key=value'"))
-                meta[key] = val.strip()
+                try:
+                    meta[key] = keys.get(key, str)(val.strip())
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {line_no}: {key}: {exc}") from None
             elif line.strip():
                 break
         else:
-            line = ""
+            line, line_no = "", line_no + 1
         if line.rstrip("\n") != ",".join(columns):
-            raise ValueError(f"{path}: missing column header {','.join(columns)}")
+            raise ValueError(f"{path}, line {line_no}: missing column header "
+                             f"{','.join(columns)}")
         missing = [k for k in keys if k not in meta]
         if missing:
-            raise ValueError(f"{path}: missing header field(s) {missing}")
+            raise ValueError(f"{path}, line {line_no}: missing header field(s) "
+                             f"{missing} before the column row")
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -111,18 +112,18 @@ def _read_csv(path: str | Path, keys: tuple[str, ...],
             bad = _bad_line(path, line_no, columns)
             raise ValueError(f"{path}, line {bad[0]}: {bad[1]}" if bad
                              else f"{path}: {exc}") from None
-    first = None  # (row, message) of the first rejected row
-    for rejects, message in checks:
-        bad_rows = np.flatnonzero(rejects(rows))
-        if bad_rows.size and (first is None or bad_rows[0] < first[0]):
-            first = bad_rows[0], message
-    if first is not None:
-        row, message = first
+    return meta, rows, line_no
+
+
+def _raise_first(path: str | Path, column_line: int, faults: list) -> None:
+    """Raise for the earliest row that any fault's mask rejects (the earlier
+    fault on a tie), naming the file and the row's line; see EventLog.faults."""
+    bad = [(np.argmax(mask), k) for k, (mask, _) in enumerate(faults) if mask.any()]
+    if bad:
+        row, k = min(bad)
         with open(path) as fh:
-            line = next(islice(_data_lines(fh, line_no), row, None))[0]
-        raise ValueError(f"{path}, line {line}: " + message.format(
-            **dict(zip(columns, rows[row].tolist()))))
-    return meta, rows
+            line = next(islice(_data_lines(fh, column_line), row, None))[0]
+        raise ValueError(f"{path}, line {line}: {faults[k][1](row)}")
 
 
 def _data_lines(fh, column_line: int) -> Iterable[tuple[int, str]]:
@@ -154,14 +155,7 @@ def _bad_line(path: str | Path, column_line: int, columns: dict[str, type]
 
 _EVENT_COLUMNS = {"time_s": np.float64, "kind": np.int64, "n_before": np.int64,
                   "n_after": np.int64}
-_KIND_DELTA = np.array(KIND_DELTA)
-_EVENT_CHECKS: tuple[_RowCheck, ...] = (
-    (lambda r: (r["kind"] < 0) | (r["kind"] >= len(KIND_DELTA)),
-     "unknown event kind {kind}"),
-    (lambda r: r["n_after"] != r["n_before"]
-     + _KIND_DELTA[np.clip(r["kind"], 0, len(KIND_DELTA) - 1)],
-     "n_after {n_after} does not follow from n_before {n_before} and kind {kind}"),
-)
+_EVENT_KEYS = {"n0": int, "duration_s": float, "seed": int}
 
 
 def _write_events(log: EventLog, path: str | Path, meta: dict[str, object]) -> None:
@@ -175,56 +169,53 @@ def write_event_csv(log: EventLog, path: str | Path) -> None:
     _write_events(log, path, {})
 
 
-def _read_events(path: str | Path, keys: tuple[str, ...] = ()
-                 ) -> tuple[EventLog, dict[str, str]]:
-    """An event log and its header metadata, which must also hold `keys`,
+def _read_events(path: str | Path, keys: dict[str, Callable[[str], object]]
+                 ) -> tuple[EventLog, dict[str, object]]:
+    """An event log and its header metadata, which must hold `keys`,
     rejecting any log its writer could not have made."""
-    meta, rows = _read_csv(path, ("n0", "duration_s", "seed", *keys),
-                           _EVENT_COLUMNS, _EVENT_CHECKS)
-    try:
-        log = EventLog(
-            times=rows["time_s"].copy(), kinds=rows["kind"].astype(np.int8),
-            n_before=rows["n_before"].copy(),
-            n0=int(meta["n0"]), duration=float(meta["duration_s"]),
-            seed=int(meta["seed"]))
-        log.validate()
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    meta, rows, column_line = _read_csv(path, keys, _EVENT_COLUMNS)
+    # int8 kinds only once checked: the cast would wrap 257 onto a known kind
+    log = EventLog(times=rows["time_s"].copy(), kinds=rows["kind"],
+                   n0=meta["n0"], duration=meta["duration_s"], seed=meta["seed"])
+    n_before, n_after = rows["n_before"], rows["n_after"]
+    _raise_first(path, column_line, [*log.faults(), (
+        n_before != log.n_before, lambda i: "event sequence is not self-consistent: "
+        f"n_before {n_before[i]} where the events before leave {log.n_before[i]}"), (
+        n_after != log.n_after, lambda i: f"n_after {n_after[i]} does not follow "
+        f"from n_before {n_before[i]} and kind {log.kinds[i]}")])
+    log.kinds = log.kinds.astype(np.int8)
     return log, meta
 
 
 def read_event_csv(path: str | Path) -> EventLog:
-    return _read_events(path)[0]
+    return _read_events(path, _EVENT_KEYS)[0]
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise ValueError(f"must be positive, got {text}")
+    return value
 
 
 # What a detected log adds to an event log's header: the bin width and the
-# calibration of the trace it was read from, which a re-fit needs
-_DETECTED_KEYS = ("bin_width_s", "cal_per_atom_rate_hz", "cal_bg_rate_hz",
-                  "cal_per_atom_err_hz", "cal_bg_err_hz", "cal_n_levels")
+# calibration of the trace it was read from, in field order, which a re-fit
+# needs
+_DETECTED_KEYS = {"bin_width_s": _positive, "cal_per_atom_rate_hz": float,
+                  "cal_bg_rate_hz": float, "cal_per_atom_err_hz": float,
+                  "cal_bg_err_hz": float, "cal_n_levels": int}
 
 
 def write_detected_csv(log: EventLog, bin_width: float, cal: Calibration,
                        path: str | Path) -> None:
-    _write_events(log, path, dict(zip(_DETECTED_KEYS, (
-        bin_width, cal.per_atom_rate, cal.bg_rate, cal.per_atom_err, cal.bg_err,
-        cal.n_levels))))
+    _write_events(log, path, dict(zip(_DETECTED_KEYS, (bin_width, *astuple(cal)))))
 
 
 def read_detected_csv(path: str | Path) -> tuple[EventLog, float, Calibration]:
     """(log, bin width, calibration) of a file write_detected_csv made."""
-    log, meta = _read_events(path, _DETECTED_KEYS)
-    try:
-        bin_width = float(meta["bin_width_s"])
-        cal = Calibration(per_atom_rate=float(meta["cal_per_atom_rate_hz"]),
-                          bg_rate=float(meta["cal_bg_rate_hz"]),
-                          per_atom_err=float(meta["cal_per_atom_err_hz"]),
-                          bg_err=float(meta["cal_bg_err_hz"]),
-                          n_levels=int(meta["cal_n_levels"]))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if not bin_width > 0:
-        raise ValueError(f"{path}: bin_width_s must be positive")
-    return log, bin_width, cal
+    log, meta = _read_events(path, {**_EVENT_KEYS, **_DETECTED_KEYS})
+    bin_width, *cal = (meta[key] for key in _DETECTED_KEYS)
+    return log, bin_width, Calibration(*cal)
 
 
 # bin i starts at i * bin_width_s, so the counts are the only column
@@ -239,16 +230,16 @@ def write_trace_csv(trace: FluorescenceTrace, path: str | Path) -> None:
 
 
 def read_trace_csv(path: str | Path) -> FluorescenceTrace:
-    meta, rows = _read_csv(
-        path, ("bin_width_s", "per_atom_rate_hz", "bg_rate_hz", "seed"),
-        _TRACE_COLUMNS, ((lambda r: r["counts"] < 0, "negative count {counts}"),))
-    try:
-        return FluorescenceTrace(
-            bin_width=float(meta["bin_width_s"]), counts=rows["counts"].copy(),
-            per_atom_rate=float(meta["per_atom_rate_hz"]),
-            bg_rate=float(meta["bg_rate_hz"]), seed=int(meta["seed"]))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    meta, rows, column_line = _read_csv(
+        path, {"bin_width_s": float, "per_atom_rate_hz": float,
+               "bg_rate_hz": float, "seed": int}, _TRACE_COLUMNS)
+    counts = rows["counts"].copy()
+    _raise_first(path, column_line,
+                 [(counts < 0, lambda i: f"negative count {counts[i]}")])
+    return FluorescenceTrace(
+        bin_width=meta["bin_width_s"], counts=counts,
+        per_atom_rate=meta["per_atom_rate_hz"], bg_rate=meta["bg_rate_hz"],
+        seed=meta["seed"])
 
 
 def write_table_csv(path: str | Path, columns: dict[str, np.ndarray],

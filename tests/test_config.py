@@ -1,8 +1,13 @@
+import math
+from operator import attrgetter
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fewatom.config import (PRESETS, ConfigError, RunConfig, build_config,
-                            load_config, parse_pairs)
+from fewatom.config import (_KEYS, PRESETS, ConfigError, RunConfig,
+                            build_config, load_config, parse_pairs)
+from fewatom.constants import BOHR_MAGNETON
 
 
 def test_defaults():
@@ -70,6 +75,67 @@ def test_unit_conversions():
     assert cfg.trap.intensity == pytest.approx(420.0)
     assert cfg.trap.temperature == pytest.approx(316e-6)
     assert cfg.trap.r0 == pytest.approx(10e-6)
+
+
+# each key's RunConfig field and the factor from the key's unit to the field's
+_UNITS = {
+    "trap.detuning_gamma": ("trap.detuning", 1.0),
+    "trap.intensity_mw_cm2": ("trap.intensity", 10.0),  # W/m^2 per mW/cm^2
+    "trap.repump_sat": ("trap.repump_sat", 1.0),
+    "trap.gradient_g_cm": ("trap.gradient", 0.01),  # T/m per G/cm
+    "trap.r0_um": ("trap.r0", 1e-6),
+    "trap.temperature_uk": ("trap.temperature", 1e-6),
+    "trap.depth_min_k": ("trap.depth_min", 1.0),
+    "trap.depth_anisotropy": ("trap.depth_anisotropy", 1.0),
+    "trap.kappa_geom": ("trap.kappa_geom", 1.0),
+    "trap.mu_eff_bohr": ("trap.mu_eff", BOHR_MAGNETON),
+    "trap.load_rate_per_s": ("trap.load_rate", 1.0),
+    "trap.bg_lifetime_s": ("trap.bg_lifetime", 1.0),
+    "channels.beta_hcc_cm3_s": ("channels.beta_hcc", 1.0),
+    "channels.beta_re_cm3_s": ("channels.beta_re", 1.0),
+    "channels.beta_fcc_cm3_s": ("channels.beta_fcc", 1.0),
+    "channels.re_energy_k": ("channels.re_energy_scale", 1.0),
+    "channels.depth_jitter": ("channels.depth_jitter", 1.0),
+    "channels.angular_spread_rad": ("channels.angular_spread", 1.0),
+    "shielding.rabi_coeff": ("shielding.rabi_coeff", 1.0),
+    "constants.gamma_mhz": ("constants.gamma", 2e6 * math.pi),  # rad/s per MHz
+    "constants.lambda_nm": ("constants.wavelength", 1e-9),
+    "constants.i_sat_mw_cm2": ("constants.i_sat", 10.0),
+    "constants.e_hcc_k": ("constants.e_hcc_per_atom", 1.0),
+    "constants.e_fcc_k": ("constants.e_fcc_per_atom", 1.0),
+    "sim.duration_s": ("duration", 1.0),
+    "sim.n0": ("n0", 1.0),
+    "sim.seed": ("seed", 1.0),
+    "sim.ensemble": ("ensemble", 1.0),
+    "rates.b1_per_s": ("b1", 1.0),
+    "rates.b2_per_s": ("b2", 1.0),
+    "trace.per_atom_rate_hz": ("per_atom_rate", 1.0),
+    "trace.bg_rate_hz": ("trace_bg_rate", 1.0),
+    "trace.bin_width_s": ("bin_width", 1.0),
+    "detect.min_snr": ("min_snr", 1.0),
+    "shield.temperatures_uk": ("shield_temperatures", 1e-6),
+    "shield.s0_min": ("s0_min", 1.0),
+    "shield.s0_max": ("s0_max", 1.0),
+    "shield.s0_points": ("s0_points", 1.0),
+}
+# 3 in each key's unit, but where the field's range excludes it
+_VALUES = {"channels.depth_jitter": "0.125", "channels.angular_spread_rad": "0.875",
+           "shield.temperatures_uk": "3,5"}
+
+
+def test_units_cover_every_key():
+    assert sorted(_UNITS) == sorted(_KEYS)
+
+
+@pytest.mark.parametrize("key", sorted(_UNITS))
+def test_key_sets_its_field(key):
+    field, factor = _UNITS[key]
+    raw = _VALUES.get(key, "3")
+    default = attrgetter(field)(build_config({}))
+    got = attrgetter(field)(build_config({key: raw}))
+    assert got != default
+    want = [float(v) * factor for v in raw.split(",")]
+    np.testing.assert_allclose(np.atleast_1d(got), want, rtol=1e-15, atol=0)
 
 
 def test_gamma_mhz_key():

@@ -25,15 +25,8 @@ CAL = Calibration(per_atom_rate=10_000.0, bg_rate=500.0,
 
 
 def _log(times, kinds, n0, duration):
-    delta = {KIND_LOAD: 1, KIND_LOSS1: -1, KIND_LOSS2: -2}
-    times = np.asarray(times, dtype=float)
-    kinds = np.asarray(kinds, dtype=np.int8)
-    n_before, n = [], n0
-    for k in kinds:
-        n_before.append(n)
-        n += delta[int(k)]
-    return EventLog(times=times, kinds=kinds,
-                    n_before=np.asarray(n_before, dtype=np.int16),
+    return EventLog(times=np.asarray(times, dtype=float),
+                    kinds=np.asarray(kinds, dtype=np.int8),
                     n0=n0, duration=duration, seed=0)
 
 
@@ -46,6 +39,19 @@ def test_calibrate_long_trace():
     assert cal.bg_rate == pytest.approx(500.0, rel=0.2)
     assert cal.per_atom_err < 0.01 * cal.per_atom_rate
     assert cal.n_levels >= 6
+
+
+@pytest.mark.parametrize("per_atom_rate, bg_rate", [(2_000.0, 100.0),
+                                                    (50_000.0, 500.0)])
+def test_calibrate_finds_empty_trap_level_near_zero_counts(per_atom_rate, bg_rate):
+    # the smoothed N = 0 level touches count 0: 10 counts up with a smoothing
+    # width of 12 counts at 2 kHz, 50 counts up with a width of 61 at 50 kHz
+    model = RateModel(load_rate=0.1403, bg_rate=1.0 / 60.0, b1=0.004, b2=0.006)
+    tr = synthesize(simulate(model, duration=20_000.0, seed=42),
+                    per_atom_rate=per_atom_rate, bg_rate=bg_rate, seed=142)
+    cal = calibrate(tr)
+    assert cal.per_atom_rate == pytest.approx(per_atom_rate, rel=0.01)
+    assert cal.bg_rate == pytest.approx(bg_rate, abs=0.01 * per_atom_rate)
 
 
 def test_calibrate_flat_trace_fails():
@@ -259,44 +265,37 @@ def _merge_reference(n_hat, counts, offset, spacing):
 
 
 def _events_reference(n_hat, bin_width):
-    times, kinds, befores = [], [], []
+    times, kinds = [], []
     deltas = np.diff(n_hat)
     for i in np.nonzero(deltas)[0]:
         d = int(deltas[i])
         t = float((i + 1) * bin_width)
-        n_prev = int(n_hat[i])
         if d == 1:
-            times.append(t); kinds.append(KIND_LOAD); befores.append(n_prev)
+            times.append(t); kinds.append(KIND_LOAD)
         elif d == -1:
-            times.append(t); kinds.append(KIND_LOSS1); befores.append(n_prev)
+            times.append(t); kinds.append(KIND_LOSS1)
         elif d == -2:
-            times.append(t); kinds.append(KIND_LOSS2); befores.append(n_prev)
+            times.append(t); kinds.append(KIND_LOSS2)
         elif d == 2:
-            times.append(t - bin_width / 2); kinds.append(KIND_LOAD); befores.append(n_prev)
-            times.append(t); kinds.append(KIND_LOAD); befores.append(n_prev + 1)
+            times += [t - bin_width / 2, t]; kinds += [KIND_LOAD, KIND_LOAD]
         elif d > 0:
             for j in range(d):
                 times.append(t - bin_width + (j + 1) * bin_width / d)
                 kinds.append(KIND_LOAD)
-                befores.append(n_prev + j)
         else:
             k2, k1 = divmod(-d, 2)
             steps = [KIND_LOSS2] * k2 + [KIND_LOSS1] * k1
-            n = n_prev
             for j, kind in enumerate(steps):
                 times.append(t - bin_width + (j + 1) * bin_width / len(steps))
                 kinds.append(kind)
-                befores.append(n)
-                n -= 2 if kind == KIND_LOSS2 else 1
-    return (np.asarray(times, dtype=np.float64), np.asarray(kinds, dtype=np.int8),
-            np.asarray(befores, dtype=np.int64))
+    return np.asarray(times, dtype=np.float64), np.asarray(kinds, dtype=np.int8)
 
 
 def _bump_reference(counts, n_hat, offset, spacing, bin_width,
                     thresh=BUMP_NSIGMA):
-    times, kinds, befores = [], [], []
+    times, kinds = [], []
     if len(n_hat) < 3:
-        return times, kinds, befores, 0
+        return times, kinds, 0
     resid = (counts - offset) / spacing - n_hat
     sig = np.sqrt(np.maximum(offset + spacing * np.maximum(n_hat, 0), 1.0)) / spacing
     strong = np.zeros(len(n_hat), dtype=bool)
@@ -314,22 +313,15 @@ def _bump_reference(counts, n_hat, offset, spacing, bin_width,
                and (resid[idx[k + 1]] > 0) == (resid[i] > 0)):
             k += 1
         last = idx[k]
-        lvl = int(n_hat[i])
         if i == last:
             t1, t2 = i * w + w / 3.0, i * w + 2.0 * w / 3.0
         else:
             t1, t2 = i * w + w / 2.0, last * w + w / 2.0
-        if resid[i] > 0:
-            times += [t1, t2]
-            kinds += [KIND_LOAD, KIND_LOSS1]
-            befores += [lvl, lvl + 1]
-        else:
-            times += [t1, t2]
-            kinds += [KIND_LOSS1, KIND_LOAD]
-            befores += [lvl, lvl - 1]
+        times += [t1, t2]
+        kinds += [KIND_LOAD, KIND_LOSS1] if resid[i] > 0 else [KIND_LOSS1, KIND_LOAD]
         n_pairs += 1
         j = k + 1
-    return times, kinds, befores, n_pairs
+    return times, kinds, n_pairs
 
 
 def _linfit_reference(x, y):
@@ -450,15 +442,24 @@ def _grid_traces(model, rates):
 
 
 def _scipy_peaks(hist, sigma):
+    """scipy's gaussian_filter1d, then find_peaks with height and distance
+    and peak_prominences, as find_peaks runs them, with _comb_peaks' rule
+    at count 0: a maximum there is a peak, its left side its mirror image."""
     from scipy.ndimage import gaussian_filter1d
-    from scipy.signal import find_peaks
+    from scipy.signal import find_peaks, peak_prominences
 
     smooth = gaussian_filter1d(hist.astype(float), sigma)
     min_height = smooth.max() * 0.005
-    peaks, _ = find_peaks(smooth, height=min_height,
-                          distance=max(2, int(2.0 * sigma)),
-                          prominence=min_height)
-    return peaks
+    # a sample below all others in front turns a maximum at 0 into one
+    # find_peaks takes (at its middle, were it a plateau, not at 0)
+    peaks, _ = find_peaks(np.r_[smooth.min() - 1.0, smooth], height=min_height,
+                          distance=max(2, int(2.0 * sigma)))
+    peaks -= 1
+    at_0 = peaks[:1][peaks[:1] == 0]
+    prominence = np.r_[
+        peak_prominences(np.r_[smooth[::-1], smooth], at_0 + len(smooth))[0],
+        peak_prominences(smooth, peaks[len(at_0):])[0]]
+    return peaks[prominence >= min_height]
 
 
 @pytest.mark.parametrize("rates", _RATES)
@@ -508,12 +509,11 @@ def test_linfit_matches_lstsq(model, rates):
 def _assert_same_bumps(counts, n_hat, offset, spacing, bin_width):
     """_bump_pairs against the loop it replaced, after detect's conversion
     of the loop's lists; returns the number of pairs."""
-    times, kinds, befores, n_pairs = _bump_reference(counts, n_hat, offset,
-                                                     spacing, bin_width)
+    times, kinds, n_pairs = _bump_reference(counts, n_hat, offset, spacing,
+                                            bin_width)
     got = _bump_pairs(counts, n_hat, offset, spacing, bin_width)
     _assert_same_events(got, (np.asarray(times, dtype=np.float64),
-                              np.asarray(kinds, dtype=np.int8),
-                              np.asarray(befores, dtype=np.int64)))
+                              np.asarray(kinds, dtype=np.int8)))
     assert len(got[0]) // 2 == n_pairs
     return n_pairs
 

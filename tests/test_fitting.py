@@ -17,15 +17,8 @@ FIG2 = RateModel(load_rate=0.1403, bg_rate=1.0 / 60.0, b1=0.004, b2=0.006)
 
 
 def _log(times, kinds, n0, duration):
-    delta = {KIND_LOAD: 1, KIND_LOSS1: -1, KIND_LOSS2: -2}
-    times = np.asarray(times, dtype=float)
-    kinds = np.asarray(kinds, dtype=np.int8)
-    n_before, n = [], n0
-    for k in kinds:
-        n_before.append(n)
-        n += delta[int(k)]
-    return EventLog(times=times, kinds=kinds,
-                    n_before=np.asarray(n_before, dtype=np.int16),
+    return EventLog(times=np.asarray(times, dtype=float),
+                    kinds=np.asarray(kinds, dtype=np.int8),
                     n0=n0, duration=duration, seed=0)
 
 
@@ -213,9 +206,7 @@ def test_extrapolate_beta_hcc_error_budget():
 def _tabulate_reference(log):
     t_break, levels = log.staircase()
     dwell = np.diff(np.append(t_break, log.duration))
-    n_max = int(levels.max()) if len(levels) else 0
-    if len(log.n_before):
-        n_max = max(n_max, int(log.n_before.max()))
+    n_max = int(levels.max())
     occ = np.zeros(n_max + 1)
     np.add.at(occ, levels, dwell)
     loads = np.zeros(n_max + 1)

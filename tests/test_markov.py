@@ -86,12 +86,10 @@ def test_simulate_log_consistency():
     assert np.all(np.diff(log.times) >= 0)
     assert log.times[0] >= 0.0 and log.times[-1] <= log.duration
     # occupancy never goes negative and steps match the event kinds
-    delta = np.where(log.kinds == KIND_LOAD, 1,
-                     np.where(log.kinds == KIND_LOSS1, -1, -2))
-    n_after = log.n_before + delta
-    assert n_after.min() >= 0
+    n_before, n_after = _atom_numbers_loop(log.n0, log.kinds)
+    assert min(n_after) >= 0
+    np.testing.assert_array_equal(log.n_before, n_before)
     np.testing.assert_array_equal(log.n_after, n_after)
-    np.testing.assert_array_equal(log.n_before[1:], n_after[:-1])
 
 
 def test_staircase_matches_events():
@@ -107,13 +105,65 @@ def test_staircase_matches_events():
     assert np.all(np.diff(t_edges) > 0)
 
 
-def test_validate_rejects_billing_mismatch():
-    log = EventLog(times=np.array([1.0, 2.0]),
-                   kinds=np.array([KIND_LOAD, KIND_LOSS1], dtype=np.int8),
-                   n_before=np.array([0, 5], dtype=np.int16),
-                   n0=0, duration=10.0, seed=0)
-    with pytest.raises(ValueError):
+def _atom_numbers_loop(n0, kinds):
+    """The atom numbers (before, after) of each event, one event at a time:
+    the reference for EventLog's derived n_before and n_after."""
+    before, after, n = [], [], n0
+    for kind in kinds:
+        before.append(n)
+        n += {KIND_LOAD: 1, KIND_LOSS1: -1, KIND_LOSS2: -2}[int(kind)]
+        after.append(n)
+    return before, after
+
+
+@settings(max_examples=200, deadline=None)
+@given(n0=st.integers(0, 2**40), kinds=st.lists(
+    st.sampled_from([KIND_LOAD, KIND_LOSS1, KIND_LOSS2]), max_size=60))
+def test_atom_numbers_follow_from_n0_and_kinds(n0, kinds):
+    log = EventLog(times=np.arange(1.0, len(kinds) + 1),
+                   kinds=np.array(kinds, dtype=np.int8), n0=n0,
+                   duration=len(kinds) + 1.0, seed=0)
+    n_before, n_after = _atom_numbers_loop(n0, kinds)
+    assert log.n_before.dtype == np.int64
+    assert log.n_before.tolist() == n_before
+    assert log.n_after.tolist() == n_after
+
+
+def _hand_log(times, kinds, n0=1, duration=10.0):
+    return EventLog(times=np.array(times, dtype=float),
+                    kinds=np.array(kinds, dtype=np.int8), n0=n0,
+                    duration=duration, seed=0)
+
+
+@pytest.mark.parametrize("times, kinds, message", [
+    ([1.0, 2.0, 3.0], [KIND_LOAD, 7, KIND_LOSS1], "unknown event kind 7"),
+    ([1.0, 2.0, 3.0], [KIND_LOAD, -1, KIND_LOSS1], "unknown event kind -1"),
+    ([1.0, 3.0, 2.0], [KIND_LOAD] * 3, "strictly increasing from 0, got 2.0"),
+    ([0.0, 1.0], [KIND_LOAD] * 2, "strictly increasing from 0, got 0.0"),
+    ([1.0, 3.0, 3.0], [KIND_LOAD] * 3, "strictly increasing from 0, got 3.0"),
+    ([1.0, np.nan], [KIND_LOAD] * 2, "strictly increasing from 0, got nan"),
+    ([1.0, 12.0], [KIND_LOAD] * 2, r"lie in \(0, duration\], got 12.0"),
+    ([1.0, 2.0, 3.0], [KIND_LOSS1, KIND_LOAD, KIND_LOSS2],
+     "negative atom number in event log: 1 -> -1"),
+], ids=["kind_7", "kind_-1", "decreasing", "at_0", "repeated", "nan",
+        "after_duration", "negative"])
+def test_validate_names_the_fault(times, kinds, message):
+    log = _hand_log(times, kinds)
+    with pytest.raises(ValueError, match=message):
         log.validate()
+
+
+def test_faults_mask_every_bad_event():
+    # an unknown kind changes no atom number, so the loss after it still
+    # takes the trap below zero
+    log = _hand_log([1.0, 0.5, 2.0, 11.0], [KIND_LOSS1, 5, KIND_LOSS1, KIND_LOAD])
+    assert log.n_before.tolist() == [1, 0, 0, -1]
+    masks = [mask.tolist() for mask, _ in log.faults()]
+    assert masks == [[False, True, False, False], [False, True, False, False],
+                     [False, False, False, True], [False, False, True, True]]
+    with pytest.raises(ValueError, match="unknown event kind 5"):
+        log.validate()
+    _hand_log([1.0, 2.0], [KIND_LOAD, KIND_LOSS2], n0=1).validate()
 
 
 def test_expected_event_rates_totals():

@@ -82,7 +82,8 @@ def test_atomic_write_follows_umask(tmp_path, umask, mode):
     assert (tmp_path / "out.txt").stat().st_mode & 0o777 == mode
 
 
-_EVENT_HEADER = "# n0=0\n# duration_s=10.0\n# seed=1\ntime_s,kind,n_before,n_after\n"
+# long enough for the 70 002 rows below, one every 0.5 s
+_EVENT_HEADER = "# n0=0\n# duration_s=40000.0\n# seed=1\ntime_s,kind,n_before,n_after\n"
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -96,7 +97,24 @@ def test_read_event_csv_validates_log(tmp_path, rows, message):
     path.write_text(_EVENT_HEADER + rows)
     with pytest.raises(ValueError, match=message) as info:
         read_event_csv(path)
-    assert str(path) in str(info.value)
+    assert str(info.value).startswith(f"{path}, line 6: ")
+
+
+# rows from line 6, after a blank line 5
+@pytest.mark.parametrize("rows, line, message", [
+    ("2.0,0,0,1\n1.0,0,1,2\n", 7, "strictly increasing from 0, got 1.0"),
+    ("0.0,0,0,1\n1.0,0,1,2\n", 6, "strictly increasing from 0, got 0.0"),
+    ("1.0,0,0,1\n5e4,0,1,2\n", 7, r"lie in \(0, duration\], got 50000.0"),
+    ("1.0,1,0,-1\n2.0,0,-1,0\n", 6, "negative atom number in event log: 0 -> -1"),
+    ("1.0,0,0,1\n2.0,1,3,2\n", 7,
+     "not self-consistent: n_before 3 where the events before leave 1"),
+], ids=["decreasing", "at_0", "after_duration", "negative", "sequence"])
+def test_read_event_csv_names_log_fault_line(tmp_path, rows, line, message):
+    path = tmp_path / "events.csv"
+    path.write_text(_EVENT_HEADER + "\n" + rows)
+    with pytest.raises(ValueError, match=message) as info:
+        read_event_csv(path)
+    assert str(info.value).startswith(f"{path}, line {line}: ")
 
 
 @pytest.mark.parametrize("row", [
@@ -151,19 +169,17 @@ def _event_logs(draw) -> EventLog:
     times = sorted(set(draw(st.lists(
         st.floats(min_value=0.0, max_value=1e6, exclude_min=True), max_size=40))))
     n = n0 = draw(st.integers(0, 4))
-    kinds, n_before = [], []
+    kinds = []
     for kind in draw(st.lists(st.integers(0, len(KIND_DELTA) - 1),
                               min_size=len(times), max_size=len(times))):
         if n + KIND_DELTA[kind] < 0:
             kind = KIND_LOAD
         kinds.append(kind)
-        n_before.append(n)
         n += KIND_DELTA[kind]
     duration = draw(st.floats(min_value=times[-1] if times else 1e-3,
                               max_value=1e7))
     return EventLog(times=np.array(times, dtype=np.float64),
-                    kinds=np.array(kinds, dtype=np.int8),
-                    n_before=np.array(n_before, dtype=np.int64), n0=n0,
+                    kinds=np.array(kinds, dtype=np.int8), n0=n0,
                     duration=duration, seed=draw(st.integers(0, 2**64 - 1)))
 
 
@@ -237,8 +253,7 @@ def _reference_table(columns, header=None) -> bytes:
 def _alternating_log(n: int) -> EventLog:
     """n events that load an atom and lose it again, one every 0.37 s."""
     kinds = np.arange(n, dtype=np.int8) % 2
-    return EventLog(times=np.arange(1, n + 1) * 0.37, kinds=kinds,
-                    n_before=kinds.astype(np.int64), n0=0,
+    return EventLog(times=np.arange(1, n + 1) * 0.37, kinds=kinds, n0=0,
                     duration=0.37 * (n + 1), seed=2**64 - 1)
 
 
@@ -364,6 +379,10 @@ def test_read_trace_csv_names_bad_line(tmp_path, newline, bad_row, bad, fault):
     ("{t},-1,{nb},{na}", "unknown event kind -1"),
     ("{t},3,{nb},{na}", "unknown event kind 3"),
     ("{t},{k},{nb},{wrong}", "does not follow from n_before"),
+    ("{prev},{k},{nb},{na}", "strictly increasing from 0"),
+    ("50000.0,{k},{nb},{na}", r"lie in \(0, duration\]"),
+    ("{t},2,{nb},{below}", "negative atom number"),
+    ("{t},{k},{up_nb},{up_na}", "not self-consistent"),
     ("{t},{k}.0,{nb},{na}", "kind"),  # a float in an int column
     ('{t},"{k}",{nb},{na}', "kind"),  # a quoted field
     ("{t},{k},{nb}", "expected 4 columns, got 3"),
@@ -373,7 +392,8 @@ def test_read_trace_csv_names_bad_line(tmp_path, newline, bad_row, bad, fault):
 def test_read_event_csv_names_bad_line(tmp_path, newline, bad_row, bad, fault):
     i = bad_row
     fields = dict(t=repr((i + 1) * 0.5), k=i % 2, nb=i % 2, na=1 - i % 2,
-                  wrong=3)
+                  wrong=3, prev=repr(i * 0.5), below=i % 2 - 2,
+                  up_nb=i % 2 + 1, up_na=2 - i % 2)
     text, line = _with_row(_EVENT_HEADER, _EVENT_ROWS, bad_row,
                                bad.format(**fields), newline)
     path = tmp_path / "events.csv"
@@ -408,6 +428,34 @@ def test_read_trace_csv_rejects_stray_header_line(tmp_path, text, line, fault):
     path.write_text(text)
     with pytest.raises(ValueError, match=fault) as info:
         read_trace_csv(path)
+    assert str(info.value).startswith(f"{path}, line {line}: ")
+
+
+_DETECTED_HEADER = (_EVENT_HEADER.partition("time_s")[0] + "# bin_width_s=0.1\n"
+                    "# cal_per_atom_rate_hz=10000.0\n# cal_bg_rate_hz=500.0\n"
+                    "# cal_per_atom_err_hz=1.0\n# cal_bg_err_hz=1.0\n"
+                    "# cal_n_levels=4\ntime_s,kind,n_before,n_after\n1.0,0,0,1\n")
+
+
+@pytest.mark.parametrize("read, text, line, fault", [
+    (read_event_csv, _EVENT_HEADER.replace("n0=0", "n0=two"), 1, "n0: invalid literal"),
+    (read_event_csv, _EVENT_HEADER.replace("# seed=1\n", ""), 3,
+     r"missing header field\(s\) \['seed'\]"),
+    (read_event_csv, _EVENT_HEADER.replace(",n_after", ""), 4, "missing column header"),
+    (read_event_csv, _EVENT_HEADER.partition("time_s")[0], 4, "missing column header"),
+    (read_trace_csv, _TRACE_HEADER.replace("=10000.0", "=fast"), 2,
+     "per_atom_rate_hz: could not convert"),
+    (read_detected_csv, _DETECTED_HEADER.replace("=0.1", "=0.0"), 4,
+     "bin_width_s: must be positive, got 0.0"),
+    (read_detected_csv, _DETECTED_HEADER.replace("levels=4", "levels=4.5"), 9,
+     "cal_n_levels: invalid literal"),
+], ids=["bad_value", "missing_key", "wrong_columns", "no_columns", "trace_value",
+        "bin_width_0", "float_levels"])
+def test_readers_name_header_fault_line(tmp_path, read, text, line, fault):
+    path = tmp_path / "file.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=fault) as info:
+        read(path)
     assert str(info.value).startswith(f"{path}, line {line}: ")
 
 

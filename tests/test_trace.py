@@ -11,14 +11,8 @@ from fewatom.trace import (BLOCK_BINS, FluorescenceTrace, binned_mean_counts,
 
 
 def _log(times, kinds, n0, duration):
-    times = np.asarray(times, dtype=float)
-    kinds = np.asarray(kinds, dtype=np.int8)
-    n_before, n = [], n0
-    for k in kinds:
-        n_before.append(n)
-        n += 1 if k == KIND_LOAD else -1
-    return EventLog(times=times, kinds=kinds,
-                    n_before=np.asarray(n_before, dtype=np.int16),
+    return EventLog(times=np.asarray(times, dtype=float),
+                    kinds=np.asarray(kinds, dtype=np.int8),
                     n0=n0, duration=duration, seed=0)
 
 

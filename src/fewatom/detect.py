@@ -295,10 +295,9 @@ def detect(trace: FluorescenceTrace, cal: Calibration,
 
     log = EventLog(times=times, kinds=kinds, n0=int(n_hat[0]),
                    duration=len(n_hat) * w, seed=trace.seed)
-    n_events = len(log.times)
-    rate = n_events / trace.duration if trace.duration > 0 else 0.0
+    rate = len(log) / trace.duration if trace.duration > 0 else 0.0
     report = DetectionReport(
-        n_bins=len(trace.counts), n_events=n_events, snr=snr,
+        n_bins=len(trace.counts), n_events=len(log), snr=snr,
         spike_bins=spikes, merged_bins=merged, pair_bumps=bumps,
         ambiguous_bins=ambiguous, event_rate=rate,
         coincidence_probability=1.0 - float(np.exp(-rate * w)))

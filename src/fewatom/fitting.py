@@ -41,16 +41,14 @@ class EventRateTable:
     def rate(self, kind: str) -> np.ndarray:
         counts = getattr(self, f"n_{kind}")
         with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(self.occupancy_s > 0, counts / self.occupancy_s, np.nan)
-        return r
+            return np.where(self.occupancy_s > 0, counts / self.occupancy_s, np.nan)
 
     def rate_err(self, kind: str) -> np.ndarray:
         """Poisson rate uncertainty, max(sqrt(c), 1)/T so zero counts still bound."""
         counts = getattr(self, f"n_{kind}")
         with np.errstate(divide="ignore", invalid="ignore"):
-            e = np.where(self.occupancy_s > 0,
-                         np.maximum(np.sqrt(counts), 1.0) / self.occupancy_s, np.nan)
-        return e
+            return np.where(self.occupancy_s > 0,
+                            np.maximum(np.sqrt(counts), 1.0) / self.occupancy_s, np.nan)
 
 
 def tabulate(log: EventLog) -> EventRateTable:

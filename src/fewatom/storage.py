@@ -18,7 +18,6 @@ from __future__ import annotations
 import os
 import tempfile
 import warnings
-from dataclasses import astuple
 from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterable
@@ -53,16 +52,16 @@ def atomic_write_text(path: str | Path, chunks: Iterable[str]) -> None:
         raise
 
 
-def _write_csv(path: str | Path, meta: dict[str, object],
-               columns: dict[str, np.ndarray]) -> None:
-    """A '# key=value' line per metadata item, floats as repr so they read
+def write_table_csv(path: str | Path, columns: dict[str, np.ndarray],
+                    header: dict[str, object] | None = None) -> None:
+    """A '# key=value' line per header item, floats as repr so they read
     back bit for bit, then the column row and the rows, formatted and
     written _CHUNK_ROWS at a time: float columns as repr, integers as %d."""
     arrays = [np.asarray(a) for a in columns.values()]
     if arrays and any(len(a) != len(arrays[0]) for a in arrays):
         raise ValueError("columns differ in length")
     head = "".join(f"# {key}={float(val)!r}\n" if isinstance(val, float)
-                   else f"# {key}={val}\n" for key, val in meta.items())
+                   else f"# {key}={val}\n" for key, val in (header or {}).items())
     row = ",".join("%r" if a.dtype.kind == "f" else "%d" for a in arrays) + "\r\n"
     chunks = ("".join(map(row.__mod__, zip(
         *(a[start:start + _CHUNK_ROWS].tolist() for a in arrays))))
@@ -155,14 +154,28 @@ def _bad_line(path: str | Path, column_line: int, columns: dict[str, type]
 
 _EVENT_COLUMNS = {"time_s": np.float64, "kind": np.int64, "n_before": np.int64,
                   "n_after": np.int64}
-_EVENT_KEYS = {"n0": int, "duration_s": float, "seed": int}
+
+
+def _checked(kind: type, ok: Callable[[object], bool], rule: str
+             ) -> Callable[[str], object]:
+    """Header converter: `kind` of the text, which must be `rule` (`ok` checks)."""
+    def convert(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise ValueError(f"must be {rule}, got {text}")
+        return value
+    return convert
+
+
+# n0 must fit the int64 arrays the log's atom numbers are derived in
+_EVENT_KEYS = {"n0": _checked(int, lambda n: 0 <= n < 2**63, "a count in [0, 2**63)"),
+               "duration_s": float, "seed": int}
 
 
 def _write_events(log: EventLog, path: str | Path, meta: dict[str, object]) -> None:
-    _write_csv(path, {"n0": log.n0, "duration_s": log.duration, "seed": log.seed,
-                      **meta},
-               dict(zip(_EVENT_COLUMNS, (log.times, log.kinds, log.n_before,
-                                         log.n_after))))
+    write_table_csv(path, dict(zip(_EVENT_COLUMNS, (
+        log.times, log.kinds, log.n_before, log.n_after))), {
+        "n0": log.n0, "duration_s": log.duration, "seed": log.seed, **meta})
 
 
 def write_event_csv(log: EventLog, path: str | Path) -> None:
@@ -191,31 +204,28 @@ def read_event_csv(path: str | Path) -> EventLog:
     return _read_events(path, _EVENT_KEYS)[0]
 
 
-def _positive(text: str) -> float:
-    value = float(text)
-    if not value > 0:
-        raise ValueError(f"must be positive, got {text}")
-    return value
-
-
 # What a detected log adds to an event log's header: the bin width and the
-# calibration of the trace it was read from, in field order, which a re-fit
-# needs
-_DETECTED_KEYS = {"bin_width_s": _positive, "cal_per_atom_rate_hz": float,
-                  "cal_bg_rate_hz": float, "cal_per_atom_err_hz": float,
-                  "cal_bg_err_hz": float, "cal_n_levels": int}
+# calibration of the trace it was read from, which a re-fit needs, as
+# header key -> (Calibration field, converter)
+_CAL_KEYS = {"cal_per_atom_rate_hz": ("per_atom_rate", float),
+             "cal_bg_rate_hz": ("bg_rate", float),
+             "cal_per_atom_err_hz": ("per_atom_err", float),
+             "cal_bg_err_hz": ("bg_err", float), "cal_n_levels": ("n_levels", int)}
 
 
 def write_detected_csv(log: EventLog, bin_width: float, cal: Calibration,
                        path: str | Path) -> None:
-    _write_events(log, path, dict(zip(_DETECTED_KEYS, (bin_width, *astuple(cal)))))
+    _write_events(log, path, {"bin_width_s": bin_width, **{
+        key: getattr(cal, name) for key, (name, _) in _CAL_KEYS.items()}})
 
 
 def read_detected_csv(path: str | Path) -> tuple[EventLog, float, Calibration]:
     """(log, bin width, calibration) of a file write_detected_csv made."""
-    log, meta = _read_events(path, {**_EVENT_KEYS, **_DETECTED_KEYS})
-    bin_width, *cal = (meta[key] for key in _DETECTED_KEYS)
-    return log, bin_width, Calibration(*cal)
+    log, meta = _read_events(path, {
+        **_EVENT_KEYS, "bin_width_s": _checked(float, lambda w: w > 0, "positive"),
+        **{key: kind for key, (_, kind) in _CAL_KEYS.items()}})
+    return log, meta["bin_width_s"], Calibration(**{
+        name: meta[key] for key, (name, _) in _CAL_KEYS.items()})
 
 
 # bin i starts at i * bin_width_s, so the counts are the only column
@@ -223,10 +233,9 @@ _TRACE_COLUMNS = {"counts": np.int64}
 
 
 def write_trace_csv(trace: FluorescenceTrace, path: str | Path) -> None:
-    _write_csv(path, {"bin_width_s": trace.bin_width,
-                      "per_atom_rate_hz": trace.per_atom_rate,
-                      "bg_rate_hz": trace.bg_rate, "seed": trace.seed},
-               {"counts": trace.counts})
+    write_table_csv(path, {"counts": trace.counts}, {
+        "bin_width_s": trace.bin_width, "per_atom_rate_hz": trace.per_atom_rate,
+        "bg_rate_hz": trace.bg_rate, "seed": trace.seed})
 
 
 def read_trace_csv(path: str | Path) -> FluorescenceTrace:
@@ -240,9 +249,3 @@ def read_trace_csv(path: str | Path) -> FluorescenceTrace:
         bin_width=meta["bin_width_s"], counts=counts,
         per_atom_rate=meta["per_atom_rate_hz"], bg_rate=meta["bg_rate_hz"],
         seed=meta["seed"])
-
-
-def write_table_csv(path: str | Path, columns: dict[str, np.ndarray],
-                    header: dict[str, object] | None = None) -> None:
-    """Generic numeric column-table writer used by the CLI outputs."""
-    _write_csv(path, header or {}, columns)

@@ -439,6 +439,9 @@ _DETECTED_HEADER = (_EVENT_HEADER.partition("time_s")[0] + "# bin_width_s=0.1\n"
 
 @pytest.mark.parametrize("read, text, line, fault", [
     (read_event_csv, _EVENT_HEADER.replace("n0=0", "n0=two"), 1, "n0: invalid literal"),
+    (read_event_csv, _EVENT_HEADER.replace("n0=0", "n0=99999999999999999999"), 1,
+     "n0: must be a count in"),
+    (read_event_csv, _EVENT_HEADER.replace("n0=0", "n0=-1"), 1, "n0: must be a count in"),
     (read_event_csv, _EVENT_HEADER.replace("# seed=1\n", ""), 3,
      r"missing header field\(s\) \['seed'\]"),
     (read_event_csv, _EVENT_HEADER.replace(",n_after", ""), 4, "missing column header"),
@@ -449,7 +452,7 @@ _DETECTED_HEADER = (_EVENT_HEADER.partition("time_s")[0] + "# bin_width_s=0.1\n"
      "bin_width_s: must be positive, got 0.0"),
     (read_detected_csv, _DETECTED_HEADER.replace("levels=4", "levels=4.5"), 9,
      "cal_n_levels: invalid literal"),
-], ids=["bad_value", "missing_key", "wrong_columns", "no_columns", "trace_value",
+], ids=["bad_value", "n0_past_int64", "n0_negative", "missing_key", "wrong_columns", "no_columns", "trace_value",
         "bin_width_0", "float_levels"])
 def test_readers_name_header_fault_line(tmp_path, read, text, line, fault):
     path = tmp_path / "file.csv"

@@ -143,9 +143,9 @@ def outcome_probabilities(channel: str, trap: TrapConfig, cs: ChannelSet,
         d1 = d1 * (1.0 + rng.normal(0.0, cs.depth_jitter, n_samples))
         d2 = d2 * (1.0 + rng.normal(0.0, cs.depth_jitter, n_samples))
     if channel == "hcc":
-        energy = np.full(n_samples, pc.e_hcc_per_atom)
+        energy = pc.e_hcc_per_atom
     elif channel == "fcc":
-        energy = np.full(n_samples, pc.e_fcc_per_atom)
+        energy = pc.e_fcc_per_atom
     else:
         energy = rng.exponential(cs.re_energy_scale, n_samples)
     escaped = (energy > d1).astype(np.int64) + (energy > d2)

@@ -9,7 +9,9 @@ number-changing events at bin boundaries.
 
 Neither stage keeps a per-bin temporary beyond the level sequence it
 returns or rewrites: calibrate() works on the count histogram alone, and
-the per-bin passes of detect() run BLOCK_BINS bins at a time.
+the per-bin passes of detect() run BLOCK_BINS bins (2**16) at a time. The
+level sequence holds each bin's level in the smallest signed integer type
+that fits the top level, one byte per bin up to level 127.
 """
 
 from __future__ import annotations
@@ -57,8 +59,16 @@ def shot_noise(level, offset: float, spacing: float):
 
 
 def _levels(counts: np.ndarray, offset: float, spacing: float) -> np.ndarray:
-    """Each bin's atom number: counts rounded to the nearest comb level, >= 0."""
-    n_hat = np.empty(len(counts), dtype=np.int64)
+    """Each bin's atom number: counts rounded to the nearest comb level, >= 0.
+
+    The levels are stored in the smallest signed integer type that holds
+    every level from -top to top, where top is the level of the highest
+    count (rounding is monotone), so a step between two levels fits too.
+    Rewrites of the sequence stay inside [0, top]; arithmetic that can leave
+    that range must upcast first.
+    """
+    top = max(np.round((counts.max(initial=0) - offset) / spacing), 0.0)
+    n_hat = np.empty(len(counts), dtype=np.min_scalar_type(-int(top) - 1))
     for lo in range(0, len(counts), BLOCK_BINS):
         x = counts[lo:lo + BLOCK_BINS] - offset
         x /= spacing
@@ -249,7 +259,12 @@ def detect(trace: FluorescenceTrace, cal: Calibration,
     offset, spacing = cal.per_bin(w)
     n_hat = _levels(trace.counts, offset, spacing)
 
-    n_typ = _hist_percentile(np.cumsum(np.bincount(n_hat)), 99.5)
+    # bins per level, a block at a time: np.bincount(n_hat) would first cast
+    # the whole sequence to intp
+    top = int(n_hat.max())
+    per_level = sum(np.bincount(n_hat[lo:lo + BLOCK_BINS], minlength=top + 1)
+                    for lo in range(0, len(n_hat), BLOCK_BINS))
+    n_typ = _hist_percentile(np.cumsum(per_level), 99.5)
     snr = float(spacing / shot_noise(max(n_typ, 1.0), offset, spacing))
     if snr < min_snr:
         raise DetectionQualityError(
@@ -318,23 +333,24 @@ def _merge_down_down(n_hat: np.ndarray, counts: np.ndarray, offset: float,
                      spacing: float) -> int:
     """Fold one-bin down-down dwells into two-atom steps in place; return the count.
 
-    Bins are visited in order and each one is judged on the level sequence
-    as rewritten so far. Only down-down bins of the sequence as given can
-    qualify, since a rewrite at i leaves bin i+1 with a step of 0 or -2 to
-    its left; the next candidate is still re-checked.
+    Bins are judged in order on the level sequence as rewritten so far.
+    Only down-down bins of the sequence as given can qualify, and a rewrite
+    at i leaves bin i+1 with a step of 0 or -2 to its left, so in each run
+    of adjacent candidates the first, third, fifth... are rewritten. No two
+    of them are neighbours, so all are rewritten at once.
     """
     down = _steps(n_hat, lambda d: d == -1)
     candidates = down[1:][np.diff(down) == 1]
-    merged = 0
-    for i in candidates.tolist():
-        if n_hat[i] - n_hat[i - 1] == -1 and n_hat[i + 1] - n_hat[i] == -1:
-            # park the transition bin on whichever side its mean count favors,
-            # otherwise dwell time is systematically pushed to the upper level
-            upper = n_hat[i - 1]
-            nu = (counts[i] - offset) / spacing
-            n_hat[i] = upper if nu >= upper - 1.0 else n_hat[i + 1]
-            merged += 1
-    return merged
+    # the first candidate of each one's run
+    first = np.maximum.accumulate(
+        np.where(np.diff(candidates, prepend=-2) != 1, candidates, 0))
+    i = candidates[(candidates - first) % 2 == 0]
+    # park the transition bin on whichever side its mean count favors,
+    # otherwise dwell time is systematically pushed to the upper level
+    upper = n_hat[i - 1]
+    nu = (counts[i] - offset) / spacing
+    n_hat[i] = np.where(nu >= upper - 1.0, upper, n_hat[i + 1])
+    return len(i)
 
 
 def _events_from_levels(n_hat: np.ndarray, bin_width: float
@@ -348,7 +364,8 @@ def _events_from_levels(n_hat: np.ndarray, bin_width: float
     the bin before the boundary.
     """
     bounds = _steps(n_hat, lambda d: d != 0)
-    d = n_hat[bounds + 1] - n_hat[bounds]
+    # int64: 1 - d below leaves the range of a compact level type
+    d = n_hat[bounds + 1].astype(np.int64) - n_hat[bounds]
     per_bound = np.where(d > 0, d, (1 - d) // 2)  # losses: ceil(|dN| / 2)
     owner = np.repeat(np.arange(len(bounds)), per_bound)
     j = np.arange(len(owner)) - np.repeat(np.cumsum(per_bound) - per_bound,
@@ -379,7 +396,8 @@ def _bump_pairs(counts: np.ndarray, n_hat: np.ndarray, offset: float,
     down-bump loss-then-load, at the thirds of a single bin or the middles of
     a run's first and last bins.
     """
-    thresh = bump_threshold(np.arange(n_hat.max(initial=0) + 1), offset, spacing)
+    thresh = bump_threshold(np.arange(int(n_hat.max(initial=0)) + 1), offset,
+                            spacing)
     idx, resid = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     for start in range(0, len(n_hat), BLOCK_BINS):
         # the block's bins lo..hi-1 that have a neighbour on either side

@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -161,7 +162,7 @@ def test_spike_suppressed_at_moderate_snr():
 def test_levels_round_to_the_comb_and_stop_at_zero(block):
     with mock.patch.object(detect_module, "BLOCK_BINS", block):
         levels = _levels(np.array([0, 440, 460, 500, 1049, 1051]), 500.0, 100.0)
-    assert levels.dtype == np.int64
+    assert levels.dtype == np.int8
     assert levels.tolist() == [0, 0, 0, 0, 5, 6]
 
 
@@ -366,19 +367,66 @@ def _assert_same_events(got, want):
 
 @settings(max_examples=300, deadline=None)
 @given(_level_sequences(), st.sampled_from([0.1, 0.05, 0.03]),
-       st.sampled_from([1, 2, 3, 5, BLOCK_BINS]))
-def test_merge_and_events_match_reference(case, bin_width, block):
+       st.sampled_from([1, 2, 3, 5, BLOCK_BINS]),
+       st.sampled_from([np.int8, np.int64]))
+def test_merge_and_events_match_reference(case, bin_width, block, dtype):
+    # the references run on int64 levels, the code on compact ones too
     n_hat, counts, offset, spacing = case
     want_levels, want_merged = _merge_reference(n_hat, counts, offset, spacing)
-    got_levels = n_hat.copy()
+    got_levels = n_hat.astype(dtype)
     with mock.patch.object(detect_module, "BLOCK_BINS", block):
         got_merged = _merge_down_down(got_levels, counts, offset, spacing)
         got_events = [_events_from_levels(levels, bin_width)
-                      for levels in (n_hat, got_levels)]
+                      for levels in (n_hat.astype(dtype), got_levels)]
     np.testing.assert_array_equal(got_levels, want_levels)
     assert got_merged == want_merged
-    for levels, got in zip((n_hat, got_levels), got_events):
+    for levels, got in zip((n_hat, want_levels), got_events):
         _assert_same_events(got, _events_reference(levels, bin_width))
+
+
+def _detect_reference(counts, offset, spacing, bin_width):
+    """detect() above SPIKE_KEEP_SNR on int64 levels, from the reference
+    loops: merge, re-vote, boundary events and bump pairs."""
+    n_hat = np.maximum(np.round((counts - offset) / spacing), 0).astype(np.int64)
+    n_hat, _ = _merge_reference(n_hat, counts, offset, spacing)
+    for i in np.flatnonzero(np.abs(np.diff(n_hat)) > 2):
+        n_hat[i + 1] = int(np.median(n_hat[max(i - 1, 0):i + 3]))
+    times, kinds = _events_reference(n_hat, bin_width)
+    pair_times, pair_kinds, _ = _bump_reference(counts, n_hat, offset, spacing,
+                                                bin_width)
+    times = np.concatenate([times, np.asarray(pair_times, dtype=np.float64)])
+    order = np.argsort(times, kind="stable")
+    kinds = np.concatenate([kinds, np.asarray(pair_kinds, dtype=np.int8)])
+    return times[order], kinds[order], int(n_hat[0])
+
+
+@pytest.mark.parametrize("top, dtype", [(127, np.int8), (128, np.int16)])
+def test_detect_at_the_top_of_the_level_type(top, dtype):
+    # jumps between 0 and the top level (a step of -top is the widest the
+    # level type must hold, and 1 - step leaves it; the re-vote keeps the
+    # one out of bin 0), down-down dwells and bumps just below the top, read
+    # as from int64 levels
+    levels = ([top] + [0] * 5 + [top] * 6 + [top - 1, top - 3] + [top - 4] * 5
+              + [top - 5, top - 6, top - 7] + [top - 8] * 4 + [0] * 4 + [top] * 3
+              + [2] * 5 + [top - 2] * 5)
+    n_hat = np.array(levels, dtype=np.int64)
+    frac = np.zeros(len(levels))
+    frac[[15, 16, 27]] = [0.3, -0.3, 0.4]  # bumps
+    frac[[19, 21]] = [0.2, -0.2]  # dwells parked up, then down
+    bin_width, offset, spacing = 0.1, 50.0, 100_000.0
+    counts = np.round(offset + spacing * (n_hat + frac)).astype(np.int64)
+    assert _levels(counts, offset, spacing).dtype == dtype
+    tr = FluorescenceTrace(bin_width=bin_width, counts=counts,
+                           per_atom_rate=spacing / bin_width,
+                           bg_rate=offset / bin_width, seed=0)
+    cal = Calibration(per_atom_rate=spacing / bin_width, bg_rate=offset / bin_width,
+                      per_atom_err=0.0, bg_err=0.0, n_levels=top + 1)
+    got, rep = detect(tr, cal)
+    assert rep.snr >= detect_module.SPIKE_KEEP_SNR
+    assert rep.merged_bins >= 2 and rep.pair_bumps >= 2 and rep.ambiguous_bins >= 2
+    times, kinds, n0 = _detect_reference(counts, offset, spacing, bin_width)
+    _assert_same_events((got.times, got.kinds), (times, kinds))
+    assert got.n0 == n0
 
 
 def test_events_from_empty_and_flat_levels():
@@ -544,7 +592,7 @@ def test_bump_pairs_match_reference(case, bin_width, block):
         _assert_same_bumps(*case, bin_width)
 
 
-# no shrinking: each failing example holds a few 8 MB arrays alive
+# no shrinking: each failing example holds a few block-sized arrays alive
 @settings(max_examples=30, deadline=None, report_multiple_bugs=False,
           phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(_bump_traces(), st.sampled_from([0.3, -0.3]), st.integers(2, 3),
@@ -594,3 +642,20 @@ def test_bump_pairs_cases(levels, resid, pairs):
     frac = np.array([resid.get(i, 0.0) for i in range(len(levels))])
     counts = np.round(500.0 + 10_000.0 * (n_hat + frac)).astype(np.int64)
     assert _assert_same_bumps(counts, n_hat, 500.0, 10_000.0, 0.1) == pairs
+
+
+def test_detect_holds_one_byte_per_bin():
+    # a fig2 trace of 2**21 bins: beside the counts it reads, detection
+    # keeps the one-byte level sequence, one block's temporaries and
+    # per-event arrays
+    model = RateModel(load_rate=0.1403, bg_rate=1.0 / 60.0, b1=0.004, b2=0.006)
+    tr = synthesize(simulate(model, duration=2 ** 21 * 0.1, seed=3), seed=103)
+    cal = calibrate(tr)
+    tracemalloc.start()
+    try:
+        log, _ = detect(tr, cal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(log) > 10_000
+    assert peak < 0.5 * tr.counts.nbytes

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -164,3 +165,18 @@ def test_synthesis_blocks_match_whole_array_on_small_logs(case, seed):
     log, w, block = case
     with mock.patch.object(trace, "BLOCK_BINS", block):
         _assert_synthesis_matches_reference(log, w, seed)
+
+
+def test_synthesize_holds_the_counts_and_one_block():
+    # a fig2 trace of 2**21 bins: besides its counts, synthesis keeps one
+    # block's temporaries and the event log's staircase
+    model = RateModel(load_rate=0.1403, bg_rate=1.0 / 60.0, b1=0.004, b2=0.006)
+    log = simulate(model, duration=2 ** 21 * 0.1, seed=3)
+    tracemalloc.start()
+    try:
+        tr = synthesize(log, seed=103)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tr) == 2 ** 21
+    assert peak < 1.5 * tr.counts.nbytes

@@ -105,6 +105,7 @@ class DetectionReport:
     spike_bins: int  # isolated single-bin excursions suppressed
     merged_bins: int  # one-bin transition dwells folded into a two-atom step
     pair_bumps: int  # sub-threshold bumps recovered as quick load/loss pairs
+    bump_pass: bool  # the bump pass ran: snr >= SPIKE_KEEP_SNR
     ambiguous_bins: int  # boundaries with |dN| > 2 needing local re-vote
     event_rate: float  # detected events/s
     coincidence_probability: float  # chance two events share one bin at that rate
@@ -301,7 +302,8 @@ def detect(trace: FluorescenceTrace, cal: Calibration,
 
     times, kinds = _events_from_levels(n_hat, w)
     bumps = 0
-    if snr >= SPIKE_KEEP_SNR:
+    bump_pass = snr >= SPIKE_KEEP_SNR
+    if bump_pass:
         pair_times, pair_kinds = _bump_pairs(trace.counts, n_hat, offset, spacing, w)
         bumps = len(pair_times) // 2
         times = np.concatenate([times, pair_times])
@@ -313,7 +315,7 @@ def detect(trace: FluorescenceTrace, cal: Calibration,
     rate = len(log) / trace.duration if trace.duration > 0 else 0.0
     report = DetectionReport(
         n_bins=len(trace.counts), n_events=len(log), snr=snr,
-        spike_bins=spikes, merged_bins=merged, pair_bumps=bumps,
+        spike_bins=spikes, merged_bins=merged, pair_bumps=bumps, bump_pass=bump_pass,
         ambiguous_bins=ambiguous, event_rate=rate,
         coincidence_probability=1.0 - float(np.exp(-rate * w)))
     return log, report

@@ -96,8 +96,8 @@ def correct_coincidences(table: EventRateTable, bin_width: float,
       below the bump threshold theta(N) vanishes; the lost load and loss1 are
       restored with acceptance theta + theta^2/2 per order. The bump pass also
       fires on bare noise in BUMP_FP_PER_BIN of flat bins, adding a spurious
-      load/loss1 pair that is subtracted here. Both assume the high-SNR
-      detection path where the bump pass ran.
+      load/loss1 pair that is subtracted here. Both model the bump pass, so
+      pass `calibration` only when detect ran it (DetectionReport.bump_pass).
 
     Without the transfers the quadratic loss coefficients read several percent
     low at typical occupancies and the linear term correspondingly high.
@@ -216,8 +216,9 @@ def fit_rates(table: EventRateTable,
     weighted least-squares fit over the populated levels from its lowest N
     on. Coefficients driven negative by noise are clipped to zero and
     flagged. Pass the trace bin width as coincidence_width (plus the
-    calibration, when at hand) when the table comes from binned detection to
-    apply the pile-up corrections; leave both None for exact logs.
+    calibration, when detect ran its bump pass) when the table comes from
+    binned detection to apply the pile-up corrections; leave both None for
+    exact logs.
     """
     if coincidence_width is not None:
         table = correct_coincidences(table, coincidence_width, calibration)

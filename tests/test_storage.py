@@ -2,6 +2,7 @@ import csv
 import io
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fewatom.detect import Calibration
 from fewatom.markov import KIND_DELTA, KIND_LOAD, EventLog, RateModel, simulate
-from fewatom.storage import (_CHUNK_ROWS, atomic_write_text,
+from fewatom.storage import (_CHUNK_ROWS, _int_rows, _text_rows, atomic_write_text,
                              read_detected_csv, read_event_csv, read_trace_csv,
                              write_detected_csv, write_event_csv,
                              write_table_csv, write_trace_csv)
@@ -104,7 +105,7 @@ def test_read_event_csv_validates_log(tmp_path, rows, message):
 @pytest.mark.parametrize("rows, line, message", [
     ("2.0,0,0,1\n1.0,0,1,2\n", 7, "strictly increasing from 0, got 1.0"),
     ("0.0,0,0,1\n1.0,0,1,2\n", 6, "strictly increasing from 0, got 0.0"),
-    ("1.0,0,0,1\n5e4,0,1,2\n", 7, r"lie in \(0, duration\], got 50000.0"),
+    ("1.0,0,0,1\n50000.0,0,1,2\n", 7, r"lie in \(0, duration\], got 50000.0"),
     ("1.0,1,0,-1\n2.0,0,-1,0\n", 6, "negative atom number in event log: 0 -> -1"),
     ("1.0,0,0,1\n2.0,1,3,2\n", 7,
      "not self-consistent: n_before 3 where the events before leave 1"),
@@ -196,11 +197,13 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
        bin_width=st.floats(min_value=0.0, max_value=1e3, exclude_min=True),
        cal=st.builds(Calibration, per_atom_rate=_FINITE, bg_rate=_FINITE,
                      per_atom_err=_FINITE, bg_err=_FINITE,
-                     n_levels=st.integers(0, 10_000)))
-def test_detected_log_roundtrip_bitwise(tmp_path, log, bin_width, cal):
+                     n_levels=st.integers(0, 10_000)),
+       bump_pass=st.booleans())
+def test_detected_log_roundtrip_bitwise(tmp_path, log, bin_width, cal, bump_pass):
     path = tmp_path / "detected_events.csv"
-    write_detected_csv(log, bin_width, cal, path)
-    back, back_width, back_cal = read_detected_csv(path)
+    write_detected_csv(log, bin_width, cal, bump_pass, path)
+    back, back_width, back_cal, back_bump_pass = read_detected_csv(path)
+    assert back_bump_pass is bump_pass
     for name in ("times", "kinds", "n_before"):
         got, want = getattr(back, name), getattr(log, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
@@ -273,15 +276,23 @@ def test_writers_match_csv_writer(tmp_path, n):
     log = _alternating_log(n)
     write_event_csv(log, tmp_path / "events.csv")
     assert (tmp_path / "events.csv").read_bytes() == _reference_events(log)
-    write_detected_csv(log, 0.05, _CAL, tmp_path / "detected.csv")
+    write_detected_csv(log, 0.05, _CAL, False, tmp_path / "detected.csv")
     assert (tmp_path / "detected.csv").read_bytes() == _reference_events(log, {
         "bin_width_s": 0.05, "cal_per_atom_rate_hz": _CAL.per_atom_rate,
         "cal_bg_rate_hz": _CAL.bg_rate, "cal_per_atom_err_hz": _CAL.per_atom_err,
-        "cal_bg_err_hz": _CAL.bg_err, "cal_n_levels": _CAL.n_levels})
+        "cal_bg_err_hz": _CAL.bg_err, "cal_n_levels": _CAL.n_levels,
+        "bump_pass": 0})
 
+    # integers at both ends of int64 and uint64, and of every digit count
+    k = np.arange(n)
     cols = {"n": np.arange(n, dtype=np.uint64),
-            "rate": rng.standard_normal(n) * 1e-5 * 10.0 ** (np.arange(n) % 30),
-            "f32": np.float32(rng.random(n))}
+            "rate": rng.standard_normal(n) * 1e-5 * 10.0 ** (k % 30),
+            "f32": np.float32(rng.random(n)),
+            "i64": np.where(k % 3 == 2,
+                            rng.integers(-2**63, 2**63 - 1, n) // 10 ** (k % 19),
+                            np.resize([-2**63, 2**63 - 1, -1, 0, -7, 10, -100, 99], n)),
+            "u64": np.resize(np.array([2**64 - 1, 0, 2**63, 1], np.uint64), n)
+            // np.uint64(10) ** (k.astype(np.uint64) % np.uint64(20))}
     header = {"kind": "demo", "w": 0.1, "clipped": "b1,b2"}
     write_table_csv(tmp_path / "table.csv", cols, header=header)
     assert (tmp_path / "table.csv").read_bytes() == _reference_table(cols, header)
@@ -363,6 +374,13 @@ _BAD_ROWS = pytest.mark.parametrize("bad_row, newline", [
     ("12,3", "expected 1 columns, got 2"),
     ("1.0", "counts"),  # a float in the int column
     ("# seed=2", "header line after the column row"),
+    # parsed, but not as the writer writes the value
+    (" 510", "counts: ' 510', where the writer writes '510'"),
+    ("+510", "counts: '\\+510', where the writer writes '510'"),
+    ("510 ", "counts: '510 ', where the writer writes '510'"),
+    ("0510", "counts: '0510', where the writer writes '510'"),
+    ("-0", "counts: '-0', where the writer writes '0'"),
+    ("5\r10", "counts"),  # a '\r' not before the row end
 ])
 def test_read_trace_csv_names_bad_line(tmp_path, newline, bad_row, bad, fault):
     text, line = _with_row(_TRACE_HEADER, _TRACE_ROWS, bad_row, bad,
@@ -388,6 +406,14 @@ def test_read_trace_csv_names_bad_line(tmp_path, newline, bad_row, bad, fault):
     ("{t},{k},{nb}", "expected 4 columns, got 3"),
     ("{t},{k},{nb},{na}_0", "n_after"),  # Python's int() would take 1_0
     ("# bin_width_s=0.05", "header line after the column row"),
+    # parsed, but not as the writer writes the value
+    (" {t},{k},{nb},{na}", "time_s: ' "),
+    ("+{t},{k},{nb},{na}", "time_s: '\\+"),
+    ("{t}0,{k},{nb},{na}", "time_s: .*0', where the writer writes"),
+    ("{t},+{k},{nb},{na}", "kind: '\\+"),
+    ("{t},{k} ,{nb},{na}", "kind: '. ', where"),
+    ("{t},0{k},{nb},{na}", "kind: '0"),
+    ("{t},{k},-0{nb},{na}", "n_before: '-0"),
 ])
 def test_read_event_csv_names_bad_line(tmp_path, newline, bad_row, bad, fault):
     i = bad_row
@@ -434,7 +460,8 @@ def test_read_trace_csv_rejects_stray_header_line(tmp_path, text, line, fault):
 _DETECTED_HEADER = (_EVENT_HEADER.partition("time_s")[0] + "# bin_width_s=0.1\n"
                     "# cal_per_atom_rate_hz=10000.0\n# cal_bg_rate_hz=500.0\n"
                     "# cal_per_atom_err_hz=1.0\n# cal_bg_err_hz=1.0\n"
-                    "# cal_n_levels=4\ntime_s,kind,n_before,n_after\n1.0,0,0,1\n")
+                    "# cal_n_levels=4\n# bump_pass=1\ntime_s,kind,n_before,n_after\n"
+                    "1.0,0,0,1\n")
 
 
 @pytest.mark.parametrize("read, text, line, fault", [
@@ -452,8 +479,12 @@ _DETECTED_HEADER = (_EVENT_HEADER.partition("time_s")[0] + "# bin_width_s=0.1\n"
      "bin_width_s: must be positive, got 0.0"),
     (read_detected_csv, _DETECTED_HEADER.replace("levels=4", "levels=4.5"), 9,
      "cal_n_levels: invalid literal"),
+    (read_detected_csv, _DETECTED_HEADER.replace("pass=1", "pass=2"), 10,
+     "bump_pass: must be 0 or 1, got 2"),
+    (read_detected_csv, _DETECTED_HEADER.replace("# bump_pass=1\n", ""), 10,
+     r"missing header field\(s\) \['bump_pass'\]"),
 ], ids=["bad_value", "n0_past_int64", "n0_negative", "missing_key", "wrong_columns", "no_columns", "trace_value",
-        "bin_width_0", "float_levels"])
+        "bin_width_0", "float_levels", "bump_pass_2", "no_bump_pass"])
 def test_readers_name_header_fault_line(tmp_path, read, text, line, fault):
     path = tmp_path / "file.csv"
     path.write_text(text)
@@ -466,9 +497,122 @@ def test_read_detected_csv_rejects_trailing_bin_width(tmp_path):
     # the bin width comes from the header alone: appended after the rows,
     # a second bin_width_s is an error, never the value fit uses
     path = tmp_path / "detected_events.csv"
-    write_detected_csv(_alternating_log(4), 0.1, _CAL, path)
+    write_detected_csv(_alternating_log(4), 0.1, _CAL, True, path)
     with path.open("a") as fh:
         fh.write("# bin_width_s=0.05\n")
     with pytest.raises(ValueError, match="header line after the column row") as info:
         read_detected_csv(path)
-    assert str(info.value).startswith(f"{path}, line 15: ")
+    assert str(info.value).startswith(f"{path}, line 16: ")
+
+
+# -- the field rule: a field reads only as the writer writes its value,
+# repr for floats and str for integers, against Python's own formatting
+
+def _nudge(text: str, step: int) -> str:
+    """text with the last digit of its mantissa moved by step, within 1-8;
+    among 17 digits the neighbour often reads back as the same double."""
+    mantissa, e, exponent = text.partition("e")
+    last = mantissa[-1]
+    if "1" <= last <= "8":
+        mantissa = mantissa[:-1] + chr(ord(last) + step)
+    return mantissa + e + exponent
+
+
+_FLOAT_TEXTS = (repr, "%.17g".__mod__, "%.16g".__mod__, "%.15g".__mod__,
+                "%.16e".__mod__, "%.20f".__mod__, lambda v: "+" + repr(v),
+                lambda v: " " + repr(v), lambda v: repr(v) + "0",
+                lambda v: "0" + repr(v), lambda v: repr(v).upper(),
+                lambda v: repr(v).replace("e+", "e").replace("e-0", "e-"),
+                lambda v: _nudge(repr(v), 1), lambda v: _nudge(repr(v), -1))
+_FLOAT_CASES = [0.1 + 0.2, 1e16, 9999999999999998.0, 1e15, 123456789012345.6,
+                1e-5, 1e-4, 0.0001234, 5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, 48.300000000000004, 9.999999999999999e22,
+                1e23, 0.0, -0.0, float("inf"), float("-inf"), float("nan"), -1.5]
+
+
+def _reads(texts: list[str]) -> bool:
+    """Whether one float column of these rows reads back."""
+    data = "".join(f"{text}\r\n" for text in texts).encode()
+    return _text_rows(data, {"x": np.float64}) is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=st.one_of(st.floats(), st.sampled_from(_FLOAT_CASES),
+                   st.floats(min_value=1e-3, max_value=1e7)))
+def test_float_field_reads_only_as_repr(v):
+    for text in sorted({form(v) for form in _FLOAT_TEXTS}):
+        try:
+            written = repr(float(text)) == text
+        except ValueError:
+            continue
+        assert _reads([text]) == written, text
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_float_column_reads_only_as_repr(seed):
+    # thousands of rows at once, through the array checks: doubles of every
+    # exponent and bin-boundary times like detect writes, then each row
+    # rewritten in a form that parses to the same value
+    rng = np.random.default_rng(seed)
+    values = np.concatenate([
+        rng.integers(0, 2**64, 1000, dtype=np.uint64).view(np.float64),
+        np.arange(1, 1001) * 0.1, rng.random(1000) * 1e5,
+        rng.random(1000) * 10.0 ** rng.integers(-30, 30, 1000)])
+    texts = [repr(v) for v in values.tolist()]
+    assert _reads(texts)
+    for i in rng.choice(len(texts), 30, replace=False).tolist():
+        for form in _FLOAT_TEXTS[1:]:
+            text = form(float(values[i]))
+            try:
+                same = text != texts[i] and float(text) == values[i]
+            except ValueError:  # a second sign
+                continue
+            if same:
+                assert not _reads(texts[:i] + [text] + texts[i + 1:]), text
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=st.integers(-2**64, 2**64))
+def test_int_field_reads_only_as_str(v):
+    for text in {str(v), "+" + str(v), "0" + str(v), str(v) + " ", "-0" + str(v)}:
+        data = f"7\r\n{text}\r\n-3\r\n".encode()
+        got = _int_rows(io.BytesIO(data), 1)
+        if text == str(v) and -2**63 <= v < 2**63:
+            assert got is not None and got[0].tolist() == [7, v, -3]
+        else:
+            assert got is None, text
+
+
+# -- memory: integer columns are rendered and parsed a block at a time
+
+_MEMORY_BINS = 2**20
+
+
+def _peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _memory_trace() -> FluorescenceTrace:
+    counts = np.random.default_rng(4).poisson(900.0, _MEMORY_BINS)
+    return FluorescenceTrace(bin_width=0.1, counts=counts, per_atom_rate=8000.0,
+                             bg_rate=400.0, seed=7)
+
+
+def test_trace_writer_holds_one_chunk(tmp_path):
+    trace = _memory_trace()
+    peak = _peak(lambda: write_trace_csv(trace, tmp_path / "trace.csv"))
+    assert peak < 0.5 * trace.counts.nbytes, peak / trace.counts.nbytes
+
+
+def test_trace_reader_holds_the_counts_and_one_block(tmp_path):
+    trace = _memory_trace()
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    back = []
+    peak = _peak(lambda: back.append(read_trace_csv(tmp_path / "trace.csv")))
+    assert back[0].counts.tobytes() == trace.counts.tobytes()
+    assert peak < 1.5 * trace.counts.nbytes, peak / trace.counts.nbytes

@@ -12,6 +12,13 @@ returns or rewrites: calibrate() works on the count histogram alone, and
 the per-bin passes of detect() run BLOCK_BINS bins (2**16) at a time. The
 level sequence holds each bin's level in the smallest signed integer type
 that fits the top level, one byte per bin up to level 127.
+
+Both stages round each count value once, not each bin: the level of every
+value from 0 to the highest count is computed into a table, which spans
+the same range as the count histogram both stages build (about 11 000
+values for a fig2 trace). detect() then reads each bin's level with one
+lookup, and the bins per level that its SNR needs come from the count
+histogram. A negative count raises ValueError naming its first bin.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ def shot_noise(level, offset: float, spacing: float):
 
 
 def _levels(counts: np.ndarray, offset: float, spacing: float) -> np.ndarray:
-    """Each bin's atom number: counts rounded to the nearest comb level, >= 0.
+    """The atom number of each count: rounded to the nearest comb level, >= 0.
 
     The levels are stored in the smallest signed integer type that holds
     every level from -top to top, where top is the level of the highest
@@ -76,6 +83,19 @@ def _levels(counts: np.ndarray, offset: float, spacing: float) -> np.ndarray:
         np.maximum(x, 0.0, out=x)
         n_hat[lo:lo + BLOCK_BINS] = x
     return n_hat
+
+
+def _count_hist(counts: np.ndarray) -> np.ndarray:
+    """np.bincount(counts): the number of bins that hold each count value.
+    A negative count raises ValueError naming its first bin."""
+    try:
+        return np.bincount(counts)
+    except ValueError:
+        negative = counts < 0
+        if not negative.any():
+            raise
+        i = int(np.argmax(negative))
+        raise ValueError(f"bin {i}: negative count {counts[i]}") from None
 
 
 def _hist_percentile(cum: np.ndarray, q: float) -> float:
@@ -123,7 +143,7 @@ def calibrate(trace: FluorescenceTrace) -> Calibration:
     counts = trace.counts
     if len(counts) < 10:
         raise CalibrationError("trace too short to calibrate")
-    hist = np.bincount(counts)
+    hist = _count_hist(counts)
     median = _hist_percentile(np.cumsum(hist), 50.0)
     sigma = max(1.0, np.sqrt(max(median, 1.0)) / 2.0)
     peaks = _comb_peaks(hist, sigma)
@@ -258,13 +278,12 @@ def detect(trace: FluorescenceTrace, cal: Calibration,
         raise ValueError("cannot detect events in an empty trace (0 bins)")
     w = trace.bin_width
     offset, spacing = cal.per_bin(w)
-    n_hat = _levels(trace.counts, offset, spacing)
-
-    # bins per level, a block at a time: np.bincount(n_hat) would first cast
-    # the whole sequence to intp
-    top = int(n_hat.max())
-    per_level = sum(np.bincount(n_hat[lo:lo + BLOCK_BINS], minlength=top + 1)
-                    for lo in range(0, len(n_hat), BLOCK_BINS))
+    # the level of each count value, looked up per bin; bins per level
+    # from bins per count value
+    count_hist = _count_hist(trace.counts)
+    table = _levels(np.arange(len(count_hist)), offset, spacing)
+    n_hat = np.take(table, trace.counts)
+    per_level = np.bincount(table, weights=count_hist).astype(np.int64)
     n_typ = _hist_percentile(np.cumsum(per_level), 99.5)
     snr = float(spacing / shot_noise(max(n_typ, 1.0), offset, spacing))
     if snr < min_snr:

@@ -126,6 +126,13 @@ def simulate(model: RateModel, n0: int = 0, duration: float = 0.0,
     stream, drawn in fixed-size blocks for speed. The loop works in Python
     floats, which round as numpy's float64 does and overflow to inf without
     a warning when the total rate is subnormal.
+
+    The rates out of a state are computed once, when the chain first
+    reaches it, and kept in a table keyed by the atom number: the total
+    rate and load + loss1, the bound that separates a one-atom loss from a
+    two-atom one. An event then costs one lookup instead of six float
+    operations, and the table holds only the states visited (12 in a 1e6 s
+    run at the fig2 rates; from n0 at most one per event).
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
@@ -143,12 +150,16 @@ def simulate(model: RateModel, n0: int = 0, duration: float = 0.0,
     bg = float(model.bg_rate)
     b1 = float(model.b1)
     b2 = float(model.b2)
+    rates: dict[int, tuple[float, float]] = {}  # n -> (total, load + loss1)
     while True:
-        # channel_rates inline: a method call per event would slow this loop
-        pairs = n * (n - 1)
-        a1 = n * bg + b1 * pairs
-        a2 = b2 * pairs
-        total = load + a1 + a2
+        try:
+            total, load_a1 = rates[n]
+        except KeyError:
+            # channel_rates inline, in its order of operations
+            pairs = n * (n - 1)
+            a1 = n * bg + b1 * pairs
+            a2 = b2 * pairs
+            total, load_a1 = rates[n] = (load + a1 + a2, load + a1)
         if total == 0.0:
             break
         if i == _BUF:
@@ -164,7 +175,7 @@ def simulate(model: RateModel, n0: int = 0, duration: float = 0.0,
         if u < load:
             kinds.append(KIND_LOAD)
             n += 1
-        elif u < load + a1:
+        elif u < load_a1:
             kinds.append(KIND_LOSS1)
             n -= 1
         else:

@@ -10,7 +10,8 @@ Integer columns never become one Python object per value. The writer renders
 _CHUNK_ROWS rows at a time into a byte matrix: integers by digit arithmetic
 on whole columns, floats as repr. A table of integer columns is parsed
 straight from the file bytes, _BLOCK_BYTES at a time, into one preallocated
-int64 array; a table with a float column is parsed by np.loadtxt. Either
+int64 array; a table with a float column is split into fields once, its
+integer columns parsed from them and its float column by np.loadtxt. Either
 way a field is valid only if the writer would write its parsed value as the
 same bytes, so ' 5', '+5', '05' or '0.50' fail; that and the writers'
 invariants are checked as array operations, and only a file that fails is
@@ -200,34 +201,44 @@ def _int_rows(fh, n_cols: int) -> np.ndarray | None:
 
 
 def _text_rows(data: bytes, columns: dict[str, type]) -> list[np.ndarray] | None:
-    """One array per column of the rows in data, parsed by np.loadtxt, or
-    None if they do not parse or the writer would not write their values as
-    the same bytes."""
+    """One array per column of the rows in data, or None if they do not
+    parse or the writer would not write their values as the same bytes.
+    The lines are split into fields once: integer columns are parsed from
+    those fields, and np.loadtxt converts only the float columns."""
     if not data.endswith(b"\n"):
         data += b"\n"  # a last line without its row end
+    fields = _fields(np.frombuffer(data, np.uint8), len(columns))
+    if fields is None:
+        return None
+    b, digit, starts, stops, neg, other = fields
+    rows = []
+    for j, kind in enumerate(columns.values()):
+        column = (b, digit, starts[:, j], stops[:, j], neg[:, j])
+        if kind is np.int64:
+            values = _int_values(*column)
+        else:
+            values = _float_column(data, j, len(starts))
+            marks = None if values is None else _floats_written(*column, values)
+            if marks is None:
+                return None
+            other -= marks
+        if values is None:
+            return None
+        rows.append(values)
+    return rows if other == 0 else None
+
+
+def _float_column(data: bytes, j: int, n_rows: int) -> np.ndarray | None:
+    """Column j of the comma-separated lines in data as float64, by
+    np.loadtxt, or None unless it parses into n_rows values."""
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            rows = np.loadtxt(io.StringIO(data.decode("latin-1")),
-                              dtype=np.dtype(list(columns.items())),
-                              delimiter=",", comments=None, ndmin=1)
+            values = np.loadtxt(io.StringIO(data.decode("latin-1")), dtype=np.float64,
+                                delimiter=",", comments=None, usecols=j, ndmin=1)
     except ValueError:
         return None
-    fields = _fields(np.frombuffer(data, np.uint8), len(columns))
-    if fields is None or len(fields[2]) != len(rows):
-        return None
-    b, digit, starts, stops, neg, other = fields
-    for j, (name, kind) in enumerate(columns.items()):
-        if kind is np.int64:
-            if _int_form(b, starts[:, j], stops[:, j], neg[:, j]) is None:
-                return None
-            continue
-        marks = _floats_written(b, digit, starts[:, j], stops[:, j], neg[:, j],
-                                rows[name])
-        if marks is None:
-            return None
-        other -= marks
-    return [rows[name] for name in columns] if other == 0 else None
+    return values if len(values) == n_rows else None
 
 
 def _fields(b: np.ndarray, n_cols: int) -> tuple | None:
@@ -456,7 +467,7 @@ def _read_events(path: str | Path, keys: dict[str, Callable[[str], object]]
     rejecting any log its writer could not have made."""
     meta, rows, column_line = _read_csv(path, keys, _EVENT_COLUMNS)
     # int8 kinds only once checked: the cast would wrap 257 onto a known kind
-    log = EventLog(times=rows["time_s"].copy(), kinds=rows["kind"],
+    log = EventLog(times=rows["time_s"], kinds=rows["kind"],
                    n0=meta["n0"], duration=meta["duration_s"], seed=meta["seed"])
     n_before, n_after = rows["n_before"], rows["n_after"]
     _raise_first(path, column_line, [*log.faults(), (

@@ -9,6 +9,13 @@ long trace costs its counts array plus one block of float64 temporaries
 (512 KB each, small enough to stay in a core's L2 cache). The block size
 changes no value: each bin's mean depends on its own edges alone, and
 numpy's Generator draws the same stream in blocks as in one call.
+
+A bin edge's value of the integral of N(t) needs the last step of the
+staircase at or before it. Each step covers a run of consecutive edges, so
+a block repeats each step's integral, time and level over its run (run
+lengths from one searchsorted of the block's breakpoints) rather than
+gathering them edge by edge: three contiguous fills per block, whatever the
+number of events in it.
 """
 
 from __future__ import annotations
@@ -67,14 +74,26 @@ def _mean_blocks(log: EventLog, per_atom_rate: float, bg_rate: float,
     for lo in range(0, n_bins, BLOCK_BINS):
         hi = min(lo + BLOCK_BINS, n_bins)
         edges = np.arange(lo, hi + 1) * bin_width
-        # each edge's step: the last breakpoint at or before it
+        # each edge's step is the last breakpoint at or before it: step
+        # j0 - 1 holds from the first edge, and each step j0..j1-1 from the
+        # first edge at or after its breakpoint, so the steps cover runs of
+        # edges whose lengths come from those first edges
         j0, j1 = np.searchsorted(t_break, edges[[0, -1]], side="right")
-        idx = np.cumsum(np.bincount(np.searchsorted(edges, t_break[j0:j1], "left"),
-                                    minlength=len(edges)))
-        idx += j0 - 1
-        cum_at_edges = cum[idx] + (edges - t_break[idx]) * levels[idx]
-        nbar = np.diff(cum_at_edges) / bin_width
-        yield bin_width * (bg_rate + per_atom_rate * nbar)
+        runs = np.diff(np.searchsorted(edges, t_break[j0:j1], "left"),
+                       prepend=0, append=len(edges))
+        steps = slice(j0 - 1, j1)
+        # the integral at each edge, cum + (edge - t) * level, and each
+        # bin's mean, bin_width * (bg_rate + per_atom_rate * nbar), in
+        # place: swapping the operands of a + or a * keeps every bit
+        x = edges - np.repeat(t_break[steps], runs)
+        x *= np.repeat(levels[steps], runs)
+        x += np.repeat(cum[steps], runs)
+        means = np.diff(x)
+        means /= bin_width  # nbar
+        means *= per_atom_rate
+        means += bg_rate
+        means *= bin_width
+        yield means
 
 
 def binned_mean_counts(log: EventLog, per_atom_rate: float, bg_rate: float,

@@ -96,6 +96,17 @@ def test_detect_rejects_empty_trace():
         detect(tr, CAL)
 
 
+@pytest.mark.parametrize("stage", [calibrate, lambda tr: detect(tr, CAL)],
+                         ids=["calibrate", "detect"])
+def test_negative_count_names_its_first_bin(stage):
+    counts = np.array([500] * 10 + [1500] * 10 + [2500] * 10, dtype=np.int64)
+    counts[[12, 25]] = [-3, -1]
+    tr = FluorescenceTrace(bin_width=0.1, counts=counts, per_atom_rate=10_000.0,
+                           bg_rate=500.0, seed=0)
+    with pytest.raises(ValueError, match=r"^bin 12: negative count -3$"):
+        stage(tr)
+
+
 def test_same_bin_losses_read_as_pair_loss():
     # two one-atom losses 20 ms apart land in one 100 ms bin
     log = _log([5.04, 5.06, 12.0], [KIND_LOSS1, KIND_LOSS1, KIND_LOAD],
@@ -427,6 +438,30 @@ def test_detect_at_the_top_of_the_level_type(top, dtype):
     times, kinds, n0 = _detect_reference(counts, offset, spacing, bin_width)
     _assert_same_events((got.times, got.kinds), (times, kinds))
     assert got.n0 == n0
+
+
+def test_detect_with_the_calibration_of_a_dimmer_trace():
+    # the count-to-level table spans the counts of the trace detected, not
+    # those of the trace the calibration was taken from
+    dim = synthesize(simulate(RateModel(load_rate=0.1403, bg_rate=1.0 / 60.0,
+                                        b1=0.004, b2=0.006), duration=5000.0, seed=5),
+                     seed=105)
+    bright = synthesize(simulate(RateModel(load_rate=0.5, bg_rate=1.0 / 60.0,
+                                           b1=0.004, b2=0.006), duration=5000.0, seed=6),
+                        seed=106)
+    cal = calibrate(dim)
+    # at least three levels above the dimmer trace's top count
+    assert bright.counts.max() > dim.counts.max() + 3 * cal.per_bin(bright.bin_width)[1]
+    got, rep = detect(bright, cal)
+    assert rep.snr >= detect_module.SPIKE_KEEP_SNR and rep.pair_bumps > 0
+    offset, spacing = cal.per_bin(bright.bin_width)
+    times, kinds, n0 = _detect_reference(bright.counts, offset, spacing,
+                                         bright.bin_width)
+    _assert_same_events((got.times, got.kinds), (times, kinds))
+    assert got.n0 == n0
+    levels = np.clip(np.round((bright.counts - offset) / spacing), 0, None)
+    n_typ = max(float(np.percentile(levels, 99.5)), 1.0)
+    assert rep.snr == spacing / np.sqrt(max(offset + spacing * n_typ, 1.0))
 
 
 def test_events_from_empty_and_flat_levels():

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -253,3 +254,92 @@ def test_simulate_subnormal_rate_is_quiet():
     log.validate()
     assert len(log) == 0 and log.n0 == 0 and log.duration == 10.0
     assert log.times.dtype == np.float64 and log.kinds.dtype == np.int8
+
+
+# --- the rate table against the per-event rates it replaced -----------------
+
+def _simulate_reference(model, n0, duration, seed):
+    """simulate() with the rates recomputed at every event, as before the
+    per-state rate table: (times, kinds)."""
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    i = markov._BUF
+    times, kinds = [], []
+    t, n = 0.0, n0
+    load, bg = float(model.load_rate), float(model.bg_rate)
+    b1, b2 = float(model.b1), float(model.b2)
+    while True:
+        pairs = n * (n - 1)
+        a1 = n * bg + b1 * pairs
+        a2 = b2 * pairs
+        total = load + a1 + a2
+        if total == 0.0:
+            break
+        if i == markov._BUF:
+            exp_buf = rng.standard_exponential(markov._BUF).tolist()
+            uni_buf = rng.random(markov._BUF).tolist()
+            i = 0
+        t += exp_buf[i] / total
+        if t > duration:
+            break
+        u = uni_buf[i] * total
+        i += 1
+        times.append(t)
+        if u < load:
+            kinds.append(KIND_LOAD)
+            n += 1
+        elif u < load + a1:
+            kinds.append(KIND_LOSS1)
+            n -= 1
+        else:
+            kinds.append(KIND_LOSS2)
+            n -= 2
+    return (np.asarray(times, dtype=np.float64), np.asarray(kinds, dtype=np.int8))
+
+
+def _assert_simulate_matches_reference(model, n0, duration, seed):
+    log = simulate(model, n0=n0, duration=duration, seed=seed)
+    times, kinds = _simulate_reference(model, n0, duration, seed)
+    assert log.times.dtype == times.dtype and log.times.tobytes() == times.tobytes()
+    assert log.kinds.dtype == kinds.dtype and log.kinds.tobytes() == kinds.tobytes()
+    return log
+
+
+_RATES_OR_ZERO = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(load=st.one_of(st.just(0.0), st.floats(0.0, 5.0)), bg=_RATES_OR_ZERO,
+       b1=_RATES_OR_ZERO, b2=_RATES_OR_ZERO, n0=st.integers(0, 500),
+       duration=st.floats(1e-3, 500.0), seed=st.integers(0, 2**32 - 1))
+def test_simulate_matches_reference(load, bg, b1, b2, n0, duration, seed):
+    model = RateModel(load_rate=load, bg_rate=bg, b1=b1, b2=b2)
+    _assert_simulate_matches_reference(model, n0, duration, seed)
+
+
+@pytest.mark.parametrize("model, n0", [
+    (RateModel(load_rate=0.1403, bg_rate=1.0 / 60.0, b1=0.004, b2=0.006), 0),  # fig2
+    (RateModel(load_rate=0.0, bg_rate=0.1, b1=0.01, b2=0.02), 40),  # dies out
+    (RateModel(load_rate=0.3, bg_rate=0.05, b1=0.01, b2=0.0), 7),  # no loss2
+    (RateModel(load_rate=0.0, bg_rate=0.0, b1=0.0, b2=0.3), 9),  # stops at N = 1
+])
+def test_simulate_matches_reference_cases(model, n0):
+    log = _assert_simulate_matches_reference(model, n0, 2e4, seed=12)
+    assert len(log) > 0
+
+
+def test_simulate_rate_table_holds_only_visited_states():
+    # from N = 10**6 at fig2 rates a few microseconds hold about a thousand
+    # losses; a table with a slot per state up to n0 would hold 10**6
+    # entries (8 MB as bare pointers)
+    model = RateModel(load_rate=0.1403, bg_rate=1.0 / 60.0, b1=0.004, b2=0.006)
+    n0, duration = 10**6, 1e-7
+    simulate(model, n0=n0, duration=duration, seed=3)  # numpy's first-call caches
+    tracemalloc.start()
+    try:
+        log = simulate(model, n0=n0, duration=duration, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 500 < len(log) < 5000
+    assert peak < 2**20
+    _assert_simulate_matches_reference(model, n0, duration, seed=3)

@@ -143,6 +143,22 @@ def test_synthesis_blocks_with_a_ragged_final_bin():
     _assert_synthesis_matches_reference(log, w)
 
 
+@pytest.mark.parametrize("block", [4, BLOCK_BINS])
+def test_synthesis_with_an_empty_block_and_a_crowded_bin(block):
+    # three blocks: events on bin edges in the first, none in the second,
+    # and in the third 41 events in one bin, two of them on its edges
+    w = 0.1
+    n_bins = 3 * block
+    k = 2 * block + 1  # the crowded bin
+    crowded = np.concatenate([[k * w], np.linspace(k * w, (k + 1) * w, 41)[1:-1],
+                              [(k + 1) * w]])
+    times = np.unique(np.concatenate([[w, 2 * w, 3 * w], crowded]))
+    log = _log(times, _walk(times, np.random.default_rng(7), 2), n0=2,
+               duration=n_bins * w)
+    with mock.patch.object(trace, "BLOCK_BINS", block):
+        _assert_synthesis_matches_reference(log, w)
+
+
 @st.composite
 def _small_logs(draw):
     """Logs of 1-40 bins, ragged or not, whose events sit on bin edges or

@@ -7,18 +7,28 @@ structural corrections (single-bin excursions are noise-suppressed only at low
 SNR, and down-down transition bins are folded into two-atom steps), and emits
 number-changing events at bin boundaries.
 
-Neither stage keeps a per-bin temporary beyond the level sequence it
-returns or rewrites: calibrate() works on the count histogram alone, and
-the per-bin passes of detect() run BLOCK_BINS bins (2**16) at a time. The
-level sequence holds each bin's level in the smallest signed integer type
-that fits the top level, one byte per bin up to level 127.
+Each rule runs once per count value, once per step or once per rewritten
+bin wherever it can; per bin, detect() only reads levels and finds steps:
 
-Both stages round each count value once, not each bin: the level of every
-value from 0 to the highest count is computed into a table, which spans
-the same range as the count histogram both stages build (about 11 000
-values for a fig2 trace). detect() then reads each bin's level with one
-lookup, and the bins per level that its SNR needs come from the count
-histogram. A negative count raises ValueError naming its first bin.
+- Per count value. Both stages read the trace's count histogram, built
+  once per trace (FluorescenceTrace.count_hist). The level of every value
+  from 0 to the highest count goes into a table (about 11 000 values for
+  a fig2 trace); detect() reads each bin's level with one lookup, and the
+  bins per level that its SNR needs come from the histogram. The bump test
+  is decided per value too: a bin whose level was never rewritten has its
+  value's level, so whether its residual is a bump depends on its count
+  alone, and only the bins of such values and the rewritten bins are
+  tested further.
+- Per step. One pass finds the boundaries where the level changes. The
+  spike, merge and re-vote rewrites change only the boundaries on either
+  side of the bins they rewrite, so the step set is updated there, and the
+  down-down candidates, the |dN| > 2 re-votes and the events come from it.
+
+The per-bin passes run BLOCK_BINS bins (2**16) at a time, and nothing
+trace-sized is kept but the level sequence: each bin's level in the
+smallest signed integer type that fits the top level, one byte per bin up
+to level 127. A negative count, or one above trace.MAX_COUNT, raises
+ValueError naming its first bin.
 """
 
 from __future__ import annotations
@@ -72,30 +82,14 @@ def _levels(counts: np.ndarray, offset: float, spacing: float) -> np.ndarray:
     every level from -top to top, where top is the level of the highest
     count (rounding is monotone), so a step between two levels fits too.
     Rewrites of the sequence stay inside [0, top]; arithmetic that can leave
-    that range must upcast first.
+    that range must upcast first. Both stages call it on count values, not
+    bins, so it works on the whole array at once.
     """
-    top = max(np.round((counts.max(initial=0) - offset) / spacing), 0.0)
-    n_hat = np.empty(len(counts), dtype=np.min_scalar_type(-int(top) - 1))
-    for lo in range(0, len(counts), BLOCK_BINS):
-        x = counts[lo:lo + BLOCK_BINS] - offset
-        x /= spacing
-        np.round(x, out=x)
-        np.maximum(x, 0.0, out=x)
-        n_hat[lo:lo + BLOCK_BINS] = x
-    return n_hat
-
-
-def _count_hist(counts: np.ndarray) -> np.ndarray:
-    """np.bincount(counts): the number of bins that hold each count value.
-    A negative count raises ValueError naming its first bin."""
-    try:
-        return np.bincount(counts)
-    except ValueError:
-        negative = counts < 0
-        if not negative.any():
-            raise
-        i = int(np.argmax(negative))
-        raise ValueError(f"bin {i}: negative count {counts[i]}") from None
+    x = counts - offset
+    x /= spacing
+    np.round(x, out=x)
+    np.maximum(x, 0.0, out=x)
+    return x.astype(np.min_scalar_type(-int(x.max(initial=0.0)) - 1))
 
 
 def _hist_percentile(cum: np.ndarray, q: float) -> float:
@@ -140,10 +134,9 @@ def calibrate(trace: FluorescenceTrace) -> Calibration:
     All bins of one count share a level, so the regression sums come from
     the histogram.
     """
-    counts = trace.counts
-    if len(counts) < 10:
+    if len(trace.counts) < 10:
         raise CalibrationError("trace too short to calibrate")
-    hist = _count_hist(counts)
+    hist = trace.count_hist
     median = _hist_percentile(np.cumsum(hist), 50.0)
     sigma = max(1.0, np.sqrt(max(median, 1.0)) / 2.0)
     peaks = _comb_peaks(hist, sigma)
@@ -278,52 +271,69 @@ def detect(trace: FluorescenceTrace, cal: Calibration,
         raise ValueError("cannot detect events in an empty trace (0 bins)")
     w = trace.bin_width
     offset, spacing = cal.per_bin(w)
-    # the level of each count value, looked up per bin; bins per level
-    # from bins per count value
-    count_hist = _count_hist(trace.counts)
-    table = _levels(np.arange(len(count_hist)), offset, spacing)
-    n_hat = np.take(table, trace.counts)
+    # the level of each count value; bins per level from bins per value
+    count_hist = trace.count_hist
+    value = np.arange(len(count_hist))
+    table = _levels(value, offset, spacing)
     per_level = np.bincount(table, weights=count_hist).astype(np.int64)
     n_typ = _hist_percentile(np.cumsum(per_level), 99.5)
     snr = float(spacing / shot_noise(max(n_typ, 1.0), offset, spacing))
     if snr < min_snr:
         raise DetectionQualityError(
             f"level separation / shot noise = {snr:.2f} below minimum {min_snr:.2f}")
+    bump_pass = snr >= SPIKE_KEEP_SNR
+
+    # The per-bin passes: each bin's level and, for the bump pass, the bins
+    # whose count value is a bump at its own level; then the steps. Each
+    # rewrite below updates the step set around the bins it rewrites, and
+    # adds them to the bins the bump pass tests.
+    n_hat, bump_bins = _read_levels(
+        trace.counts, table,
+        _bumps(value, table, offset, spacing)[1] if bump_pass else None)
+    tested = [bump_bins]
+    steps = _steps(n_hat)
 
     # One-bin excursions that return to the surrounding level: below
     # SPIKE_KEEP_SNR these are suppressed as noise; above it shot noise cannot
     # reach the next level and every such excursion is a real load+loss (or
     # loss+load) pair, so it is left in place.
     spikes = 0
-    if len(n_hat) >= 3 and snr < SPIKE_KEEP_SNR:
-        steps = _steps(n_hat, lambda d: d != 0)
+    if not bump_pass:
         d = n_hat[steps + 1] - n_hat[steps]
         # a step into the bin and the opposite step out of it
         idx = steps[1:][(np.diff(steps) == 1) & (d[1:] == -d[:-1])]
         spikes = len(idx)
-        if spikes:
-            n_hat[idx] = n_hat[idx - 1]
+        n_hat[idx] = n_hat[idx - 1]
+        steps = _restep(n_hat, steps, idx)
+        tested.append(idx)
 
     # A two-atom loss mid-bin leaves one transition bin at the intermediate
     # level, which would read as two consecutive one-atom losses. Fold the
     # down-down one-bin dwell back into a single -2 step; genuine one-atom
     # losses one bin apart are rarer than this artifact by roughly the event
     # rate times the bin width.
-    merged = _merge_down_down(n_hat, trace.counts, offset, spacing)
+    idx = _merge_down_down(n_hat, steps, trace.counts, offset, spacing)
+    merged = len(idx)
+    steps = _restep(n_hat, steps, idx)
+    tested.append(idx)
 
     # re-vote implausible jumps with the local median
-    bad = _steps(n_hat, lambda d: np.abs(d, out=d) > 2)
+    d = n_hat[steps + 1] - n_hat[steps]
+    bad = steps[np.abs(d, out=d) > 2]
     ambiguous = len(bad)
     for i in bad:
         lo = max(i - 1, 0)
         hi = min(i + 3, len(n_hat))
         n_hat[i + 1] = int(np.median(n_hat[lo:hi]))
+    steps = _restep(n_hat, steps, bad + 1)
+    tested.append(bad + 1)
 
-    times, kinds = _events_from_levels(n_hat, w)
+    times, kinds = _events_from_levels(n_hat, steps, w)
     bumps = 0
-    bump_pass = snr >= SPIKE_KEEP_SNR
     if bump_pass:
-        pair_times, pair_kinds = _bump_pairs(trace.counts, n_hat, offset, spacing, w)
+        pair_times, pair_kinds = _bump_pairs(
+            trace.counts, n_hat, _unique(np.concatenate(tested)), offset,
+            spacing, w)
         bumps = len(pair_times) // 2
         times = np.concatenate([times, pair_times])
         order = np.argsort(times, kind="stable")
@@ -340,19 +350,59 @@ def detect(trace: FluorescenceTrace, cal: Calibration,
     return log, report
 
 
-def _steps(n_hat: np.ndarray, test) -> np.ndarray:
-    """Boundaries i, between bins i and i+1, whose step
-    d = n_hat[i+1] - n_hat[i] passes test(d), found BLOCK_BINS at a time."""
+def _read_levels(counts: np.ndarray, table: np.ndarray, strong: np.ndarray | None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(table[counts], the bins i where strong[counts[i]] is set, or none if
+    strong is None), read BLOCK_BINS bins at a time. By indexing: np.take
+    would copy the read-only counts whole."""
+    n_hat = np.empty(len(counts), dtype=table.dtype)
+    found = [np.empty(0, dtype=np.int64)]
+    for lo in range(0, len(counts), BLOCK_BINS):
+        block = counts[lo:lo + BLOCK_BINS]
+        n_hat[lo:lo + BLOCK_BINS] = table[block]
+        if strong is not None:
+            found.append(np.flatnonzero(strong[block]) + lo)
+    return n_hat, np.concatenate(found)
+
+
+def _steps(n_hat: np.ndarray) -> np.ndarray:
+    """Boundaries i, between bins i and i+1, where the level changes
+    (n_hat[i+1] != n_hat[i]), found BLOCK_BINS at a time."""
     found = [np.empty(0, dtype=np.int64)]
     for lo in range(0, len(n_hat) - 1, BLOCK_BINS):
-        d = np.diff(n_hat[lo:lo + BLOCK_BINS + 1])
-        found.append(np.flatnonzero(test(d)) + lo)
+        block = n_hat[lo:lo + BLOCK_BINS + 1]
+        found.append(np.flatnonzero(block[1:] != block[:-1]) + lo)
     return np.concatenate(found)
 
 
-def _merge_down_down(n_hat: np.ndarray, counts: np.ndarray, offset: float,
-                     spacing: float) -> int:
-    """Fold one-bin down-down dwells into two-atom steps in place; return the count.
+def _unique(i: np.ndarray) -> np.ndarray:
+    """np.unique(i) of an integer array, by one sort. numpy 2.4's np.unique
+    took over 20 times as long as np.sort on the 1.4e5 bins the bump pass
+    tests in a 1e7-bin fig2 trace (2-CPU Xeon VM)."""
+    i = np.sort(i)
+    return i[np.diff(i, prepend=i[:1] - 1) != 0]
+
+
+def _restep(n_hat: np.ndarray, steps: np.ndarray, bins: np.ndarray) -> np.ndarray:
+    """_steps(n_hat) after a rewrite of `bins`, from the steps before it.
+
+    Only the boundaries on either side of a rewritten bin can change, so
+    those are tested again and the rest of the sorted step set is kept.
+    """
+    near = _unique(np.concatenate([bins - 1, bins]))
+    near = near[(near >= 0) & (near < len(n_hat) - 1)]
+    at = np.searchsorted(steps, near)
+    on_step = at < len(steps)
+    on_step[on_step] = steps[at[on_step]] == near[on_step]
+    kept = np.delete(steps, at[on_step])
+    new = near[n_hat[near + 1] != n_hat[near]]
+    return np.insert(kept, np.searchsorted(kept, new), new)
+
+
+def _merge_down_down(n_hat: np.ndarray, steps: np.ndarray, counts: np.ndarray,
+                     offset: float, spacing: float) -> np.ndarray:
+    """Fold one-bin down-down dwells into two-atom steps in place; return
+    the bins rewritten. steps is _steps(n_hat).
 
     Bins are judged in order on the level sequence as rewritten so far.
     Only down-down bins of the sequence as given can qualify, and a rewrite
@@ -360,7 +410,7 @@ def _merge_down_down(n_hat: np.ndarray, counts: np.ndarray, offset: float,
     of adjacent candidates the first, third, fifth... are rewritten. No two
     of them are neighbours, so all are rewritten at once.
     """
-    down = _steps(n_hat, lambda d: d == -1)
+    down = steps[n_hat[steps + 1] - n_hat[steps] == -1]
     candidates = down[1:][np.diff(down) == 1]
     # the first candidate of each one's run
     first = np.maximum.accumulate(
@@ -371,12 +421,13 @@ def _merge_down_down(n_hat: np.ndarray, counts: np.ndarray, offset: float,
     upper = n_hat[i - 1]
     nu = (counts[i] - offset) / spacing
     n_hat[i] = np.where(nu >= upper - 1.0, upper, n_hat[i + 1])
-    return len(i)
+    return i
 
 
-def _events_from_levels(n_hat: np.ndarray, bin_width: float
+def _events_from_levels(n_hat: np.ndarray, bounds: np.ndarray, bin_width: float
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary events (times, kinds) of a per-bin level sequence.
+    """Boundary events (times, kinds) of a per-bin level sequence, whose
+    steps _steps(n_hat) are bounds.
 
     A boundary with dN = +1, -1 or -2 holds one event at the boundary, and
     dN = +2 two loads, at mid-bin and at the boundary. A residual |dN| > 2
@@ -384,7 +435,6 @@ def _events_from_levels(n_hat: np.ndarray, bin_width: float
     fewest-event composition with two-atom steps first, spread evenly over
     the bin before the boundary.
     """
-    bounds = _steps(n_hat, lambda d: d != 0)
     # int64: 1 - d below leaves the range of a compact level type
     d = n_hat[bounds + 1].astype(np.int64) - n_hat[bounds]
     per_bound = np.where(d > 0, d, (1 - d) // 2)  # losses: ceil(|dN| / 2)
@@ -403,8 +453,23 @@ def _events_from_levels(n_hat: np.ndarray, bin_width: float
     return times, kinds
 
 
-def _bump_pairs(counts: np.ndarray, n_hat: np.ndarray, offset: float,
-                spacing: float, bin_width: float
+def _bumps(counts, level, offset: float, spacing: float):
+    """(r, strong): the residual r, in atoms, of counts at atom number level,
+    and whether it reads as a bump: |r| above bump_threshold, and not a
+    downward bump at level 0, which has no loss to pair with a load.
+
+    Element by element, so a count value at its own level gives the same
+    bits as every bin that holds it at that level."""
+    r = counts - offset
+    r /= spacing
+    r -= level
+    strong = np.abs(r) > bump_threshold(level, offset, spacing)
+    strong &= ~((level == 0) & (r < 0))
+    return r, strong
+
+
+def _bump_pairs(counts: np.ndarray, n_hat: np.ndarray, candidates: np.ndarray,
+                offset: float, spacing: float, bin_width: float
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Quick load/loss pairs (times, kinds) too short to flip any bin's
     rounded level.
@@ -416,26 +481,19 @@ def _bump_pairs(counts: np.ndarray, n_hat: np.ndarray, offset: float,
     per run of adjacent such bins of one sign: up-bump load-then-loss,
     down-bump loss-then-load, at the thirds of a single bin or the middles of
     a run's first and last bins.
+
+    Only the sorted, distinct candidates are tested: they must include every
+    bin that can pass. A bin at its count value's level passes only if that
+    value does (see _bumps), so detect() gives the bins of such values and
+    the bins it rewrote.
     """
-    thresh = bump_threshold(np.arange(int(n_hat.max(initial=0)) + 1), offset,
-                            spacing)
-    idx, resid = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    for start in range(0, len(n_hat), BLOCK_BINS):
-        # the block's bins lo..hi-1 that have a neighbour on either side
-        lo, hi = max(start, 1), min(start + BLOCK_BINS, len(n_hat) - 1)
-        level = n_hat[lo:hi]
-        r = counts[lo:hi] - offset
-        r /= spacing
-        r -= level
-        strong = (level == n_hat[lo - 1:hi - 1]) & (level == n_hat[lo + 1:hi + 1])
-        strong &= np.abs(r) > thresh[level]
-        # a downward bump at level 0 has no loss to pair with a load
-        strong &= ~((level == 0) & (r < 0))
-        i = np.flatnonzero(strong)
-        idx.append(i + lo)
-        resid.append(r[i])
-    idx = np.concatenate(idx)
-    up = np.concatenate(resid) > 0
+    # the candidates that have a neighbour on either side
+    i = candidates[(candidates >= 1) & (candidates < len(n_hat) - 1)]
+    level = n_hat[i]
+    r, strong = _bumps(counts[i], level, offset, spacing)
+    strong &= (level == n_hat[i - 1]) & (level == n_hat[i + 1])
+    idx = i[strong]
+    up = r[strong] > 0
     # runs of adjacent strong bins of one sign: a gap or a sign change ends one
     starts = (np.diff(idx, prepend=-2) != 1) | np.diff(up, prepend=up[:1])
     first = idx[starts]

@@ -13,6 +13,7 @@ and beta_2atoms/V = 2*b2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Callable
 
 import numpy as np
@@ -123,7 +124,8 @@ def simulate(model: RateModel, n0: int = 0, duration: float = 0.0,
     """Exact next-event simulation of the chain; bitwise reproducible per seed.
 
     Each step consumes one exponential and one uniform variate from a PCG64
-    stream, drawn in fixed-size blocks for speed. The loop works in Python
+    stream, drawn in blocks of _BUF of each (the exponentials first) and
+    walked in pairs with zip, a block at a time. The loop works in Python
     floats, which round as numpy's float64 does and overflow to inf without
     a warning when the total rate is subnormal.
 
@@ -139,10 +141,13 @@ def simulate(model: RateModel, n0: int = 0, duration: float = 0.0,
     if n0 < 0:
         raise ValueError("n0 must be non-negative")
     rng = np.random.default_rng(np.random.PCG64(seed))
-    i = _BUF
+    variates = chain.from_iterable(
+        zip(rng.standard_exponential(_BUF).tolist(), rng.random(_BUF).tolist())
+        for _ in repeat(None))
 
     times: list[float] = []
     kinds: list[int] = []
+    add_time, add_kind = times.append, kinds.append
 
     t = 0.0
     n = n0
@@ -151,7 +156,7 @@ def simulate(model: RateModel, n0: int = 0, duration: float = 0.0,
     b1 = float(model.b1)
     b2 = float(model.b2)
     rates: dict[int, tuple[float, float]] = {}  # n -> (total, load + loss1)
-    while True:
+    for e, u in variates:
         try:
             total, load_a1 = rates[n]
         except KeyError:
@@ -162,24 +167,19 @@ def simulate(model: RateModel, n0: int = 0, duration: float = 0.0,
             total, load_a1 = rates[n] = (load + a1 + a2, load + a1)
         if total == 0.0:
             break
-        if i == _BUF:
-            exp_buf = rng.standard_exponential(_BUF).tolist()
-            uni_buf = rng.random(_BUF).tolist()
-            i = 0
-        t += exp_buf[i] / total
+        t += e / total
         if t > duration:
             break
-        u = uni_buf[i] * total
-        i += 1
-        times.append(t)
+        u *= total
+        add_time(t)
         if u < load:
-            kinds.append(KIND_LOAD)
+            add_kind(KIND_LOAD)
             n += 1
         elif u < load_a1:
-            kinds.append(KIND_LOSS1)
+            add_kind(KIND_LOSS1)
             n -= 1
         else:
-            kinds.append(KIND_LOSS2)
+            add_kind(KIND_LOSS2)
             n -= 2
     return EventLog(
         times=np.asarray(times, dtype=np.float64),

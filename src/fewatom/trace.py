@@ -16,12 +16,18 @@ a block repeats each step's integral, time and level over its run (run
 lengths from one searchsorted of the block's breakpoints) rather than
 gathering them edge by edge: three contiguous fills per block, whatever the
 number of events in it.
+
+A trace holds its counts read-only and histograms them on first use of
+count_hist, BLOCK_BINS bins at a time; calibration and detection both read
+that one histogram. It refuses a count above MAX_COUNT, because every table
+built from it spans all values from 0 to the highest count.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,10 +36,20 @@ from .markov import EventLog
 # bins per block of the per-bin passes here and in detect.py
 BLOCK_BINS = 2 ** 16
 
+# The highest count a trace's histogram covers. The histogram and the
+# per-value tables built from it have one entry per count value up to the
+# highest count, so this bounds them near 100 MB together; a fig2 trace
+# tops out near 2**14 counts.
+MAX_COUNT = 2 ** 22
 
-@dataclass
+
+@dataclass(frozen=True)
 class FluorescenceTrace:
-    """Binned photon counts; bin i covers [i*bin_width, (i+1)*bin_width)."""
+    """Binned photon counts; bin i covers [i*bin_width, (i+1)*bin_width).
+
+    The trace keeps a read-only view of the counts it is given, so its
+    cached count_hist cannot go stale through them.
+    """
 
     bin_width: float  # s
     counts: np.ndarray  # int64
@@ -41,12 +57,40 @@ class FluorescenceTrace:
     bg_rate: float  # counts/s
     seed: int
 
+    def __post_init__(self) -> None:
+        counts = np.asarray(self.counts).view()
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
+
     def __len__(self) -> int:
         return len(self.counts)
 
     @property
     def duration(self) -> float:
         return len(self.counts) * self.bin_width
+
+    @cached_property
+    def count_hist(self) -> np.ndarray:
+        """np.bincount(counts): the number of bins that hold each count
+        value, computed on first use, BLOCK_BINS bins at a time (np.bincount
+        copies a read-only array it is given whole). A negative count, or
+        one above MAX_COUNT, raises ValueError naming the first such bin."""
+        counts = self.counts
+        top = int(counts.max(initial=0))
+        if top <= MAX_COUNT:
+            hist = np.zeros(top + 1, dtype=np.int64)
+            try:
+                for lo in range(0, len(counts), BLOCK_BINS):
+                    hist += np.bincount(counts[lo:lo + BLOCK_BINS], minlength=top + 1)
+                return hist
+            except ValueError:
+                if not (counts < 0).any():
+                    raise
+        i = int(np.argmax((counts < 0) | (counts > MAX_COUNT)))
+        if counts[i] < 0:
+            raise ValueError(f"bin {i}: negative count {counts[i]}")
+        raise ValueError(f"bin {i}: count {counts[i]} above {MAX_COUNT}, "
+                         "the highest a count histogram covers")
 
 
 def _whole_bins(log: EventLog, per_atom_rate: float, bg_rate: float,

@@ -204,6 +204,16 @@ def test_detect_rejects_two_column_trace(tmp_path, capsys):
     assert not (tmp_path / "detected_events.csv").exists()
 
 
+@pytest.mark.parametrize("huge", [2 ** 22 + 1, 2 ** 62])
+def test_detect_refuses_a_huge_count(tmp_path, capsys, huge):
+    # one histogram slot per count value up to the highest would not fit
+    path = tmp_path / "trace.csv"
+    path.write_text(_TRACE_HEAD + "counts\n" + "510\n" * 20 + f"{huge}\n")
+    assert main(["detect", "--out-dir", str(tmp_path)]) == 2
+    assert f"bin 20: count {huge} above 4194304" in capsys.readouterr().err
+    assert not (tmp_path / "detected_events.csv").exists()
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy.optimize is imported by fit_repump_decay alone, and the peak
     # search needs neither scipy.signal nor scipy.ndimage

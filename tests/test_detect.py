@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from fewatom.detect import (BUMP_NSIGMA, Calibration, CalibrationError,
-                            DetectionQualityError, _bump_pairs, _comb_peaks,
+from fewatom.detect import (BUMP_NSIGMA, SPIKE_KEEP_SNR, Calibration,
+                            CalibrationError, DetectionQualityError,
+                            _bump_pairs, _bumps, _comb_peaks,
                             _events_from_levels, _hist_percentile, _levels,
-                            _linfit, _merge_down_down, calibrate, detect)
+                            _linfit, _merge_down_down, _read_levels, _restep,
+                            _steps, calibrate, detect)
 from fewatom.markov import (KIND_LOAD, KIND_LOSS1, KIND_LOSS2, EventLog,
                             RateModel, simulate)
-from fewatom.trace import (BLOCK_BINS, FluorescenceTrace, binned_mean_counts,
-                           synthesize)
+from fewatom.trace import (BLOCK_BINS, MAX_COUNT, FluorescenceTrace,
+                           binned_mean_counts, synthesize)
 
 # the module, not the function the package exports under the same name
 detect_module = importlib.import_module("fewatom.detect")
@@ -105,6 +107,29 @@ def test_negative_count_names_its_first_bin(stage):
                            bg_rate=500.0, seed=0)
     with pytest.raises(ValueError, match=r"^bin 12: negative count -3$"):
         stage(tr)
+
+
+@pytest.mark.parametrize("stage", [calibrate, lambda tr: detect(tr, CAL)],
+                         ids=["calibrate", "detect"])
+@pytest.mark.parametrize("huge", [MAX_COUNT + 1, 2 ** 62])
+def test_huge_count_names_its_first_bin(stage, huge):
+    # refused before any table with one entry per count value is built
+    counts = np.array([500] * 10 + [1500] * 10 + [2500] * 10, dtype=np.int64)
+    counts[[12, 25]] = [huge, -1]
+    tr = FluorescenceTrace(bin_width=0.1, counts=counts, per_atom_rate=10_000.0,
+                           bg_rate=500.0, seed=0)
+    with pytest.raises(ValueError, match=rf"^bin 12: count {huge} above {MAX_COUNT},"):
+        stage(tr)
+
+
+def test_calibrate_then_detect_histograms_the_counts_once():
+    model = RateModel(load_rate=0.1403, bg_rate=1.0 / 60.0, b1=0.004, b2=0.006)
+    tr = synthesize(simulate(model, duration=2000.0, seed=4), seed=104)
+    with mock.patch.object(np, "bincount", wraps=np.bincount) as bincount:
+        detect(tr, calibrate(tr))
+    # every bin passes through np.bincount once
+    assert sum(len(c.args[0]) for c in bincount.call_args_list
+               if np.shares_memory(c.args[0], tr.counts)) == len(tr)
 
 
 def test_same_bin_losses_read_as_pair_loss():
@@ -386,25 +411,43 @@ def test_merge_and_events_match_reference(case, bin_width, block, dtype):
     want_levels, want_merged = _merge_reference(n_hat, counts, offset, spacing)
     got_levels = n_hat.astype(dtype)
     with mock.patch.object(detect_module, "BLOCK_BINS", block):
-        got_merged = _merge_down_down(got_levels, counts, offset, spacing)
-        got_events = [_events_from_levels(levels, bin_width)
+        steps = _steps(got_levels)
+        merged = _merge_down_down(got_levels, steps, counts, offset, spacing)
+        # the step set after the merge, from the one before it
+        steps = _restep(got_levels, steps, merged)
+        np.testing.assert_array_equal(steps, _steps(got_levels))
+        got_events = [_events_from_levels(levels, _steps(levels), bin_width)
                       for levels in (n_hat.astype(dtype), got_levels)]
     np.testing.assert_array_equal(got_levels, want_levels)
-    assert got_merged == want_merged
+    assert len(merged) == want_merged
     for levels, got in zip((n_hat, want_levels), got_events):
         _assert_same_events(got, _events_reference(levels, bin_width))
 
 
-def _detect_reference(counts, offset, spacing, bin_width):
-    """detect() above SPIKE_KEEP_SNR on int64 levels, from the reference
-    loops: merge, re-vote, boundary events and bump pairs."""
+def _spike_reference(n_hat):
+    """Every bin with a step in and the opposite step out takes the level of
+    the bin before it in the sequence as given."""
+    out = n_hat.copy()
+    for i in range(1, len(n_hat) - 1):
+        step_in, step_out = n_hat[i] - n_hat[i - 1], n_hat[i + 1] - n_hat[i]
+        if step_in != 0 and step_out == -step_in:
+            out[i] = n_hat[i - 1]
+    return out
+
+
+def _detect_reference(counts, offset, spacing, bin_width, low_snr=False):
+    """detect() on int64 levels, from the reference loops: spike suppression
+    below SPIKE_KEEP_SNR (low_snr), merge, re-vote, boundary events and, at
+    or above it, bump pairs."""
     n_hat = np.maximum(np.round((counts - offset) / spacing), 0).astype(np.int64)
+    if low_snr:
+        n_hat = _spike_reference(n_hat)
     n_hat, _ = _merge_reference(n_hat, counts, offset, spacing)
     for i in np.flatnonzero(np.abs(np.diff(n_hat)) > 2):
         n_hat[i + 1] = int(np.median(n_hat[max(i - 1, 0):i + 3]))
     times, kinds = _events_reference(n_hat, bin_width)
-    pair_times, pair_kinds, _ = _bump_reference(counts, n_hat, offset, spacing,
-                                                bin_width)
+    pair_times, pair_kinds, _ = ([], [], 0) if low_snr else _bump_reference(
+        counts, n_hat, offset, spacing, bin_width)
     times = np.concatenate([times, np.asarray(pair_times, dtype=np.float64)])
     order = np.argsort(times, kind="stable")
     kinds = np.concatenate([kinds, np.asarray(pair_kinds, dtype=np.int8)])
@@ -424,8 +467,11 @@ def test_detect_at_the_top_of_the_level_type(top, dtype):
     frac = np.zeros(len(levels))
     frac[[15, 16, 27]] = [0.3, -0.3, 0.4]  # bumps
     frac[[19, 21]] = [0.2, -0.2]  # dwells parked up, then down
-    bin_width, offset, spacing = 0.1, 50.0, 100_000.0
+    # the top level's counts stay within MAX_COUNT, and a 0.3-atom bump
+    # near it still clears BUMP_NSIGMA (0.28 atoms)
+    bin_width, offset, spacing = 0.1, 50.0, 32_000.0
     counts = np.round(offset + spacing * (n_hat + frac)).astype(np.int64)
+    assert counts.max() <= MAX_COUNT
     assert _levels(counts, offset, spacing).dtype == dtype
     tr = FluorescenceTrace(bin_width=bin_width, counts=counts,
                            per_atom_rate=spacing / bin_width,
@@ -464,10 +510,92 @@ def test_detect_with_the_calibration_of_a_dimmer_trace():
     assert rep.snr == spacing / np.sqrt(max(offset + spacing * n_typ, 1.0))
 
 
+def _detect_constructed(counts, offset, spacing, bin_width=0.1):
+    """detect() and its reference on counts read with the calibration of
+    offset and spacing: (log, report, reference (times, kinds, n0))."""
+    tr = FluorescenceTrace(bin_width=bin_width, counts=counts,
+                           per_atom_rate=spacing / bin_width,
+                           bg_rate=offset / bin_width, seed=0)
+    cal = Calibration(per_atom_rate=spacing / bin_width, bg_rate=offset / bin_width,
+                      per_atom_err=0.0, bg_err=0.0, n_levels=2)
+    log, rep = detect(tr, cal, min_snr=0.0)
+    offset, spacing = cal.per_bin(bin_width)
+    return log, rep, _detect_reference(counts, offset, spacing, bin_width,
+                                       low_snr=rep.snr < SPIKE_KEEP_SNR)
+
+
+def _assert_detects_as_reference(counts, offset, spacing, bin_width=0.1):
+    log, rep, (times, kinds, n0) = _detect_constructed(counts, offset, spacing,
+                                                       bin_width)
+    _assert_same_events((log.times, log.kinds), (times, kinds))
+    assert log.n0 == n0
+    return rep
+
+
+# (levels, residuals in atoms): a bin rewritten by a merge or a re-vote
+# inside or beside a bump, at spacing 1e5 counts per atom
+_REWRITE_CASES = {
+    # the dwell at bin 4 is parked up, which leaves bin 3 flat with its bump
+    "bump_beside_merged_up": ([2] * 4 + [1] + [0] * 4, {3: 0.3, 4: 0.3}),
+    # parked down: bin 5 is flat, with a downward bump
+    "bump_beside_merged_down": ([2] * 4 + [1] + [0] * 5, {4: -0.3, 5: 0.3, 6: 0.3}),
+    # the re-vote sets bin 4 to level 2, four atoms below its count: a bump
+    # whose count value is quiet at its own level
+    "revoted_bin_is_a_bump": ([2] * 4 + [6] + [2] * 4, {}),
+    # the same next to a bump of the same sign, read as one run of two
+    "revoted_bin_beside_a_bump": ([2] * 4 + [6] + [2] * 4, {3: 0.3}),
+    # and of the opposite sign, two pairs
+    "revoted_bin_beside_a_down_bump": ([2] * 4 + [6] + [2] * 4, {5: -0.3}),
+    # a re-vote that leaves its bin quiet, beside a bump
+    "revoted_quiet_beside_a_bump": ([3] * 4 + [0] + [3] * 4, {3: 0.3}),
+}
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, BLOCK_BINS])
+@pytest.mark.parametrize("case", _REWRITE_CASES.values(), ids=_REWRITE_CASES)
+def test_detect_rewritten_bins_beside_bumps_match_reference(case, block):
+    levels, resid = case
+    n_hat = np.array(levels, dtype=np.int64)
+    frac = np.array([resid.get(i, 0.0) for i in range(len(levels))])
+    counts = np.round(500.0 + 100_000.0 * (n_hat + frac)).astype(np.int64)
+    with mock.patch.object(detect_module, "BLOCK_BINS", block):
+        rep = _assert_detects_as_reference(counts, 500.0, 100_000.0)
+    assert rep.merged_bins + rep.ambiguous_bins >= 1
+    assert rep.pair_bumps >= 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(_level_sequences(), st.sampled_from([100.0, 100_000.0]),
+       st.sampled_from([1, 2, 3, 5, BLOCK_BINS]))
+def test_detect_matches_reference(case, spacing, block):
+    # bumps, spikes, merges and re-votes side by side and across block
+    # edges; spacing 100 reads below SPIKE_KEEP_SNR, 1e5 above it
+    n_hat, _, offset, _ = case
+    frac = np.linspace(-0.45, 0.45, len(n_hat))[::-1]
+    counts = np.maximum(np.round(offset + spacing * (n_hat + frac)), 0).astype(np.int64)
+    with mock.patch.object(detect_module, "BLOCK_BINS", block):
+        rep = _assert_detects_as_reference(counts, offset, spacing)
+    assert (rep.snr < SPIKE_KEEP_SNR) == (spacing == 100.0)
+
+
+def test_detect_at_moderate_snr_matches_reference():
+    # a fig2 log read between min_snr and SPIKE_KEEP_SNR: spikes are
+    # suppressed, and merges and re-votes then read the rewritten levels
+    model = RateModel(load_rate=0.1403, bg_rate=1.0 / 60.0, b1=0.004, b2=0.006)
+    tr = synthesize(simulate(model, duration=5000.0, seed=11), per_atom_rate=3000.0,
+                    bg_rate=500.0, seed=111)
+    log, rep, (times, kinds, n0) = _detect_constructed(tr.counts, 50.0, 300.0)
+    assert 5.0 < rep.snr < SPIKE_KEEP_SNR
+    assert rep.spike_bins > 0 and rep.merged_bins > 0
+    _assert_same_events((log.times, log.kinds), (times, kinds))
+    assert log.n0 == n0
+
+
 def test_events_from_empty_and_flat_levels():
     for levels in ([], [3], [2, 2, 2]):
-        got = _events_from_levels(np.array(levels, dtype=np.int64), 0.1)
-        _assert_same_events(got, _events_reference(np.array(levels, dtype=np.int64), 0.1))
+        levels = np.array(levels, dtype=np.int64)
+        got = _events_from_levels(levels, _steps(levels), 0.1)
+        _assert_same_events(got, _events_reference(levels, 0.1))
 
 
 @st.composite
@@ -589,14 +717,25 @@ def test_linfit_matches_lstsq(model, rates):
         np.testing.assert_allclose(cov, want_cov, rtol=1e-12, atol=0)
 
 
-def _assert_same_bumps(counts, n_hat, offset, spacing, bin_width):
+def _assert_same_bumps(counts, n_hat, offset, spacing, bin_width,
+                       rewritten=None):
     """_bump_pairs against the loop it replaced, after detect's conversion
-    of the loop's lists; returns the number of pairs."""
+    of the loop's lists; returns the number of pairs. rewritten holds at
+    least the bins whose level n_hat is not their count's; by default
+    exactly those."""
     times, kinds, n_pairs = _bump_reference(counts, n_hat, offset, spacing,
                                             bin_width)
-    got = _bump_pairs(counts, n_hat, offset, spacing, bin_width)
-    _assert_same_events(got, (np.asarray(times, dtype=np.float64),
-                              np.asarray(kinds, dtype=np.int8)))
+    # the candidates as detect() takes them: the bins whose count value is
+    # a bump at its own level, and those whose level is not their count's
+    value = np.arange(counts.max(initial=0) + 1)
+    table = _levels(value, offset, spacing)
+    _, bump_bins = _read_levels(counts, table, _bumps(value, table, offset, spacing)[1])
+    if rewritten is None:
+        rewritten = np.flatnonzero(n_hat != table[counts])
+    want = (np.asarray(times, dtype=np.float64), np.asarray(kinds, dtype=np.int8))
+    for candidates in (np.union1d(bump_bins, rewritten), np.arange(len(counts))):
+        got = _bump_pairs(counts, n_hat, candidates, offset, spacing, bin_width)
+        _assert_same_events(got, want)
     assert len(got[0]) // 2 == n_pairs
     return n_pairs
 
@@ -625,6 +764,23 @@ def _bump_traces(draw):
 def test_bump_pairs_match_reference(case, bin_width, block):
     with mock.patch.object(detect_module, "BLOCK_BINS", block):
         _assert_same_bumps(*case, bin_width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bump_traces(), st.data(), st.sampled_from([1, 2, 3, 5, BLOCK_BINS]))
+def test_bump_pairs_with_rewritten_levels_match_reference(case, data, block):
+    # each bin's level is its count's, then random bins get any level the
+    # table holds (some their own again), as the rewrites of detect leave them
+    counts, _, offset, spacing = case
+    n_hat = _levels(counts, offset, spacing)
+    top = int(n_hat.max(initial=0))
+    rewritten = np.array(data.draw(st.lists(st.integers(0, max(len(n_hat) - 1, 0)),
+                                            max_size=len(n_hat) // 2, unique=True)),
+                         dtype=np.int64)
+    n_hat[rewritten] = data.draw(st.lists(st.integers(0, top), min_size=len(rewritten),
+                                          max_size=len(rewritten)))
+    with mock.patch.object(detect_module, "BLOCK_BINS", block):
+        _assert_same_bumps(counts, n_hat, offset, spacing, 0.1, rewritten)
 
 
 # no shrinking: each failing example holds a few block-sized arrays alive

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from fewatom import trace
 from fewatom.markov import KIND_LOAD, KIND_LOSS1, EventLog, RateModel, simulate
-from fewatom.trace import (BLOCK_BINS, FluorescenceTrace, binned_mean_counts,
-                           synthesize)
+from fewatom.trace import (BLOCK_BINS, MAX_COUNT, FluorescenceTrace,
+                           binned_mean_counts, synthesize)
 
 
 def _log(times, kinds, n0, duration):
@@ -70,6 +70,36 @@ def test_trace_metadata():
     assert len(tr) == 123
     assert tr.duration == pytest.approx(len(tr) * 0.1)
     assert tr.counts.dtype.kind in "iu"
+
+
+def test_trace_counts_are_read_only():
+    # the count histogram is cached, so the counts it was taken from stay
+    counts = np.array([3, 1, 3, 0], dtype=np.int64)
+    tr = FluorescenceTrace(bin_width=0.1, counts=counts, per_atom_rate=1.0,
+                           bg_rate=1.0, seed=0)
+    assert tr.count_hist.tolist() == [1, 1, 0, 2]
+    with pytest.raises(ValueError, match="read-only"):
+        tr.counts[0] = 1
+    with pytest.raises(AttributeError):
+        tr.counts = counts[::-1]
+
+
+@pytest.mark.parametrize("block", [1, 3, BLOCK_BINS])
+def test_count_hist_in_blocks(block):
+    counts = np.random.default_rng(1).poisson(40.0, 100)
+    tr = FluorescenceTrace(bin_width=0.1, counts=counts, per_atom_rate=1.0,
+                           bg_rate=1.0, seed=0)
+    with mock.patch.object(trace, "BLOCK_BINS", block):
+        hist = tr.count_hist
+    assert hist.dtype == np.int64
+    np.testing.assert_array_equal(hist, np.bincount(counts))
+
+
+def test_count_hist_takes_counts_up_to_the_limit():
+    tr = FluorescenceTrace(bin_width=0.1, counts=np.array([0, MAX_COUNT]),
+                           per_atom_rate=1.0, bg_rate=1.0, seed=0)
+    assert len(tr.count_hist) == MAX_COUNT + 1
+    assert tr.count_hist.sum() == 2
 
 
 def test_synthesize_validation():

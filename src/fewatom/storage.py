@@ -6,23 +6,25 @@ width, the calibration and the detection path of the trace it was read from.
 Writes go through a temp file and os.replace so a crashed run never leaves a
 truncated CSV behind.
 
-Integer columns never become one Python object per value. The writer renders
-_CHUNK_ROWS rows at a time into a byte matrix: integers by digit arithmetic
-on whole columns, floats as repr. A table of integer columns is parsed
-straight from the file bytes, _BLOCK_BYTES at a time, into one preallocated
-int64 array; a table with a float column is split into fields once, its
-integer columns parsed from them and its float column by np.loadtxt. Either
-way a field is valid only if the writer would write its parsed value as the
-same bytes, so ' 5', '+5', '05' or '0.50' fail; that and the writers'
-invariants are checked as array operations, and only a file that fails is
-scanned line by line, to name its first bad line. The bytes
-are csv.writer's ('\\r\\n' row ends); readers also take '\\n' and blank
-lines, and nothing else the writers would not write.
+The writer is the one statement of the format. It renders _CHUNK_ROWS rows
+at a time into a byte matrix, integers by digit arithmetic on whole columns
+and floats as repr, as csv.writer's bytes ('\\r\\n' row ends). The readers
+take the rows _BLOCK_BYTES of whole lines at a time, parse each block loosely
+with numpy's C parsers (np.fromstring for a trace's counts, np.loadtxt for a
+table with a float column) and render the values again with the writer: a
+block reads only if the bytes are the same, or the same once '\\n' row ends
+become '\\r\\n' and blank lines are dropped, the two liberties the readers
+take. So a field reads only if the writer would write its value as the same
+bytes, and ' 5', '+5', '05' or '0.50' fail. Header values are checked
+against the ranges their sources guarantee, and rows against the writers'
+invariants as array operations; only a file whose rows fail is scanned line
+by line, to name its first bad line.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import os
 import tempfile
 import warnings
@@ -40,7 +42,7 @@ from .trace import FluorescenceTrace
 # block: large enough that the per-call cost vanishes, small enough that the
 # temporaries stay far below a trace's own counts
 _CHUNK_ROWS = 1 << 16
-_BLOCK_BYTES = 1 << 16
+_BLOCK_BYTES = 1 << 17
 
 
 def atomic_write_text(path: str | Path, chunks: Iterable[str]) -> None:
@@ -166,9 +168,7 @@ def _read_csv(path: str | Path, keys: dict[str, Callable[[str], object]],
         if missing:
             raise ValueError(f"{path}, line {line_no}: missing header field(s) "
                              f"{missing} before the column row")
-        # the column types, which every file's reader fixes, pick the parser
-        rows = (_int_rows(fh, len(columns)) if set(columns.values()) == {np.int64}
-                else _text_rows(fh.read(), columns))
+        rows = _rows(fh, columns)
     if rows is None:
         bad = _bad_line(path, line_no, columns)
         raise ValueError(f"{path}, line {bad[0]}: {bad[1]}" if bad
@@ -176,216 +176,63 @@ def _read_csv(path: str | Path, keys: dict[str, Callable[[str], object]],
     return meta, dict(zip(columns, rows)), line_no
 
 
-def _int_rows(fh, n_cols: int) -> np.ndarray | None:
-    """The rows from fh's position on as an (n_cols, rows) int64 array,
-    parsed _BLOCK_BYTES at a time, or None if one is not as the writer
-    writes integers."""
+def _rows(fh, columns: dict[str, type]) -> list[np.ndarray] | None:
+    """The rows from fh's position on, one array per column of its type,
+    read _BLOCK_BYTES of whole lines at a time, or None if a block is not
+    as the writer writes its rows."""
     start = fh.tell()
     lines = sum(part.count(b"\n") for part in iter(lambda: fh.read(1 << 20), b""))
-    out = np.empty((n_cols, lines + 1), np.int64)  # + a last unended line
+    # + a last unended line
+    out = [np.empty(lines + 1, kind) for kind in columns.values()]
     fh.seek(start)
     n, tail = 0, b""
     for block in chain(iter(lambda: fh.read(_BLOCK_BYTES), b""), [b"\n"]):
         block = tail + block
         cut = block.rfind(b"\n") + 1
         block, tail = block[:cut], block[cut:]
-        fields = _fields(np.frombuffer(block, np.uint8), n_cols)
-        if fields is None or fields[-1]:  # a byte no integer field holds
-            return None
-        rows = _int_values(*fields[:-1])
-        if rows is None:
-            return None
-        out[:, n:n + len(rows)] = rows.T
-        n += len(rows)
-    return out[:, :n]
-
-
-def _text_rows(data: bytes, columns: dict[str, type]) -> list[np.ndarray] | None:
-    """One array per column of the rows in data, or None if they do not
-    parse or the writer would not write their values as the same bytes.
-    The lines are split into fields once: integer columns are parsed from
-    those fields, and np.loadtxt converts only the float columns."""
-    if not data.endswith(b"\n"):
-        data += b"\n"  # a last line without its row end
-    fields = _fields(np.frombuffer(data, np.uint8), len(columns))
-    if fields is None:
-        return None
-    b, digit, starts, stops, neg, other = fields
-    rows = []
-    for j, kind in enumerate(columns.values()):
-        column = (b, digit, starts[:, j], stops[:, j], neg[:, j])
-        if kind is np.int64:
-            values = _int_values(*column)
-        else:
-            values = _float_column(data, j, len(starts))
-            marks = None if values is None else _floats_written(*column, values)
-            if marks is None:
-                return None
-            other -= marks
+        values = _parse(block, columns)
         if values is None:
             return None
-        rows.append(values)
-    return rows if other == 0 else None
+        k = len(values[0])
+        text = _render(values, 0, k) if k else b""
+        if text != block and text.replace(b"\r\n", b"\n") != _lf_rows(block):
+            return None
+        for column, v in zip(out, values):
+            column[n:n + k] = v
+        n += k
+    return [column[:n] for column in out]
 
 
-def _float_column(data: bytes, j: int, n_rows: int) -> np.ndarray | None:
-    """Column j of the comma-separated lines in data as float64, by
-    np.loadtxt, or None unless it parses into n_rows values."""
+def _parse(block: bytes, columns: dict[str, type]) -> list[np.ndarray] | None:
+    """The values in the lines of block, one array per column, as numpy's C
+    parsers read them, or None where they fail. They read loosely (' 5' and
+    '+5' as 5, a lone '\\r' as a separator), so only the caller's comparison
+    with the writer's bytes decides whether the block holds rows."""
+    if not block.strip():  # np.fromstring reads b"\n" as [0]
+        return [np.empty(0, kind) for kind in columns.values()]
     try:
         with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            values = np.loadtxt(io.StringIO(data.decode("latin-1")), dtype=np.float64,
-                                delimiter=",", comments=None, usecols=j, ndmin=1)
+            # numpy 1.x warns where 2.x raises: on a string it could not
+            # read to its end, and on an integer read via a float
+            for message in ("string or file could not be read to its end",
+                            "loadtxt\\(\\): Parsing an integer via a float"):
+                warnings.filterwarnings("ignore", message)
+            if list(columns.values()) == [np.int64]:
+                return [np.fromstring(block, np.int64, sep=" ")]
+            table = np.loadtxt(io.StringIO(block.decode("latin-1")),
+                               dtype=list(columns.items()), delimiter=",",
+                               comments=None, ndmin=1)
     except ValueError:
         return None
-    return values if len(values) == n_rows else None
+    return [table[name] for name in columns]
 
 
-def _fields(b: np.ndarray, n_cols: int) -> tuple | None:
-    """Split whole lines b, each ending '\\n' or '\\r\\n', into fields: b;
-    its digit values, 0 for any other byte; the (rows, n_cols) starts and
-    stops of the fields; whether each starts with '-'; and how many bytes
-    are none of digits, separators, row ends and those '-'. None unless
-    every line is blank or holds n_cols fields."""
-    digit = b - np.uint8(ord("0"))
-    is_digit = digit < 10
-    digit *= is_digit
-    ends = np.flatnonzero((b == ord(",")) | (b == ord("\n")))
-    lf = b[ends] == ord("\n")
-    starts = np.concatenate(([0], ends + 1))[:-1]
-    cr = lf & (b[ends - 1] == ord("\r"))  # b[-1] is '\n', so none at ends[0] == 0
-    stops = ends - cr
-    neg = b[starts] == ord("-")
-    other = (len(b) - np.count_nonzero(is_digit) - len(ends)
-             - np.count_nonzero(cr) - np.count_nonzero(neg))
-    # a blank line: nothing between a line's start and its end
-    blank = lf & (starts == stops) & np.concatenate(([True], lf[:-1]))
-    if blank.any():
-        starts, stops, lf, neg = (a[~blank] for a in (starts, stops, lf, neg))
-    if len(lf) % n_cols or (lf.reshape(-1, n_cols)
-                            != (np.arange(n_cols) == n_cols - 1)).any():
-        return None
-    return (b, digit, *(a.reshape(-1, n_cols) for a in (starts, stops, neg)),
-            other)
-
-
-def _horner(digit: np.ndarray, first: np.ndarray, stops: np.ndarray, n: int,
-            skip: np.ndarray | None = None) -> np.ndarray:
-    """The uint64 value of the digits of each field [first, stop), which is
-    at most n bytes long, leaving out the byte at skip; digit[first - 1],
-    0 as it is no digit (or the last byte, a row end), pads on the left."""
-    value = np.zeros(stops.shape, np.uint64)
-    at, lo = np.empty_like(stops), first - 1
-    for k in range(n, 0, -1):
-        np.subtract(stops, k, out=at)
-        np.maximum(at, lo, out=at)
-        if skip is None:
-            value *= np.uint64(10)
-            value += digit[at]
-        else:
-            value = np.where(at == skip, value, value * np.uint64(10) + digit[at])
-    return value
-
-
-def _int_form(b: np.ndarray, starts: np.ndarray, stops: np.ndarray,
-              neg: np.ndarray) -> np.ndarray | None:
-    """The first digit of each field b[starts:stops], None unless each is
-    as str writes an integer: after its '-', '0' or 1 to 19 digits, the
-    first no '0'. The caller makes sure the fields hold no other bytes."""
-    first = starts + neg
-    n_digits = stops - first
-    if n_digits.size and (n_digits.min() < 1 or n_digits.max() > 19 or (
-            (b[first] == ord("0")) & ((n_digits > 1) | neg)).any()):
-        return None
-    return first
-
-
-def _int_values(b: np.ndarray, digit: np.ndarray, starts: np.ndarray,
-                stops: np.ndarray, neg: np.ndarray) -> np.ndarray | None:
-    """The int64 values of the fields b[starts:stops], None unless each is
-    str(v) of an int64 v (see _int_form)."""
-    first = _int_form(b, starts, stops, neg)
-    if first is None:
-        return None
-    value = _horner(digit, first, stops, int((stops - first).max(initial=0)))
-    if (value > neg.astype(np.uint64) + np.uint64(2**63 - 1)).any():
-        return None
-    signed = value.view(np.int64)  # 2**63 reads as the int64 minimum
-    np.negative(signed, out=signed, where=neg)
-    return signed
-
-
-# 10**k for k = 0..22, each exact as a double: for an integer c <= 2**53,
-# one IEEE quotient gives c / 10**k correctly rounded
-_POW10 = np.array([float(10**k) for k in range(23)])
-
-
-def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) = v with at most 26 significant bits in each (Veltkamp)."""
-    c = 134217729.0 * v
-    hi = c - (c - v)
-    return hi, v - hi
-
-
-def _floats_written(b: np.ndarray, digit: np.ndarray, starts: np.ndarray,
-                    stops: np.ndarray, neg: np.ndarray, x: np.ndarray) -> int | None:
-    """For float fields b[starts:stops] read as x: None unless each is
-    repr(x); else the count of their bytes other than digits and a leading
-    '-': '.', 'e' and the exponent sign.
-
-    For 1 <= |x| < 1e16, repr writes digits without a leading zero, '.', and
-    digits without a trailing zero but in 'd.0': the fewest digits that
-    read back as x, of those the closest to x. Up to 15 digits are always
-    the fewest, as no two such decimals read back as one double, so only 16
-    or 17 get checked against x. Other values, and the few fields that this
-    double arithmetic cannot decide, are compared with repr one by one.
-    """
-    s, t, signed = starts + neg, stops, np.asarray(x)
-    x = np.abs(signed)
-
-    def first(mark):  # the position of the first `mark` in each field, else its stop
-        at = np.flatnonzero(b == ord(mark))
-        return np.minimum(np.append(at, len(b))[np.searchsorted(at, s)], t)
-
-    dot = first(".")
-    n_int, n_frac = dot - s, t - dot - 1
-    last_zero = b[t - 1] == ord("0")
-    point_zero = (n_frac == 1) & last_zero
-    slow = ((first("e") < t) | (b[s] == ord("0")) | ~(x >= 1.0) | (x >= 1e16)
-            | point_zero & (n_int == 16))
-    if not (slow | (dot < t) & (n_frac >= 1) & (~last_zero | (n_frac == 1))
-            & (n_int + n_frac <= 17)).all():
-        return None
-    check = np.flatnonzero(~slow & ~point_zero & (n_int + n_frac >= 16))
-    if check.size:
-        s, t, dot, n_frac, x = (a[check] for a in (s, t, dot, n_frac, x))
-        d = _horner(digit, s, t, int((t - s).max()), dot)
-        # no decimal of one digit fewer reads back as x: neither neighbour of
-        # d // 10 at 10**(1 - n_frac) does
-        c = (d // np.uint64(10)).astype(np.float64)
-        pw = _POW10[n_frac - 1]
-        shorter = (c / pw == x) | ((c + 1) / pw == x)
-        # d is the integer closest to x * 10**n_frac, from its exact product
-        # p + err (Dekker)
-        p = x * _POW10[n_frac]
-        (xh, xl), (ph, pl) = _split(x), _split(_POW10[n_frac])
-        err = ((xh * ph - p) + xh * pl + xl * ph) + xl * pl
-        r = np.rint(p)
-        frac = (p - r) + err
-        step = np.rint(frac)
-        # c past 2**53 makes c / pw inexact, and a near tie is left to repr
-        undecided = (c + 1 > 2.0**53) | (np.abs(np.abs(frac - step) - 0.5) <= 1e-6)
-        slow[check[undecided]] = True
-        closest = r.astype(np.int64) + step.astype(np.int64)
-        if (~undecided & (shorter | (closest != d.astype(np.int64)))).any():
-            return None
-    marks = np.count_nonzero(~slow)  # the '.' of each field checked above
-    for i in np.flatnonzero(slow).tolist():
-        text = b[starts[i]:stops[i]].tobytes().decode("latin-1")
-        if text != repr(float(signed[i])):
-            return None
-        marks += sum(not ch.isdigit() for ch in text[int(neg[i]):])
-    return int(marks)
+def _lf_rows(block: bytes) -> bytes:
+    """The lines of block with '\\n' row ends and without blank lines."""
+    block = block.replace(b"\r\n", b"\n")
+    while b"\n\n" in block:
+        block = block.replace(b"\n\n", b"\n")
+    return block.removeprefix(b"\n")
 
 
 def _raise_first(path: str | Path, column_line: int, faults: list) -> None:
@@ -435,7 +282,7 @@ _EVENT_COLUMNS = {"time_s": np.float64, "kind": np.int64, "n_before": np.int64,
                   "n_after": np.int64}
 
 
-def _checked(kind: type, ok: Callable[[object], bool], rule: str
+def _checked(kind: Callable[[str], object], ok: Callable[[object], bool], rule: str
              ) -> Callable[[str], object]:
     """Header converter: `kind` of the text, which must be `rule` (`ok` checks)."""
     def convert(text: str):
@@ -446,9 +293,21 @@ def _checked(kind: type, ok: Callable[[object], bool], rule: str
     return convert
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {text}")
+    return value
+
+
+# the ranges the writers' sources guarantee: synthesize's rates and bin
+# width, simulate's duration, and what calibrate returns
+_POSITIVE = _checked(_finite, lambda v: v > 0, "positive")
+_NON_NEGATIVE = _checked(_finite, lambda v: v >= 0, "non-negative")
+
 # n0 must fit the int64 arrays the log's atom numbers are derived in
 _EVENT_KEYS = {"n0": _checked(int, lambda n: 0 <= n < 2**63, "a count in [0, 2**63)"),
-               "duration_s": float, "seed": int}
+               "duration_s": _POSITIVE, "seed": int}
 
 
 def _write_events(log: EventLog, path: str | Path, meta: dict[str, object]) -> None:
@@ -487,10 +346,12 @@ def read_event_csv(path: str | Path) -> EventLog:
 # calibration of the trace it was read from, which a re-fit needs, as
 # header key -> (Calibration field, converter); and whether detect ran its
 # bump pass, 1 or 0, which decides the pile-up transfers the re-fit applies
-_CAL_KEYS = {"cal_per_atom_rate_hz": ("per_atom_rate", float),
-             "cal_bg_rate_hz": ("bg_rate", float),
-             "cal_per_atom_err_hz": ("per_atom_err", float),
-             "cal_bg_err_hz": ("bg_err", float), "cal_n_levels": ("n_levels", int)}
+_CAL_KEYS = {"cal_per_atom_rate_hz": ("per_atom_rate", _POSITIVE),
+             "cal_bg_rate_hz": ("bg_rate", _NON_NEGATIVE),
+             "cal_per_atom_err_hz": ("per_atom_err", _NON_NEGATIVE),
+             "cal_bg_err_hz": ("bg_err", _NON_NEGATIVE),
+             "cal_n_levels": ("n_levels",
+                              _checked(int, lambda n: n >= 2, "at least 2"))}
 _BUMP_KEY = "bump_pass"
 
 
@@ -506,7 +367,7 @@ def read_detected_csv(path: str | Path
     """(log, bin width, calibration, whether the bump pass ran) of a file
     write_detected_csv made."""
     log, meta = _read_events(path, {
-        **_EVENT_KEYS, "bin_width_s": _checked(float, lambda w: w > 0, "positive"),
+        **_EVENT_KEYS, "bin_width_s": _POSITIVE,
         **{key: kind for key, (_, kind) in _CAL_KEYS.items()},
         _BUMP_KEY: _checked(int, lambda b: b in (0, 1), "0 or 1")})
     return log, meta["bin_width_s"], Calibration(**{
@@ -525,8 +386,8 @@ def write_trace_csv(trace: FluorescenceTrace, path: str | Path) -> None:
 
 def read_trace_csv(path: str | Path) -> FluorescenceTrace:
     meta, rows, column_line = _read_csv(
-        path, {"bin_width_s": float, "per_atom_rate_hz": float,
-               "bg_rate_hz": float, "seed": int}, _TRACE_COLUMNS)
+        path, {"bin_width_s": _POSITIVE, "per_atom_rate_hz": _POSITIVE,
+               "bg_rate_hz": _NON_NEGATIVE, "seed": int}, _TRACE_COLUMNS)
     counts = rows["counts"]
     _raise_first(path, column_line,
                  [(counts < 0, lambda i: f"negative count {counts[i]}")])

@@ -204,6 +204,37 @@ def test_detect_rejects_two_column_trace(tmp_path, capsys):
     assert not (tmp_path / "detected_events.csv").exists()
 
 
+@pytest.mark.parametrize("value, fault", [
+    ("0.0", "must be positive, got 0.0"),  # once a ZeroDivisionError
+    ("-0.1", "must be positive, got -0.1"),  # once a log fit refused
+    ("nan", "must be finite, got nan"), ("inf", "must be finite, got inf")])
+def test_detect_names_bad_bin_width(tmp_path, capsys, value, fault):
+    path = tmp_path / "trace.csv"
+    path.write_text(_TRACE_HEAD.replace("=0.1", f"={value}") + "counts\n"
+                    + "510\n" * 20)
+    assert main(["detect", "--out-dir", str(tmp_path)]) == 2
+    assert f"{path}, line 1: bin_width_s: {fault}" in capsys.readouterr().err
+    assert not (tmp_path / "detected_events.csv").exists()
+
+
+@pytest.mark.parametrize("head, line, fault", [
+    # once a fit with NaN rates, exit 0
+    (_DETECTED_HEAD.replace("rate_hz=10000.0", "rate_hz=nan"), 5,
+     "cal_per_atom_rate_hz: must be finite, got nan"),
+    (_DETECTED_HEAD.replace("rate_hz=10000.0", "rate_hz=-5.0"), 5,
+     "cal_per_atom_rate_hz: must be positive, got -5.0"),
+    # a row-less log: once "0 populated level(s)", exit 3
+    (_DETECTED_HEAD.replace("=10.0", "=0.0"), 2,
+     "duration_s: must be positive, got 0.0"),
+], ids=["cal_rate_nan", "cal_rate_negative", "duration_0"])
+def test_fit_names_bad_header_value(tmp_path, capsys, head, line, fault):
+    path = tmp_path / "detected_events.csv"
+    path.write_text(head + "time_s,kind,n_before,n_after\n")
+    assert main(["fit", "--out-dir", str(tmp_path)]) == 2
+    assert f"{path}, line {line}: {fault}" in capsys.readouterr().err
+    assert not (tmp_path / "fit.csv").exists()
+
+
 @pytest.mark.parametrize("huge", [2 ** 22 + 1, 2 ** 62])
 def test_detect_refuses_a_huge_count(tmp_path, capsys, huge):
     # one histogram slot per count value up to the highest would not fit

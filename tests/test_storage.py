@@ -10,7 +10,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fewatom.detect import Calibration
 from fewatom.markov import KIND_DELTA, KIND_LOAD, EventLog, RateModel, simulate
-from fewatom.storage import (_CHUNK_ROWS, _int_rows, _text_rows, atomic_write_text,
+from fewatom import storage
+from fewatom.storage import (_CHUNK_ROWS, _EVENT_COLUMNS, _rows, atomic_write_text,
                              read_detected_csv, read_event_csv, read_trace_csv,
                              write_detected_csv, write_event_csv,
                              write_table_csv, write_trace_csv)
@@ -188,16 +189,18 @@ def _bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
 
-_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# what calibrate can return, which the reader checks the header against
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
 
 
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(log=_event_logs(),
        bin_width=st.floats(min_value=0.0, max_value=1e3, exclude_min=True),
-       cal=st.builds(Calibration, per_atom_rate=_FINITE, bg_rate=_FINITE,
-                     per_atom_err=_FINITE, bg_err=_FINITE,
-                     n_levels=st.integers(0, 10_000)),
+       cal=st.builds(Calibration, per_atom_rate=_POSITIVE, bg_rate=_NON_NEGATIVE,
+                     per_atom_err=_NON_NEGATIVE, bg_err=_NON_NEGATIVE,
+                     n_levels=st.integers(2, 10_000)),
        bump_pass=st.booleans())
 def test_detected_log_roundtrip_bitwise(tmp_path, log, bin_width, cal, bump_pass):
     path = tmp_path / "detected_events.csv"
@@ -344,7 +347,7 @@ def test_event_writer_matches_csv_writer(tmp_path, log):
 
 # -- rows the array checks and the parse-failure scan must name by line
 
-# past the first writer chunk and loadtxt's own 50 000-row blocks
+# past the first writer chunk, across several reader blocks
 _N_ROWS = 70_002
 _TRACE_ROWS = [f"{500 + i % 7}" for i in range(_N_ROWS)]
 _EVENT_ROWS = [f"{(i + 1) * 0.5!r},{i % 2},{i % 2},{1 - i % 2}"
@@ -483,8 +486,53 @@ _DETECTED_HEADER = (_EVENT_HEADER.partition("time_s")[0] + "# bin_width_s=0.1\n"
      "bump_pass: must be 0 or 1, got 2"),
     (read_detected_csv, _DETECTED_HEADER.replace("# bump_pass=1\n", ""), 10,
      r"missing header field\(s\) \['bump_pass'\]"),
+    # the ranges the writers' sources guarantee
+    (read_trace_csv, _TRACE_HEADER.replace("=0.1", "=0.0"), 1,
+     "bin_width_s: must be positive, got 0.0"),
+    (read_trace_csv, _TRACE_HEADER.replace("=0.1", "=-0.1"), 1,
+     "bin_width_s: must be positive, got -0.1"),
+    (read_trace_csv, _TRACE_HEADER.replace("=0.1", "=nan"), 1,
+     "bin_width_s: must be finite, got nan"),
+    (read_trace_csv, _TRACE_HEADER.replace("=0.1", "=inf"), 1,
+     "bin_width_s: must be finite, got inf"),
+    (read_trace_csv, _TRACE_HEADER.replace("=10000.0", "=0.0"), 2,
+     "per_atom_rate_hz: must be positive, got 0.0"),
+    (read_trace_csv, _TRACE_HEADER.replace("=10000.0", "=inf"), 2,
+     "per_atom_rate_hz: must be finite, got inf"),
+    (read_trace_csv, _TRACE_HEADER.replace("=500.0", "=-1.0"), 3,
+     "bg_rate_hz: must be non-negative, got -1.0"),
+    (read_trace_csv, _TRACE_HEADER.replace("=500.0", "=nan"), 3,
+     "bg_rate_hz: must be finite, got nan"),
+    (read_event_csv, _EVENT_HEADER.replace("=40000.0", "=-5.0"), 2,
+     "duration_s: must be positive, got -5.0"),
+    (read_event_csv, _EVENT_HEADER.replace("=40000.0", "=0.0"), 2,
+     "duration_s: must be positive, got 0.0"),
+    (read_event_csv, _EVENT_HEADER.replace("=40000.0", "=nan"), 2,
+     "duration_s: must be finite, got nan"),
+    (read_detected_csv, _DETECTED_HEADER.replace("=0.1", "=inf"), 4,
+     "bin_width_s: must be finite, got inf"),
+    (read_detected_csv, _DETECTED_HEADER.replace("rate_hz=10000.0", "rate_hz=nan"), 5,
+     "cal_per_atom_rate_hz: must be finite, got nan"),
+    (read_detected_csv, _DETECTED_HEADER.replace("rate_hz=10000.0", "rate_hz=inf"), 5,
+     "cal_per_atom_rate_hz: must be finite, got inf"),
+    (read_detected_csv, _DETECTED_HEADER.replace("rate_hz=10000.0", "rate_hz=0.0"), 5,
+     "cal_per_atom_rate_hz: must be positive, got 0.0"),
+    (read_detected_csv, _DETECTED_HEADER.replace("rate_hz=500.0", "rate_hz=-5.0"), 6,
+     "cal_bg_rate_hz: must be non-negative, got -5.0"),
+    (read_detected_csv,
+     _DETECTED_HEADER.replace("atom_err_hz=1.0", "atom_err_hz=nan"), 7,
+     "cal_per_atom_err_hz: must be finite, got nan"),
+    (read_detected_csv, _DETECTED_HEADER.replace("bg_err_hz=1.0", "bg_err_hz=-1.0"), 8,
+     "cal_bg_err_hz: must be non-negative, got -1.0"),
+    (read_detected_csv, _DETECTED_HEADER.replace("levels=4", "levels=1"), 9,
+     "cal_n_levels: must be at least 2, got 1"),
 ], ids=["bad_value", "n0_past_int64", "n0_negative", "missing_key", "wrong_columns", "no_columns", "trace_value",
-        "bin_width_0", "float_levels", "bump_pass_2", "no_bump_pass"])
+        "bin_width_0", "float_levels", "bump_pass_2", "no_bump_pass",
+        "trace_bin_width_0", "trace_bin_width_negative", "trace_bin_width_nan",
+        "trace_bin_width_inf", "trace_rate_0", "trace_rate_inf", "trace_bg_negative",
+        "trace_bg_nan", "duration_negative", "duration_0", "duration_nan",
+        "bin_width_inf", "cal_rate_nan", "cal_rate_inf", "cal_rate_0",
+        "cal_bg_negative", "cal_err_nan", "cal_bg_err_negative", "one_level"])
 def test_readers_name_header_fault_line(tmp_path, read, text, line, fault):
     path = tmp_path / "file.csv"
     path.write_text(text)
@@ -533,7 +581,7 @@ _FLOAT_CASES = [0.1 + 0.2, 1e16, 9999999999999998.0, 1e15, 123456789012345.6,
 def _reads(texts: list[str]) -> bool:
     """Whether one float column of these rows reads back."""
     data = "".join(f"{text}\r\n" for text in texts).encode()
-    return _text_rows(data, {"x": np.float64}) is not None
+    return _rows(io.BytesIO(data), {"x": np.float64}) is not None
 
 
 @settings(max_examples=300, deadline=None)
@@ -550,9 +598,9 @@ def test_float_field_reads_only_as_repr(v):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_float_column_reads_only_as_repr(seed):
-    # thousands of rows at once, through the array checks: doubles of every
-    # exponent and bin-boundary times like detect writes, then each row
-    # rewritten in a form that parses to the same value
+    # thousands of rows at once, through the render check: doubles of
+    # every exponent and bin-boundary times like detect writes, then each
+    # row rewritten in a form that parses to the same value
     rng = np.random.default_rng(seed)
     values = np.concatenate([
         rng.integers(0, 2**64, 1000, dtype=np.uint64).view(np.float64),
@@ -576,11 +624,32 @@ def test_float_column_reads_only_as_repr(seed):
 def test_int_field_reads_only_as_str(v):
     for text in {str(v), "+" + str(v), "0" + str(v), str(v) + " ", "-0" + str(v)}:
         data = f"7\r\n{text}\r\n-3\r\n".encode()
-        got = _int_rows(io.BytesIO(data), 1)
+        got = _rows(io.BytesIO(data), {"x": np.int64})
         if text == str(v) and -2**63 <= v < 2**63:
             assert got is not None and got[0].tolist() == [7, v, -3]
         else:
             assert got is None, text
+
+
+@pytest.mark.parametrize("columns, rows", [
+    ({"counts": np.int64}, _TRACE_ROWS[:8]), (_EVENT_COLUMNS, _EVENT_ROWS[:8])],
+    ids=["trace", "events"])
+@pytest.mark.parametrize("end", ["\r\n", ""], ids=["ended", "unended"])
+def test_rows_across_every_block_boundary(monkeypatch, columns, rows, end):
+    # '\r\n' row ends but a blank line, an LF row end after it, and maybe
+    # no row end on the last line; every block size splits the text at
+    # another place, across a row, a row end or the blank line
+    text = ("\r\n".join(rows[:3]) + "\r\n\r\n" + rows[3] + "\n"
+            + "\r\n".join(rows[4:]) + end).encode()
+    want = [[kind(field) for field in fields] for kind, fields
+            in zip(columns.values(), zip(*(row.split(",") for row in rows)))]
+    for block in range(1, len(text) + 2):
+        monkeypatch.setattr(storage, "_BLOCK_BYTES", block)
+        got = _rows(io.BytesIO(text), columns)
+        assert got is not None and [c.tolist() for c in got] == want, block
+        bad = _rows(io.BytesIO(text.replace(b"\n" + rows[4].encode(),
+                                            b"\n+" + rows[4].encode())), columns)
+        assert bad is None, block
 
 
 # -- memory: integer columns are rendered and parsed a block at a time

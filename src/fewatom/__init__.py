@@ -11,8 +11,8 @@ from .trap import (TrapConfig, depth_from_cos, depth_minimum, effective_volume,
 from .channels import (ChannelSet, ShieldingParams, condon_radius,
                        effective_betas, outcome_probabilities,
                        scaling_constant, suppression_ratio)
-from .markov import (EventLog, RateModel, TruncationError, expected_event_rates,
-                     master_stationary, simulate, stationary_moments)
+from .markov import (EventLog, RateModel, TruncationError, master_stationary,
+                     simulate, stationary_moments)
 from .trace import FluorescenceTrace, binned_mean_counts, synthesize
 from .detect import (Calibration, CalibrationError, DetectionQualityError,
                      DetectionReport, calibrate, detect)
@@ -30,8 +30,8 @@ __all__ = [
     "photons_to_stop", "saturation_parameter",
     "ChannelSet", "ShieldingParams", "condon_radius", "effective_betas",
     "outcome_probabilities", "scaling_constant", "suppression_ratio",
-    "EventLog", "RateModel", "TruncationError", "expected_event_rates",
-    "master_stationary", "simulate", "stationary_moments",
+    "EventLog", "RateModel", "TruncationError", "master_stationary",
+    "simulate", "stationary_moments",
     "FluorescenceTrace", "binned_mean_counts", "synthesize",
     "Calibration", "CalibrationError", "DetectionQualityError",
     "DetectionReport", "calibrate", "detect",

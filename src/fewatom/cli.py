@@ -3,8 +3,8 @@
 Subcommands cover the full measurement chain: simulate (event log), synth
 (photon trace), detect (log recovery from a trace), fit (per-occupancy rates),
 shield (suppression curves), pipeline (synth, detect and fit in one process),
-and oracle (stationary distribution of the configured rate model). synth,
-detect, fit and pipeline share one function per stage.
+and oracle (stationary distribution of the configured rate model). simulate,
+synth, detect, fit and pipeline share one function per stage.
 
 Outputs land in --out-dir under conventional names (events.csv, trace.csv,
 detected_events.csv, rates_by_n.csv, fit.csv, shield.csv, stationary.csv,
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +30,7 @@ from .detect import (Calibration, CalibrationError, DetectionQualityError,
 from .fitting import (ConvergenceError, DegenerateDataError, FitResult,
                       fit_rates, tabulate)
 from .markov import (KIND_NAMES, EventLog, RateModel, TruncationError,
-                     expected_event_rates, master_stationary, simulate,
-                     stationary_moments)
+                     master_stationary, simulate, stationary_moments)
 from .channels import scaling_constant, suppression_ratio
 from .storage import (atomic_write_text, read_detected_csv, read_event_csv,
                       read_trace_csv, write_detected_csv, write_event_csv,
@@ -43,10 +43,11 @@ EXIT_NUMERICAL = 3
 EXIT_DETECTION = 4
 
 
-def _stage_seeds(seed: int, n: int) -> list[int]:
-    """Derive independent per-stage integer seeds from the run seed."""
-    state = np.random.SeedSequence(seed).generate_state(max(n, 1), dtype=np.uint64)
-    return [int(s) for s in state]
+def _stage_seeds(seed: int) -> tuple[int, int]:
+    """Independent integer seeds of the simulate and synthesize stages,
+    derived from the run seed."""
+    sim, synth = np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64)
+    return int(sim), int(synth)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,11 +86,6 @@ def _load(args) -> tuple[RunConfig, Path]:
     return cfg, args.out_dir
 
 
-def _require_duration(cfg: RunConfig) -> None:
-    if cfg.duration <= 0:
-        raise ConfigError("sim.duration_s must be positive for this command")
-
-
 def _write_report(out_dir: Path, command: str, *sections: list[str]) -> None:
     """report.txt: the command, then each section after a blank line."""
     blocks = [[f"command = {command}"], *sections]
@@ -97,40 +93,48 @@ def _write_report(out_dir: Path, command: str, *sections: list[str]) -> None:
                       ["\n\n".join("\n".join(b) for b in blocks) + "\n"])
 
 
-def _model_section(cfg: RunConfig, model: RateModel) -> list[str]:
-    return [
+def _model_rates(model: RateModel) -> dict[str, float]:
+    """The model's four rates, keyed as report.txt and stationary.csv name them."""
+    return {f"{name}_per_s": rate for name, rate in asdict(model).items()}
+
+
+def _simulate_stage(cfg: RunConfig, out_dir: Path
+                    ) -> tuple[RateModel, EventLog, list[str]]:
+    """Simulate the configured model; writes events.csv and returns the
+    model, its log and the report's true-model section."""
+    if cfg.duration <= 0:
+        raise ConfigError("sim.duration_s must be positive for this command")
+    model = cfg.rate_model()
+    log = simulate(model, n0=cfg.n0, duration=cfg.duration,
+                   seed=_stage_seeds(cfg.seed)[0])
+    write_event_csv(log, out_dir / "events.csv")
+    return model, log, [
         "true model:",
-        f"load_rate_per_s = {model.load_rate:.6g}",
-        f"bg_rate_per_s = {model.bg_rate:.6g}",
-        f"b1_per_s = {model.b1:.6g}",
-        f"b2_per_s = {model.b2:.6g}",
+        *(f"{key} = {rate:.6g}" for key, rate in _model_rates(model).items()),
         f"volume_cm3 = {cfg.volume_cm3():.6g}",
+        f"true_events = {len(log)}",
     ]
 
 
 def _synth_stage(cfg: RunConfig, out_dir: Path
-                 ) -> tuple[RateModel, EventLog, FluorescenceTrace]:
-    """Simulate the configured model and render its photon trace; writes
+                 ) -> tuple[RateModel, EventLog, FluorescenceTrace, list[str]]:
+    """The simulate stage, then its log rendered as a photon trace; writes
     events.csv and trace.csv."""
-    _require_duration(cfg)
-    model = cfg.rate_model()
-    seeds = _stage_seeds(cfg.seed, 2)
-    log = simulate(model, n0=cfg.n0, duration=cfg.duration, seed=seeds[0])
+    model, log, truth = _simulate_stage(cfg, out_dir)
     trace = synthesize(log, per_atom_rate=cfg.per_atom_rate,
                        bg_rate=cfg.trace_bg_rate, bin_width=cfg.bin_width,
-                       seed=seeds[1])
-    write_event_csv(log, out_dir / "events.csv")
+                       seed=_stage_seeds(cfg.seed)[1])
     write_trace_csv(trace, out_dir / "trace.csv")
-    return model, log, trace
+    return model, log, trace, truth
 
 
-def _detect_stage(trace: FluorescenceTrace, cfg: RunConfig, out_dir: Path
+def _detect_stage(trace: FluorescenceTrace, out_dir: Path
                   ) -> tuple[EventLog, Calibration, DetectionReport, list[str]]:
     """Calibrate and read the event log back from a trace; writes
     detected_events.csv with the bin width, calibration and detection path a
     re-fit needs."""
     cal = calibrate(trace)
-    log, report = detect(trace, cal, min_snr=cfg.min_snr)
+    log, report = detect(trace, cal)
     write_detected_csv(log, trace.bin_width, cal, report.bump_pass,
                        out_dir / "detected_events.csv")
     return log, cal, report, [
@@ -191,35 +195,27 @@ def _fit_stage(log: EventLog, source: str, out_dir: Path,
 
 def _cmd_simulate(args) -> int:
     cfg, out_dir = _load(args)
-    _require_duration(cfg)
-    model = cfg.rate_model()
-    seeds = _stage_seeds(cfg.seed, 2 * cfg.ensemble)
-    runs = ["runs:"]
-    for i in range(cfg.ensemble):
-        log = simulate(model, n0=cfg.n0, duration=cfg.duration, seed=seeds[2 * i])
-        name = "events.csv" if cfg.ensemble == 1 else f"events_{i:03d}.csv"
-        write_event_csv(log, out_dir / name)
-        runs.append(f"run_{i:03d}: events = {len(log)}, final_n = "
-                    f"{int(log.n_after[-1]) if len(log) else cfg.n0}")
-    _write_report(out_dir, "simulate", _model_section(cfg, model), runs)
-    print(f"wrote {cfg.ensemble} event log(s) to {out_dir}")
+    _, log, truth = _simulate_stage(cfg, out_dir)
+    _write_report(out_dir, "simulate", truth)
+    print(f"wrote events.csv ({len(log)} events) to {out_dir}")
     return EXIT_OK
 
 
 def _cmd_synth(args) -> int:
     cfg, out_dir = _load(args)
-    _, log, trace = _synth_stage(cfg, out_dir)
+    _, log, trace, truth = _synth_stage(cfg, out_dir)
+    _write_report(out_dir, "synth", truth)
     print(f"wrote events.csv ({len(log)} events) and trace.csv "
           f"({len(trace)} bins) to {out_dir}")
     return EXIT_OK
 
 
 def _cmd_detect(args) -> int:
-    cfg, out_dir = _load(args)
+    _, out_dir = _load(args)
     trace_path = out_dir / "trace.csv"
     if not trace_path.is_file():
         raise ConfigError(f"no trace.csv in {out_dir}; run 'fewatom synth' first")
-    _, _, report, detection = _detect_stage(read_trace_csv(trace_path), cfg, out_dir)
+    _, _, report, detection = _detect_stage(read_trace_csv(trace_path), out_dir)
     _write_report(out_dir, "detect", detection)
     print(f"detected {report.n_events} events at snr {report.snr:.1f}; "
           f"wrote detected_events.csv to {out_dir}")
@@ -262,12 +258,11 @@ def _cmd_shield(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     cfg, out_dir = _load(args)
-    model, log, trace = _synth_stage(cfg, out_dir)
-    detected, cal, report, detection = _detect_stage(trace, cfg, out_dir)
+    model, log, trace, truth = _synth_stage(cfg, out_dir)
+    detected, cal, report, detection = _detect_stage(trace, out_dir)
     fit, fitted = _fit_stage(detected, "detected_events.csv", out_dir,
                              trace.bin_width, cal, report.bump_pass)
-    _write_report(out_dir, "pipeline", detection, fitted,
-                  _model_section(cfg, model) + [f"true_events = {len(log)}"])
+    _write_report(out_dir, "pipeline", detection, fitted, truth)
     print(f"pipeline done in {out_dir}: {len(log)} true events, "
           f"{report.n_events} detected, fitted b2 {fit.b2_event:.4g}/s "
           f"(model {model.b2:.4g}/s)")
@@ -278,15 +273,13 @@ def _cmd_oracle(args) -> int:
     cfg, out_dir = _load(args)
     model = cfg.rate_model()
     p = master_stationary(model)
-    rates = expected_event_rates(p, model)
+    n = np.arange(len(p))
+    load, loss1, loss2 = model.channel_rates(n)
     mean_n, mean_pairs = stationary_moments(p)
     write_table_csv(out_dir / "stationary.csv", {
-        "n": rates.n, "probability": rates.probability,
-        "rate_load": rates.load, "rate_loss1": rates.loss1,
-        "rate_loss2": rates.loss2,
-    }, header={"mean_n": mean_n, "mean_pairs": mean_pairs,
-               "load_rate_per_s": model.load_rate, "bg_rate_per_s": model.bg_rate,
-               "b1_per_s": model.b1, "b2_per_s": model.b2})
+        "n": n, "probability": p, "rate_load": np.full(len(p), load),
+        "rate_loss1": loss1, "rate_loss2": loss2,
+    }, header={"mean_n": mean_n, "mean_pairs": mean_pairs, **_model_rates(model)})
     print(f"stationary mean N = {mean_n:.4f}, mean N(N-1) = {mean_pairs:.4f}; "
           f"wrote stationary.csv to {out_dir}")
     return EXIT_OK

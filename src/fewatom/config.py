@@ -67,13 +67,11 @@ _KEYS: dict[str, tuple[str, str, Callable[[str], object]]] = {
     "sim.duration_s": ("run", "duration", float),
     "sim.n0": ("run", "n0", int),
     "sim.seed": ("run", "seed", int),
-    "sim.ensemble": ("run", "ensemble", int),
     "rates.b1_per_s": ("run", "b1", float),
     "rates.b2_per_s": ("run", "b2", float),
     "trace.per_atom_rate_hz": ("run", "per_atom_rate", float),
     "trace.bg_rate_hz": ("run", "trace_bg_rate", float),
     "trace.bin_width_s": ("run", "bin_width", float),
-    "detect.min_snr": ("run", "min_snr", float),
     "shield.temperatures_uk": ("run", "shield_temperatures", _uk_list),
     "shield.s0_min": ("run", "s0_min", float),
     "shield.s0_max": ("run", "s0_max", float),
@@ -125,13 +123,11 @@ class RunConfig:
     duration: float = 0.0  # s; must be set before simulating
     n0: int = 0
     seed: int = 0
-    ensemble: int = 1
     b1: float | None = None  # 1/s; explicit override of the composed value
     b2: float | None = None  # 1/s
     per_atom_rate: float = 10_000.0  # Hz
     trace_bg_rate: float = 500.0  # Hz
     bin_width: float = 0.1  # s
-    min_snr: float = 5.0
     shield_temperatures: tuple[float, ...] = (316e-6, 506e-6, 705e-6)  # K
     s0_min: float = 0.0
     s0_max: float = 50.0
@@ -205,8 +201,6 @@ def build_config(pairs: dict[str, str]) -> RunConfig:
         raise ConfigError(str(exc)) from exc
     if run.duration < 0:
         raise ConfigError("sim.duration_s must be non-negative")
-    if run.ensemble < 1:
-        raise ConfigError("sim.ensemble must be at least 1")
     if run.bin_width <= 0 or run.per_atom_rate <= 0 or run.trace_bg_rate < 0:
         raise ConfigError("trace parameters must be positive (bg may be zero)")
     if run.s0_points < 2 or run.s0_max <= run.s0_min or run.s0_min < 0:

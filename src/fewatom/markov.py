@@ -129,11 +129,11 @@ def simulate(model: RateModel, n0: int = 0, duration: float = 0.0,
     floats, which round as numpy's float64 does and overflow to inf without
     a warning when the total rate is subnormal.
 
-    The rates out of a state are computed once, when the chain first
-    reaches it, and kept in a table keyed by the atom number: the total
-    rate and load + loss1, the bound that separates a one-atom loss from a
-    two-atom one. An event then costs one lookup instead of six float
-    operations, and the table holds only the states visited (12 in a 1e6 s
+    The rates out of a state come from RateModel.channel_rates once, when
+    the chain first reaches it, and are kept as Python floats in a table
+    keyed by the atom number: the total rate and load + loss1, the bound
+    that separates a one-atom loss from a two-atom one. An event then costs
+    one lookup, and the table holds only the states visited (12 in a 1e6 s
     run at the fig2 rates; from n0 at most one per event).
     """
     if duration <= 0:
@@ -152,19 +152,13 @@ def simulate(model: RateModel, n0: int = 0, duration: float = 0.0,
     t = 0.0
     n = n0
     load = float(model.load_rate)
-    bg = float(model.bg_rate)
-    b1 = float(model.b1)
-    b2 = float(model.b2)
     rates: dict[int, tuple[float, float]] = {}  # n -> (total, load + loss1)
     for e, u in variates:
         try:
             total, load_a1 = rates[n]
         except KeyError:
-            # channel_rates inline, in its order of operations
-            pairs = n * (n - 1)
-            a1 = n * bg + b1 * pairs
-            a2 = b2 * pairs
-            total, load_a1 = rates[n] = (load + a1 + a2, load + a1)
+            r_load, a1, a2 = model.channel_rates(n)
+            total, load_a1 = rates[n] = (float(r_load + a1 + a2), float(r_load + a1))
         if total == 0.0:
             break
         t += e / total
@@ -224,28 +218,6 @@ def master_stationary(model: RateModel) -> np.ndarray:
         if n >= _MASTER_NMAX_CAP:
             raise TruncationError(n, float(p[-1]))
         n *= 2
-
-
-@dataclass
-class ExpectedRates:
-    """Per-state stationary occupancy and event rates; the fit oracle."""
-
-    n: np.ndarray
-    probability: np.ndarray
-    load: np.ndarray  # events/s while in state n
-    loss1: np.ndarray
-    loss2: np.ndarray
-
-
-def expected_event_rates(p: np.ndarray, model: RateModel) -> ExpectedRates:
-    n = np.arange(len(p))
-    load, loss1, loss2 = model.channel_rates(n)
-    return ExpectedRates(
-        n=n,
-        probability=np.asarray(p, dtype=float),
-        load=np.full(len(p), load),
-        loss1=loss1,
-        loss2=loss2)
 
 
 def stationary_moments(p: np.ndarray) -> tuple[float, float]:

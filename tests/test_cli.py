@@ -42,7 +42,9 @@ def test_simulate_writes_events(tmp_path):
     log = read_event_csv(tmp_path / "events.csv")
     log.validate()
     assert len(log) > 50
-    assert (tmp_path / "report.txt").read_text().startswith("command = simulate")
+    report = (tmp_path / "report.txt").read_text()
+    assert report.startswith("command = simulate")
+    assert f"true_events = {len(log)}\n" in report
 
 
 def test_simulate_requires_duration(tmp_path, capsys):
@@ -97,6 +99,18 @@ def test_fit_consumes_detected_log(tmp_path):
     # re-fit from the files alone
     assert main(["fit", "--preset", "fig2", "--out-dir", str(tmp_path)]) == 0
     assert "source = detected_events.csv" in (tmp_path / "report.txt").read_text()
+
+
+def test_synth_report_replaces_pipeline_report(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sim.duration_s = 8000\n")
+    for command, seed in (("pipeline", "3"), ("synth", "5")):
+        assert main([command, "--preset", "fig2", "--config", str(cfg),
+                     "--seed", seed, "--out-dir", str(tmp_path)]) == 0
+    report = (tmp_path / "report.txt").read_text()
+    assert report.startswith("command = synth\n")
+    true_events = int(report.partition("true_events = ")[2].split()[0])
+    assert true_events == len(read_event_csv(tmp_path / "events.csv"))
 
 
 _PROVENANCE = ("# bin_width_s=0.1\n# cal_per_atom_rate_hz=10000.0\n"

@@ -14,7 +14,6 @@ def test_defaults():
     cfg = load_config()
     assert cfg.bin_width == 0.1
     assert cfg.per_atom_rate == 10_000.0
-    assert cfg.ensemble == 1
     assert cfg.b1 is None and cfg.b2 is None
     assert cfg.trap.r0 == 10e-6
 
@@ -66,6 +65,18 @@ def test_out_dir_key_removed():
     assert str(err.value) == f"unknown config key {key!r}"
 
 
+def test_single_value_keys_removed():
+    # sim.ensemble only ever held 1 and detect.min_snr only its default;
+    # with no detect.* key left, that message has no prefix hint
+    with pytest.raises(ConfigError) as err:
+        load_config(overrides={"sim.ensemble": "2"})
+    hint = str(err.value).split("known keys with this prefix")[1]
+    assert "sim.seed" in hint and "sim.ensemble" not in hint
+    with pytest.raises(ConfigError) as err:
+        load_config(overrides={"detect.min_snr": "3"})
+    assert str(err.value) == "unknown config key 'detect.min_snr'"
+
+
 def test_unit_conversions():
     cfg = build_config({
         "trap.intensity_mw_cm2": "42",
@@ -106,13 +117,11 @@ _UNITS = {
     "sim.duration_s": ("duration", 1.0),
     "sim.n0": ("n0", 1.0),
     "sim.seed": ("seed", 1.0),
-    "sim.ensemble": ("ensemble", 1.0),
     "rates.b1_per_s": ("b1", 1.0),
     "rates.b2_per_s": ("b2", 1.0),
     "trace.per_atom_rate_hz": ("per_atom_rate", 1.0),
     "trace.bg_rate_hz": ("trace_bg_rate", 1.0),
     "trace.bin_width_s": ("bin_width", 1.0),
-    "detect.min_snr": ("min_snr", 1.0),
     "shield.temperatures_uk": ("shield_temperatures", 1e-6),
     "shield.s0_min": ("s0_min", 1.0),
     "shield.s0_max": ("s0_max", 1.0),
@@ -217,8 +226,6 @@ def test_composed_rate_model_uses_channels():
 
 
 def test_run_validation():
-    with pytest.raises(ConfigError):
-        build_config({"sim.ensemble": "0"})
     with pytest.raises(ConfigError):
         build_config({"trace.bin_width_s": "0"})
     with pytest.raises(ConfigError):

@@ -9,8 +9,7 @@ from fewatom.fitting import (DegenerateDataError, EventRateTable, FitResult,
                              infer_temperature, tabulate)
 from fewatom.channels import scaling_constant
 from fewatom.markov import (KIND_LOAD, KIND_LOSS1, KIND_LOSS2, EventLog,
-                            RateModel, expected_event_rates, master_stationary,
-                            simulate)
+                            RateModel, master_stationary, simulate)
 from test_storage import _event_logs
 
 FIG2 = RateModel(load_rate=0.1403, bg_rate=1.0 / 60.0, b1=0.004, b2=0.006)
@@ -411,10 +410,11 @@ _PAIR_COEFF = st.one_of(st.just(0.0), st.floats(1e-4, 0.05))
 def test_fit_rates_recovers_expectation_table(load, bg, b1, b2):
     # occupancy p*T and counts rate*occupancy: the fit must give the model back
     model = RateModel(load_rate=load, bg_rate=bg, b1=b1, b2=b2)
-    expect = expected_event_rates(master_stationary(model), model)
-    occ = expect.probability * 1e6
-    table = EventRateTable(n=expect.n, occupancy_s=occ, n_load=expect.load * occ,
-                           n_loss1=expect.loss1 * occ, n_loss2=expect.loss2 * occ)
+    occ = master_stationary(model) * 1e6
+    n = np.arange(len(occ))
+    rate_load, rate_loss1, rate_loss2 = model.channel_rates(n)
+    table = EventRateTable(n=n, occupancy_s=occ, n_load=rate_load * occ,
+                           n_loss1=rate_loss1 * occ, n_loss2=rate_loss2 * occ)
     fit = fit_rates(table)
     for name, true in (("load_rate", load), ("bg_rate", bg), ("b1", b1),
                        ("b2_event", b2)):

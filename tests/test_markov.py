@@ -10,8 +10,7 @@ from fewatom import markov
 from fewatom.config import load_config
 from fewatom.markov import (KIND_LOAD, KIND_LOSS1, KIND_LOSS2, EventLog,
                             RateModel, TruncationError, _generator_matrix,
-                            expected_event_rates, master_stationary, simulate,
-                            stationary_moments)
+                            master_stationary, simulate, stationary_moments)
 
 
 def test_kind_codes_distinct():
@@ -167,14 +166,14 @@ def test_faults_mask_every_bad_event():
     _hand_log([1.0, 2.0], [KIND_LOAD, KIND_LOSS2], n0=1).validate()
 
 
-def test_expected_event_rates_totals():
+def test_channel_rates_stationary_totals():
     model = RateModel(load_rate=0.08, bg_rate=1.0 / 60.0, b1=0.002, b2=0.004)
     p = master_stationary(model)
-    rates = expected_event_rates(p, model)
+    load, loss1, loss2 = model.channel_rates(np.arange(len(p)))
     mean, pairs = stationary_moments(p)
-    total_load = float((rates.probability * rates.load).sum())
-    total_loss1 = float((rates.probability * rates.loss1).sum())
-    total_loss2 = float((rates.probability * rates.loss2).sum())
+    total_load = float((p * load).sum())
+    total_loss1 = float((p * loss1).sum())
+    total_loss2 = float((p * loss2).sum())
     assert total_load == pytest.approx(model.load_rate, rel=1e-12)
     assert total_loss1 == pytest.approx(model.bg_rate * mean + model.b1 * pairs,
                                         rel=1e-9)

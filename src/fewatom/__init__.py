@@ -5,7 +5,7 @@ step detection, per-occupancy rate fitting, and the repump-shielding model of
 the dominant two-atom loss channel.
 """
 
-from .constants import CESIUM, PhysConstants, c3_atomic_to_si
+from .constants import c3_atomic_to_si
 from .trap import (TrapConfig, depth_from_cos, depth_minimum, effective_volume,
                    photons_to_stop, saturation_parameter)
 from .channels import (ChannelSet, ShieldingParams, condon_radius,
@@ -25,7 +25,7 @@ from .config import PRESETS, ConfigError, RunConfig, build_config, load_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "CESIUM", "PhysConstants", "c3_atomic_to_si",
+    "c3_atomic_to_si",
     "TrapConfig", "depth_from_cos", "depth_minimum", "effective_volume",
     "photons_to_stop", "saturation_parameter",
     "ChannelSet", "ShieldingParams", "condon_radius", "effective_betas",

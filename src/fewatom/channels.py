@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import (CESIUM, H_PLANCK, HBAR, KB, PhysConstants,
-                        c3_atomic_to_si)
+from .constants import (DOPPLER_TEMP, E_FCC_PER_ATOM, E_HCC_PER_ATOM, GAMMA,
+                        H_PLANCK, HBAR, KB, c3_atomic_to_si)
 from .trap import TrapConfig, depth_from_cos
 
 
@@ -85,17 +85,16 @@ def condon_radius(params: ShieldingParams) -> float:
     return (params.c3 / (H_PLANCK * params.repump_detuning)) ** (1.0 / 3.0)
 
 
-def scaling_constant(temperature: float, pc: PhysConstants = CESIUM):
+def scaling_constant(temperature: float):
     """Suppression decay constant A(T) = 1 + (T / T_D)^2 / 2."""
     t = np.asarray(temperature, dtype=float)
     if np.any(t < 0):
         raise ValueError("temperature must be non-negative")
-    out = 1.0 + 0.5 * (t / pc.doppler_temp) ** 2
+    out = 1.0 + 0.5 * (t / DOPPLER_TEMP) ** 2
     return float(out) if np.isscalar(temperature) else out
 
 
-def suppression_ratio(s0, temperature: float, params: ShieldingParams | None = None,
-                      pc: PhysConstants = CESIUM):
+def suppression_ratio(s0, temperature: float, params: ShieldingParams | None = None):
     """Fraction of ground-channel collisions surviving the repump shielding.
 
     Gaussian in hbar*Omega over the quadrature sum of the thermal and linewidth
@@ -109,16 +108,16 @@ def suppression_ratio(s0, temperature: float, params: ShieldingParams | None = N
         raise ValueError("s0 must be non-negative")
     if temperature < 0:
         raise ValueError("temperature must be non-negative")
-    omega_sq = (params.rabi_coeff * pc.gamma) ** 2 * s
+    omega_sq = (params.rabi_coeff * GAMMA) ** 2 * s
     e_thermal = KB * temperature
-    e_floor = KB * pc.doppler_temp
+    e_floor = KB * DOPPLER_TEMP
     out = np.exp(-(HBAR**2) * omega_sq / (e_thermal**2 + 2.0 * e_floor**2))
     return float(out) if np.isscalar(s0) else out
 
 
 def outcome_probabilities(channel: str, trap: TrapConfig, cs: ChannelSet,
-                          rng: np.random.Generator, n_samples: int = 100_000,
-                          pc: PhysConstants = CESIUM) -> tuple[float, float, float]:
+                          rng: np.random.Generator,
+                          n_samples: int = 100_000) -> tuple[float, float, float]:
     """Monte Carlo estimate of (P_none, P_one, P_two) for a channel: the
     shares of n_samples collisions that eject no atom, one or both.
 
@@ -137,15 +136,15 @@ def outcome_probabilities(channel: str, trap: TrapConfig, cs: ChannelSet,
         c2 = -c1 * np.cos(alpha) + s1 * np.sin(alpha) * np.cos(phi)
     else:
         c2 = -c1
-    d1 = depth_from_cos(trap, c1, pc)
-    d2 = depth_from_cos(trap, c2, pc)
+    d1 = depth_from_cos(trap, c1)
+    d2 = depth_from_cos(trap, c2)
     if cs.depth_jitter > 0:
         d1 = d1 * (1.0 + rng.normal(0.0, cs.depth_jitter, n_samples))
         d2 = d2 * (1.0 + rng.normal(0.0, cs.depth_jitter, n_samples))
     if channel == "hcc":
-        energy = pc.e_hcc_per_atom
+        energy = E_HCC_PER_ATOM
     elif channel == "fcc":
-        energy = pc.e_fcc_per_atom
+        energy = E_FCC_PER_ATOM
     else:
         energy = rng.exponential(cs.re_energy_scale, n_samples)
     escaped = (energy > d1).astype(np.int64) + (energy > d2)
@@ -154,7 +153,6 @@ def outcome_probabilities(channel: str, trap: TrapConfig, cs: ChannelSet,
 
 def effective_betas(trap: TrapConfig, cs: ChannelSet,
                     shielding: ShieldingParams | None = None,
-                    pc: PhysConstants = CESIUM,
                     seed: int = 7070, n_samples: int = 200_000) -> tuple[float, float]:
     """Compose the channels into observable loss coefficients (cm^3/s).
 
@@ -167,7 +165,7 @@ def effective_betas(trap: TrapConfig, cs: ChannelSet,
         shielding = ShieldingParams()
     rng = np.random.default_rng(seed)
     w = {
-        "hcc": suppression_ratio(trap.repump_sat, trap.temperature, shielding, pc),
+        "hcc": suppression_ratio(trap.repump_sat, trap.temperature, shielding),
         "re": 1.0,
         "fcc": 1.0,
     }
@@ -177,7 +175,7 @@ def effective_betas(trap: TrapConfig, cs: ChannelSet,
     for ch in CHANNELS:
         if beta[ch] == 0.0:
             continue
-        _, p1, p2 = outcome_probabilities(ch, trap, cs, rng, n_samples, pc)
+        _, p1, p2 = outcome_probabilities(ch, trap, cs, rng, n_samples)
         beta1 += beta[ch] * w[ch] * p1 / 2.0
         beta2 += beta[ch] * w[ch] * p2
     return beta1, beta2

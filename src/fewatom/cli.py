@@ -247,9 +247,8 @@ def _cmd_shield(args) -> int:
     header: dict[str, object] = {}
     for t in cfg.shield_temperatures:
         label = f"{t * 1e6:g}uk"
-        cols[f"ratio_{label}"] = suppression_ratio(
-            s0, t, cfg.shielding, cfg.constants)
-        header[f"a_{label}"] = float(scaling_constant(t, cfg.constants))
+        cols[f"ratio_{label}"] = suppression_ratio(s0, t, cfg.shielding)
+        header[f"a_{label}"] = float(scaling_constant(t))
     write_table_csv(out_dir / "shield.csv", cols, header=header)
     print(f"wrote shield.csv ({cfg.s0_points} points, "
           f"{len(cfg.shield_temperatures)} temperature(s)) to {out_dir}")

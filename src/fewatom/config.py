@@ -9,14 +9,12 @@ and are applied underneath any user config.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 from .channels import ChannelSet, ShieldingParams, effective_betas
-from .constants import (CESIUM, BOHR_MAGNETON, CM3_PER_M3, G_PER_CM_TO_T_PER_M,
-                        MW_PER_CM2_TO_W_PER_M2, PhysConstants)
+from .constants import CM3_PER_M3, G_PER_CM_TO_T_PER_M, MW_PER_CM2_TO_W_PER_M2
 from .markov import RateModel
 from .trap import TrapConfig, effective_volume
 
@@ -27,9 +25,6 @@ class ConfigError(ValueError):
 
 def _scaled(factor: float) -> Callable[[str], float]:
     return lambda v: float(v) * factor
-
-def _gamma_mhz(v: str) -> float:
-    return 2.0 * math.pi * float(v) * 1e6
 
 def _uk_list(v: str) -> tuple[float, ...]:
     vals = tuple(float(x) * 1e-6 for x in v.split(",") if x.strip())
@@ -48,8 +43,6 @@ _KEYS: dict[str, tuple[str, str, Callable[[str], object]]] = {
     "trap.temperature_uk": ("trap", "temperature", _scaled(1e-6)),
     "trap.depth_min_k": ("trap", "depth_min", float),
     "trap.depth_anisotropy": ("trap", "depth_anisotropy", float),
-    "trap.kappa_geom": ("trap", "kappa_geom", float),
-    "trap.mu_eff_bohr": ("trap", "mu_eff", _scaled(BOHR_MAGNETON)),
     "trap.load_rate_per_s": ("trap", "load_rate", float),
     "trap.bg_lifetime_s": ("trap", "bg_lifetime", float),
     "channels.beta_hcc_cm3_s": ("channels", "beta_hcc", float),
@@ -59,11 +52,6 @@ _KEYS: dict[str, tuple[str, str, Callable[[str], object]]] = {
     "channels.depth_jitter": ("channels", "depth_jitter", float),
     "channels.angular_spread_rad": ("channels", "angular_spread", float),
     "shielding.rabi_coeff": ("shielding", "rabi_coeff", float),
-    "constants.gamma_mhz": ("constants", "gamma", _gamma_mhz),
-    "constants.lambda_nm": ("constants", "wavelength", _scaled(1e-9)),
-    "constants.i_sat_mw_cm2": ("constants", "i_sat", _scaled(MW_PER_CM2_TO_W_PER_M2)),
-    "constants.e_hcc_k": ("constants", "e_hcc_per_atom", float),
-    "constants.e_fcc_k": ("constants", "e_fcc_per_atom", float),
     "sim.duration_s": ("run", "duration", float),
     "sim.n0": ("run", "n0", int),
     "sim.seed": ("run", "seed", int),
@@ -93,19 +81,16 @@ PRESETS: dict[str, dict[str, str]] = {
     },
     "fig4a": {
         "trap.temperature_uk": "316",
-        "trap.intensity_mw_cm2": "42",
         "trap.depth_min_k": "0.045",
         "trap.r0_um": "10",
     },
     "fig4b": {
         "trap.temperature_uk": "506",
-        "trap.intensity_mw_cm2": "87.8",
         "trap.depth_min_k": "0.045",
         "trap.r0_um": "10",
     },
     "fig4c": {
         "trap.temperature_uk": "705",
-        "trap.intensity_mw_cm2": "262",
         "trap.depth_min_k": "0.045",
         "trap.r0_um": "10",
     },
@@ -116,7 +101,6 @@ PRESETS: dict[str, dict[str, str]] = {
 class RunConfig:
     """Everything a run needs, in internal units."""
 
-    constants: PhysConstants = field(default_factory=PhysConstants)
     trap: TrapConfig = field(default_factory=TrapConfig)
     channels: ChannelSet = field(default_factory=ChannelSet)
     shielding: ShieldingParams = field(default_factory=ShieldingParams)
@@ -145,8 +129,7 @@ class RunConfig:
         """
         b1, b2 = self.b1, self.b2
         if b1 is None or b2 is None:
-            e1, e2 = effective_betas(self.trap, self.channels, self.shielding,
-                                     self.constants)
+            e1, e2 = effective_betas(self.trap, self.channels, self.shielding)
             v = self.volume_cm3()
             if b1 is None:
                 b1 = e1 / v
@@ -179,7 +162,7 @@ def parse_pairs(text: str, source: str = "<config>") -> dict[str, str]:
 def build_config(pairs: dict[str, str]) -> RunConfig:
     """Convert raw key/value pairs into a validated RunConfig."""
     groups: dict[str, dict[str, object]] = {
-        "constants": {}, "trap": {}, "channels": {}, "shielding": {}, "run": {}}
+        "trap": {}, "channels": {}, "shielding": {}, "run": {}}
     for key, raw in pairs.items():
         if key not in _KEYS:
             known = ", ".join(sorted(k for k in _KEYS if k.split(".")[0] == key.split(".")[0]))
@@ -191,12 +174,10 @@ def build_config(pairs: dict[str, str]) -> RunConfig:
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
     try:
-        pc = PhysConstants(**groups["constants"]) if groups["constants"] else CESIUM
         trap = TrapConfig(**groups["trap"])
         cs = ChannelSet(**groups["channels"])
         sp = ShieldingParams(**groups["shielding"])
-        run = RunConfig(constants=pc, trap=trap, channels=cs, shielding=sp,
-                        **groups["run"])
+        run = RunConfig(trap=trap, channels=cs, shielding=sp, **groups["run"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if run.duration < 0:

@@ -1,5 +1,7 @@
-"""Physical constants for the cesium D2 system and the unit conversions used package-wide.
+"""Physical constants of cesium and its D2 line, and the unit conversions used package-wide.
 
+The package models one atom, Cs-133, so its mass, linewidth, wavelength,
+saturation intensity and collision energy scales are module constants.
 Internal unit system is SI. Energies that parametrize collision channels and
 trap depths are quoted as temperatures (kelvin) and multiplied by KB where an
 energy in joules is needed.
@@ -8,7 +10,6 @@ energy in joules is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # CODATA 2018
 KB = 1.380649e-23  # J/K, exact
@@ -20,6 +21,16 @@ ATOMIC_MASS = 1.66053906660e-27  # kg
 BOHR_MAGNETON = 9.2740100783e-24  # J/T
 
 CS_MASS = 132.905451961 * ATOMIC_MASS  # kg, Cs-133
+
+# Cs D2 line (6S1/2 -> 6P3/2) and the collision energy scales
+GAMMA = 2.0 * math.pi * 5.2e6  # natural linewidth, rad/s
+WAVELENGTH = 852.35e-9  # m
+I_SAT = 11.0  # W/m^2 (1.1 mW/cm^2)
+E_HCC_PER_ATOM = 0.22  # K, kinetic energy per atom after a hyperfine-changing collision
+E_FCC_PER_ATOM = 400.0  # K, per atom after a fine-structure-changing collision
+
+DOPPLER_TEMP = HBAR * GAMMA / (2.0 * KB)  # K, hbar*gamma/(2 kB), about 125 uK
+RECOIL_SPEED = HBAR * (2.0 * math.pi / WAVELENGTH) / CS_MASS  # m/s, single-photon hbar*k/m
 
 # practical-unit factors
 G_PER_CM_TO_T_PER_M = 1e-2
@@ -35,38 +46,3 @@ def c3_atomic_to_si(c3_au: float) -> float:
     if c3_au <= 0:
         raise ValueError(f"C3 must be positive, got {c3_au}")
     return c3_au * HARTREE_ENERGY * BOHR_RADIUS**3
-
-
-@dataclass(frozen=True)
-class PhysConstants:
-    """Atomic constants of the cooling transition plus collision energy scales.
-
-    Each field is set by one constants.* config key; defaults describe the
-    Cs D2 line. The fundamental constants and the Cs mass are the module
-    constants KB, HBAR and CS_MASS.
-    """
-
-    gamma: float = 2.0 * math.pi * 5.2e6  # natural linewidth, rad/s
-    wavelength: float = 852.35e-9  # m
-    e_hcc_per_atom: float = 0.22  # K, kinetic energy per atom after a hyperfine-changing collision
-    e_fcc_per_atom: float = 400.0  # K, per atom after a fine-structure-changing collision
-    i_sat: float = 11.0  # W/m^2 (1.1 mW/cm^2)
-
-    def __post_init__(self):
-        for name in ("gamma", "wavelength", "e_hcc_per_atom", "e_fcc_per_atom",
-                     "i_sat"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-    @property
-    def doppler_temp(self) -> float:
-        """Doppler temperature hbar*gamma/(2 kB), in kelvin (about 125 uK for Cs)."""
-        return HBAR * self.gamma / (2.0 * KB)
-
-    def recoil_speed(self) -> float:
-        """Single-photon recoil speed hbar*k/m, m/s."""
-        k = 2.0 * math.pi / self.wavelength
-        return HBAR * k / CS_MASS
-
-
-CESIUM = PhysConstants()

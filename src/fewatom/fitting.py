@@ -15,7 +15,7 @@ from math import erfc
 
 import numpy as np
 
-from .constants import CESIUM, PhysConstants
+from .constants import DOPPLER_TEMP
 from .detect import BUMP_NSIGMA, Calibration, bump_threshold
 from .markov import EventLog, KIND_LOAD, KIND_LOSS1, KIND_LOSS2
 
@@ -314,11 +314,11 @@ def fit_repump_decay(s0: np.ndarray, y: np.ndarray,
                           chi2=chi2, dof=dof)
 
 
-def infer_temperature(scale: float, pc: PhysConstants = CESIUM) -> float:
+def infer_temperature(scale: float) -> float:
     """Invert A = 1 + (T/T_D)^2/2 to the sample temperature in kelvin."""
     if scale <= 1.0:
         raise ValueError(f"saturation constant {scale} must exceed 1")
-    return pc.doppler_temp * np.sqrt(2.0 * (scale - 1.0))
+    return DOPPLER_TEMP * np.sqrt(2.0 * (scale - 1.0))
 
 
 def extrapolate_beta_hcc(fit: SuppressionFit, volume_cm3: float,

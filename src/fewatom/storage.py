@@ -14,11 +14,13 @@ with numpy's C parsers (np.fromstring for a trace's counts, np.loadtxt for a
 table with a float column) and render the values again with the writer: a
 block reads only if the bytes are the same, or the same once '\\n' row ends
 become '\\r\\n' and blank lines are dropped, the two liberties the readers
-take. So a field reads only if the writer would write its value as the same
-bytes, and ' 5', '+5', '05' or '0.50' fail. Header values are checked
-against the ranges their sources guarantee, and rows against the writers'
-invariants as array operations; only a file whose rows fail is scanned line
-by line, to name its first bad line.
+take. Every row, the column row included, must end with a row end, so a
+file cut inside its last row does not read. So a field reads only if the
+writer would write its value as the same bytes, and ' 5', '+5', '05' or
+'0.50' fail. Header values are checked against the ranges their sources
+guarantee, and rows against the writers' invariants as array operations;
+only a file whose rows fail is scanned line by line, to name its first bad
+line.
 """
 
 from __future__ import annotations
@@ -164,6 +166,8 @@ def _read_csv(path: str | Path, keys: dict[str, Callable[[str], object]],
         if line.removesuffix("\n").removesuffix("\r") != ",".join(columns):
             raise ValueError(f"{path}, line {line_no}: missing column header "
                              f"{','.join(columns)}")
+        if not line.endswith("\n"):
+            raise ValueError(f"{path}, line {line_no}: row has no row end")
         missing = [k for k in keys if k not in meta]
         if missing:
             raise ValueError(f"{path}, line {line_no}: missing header field(s) "
@@ -179,14 +183,13 @@ def _read_csv(path: str | Path, keys: dict[str, Callable[[str], object]],
 def _rows(fh, columns: dict[str, type]) -> list[np.ndarray] | None:
     """The rows from fh's position on, one array per column of its type,
     read _BLOCK_BYTES of whole lines at a time, or None if a block is not
-    as the writer writes its rows."""
+    as the writer writes its rows or the last row has no row end."""
     start = fh.tell()
     lines = sum(part.count(b"\n") for part in iter(lambda: fh.read(1 << 20), b""))
-    # + a last unended line
-    out = [np.empty(lines + 1, kind) for kind in columns.values()]
+    out = [np.empty(lines, kind) for kind in columns.values()]
     fh.seek(start)
     n, tail = 0, b""
-    for block in chain(iter(lambda: fh.read(_BLOCK_BYTES), b""), [b"\n"]):
+    for block in iter(lambda: fh.read(_BLOCK_BYTES), b""):
         block = tail + block
         cut = block.rfind(b"\n") + 1
         block, tail = block[:cut], block[cut:]
@@ -200,6 +203,8 @@ def _rows(fh, columns: dict[str, type]) -> list[np.ndarray] | None:
         for column, v in zip(out, values):
             column[n:n + k] = v
         n += k
+    if tail:
+        return None
     return [column[:n] for column in out]
 
 
@@ -246,13 +251,15 @@ def _raise_first(path: str | Path, column_line: int, faults: list) -> None:
         raise ValueError(f"{path}, line {line}: {faults[k][1](row)}")
 
 
-def _data_lines(fh, column_line: int) -> Iterable[tuple[int, str]]:
-    """(line number, text without its '\\n' or '\\r\\n') of each row after
-    the column row of the binary file fh; blank lines hold no row."""
+def _data_lines(fh, column_line: int) -> Iterable[tuple[int, str, bool]]:
+    """(line number, text without its '\\n' or '\\r\\n', whether it has
+    a row end) of each row after the column row of the binary file fh; blank
+    lines hold no row."""
     for n, raw in enumerate(fh, start=1):
         line = raw.decode("latin-1").removesuffix("\n").removesuffix("\r")
-        if n > column_line and line:
-            yield n, line
+        ended = raw.endswith(b"\n")
+        if n > column_line and (line or not ended):
+            yield n, line, ended
 
 
 def _bad_line(path: str | Path, column_line: int, columns: dict[str, type]
@@ -260,7 +267,9 @@ def _bad_line(path: str | Path, column_line: int, columns: dict[str, type]
     """(line number, fault) of the first data line the writer could not
     have written, or None if there is none."""
     with open(path, "rb") as fh:
-        for line_no, line in _data_lines(fh, column_line):
+        for line_no, line, ended in _data_lines(fh, column_line):
+            if not ended:
+                return line_no, "row has no row end"
             if line.startswith("#"):
                 return line_no, "header line after the column row"
             fields = line.split(",")

@@ -4,13 +4,15 @@ The depth model is deliberately coarse. An atom leaving the cloud is decelerated
 by the scattering force over the distance where the Zeeman detuning stays within
 the power-broadened linewidth, so the shallow-axis depth scales as
 
-    dU_min = kappa_geom * F_max * d_eff,
+    dU_min = KAPPA_GEOM * F_max * d_eff,
     F_max  = (hbar k Gamma / 2) * s / (1 + s),
-    d_eff  = hbar Gamma sqrt(1 + s) / (mu_eff * B')
+    d_eff  = hbar Gamma sqrt(1 + s) / (MU_EFF * B')
 
-with a single geometry factor kappa_geom calibrated at the reference operating
-point (375 G/cm, s = 0.87 -> 0.15 K). Anisotropy between field axes is imposed
-explicitly: dU(theta) = dU_min * (1 + (a - 1) cos^2 theta), deep axis along z.
+with one Zeeman moment MU_EFF and one geometry factor KAPPA_GEOM calibrated at
+the reference operating point (375 G/cm, s = 0.87 -> 0.15 K). The model sets
+the depth only when no depth is given; every preset sets trap.depth_min_k.
+Anisotropy between field axes is imposed explicitly:
+dU(theta) = dU_min * (1 + (a - 1) cos^2 theta), deep axis along z.
 """
 
 from __future__ import annotations
@@ -20,10 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CESIUM, BOHR_MAGNETON, CS_MASS, HBAR, KB, PhysConstants
+from .constants import (BOHR_MAGNETON, CS_MASS, GAMMA, HBAR, I_SAT, KB,
+                        RECOIL_SPEED, WAVELENGTH)
 
-# Calibrated so depth_minimum(375 G/cm, s=0.87) = 0.15 K with mu_eff = 1 Bohr magneton.
-KAPPA_GEOM_DEFAULT = 2.587
+MU_EFF = BOHR_MAGNETON  # J/T, effective Zeeman moment of the escaping atom
+# Calibrated so depth_minimum(375 G/cm, s=0.87) = 0.15 K with MU_EFF.
+KAPPA_GEOM = 2.587
 
 
 @dataclass
@@ -44,8 +48,6 @@ class TrapConfig:
     temperature: float = 316e-6  # K
     depth_min: float | None = None  # K; None -> derived from the force model
     depth_anisotropy: float = 4.0  # max/min depth ratio between directions
-    kappa_geom: float = KAPPA_GEOM_DEFAULT
-    mu_eff: float = BOHR_MAGNETON  # J/T, effective Zeeman moment of the escaping atom
     load_rate: float = 0.17  # atoms/s
     bg_lifetime: float = 60.0  # s, background-collision lifetime
 
@@ -68,9 +70,9 @@ class TrapConfig:
             raise ValueError("load_rate >= 0 and bg_lifetime > 0 required")
 
 
-def saturation_parameter(config: TrapConfig, pc: PhysConstants = CESIUM) -> float:
+def saturation_parameter(config: TrapConfig) -> float:
     """Off-resonance saturation parameter s = (I/I_sat) / (1 + (2 delta/gamma)^2)."""
-    return (config.intensity / pc.i_sat) / (1.0 + 4.0 * config.detuning**2)
+    return (config.intensity / I_SAT) / (1.0 + 4.0 * config.detuning**2)
 
 
 def effective_volume(r0: float) -> float:
@@ -80,7 +82,7 @@ def effective_volume(r0: float) -> float:
     return (math.pi / 2.0) ** 1.5 * r0**3
 
 
-def depth_minimum(config: TrapConfig, pc: PhysConstants = CESIUM) -> float:
+def depth_minimum(config: TrapConfig) -> float:
     """Shallow-axis trap depth in kelvin.
 
     Returns config.depth_min when set; otherwise the scattering-force estimate
@@ -88,28 +90,28 @@ def depth_minimum(config: TrapConfig, pc: PhysConstants = CESIUM) -> float:
     """
     if config.depth_min is not None:
         return config.depth_min
-    s = saturation_parameter(config, pc)
-    k = 2.0 * math.pi / pc.wavelength
-    f_max = (HBAR * k * pc.gamma / 2.0) * s / (1.0 + s)
-    d_eff = HBAR * pc.gamma * math.sqrt(1.0 + s) / (config.mu_eff * config.gradient)
-    return config.kappa_geom * f_max * d_eff / KB
+    s = saturation_parameter(config)
+    k = 2.0 * math.pi / WAVELENGTH
+    f_max = (HBAR * k * GAMMA / 2.0) * s / (1.0 + s)
+    d_eff = HBAR * GAMMA * math.sqrt(1.0 + s) / (MU_EFF * config.gradient)
+    return KAPPA_GEOM * f_max * d_eff / KB
 
 
-def depth_from_cos(config: TrapConfig, cos_theta, pc: PhysConstants = CESIUM):
+def depth_from_cos(config: TrapConfig, cos_theta):
     """Direction-dependent escape threshold dU(theta), kelvin, parametrized by cos(theta).
 
     dU(theta) = dU_min * (1 + (a - 1) cos^2 theta) with a = depth_anisotropy;
     symmetric under theta -> pi - theta, max/min ratio exactly a.
     Accepts scalar or ndarray cos_theta.
     """
-    du_min = depth_minimum(config, pc)
+    du_min = depth_minimum(config)
     return du_min * (1.0 + (config.depth_anisotropy - 1.0) * np.asarray(cos_theta) ** 2)
 
 
-def photons_to_stop(energy_kelvin: float, pc: PhysConstants = CESIUM) -> float:
+def photons_to_stop(energy_kelvin: float) -> float:
     """Number of photon recoils needed to remove the speed of an atom with the
     given kinetic energy (kelvin): sqrt(2 kB E / m) / v_recoil."""
     if energy_kelvin < 0:
         raise ValueError("energy must be non-negative")
     v = math.sqrt(2.0 * KB * energy_kelvin / CS_MASS)
-    return v / pc.recoil_speed()
+    return v / RECOIL_SPEED

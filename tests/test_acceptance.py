@@ -16,7 +16,7 @@ from scipy import stats
 from fewatom.channels import (ChannelSet, ShieldingParams, condon_radius,
                               effective_betas, outcome_probabilities,
                               scaling_constant, suppression_ratio)
-from fewatom.constants import CESIUM, CM3_PER_M3, c3_atomic_to_si
+from fewatom.constants import CM3_PER_M3, c3_atomic_to_si
 from fewatom.detect import calibrate, detect
 from fewatom.fitting import (extrapolate_beta_hcc, fit_rates, fit_repump_decay,
                              infer_temperature, tabulate)

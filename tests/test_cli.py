@@ -208,6 +208,23 @@ def test_detect_names_bad_trace_row(tmp_path, capsys):
     assert f"{path}, line 7" in capsys.readouterr().err
 
 
+def test_detect_rejects_truncated_trace(tmp_path, capsys):
+    # a synth trace cut 4 bytes short, inside its last row: its first
+    # digits must not read as that bin's count
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sim.duration_s = 8000\n")
+    assert main(["synth", "--preset", "fig2", "--config", str(cfg),
+                 "--seed", "3", "--out-dir", str(tmp_path)]) == 0
+    path = tmp_path / "trace.csv"
+    text = path.read_bytes()[:-4]
+    path.write_bytes(text)
+    capsys.readouterr()
+    assert main(["detect", "--out-dir", str(tmp_path)]) == 2
+    line = text.count(b"\n") + 1
+    assert f"{path}, line {line}: row has no row end" in capsys.readouterr().err
+    assert not (tmp_path / "detected_events.csv").exists()
+
+
 def test_detect_rejects_two_column_trace(tmp_path, capsys):
     # trace.csv holds the counts alone; bin i starts at i * bin_width_s
     path = tmp_path / "trace.csv"

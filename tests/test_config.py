@@ -1,4 +1,3 @@
-import math
 from operator import attrgetter
 
 import numpy as np
@@ -7,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from fewatom.config import (_KEYS, PRESETS, ConfigError, RunConfig,
                             build_config, load_config, parse_pairs)
-from fewatom.constants import BOHR_MAGNETON
 
 
 def test_defaults():
@@ -46,7 +44,6 @@ def test_unknown_key_hints_prefix():
 @pytest.mark.parametrize("key, known", [
     ("shielding.repump_detuning_ghz", "shielding.rabi_coeff"),
     ("shielding.c3_au", "shielding.rabi_coeff"),
-    ("constants.c3_au", "constants.gamma_mhz"),
 ])
 def test_removed_keys_rejected(key, known):
     # these keys only fed condon_radius, which no run reads
@@ -77,6 +74,24 @@ def test_single_value_keys_removed():
     assert str(err.value) == "unknown config key 'detect.min_snr'"
 
 
+@pytest.mark.parametrize("key", [
+    "constants.gamma_mhz", "constants.lambda_nm", "constants.i_sat_mw_cm2",
+    "constants.e_hcc_k", "constants.e_fcc_k", "constants.c3_au",
+    "trap.kappa_geom", "trap.mu_eff_bohr"])
+def test_atom_constant_keys_removed(key):
+    # the Cs values and the depth model's calibration are module constants;
+    # with no constants.* key left, those messages have no prefix hint
+    with pytest.raises(ConfigError) as err:
+        load_config(overrides={key: "3"})
+    if key.startswith("constants."):
+        assert str(err.value) == f"unknown config key {key!r}"
+    else:
+        known = ", ".join(sorted(k for k in _KEYS if k.startswith("trap.")))
+        assert "trap.depth_min_k" in known
+        assert str(err.value) == (f"unknown config key {key!r} "
+                                  f"(known keys with this prefix: {known})")
+
+
 def test_unit_conversions():
     cfg = build_config({
         "trap.intensity_mw_cm2": "42",
@@ -98,8 +113,6 @@ _UNITS = {
     "trap.temperature_uk": ("trap.temperature", 1e-6),
     "trap.depth_min_k": ("trap.depth_min", 1.0),
     "trap.depth_anisotropy": ("trap.depth_anisotropy", 1.0),
-    "trap.kappa_geom": ("trap.kappa_geom", 1.0),
-    "trap.mu_eff_bohr": ("trap.mu_eff", BOHR_MAGNETON),
     "trap.load_rate_per_s": ("trap.load_rate", 1.0),
     "trap.bg_lifetime_s": ("trap.bg_lifetime", 1.0),
     "channels.beta_hcc_cm3_s": ("channels.beta_hcc", 1.0),
@@ -109,11 +122,6 @@ _UNITS = {
     "channels.depth_jitter": ("channels.depth_jitter", 1.0),
     "channels.angular_spread_rad": ("channels.angular_spread", 1.0),
     "shielding.rabi_coeff": ("shielding.rabi_coeff", 1.0),
-    "constants.gamma_mhz": ("constants.gamma", 2e6 * math.pi),  # rad/s per MHz
-    "constants.lambda_nm": ("constants.wavelength", 1e-9),
-    "constants.i_sat_mw_cm2": ("constants.i_sat", 10.0),
-    "constants.e_hcc_k": ("constants.e_hcc_per_atom", 1.0),
-    "constants.e_fcc_k": ("constants.e_fcc_per_atom", 1.0),
     "sim.duration_s": ("duration", 1.0),
     "sim.n0": ("n0", 1.0),
     "sim.seed": ("seed", 1.0),
@@ -147,11 +155,6 @@ def test_key_sets_its_field(key):
     np.testing.assert_allclose(np.atleast_1d(got), want, rtol=1e-15, atol=0)
 
 
-def test_gamma_mhz_key():
-    cfg = build_config({"constants.gamma_mhz": "5.2"})
-    assert cfg.constants.gamma == pytest.approx(2 * 3.141592653589793 * 5.2e6)
-
-
 def test_bad_value_reports_key():
     with pytest.raises(ConfigError) as err:
         build_config({"sim.seed": "ten"})
@@ -172,7 +175,6 @@ def test_fig4_presets():
         cfg = load_config(preset=name)
         assert cfg.trap.temperature == pytest.approx(t_uk * 1e-6)
         assert cfg.trap.depth_min == pytest.approx(0.045)
-    assert load_config(preset="fig4a").trap.intensity == pytest.approx(420.0)
     with pytest.raises(ConfigError):
         load_config(preset="fig9")
 

@@ -395,6 +395,22 @@ def test_read_trace_csv_names_bad_line(tmp_path, newline, bad_row, bad, fault):
     assert str(info.value).startswith(f"{path}, line {line}: ")
 
 
+@pytest.mark.parametrize("cut", [4, 2, 1], ids=["in_row", "row_end", "lf"])
+def test_read_trace_csv_rejects_truncated_trace(tmp_path, cut):
+    # a file cut short reads as fewer or shorter counts unless every row
+    # must end as the writer ends it
+    trace = FluorescenceTrace(bin_width=0.1, counts=np.array([1234, 5678, 9012]),
+                              per_atom_rate=10000.0, bg_rate=500.0, seed=1)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    text = path.read_bytes()[:-cut]
+    path.write_bytes(text)
+    with pytest.raises(ValueError) as info:
+        read_trace_csv(path)
+    line = text.count(b"\n") + 1
+    assert str(info.value) == f"{path}, line {line}: row has no row end"
+
+
 @_BAD_ROWS
 @pytest.mark.parametrize("bad, fault", [
     ("{t},-1,{nb},{na}", "unknown event kind -1"),
@@ -476,6 +492,7 @@ _DETECTED_HEADER = (_EVENT_HEADER.partition("time_s")[0] + "# bin_width_s=0.1\n"
      r"missing header field\(s\) \['seed'\]"),
     (read_event_csv, _EVENT_HEADER.replace(",n_after", ""), 4, "missing column header"),
     (read_event_csv, _EVENT_HEADER.partition("time_s")[0], 4, "missing column header"),
+    (read_trace_csv, _TRACE_HEADER.removesuffix("\n"), 5, "row has no row end"),
     (read_trace_csv, _TRACE_HEADER.replace("=10000.0", "=fast"), 2,
      "per_atom_rate_hz: could not convert"),
     (read_detected_csv, _DETECTED_HEADER.replace("=0.1", "=0.0"), 4,
@@ -526,7 +543,8 @@ _DETECTED_HEADER = (_EVENT_HEADER.partition("time_s")[0] + "# bin_width_s=0.1\n"
      "cal_bg_err_hz: must be non-negative, got -1.0"),
     (read_detected_csv, _DETECTED_HEADER.replace("levels=4", "levels=1"), 9,
      "cal_n_levels: must be at least 2, got 1"),
-], ids=["bad_value", "n0_past_int64", "n0_negative", "missing_key", "wrong_columns", "no_columns", "trace_value",
+], ids=["bad_value", "n0_past_int64", "n0_negative", "missing_key", "wrong_columns", "no_columns",
+        "unended_columns", "trace_value",
         "bin_width_0", "float_levels", "bump_pass_2", "no_bump_pass",
         "trace_bin_width_0", "trace_bin_width_negative", "trace_bin_width_nan",
         "trace_bin_width_inf", "trace_rate_0", "trace_rate_inf", "trace_bg_negative",
@@ -637,8 +655,9 @@ def test_int_field_reads_only_as_str(v):
 @pytest.mark.parametrize("end", ["\r\n", ""], ids=["ended", "unended"])
 def test_rows_across_every_block_boundary(monkeypatch, columns, rows, end):
     # '\r\n' row ends but a blank line, an LF row end after it, and maybe
-    # no row end on the last line; every block size splits the text at
-    # another place, across a row, a row end or the blank line
+    # no row end on the last line, which the writer never leaves, so such a
+    # file was cut short; every block size splits the text at another place,
+    # across a row, a row end or the blank line
     text = ("\r\n".join(rows[:3]) + "\r\n\r\n" + rows[3] + "\n"
             + "\r\n".join(rows[4:]) + end).encode()
     want = [[kind(field) for field in fields] for kind, fields
@@ -646,7 +665,10 @@ def test_rows_across_every_block_boundary(monkeypatch, columns, rows, end):
     for block in range(1, len(text) + 2):
         monkeypatch.setattr(storage, "_BLOCK_BYTES", block)
         got = _rows(io.BytesIO(text), columns)
-        assert got is not None and [c.tolist() for c in got] == want, block
+        if end:
+            assert got is not None and [c.tolist() for c in got] == want, block
+        else:
+            assert got is None, block
         bad = _rows(io.BytesIO(text.replace(b"\n" + rows[4].encode(),
                                             b"\n+" + rows[4].encode())), columns)
         assert bad is None, block

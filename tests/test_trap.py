@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from fewatom.constants import PhysConstants
 from fewatom.trap import (TrapConfig, depth_from_cos, depth_minimum,
                           effective_volume, photons_to_stop,
                           saturation_parameter)
@@ -22,8 +21,6 @@ def test_saturation_parameter_scaling():
     # on resonance the Lorentzian factor drops out
     res = TrapConfig(detuning=0.0, intensity=11.0)
     assert saturation_parameter(res) == pytest.approx(1.0, rel=1e-12)
-    # inverse in the saturation intensity
-    assert saturation_parameter(base, pc=PhysConstants(i_sat=22.0)) == pytest.approx(s0 / 2.0)
 
 
 def test_effective_volume():
@@ -46,7 +43,7 @@ def test_depth_minimum_override():
 
 
 def test_depth_reference_point():
-    # kappa_geom was calibrated so the reference point gives 0.15 K
+    # KAPPA_GEOM was calibrated so the reference point gives 0.15 K
     cfg = TrapConfig(intensity=420.0 * 0.87 / saturation_parameter(TrapConfig()))
     assert saturation_parameter(cfg) == pytest.approx(0.87, rel=1e-12)
     assert depth_minimum(cfg) == pytest.approx(0.15, rel=1e-3)

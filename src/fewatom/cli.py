@@ -42,6 +42,11 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_DETECTION = 4
 
+# The grid `shield` tabulates: the repump saturation parameters s0, and the
+# three calibrated temperatures (K) of the paper's repump-power scans
+SHIELD_S0 = np.linspace(0.0, 50.0, 26)
+SHIELD_TEMPERATURES = (316e-6, 506e-6, 705e-6)
+
 
 def _stage_seeds(seed: int) -> tuple[int, int]:
     """Independent integer seeds of the simulate and synthesize stages,
@@ -61,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
             ("synth", _cmd_synth, "simulate and render a photon-count trace"),
             ("detect", _cmd_detect, "recover an event log from trace.csv"),
             ("fit", _cmd_fit, "tabulate and fit per-occupancy rates from an event log"),
-            ("shield", _cmd_shield, "tabulate suppression curves over the configured scan"),
+            ("shield", _cmd_shield, "tabulate suppression curves over the repump scan"),
             ("pipeline", _cmd_pipeline, "simulate, synth, detect, and fit in one run"),
             ("oracle", _cmd_oracle, "stationary distribution and expected rates of the model")]:
         p = sub.add_parser(name, help=help_)
@@ -241,17 +246,16 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_shield(args) -> int:
-    cfg, out_dir = _load(args)
-    s0 = np.linspace(cfg.s0_min, cfg.s0_max, cfg.s0_points)
-    cols: dict[str, np.ndarray] = {"s0": s0}
+    _, out_dir = _load(args)
+    cols: dict[str, np.ndarray] = {"s0": SHIELD_S0}
     header: dict[str, object] = {}
-    for t in cfg.shield_temperatures:
+    for t in SHIELD_TEMPERATURES:
         label = f"{t * 1e6:g}uk"
-        cols[f"ratio_{label}"] = suppression_ratio(s0, t, cfg.shielding)
+        cols[f"ratio_{label}"] = suppression_ratio(SHIELD_S0, t)
         header[f"a_{label}"] = float(scaling_constant(t))
     write_table_csv(out_dir / "shield.csv", cols, header=header)
-    print(f"wrote shield.csv ({cfg.s0_points} points, "
-          f"{len(cfg.shield_temperatures)} temperature(s)) to {out_dir}")
+    print(f"wrote shield.csv ({len(SHIELD_S0)} points, "
+          f"{len(SHIELD_TEMPERATURES)} temperature(s)) to {out_dir}")
     return EXIT_OK
 
 

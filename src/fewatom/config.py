@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .channels import ChannelSet, ShieldingParams, effective_betas
+from .channels import ChannelSet, effective_betas
 from .constants import CM3_PER_M3, G_PER_CM_TO_T_PER_M, MW_PER_CM2_TO_W_PER_M2
 from .markov import RateModel
 from .trap import TrapConfig, effective_volume
@@ -25,12 +25,6 @@ class ConfigError(ValueError):
 
 def _scaled(factor: float) -> Callable[[str], float]:
     return lambda v: float(v) * factor
-
-def _uk_list(v: str) -> tuple[float, ...]:
-    vals = tuple(float(x) * 1e-6 for x in v.split(",") if x.strip())
-    if not vals:
-        raise ValueError("empty temperature list")
-    return vals
 
 
 # key -> (constructor group, field name, converter to internal units)
@@ -51,7 +45,6 @@ _KEYS: dict[str, tuple[str, str, Callable[[str], object]]] = {
     "channels.re_energy_k": ("channels", "re_energy_scale", float),
     "channels.depth_jitter": ("channels", "depth_jitter", float),
     "channels.angular_spread_rad": ("channels", "angular_spread", float),
-    "shielding.rabi_coeff": ("shielding", "rabi_coeff", float),
     "sim.duration_s": ("run", "duration", float),
     "sim.n0": ("run", "n0", int),
     "sim.seed": ("run", "seed", int),
@@ -60,10 +53,6 @@ _KEYS: dict[str, tuple[str, str, Callable[[str], object]]] = {
     "trace.per_atom_rate_hz": ("run", "per_atom_rate", float),
     "trace.bg_rate_hz": ("run", "trace_bg_rate", float),
     "trace.bin_width_s": ("run", "bin_width", float),
-    "shield.temperatures_uk": ("run", "shield_temperatures", _uk_list),
-    "shield.s0_min": ("run", "s0_min", float),
-    "shield.s0_max": ("run", "s0_max", float),
-    "shield.s0_points": ("run", "s0_points", int),
 }
 
 # Operating points of the standard runs. fig2: steady-state statistics at a
@@ -103,7 +92,6 @@ class RunConfig:
 
     trap: TrapConfig = field(default_factory=TrapConfig)
     channels: ChannelSet = field(default_factory=ChannelSet)
-    shielding: ShieldingParams = field(default_factory=ShieldingParams)
     duration: float = 0.0  # s; must be set before simulating
     n0: int = 0
     seed: int = 0
@@ -112,10 +100,6 @@ class RunConfig:
     per_atom_rate: float = 10_000.0  # Hz
     trace_bg_rate: float = 500.0  # Hz
     bin_width: float = 0.1  # s
-    shield_temperatures: tuple[float, ...] = (316e-6, 506e-6, 705e-6)  # K
-    s0_min: float = 0.0
-    s0_max: float = 50.0
-    s0_points: int = 26
 
     def volume_cm3(self) -> float:
         return effective_volume(self.trap.r0) * CM3_PER_M3
@@ -129,7 +113,7 @@ class RunConfig:
         """
         b1, b2 = self.b1, self.b2
         if b1 is None or b2 is None:
-            e1, e2 = effective_betas(self.trap, self.channels, self.shielding)
+            e1, e2 = effective_betas(self.trap, self.channels)
             v = self.volume_cm3()
             if b1 is None:
                 b1 = e1 / v
@@ -162,7 +146,7 @@ def parse_pairs(text: str, source: str = "<config>") -> dict[str, str]:
 def build_config(pairs: dict[str, str]) -> RunConfig:
     """Convert raw key/value pairs into a validated RunConfig."""
     groups: dict[str, dict[str, object]] = {
-        "trap": {}, "channels": {}, "shielding": {}, "run": {}}
+        "trap": {}, "channels": {}, "run": {}}
     for key, raw in pairs.items():
         if key not in _KEYS:
             known = ", ".join(sorted(k for k in _KEYS if k.split(".")[0] == key.split(".")[0]))
@@ -176,16 +160,13 @@ def build_config(pairs: dict[str, str]) -> RunConfig:
     try:
         trap = TrapConfig(**groups["trap"])
         cs = ChannelSet(**groups["channels"])
-        sp = ShieldingParams(**groups["shielding"])
-        run = RunConfig(trap=trap, channels=cs, shielding=sp, **groups["run"])
+        run = RunConfig(trap=trap, channels=cs, **groups["run"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if run.duration < 0:
         raise ConfigError("sim.duration_s must be non-negative")
     if run.bin_width <= 0 or run.per_atom_rate <= 0 or run.trace_bg_rate < 0:
         raise ConfigError("trace parameters must be positive (bg may be zero)")
-    if run.s0_points < 2 or run.s0_max <= run.s0_min or run.s0_min < 0:
-        raise ConfigError("shield scan needs 0 <= s0_min < s0_max and >= 2 points")
     if run.b1 is not None and run.b1 < 0 or run.b2 is not None and run.b2 < 0:
         raise ConfigError("explicit rates must be non-negative")
     return run

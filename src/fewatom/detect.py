@@ -241,14 +241,19 @@ def _linfit(bins_per_level: np.ndarray, counts_per_level: np.ndarray,
     return (a, b), [[scale * sxx, -scale * sx], [-scale * sx, scale * n]]
 
 
-# Above this SNR a single-bin level excursion cannot plausibly be shot noise
-# (it would need a > 4.5 sigma count fluctuation), so it is kept as a genuine
-# quick load/loss pair instead of being median-suppressed.
-SPIKE_KEEP_SNR = 9.0
+# Below this SNR (level separation over shot noise at the typical occupancy)
+# adjacent levels overlap too much to count atoms one by one.
+MIN_SNR = 5.0
 
 # Residual threshold, in shot-noise sigma of the local level, above which a
 # flat-stretch bin is read back as a quick load/loss pair.
 BUMP_NSIGMA = 4.5
+
+# Above this SNR a one-bin excursion to the next level would need a count
+# fluctuation beyond BUMP_NSIGMA sigma, so it is kept as a quick load/loss
+# pair, not median-suppressed, and the bump pass runs: its threshold then
+# lies inside half a level at the typical occupancy.
+SPIKE_KEEP_SNR = 2 * BUMP_NSIGMA
 
 
 def bump_threshold(level, offset: float, spacing: float):
@@ -257,15 +262,15 @@ def bump_threshold(level, offset: float, spacing: float):
     return BUMP_NSIGMA * (shot_noise(level, offset, spacing) / spacing)
 
 
-def detect(trace: FluorescenceTrace, cal: Calibration,
-           min_snr: float = 5.0) -> tuple[EventLog, DetectionReport]:
+def detect(trace: FluorescenceTrace, cal: Calibration
+           ) -> tuple[EventLog, DetectionReport]:
     """Recover the event log from a trace.
 
     Events sit at bin boundaries: dN=+1 load, -1 one-atom loss, -2 two-atom
     loss. A dN=+2 boundary becomes two loads inside the bin, and jumps with
     |dN| > 2 are re-voted with a local median and counted as ambiguous.
     Raises DetectionQualityError when the level separation over shot noise at
-    the typical occupancy falls below min_snr.
+    the typical occupancy falls below MIN_SNR.
     """
     if len(trace.counts) == 0:
         raise ValueError("cannot detect events in an empty trace (0 bins)")
@@ -278,15 +283,15 @@ def detect(trace: FluorescenceTrace, cal: Calibration,
     per_level = np.bincount(table, weights=count_hist).astype(np.int64)
     n_typ = _hist_percentile(np.cumsum(per_level), 99.5)
     snr = float(spacing / shot_noise(max(n_typ, 1.0), offset, spacing))
-    if snr < min_snr:
+    if snr < MIN_SNR:
         raise DetectionQualityError(
-            f"level separation / shot noise = {snr:.2f} below minimum {min_snr:.2f}")
+            f"level separation / shot noise = {snr:.2f} below minimum {MIN_SNR:.2f}")
     bump_pass = snr >= SPIKE_KEEP_SNR
 
     # The per-bin passes: each bin's level and, for the bump pass, the bins
     # whose count value is a bump at its own level; then the steps. Each
     # rewrite below updates the step set around the bins it rewrites, and
-    # adds them to the bins the bump pass tests.
+    # the merge and re-vote add them to the bins the bump pass tests.
     n_hat, bump_bins = _read_levels(
         trace.counts, table,
         _bumps(value, table, offset, spacing)[1] if bump_pass else None)
@@ -305,7 +310,6 @@ def detect(trace: FluorescenceTrace, cal: Calibration,
         spikes = len(idx)
         n_hat[idx] = n_hat[idx - 1]
         steps = _restep(n_hat, steps, idx)
-        tested.append(idx)
 
     # A two-atom loss mid-bin leaves one transition bin at the intermediate
     # level, which would read as two consecutive one-atom losses. Fold the

@@ -218,10 +218,14 @@ def fit_rates(table: EventRateTable,
     flagged. Pass the trace bin width as coincidence_width (plus the
     calibration, when detect ran its bump pass) when the table comes from
     binned detection to apply the pile-up corrections; leave both None for
-    exact logs.
+    exact logs. A calibration without coincidence_width raises ValueError:
+    its transfers would not apply.
     """
     if coincidence_width is not None:
         table = correct_coincidences(table, coincidence_width, calibration)
+    elif calibration is not None:
+        raise ValueError("fit_rates: a calibration needs the coincidence_width "
+                         "of the trace it was taken from")
     fields: dict[str, float] = {}
     clipped: list[str] = []
     chi2, dof = 0.0, 0

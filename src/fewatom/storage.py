@@ -15,12 +15,13 @@ table with a float column) and render the values again with the writer: a
 block reads only if the bytes are the same, or the same once '\\n' row ends
 become '\\r\\n' and blank lines are dropped, the two liberties the readers
 take. Every row, the column row included, must end with a row end, so a
-file cut inside its last row does not read. So a field reads only if the
-writer would write its value as the same bytes, and ' 5', '+5', '05' or
-'0.50' fail. Header values are checked against the ranges their sources
-guarantee, and rows against the writers' invariants as array operations;
-only a file whose rows fail is scanned line by line, to name its first bad
-line.
+file cut inside its last row does not read, and the rows must number what
+the '# rows=N' header line the writer adds gives, so neither does one cut
+at a row end. So a field reads only if the writer would write its value as
+the same bytes, and ' 5', '+5', '05' or '0.50' fail. Header values are
+checked against the ranges their sources guarantee, and rows against the
+writers' invariants as array operations; only a file whose rows fail is
+scanned line by line, to name its first bad line.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 import os
 import tempfile
 import warnings
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -45,6 +46,8 @@ from .trace import FluorescenceTrace
 # temporaries stay far below a trace's own counts
 _CHUNK_ROWS = 1 << 16
 _BLOCK_BYTES = 1 << 17
+
+_ROWS_KEY = "rows"  # the header key of the row count, which every reader requires
 
 
 def atomic_write_text(path: str | Path, chunks: Iterable[str]) -> None:
@@ -124,25 +127,30 @@ def _render(arrays: list[np.ndarray], lo: int, hi: int) -> bytes:
 def write_table_csv(path: str | Path, columns: dict[str, np.ndarray],
                     header: dict[str, object] | None = None) -> None:
     """A '# key=value' line per header item, floats as repr so they read
-    back bit for bit, then the column row and the rows, rendered and
-    written _CHUNK_ROWS at a time: float columns as repr, integers as str."""
+    back bit for bit, and a last one, '# rows=N', giving the row count;
+    then the column row and the rows, rendered and written _CHUNK_ROWS at a
+    time: float columns as repr, integers as str."""
     arrays = [np.asarray(a) for a in columns.values()]
     if arrays and any(len(a) != len(arrays[0]) for a in arrays):
         raise ValueError("columns differ in length")
+    n = len(arrays[0]) if arrays else 0
     head = "".join(f"# {key}={float(val)!r}\n" if isinstance(val, float)
-                   else f"# {key}={val}\n" for key, val in (header or {}).items())
+                   else f"# {key}={val}\n"
+                   for key, val in {**(header or {}), _ROWS_KEY: n}.items())
     chunks = (_render(arrays, lo, lo + _CHUNK_ROWS).decode("ascii")
-              for lo in range(0, len(arrays[0]) if arrays else 0, _CHUNK_ROWS))
+              for lo in range(0, n, _CHUNK_ROWS))
     atomic_write_text(path, chain([head, ",".join(columns) + "\r\n"], chunks))
 
 
 def _read_csv(path: str | Path, keys: dict[str, Callable[[str], object]],
               columns: dict[str, type]
               ) -> tuple[dict[str, object], dict[str, np.ndarray], int]:
-    """Header metadata, which must hold `keys`, each converted by its
-    function; the rows under the `columns` row, one array per column of its
-    type; and the line number of the column row. Header lines come only
-    before the column row, each key once."""
+    """Header metadata, which must hold `keys` and the row count, each
+    converted by its function; the rows under the `columns` row, one array
+    per column of its type, as many as the header gives; and the line number
+    of the column row. Header lines come only before the column row, each
+    key once."""
+    keys = {**keys, _ROWS_KEY: _checked(int, lambda n: n >= 0, "a count")}
     meta: dict[str, object] = {}
     with open(path, "rb") as fh:
         line_no = 0
@@ -177,6 +185,13 @@ def _read_csv(path: str | Path, keys: dict[str, Callable[[str], object]],
         bad = _bad_line(path, line_no, columns)
         raise ValueError(f"{path}, line {bad[0]}: {bad[1]}" if bad
                          else f"{path}: rows the writer could not have written")
+    # the count is compared, never allocated from: a file cut at a row end
+    # has fewer rows, and one with rows appended more
+    n, want = len(rows[0]), meta[_ROWS_KEY]
+    if n != want:
+        raise ValueError(f"{path}, line {_line_of(path, line_no, min(n, want))}: "
+                         + (f"row {want + 1} past the header's rows={want}" if n > want
+                            else f"file ends after {n} of the header's rows={want}"))
     return meta, dict(zip(columns, rows)), line_no
 
 
@@ -246,9 +261,19 @@ def _raise_first(path: str | Path, column_line: int, faults: list) -> None:
     bad = [(np.argmax(mask), k) for k, (mask, _) in enumerate(faults) if mask.any()]
     if bad:
         row, k = min(bad)
-        with open(path, "rb") as fh:
-            line = next(islice(_data_lines(fh, column_line), row, None))[0]
-        raise ValueError(f"{path}, line {line}: {faults[k][1](row)}")
+        raise ValueError(f"{path}, line {_line_of(path, column_line, row)}: "
+                         f"{faults[k][1](row)}")
+
+
+def _line_of(path: str | Path, column_line: int, row: int) -> int:
+    """The line number of row `row` (from 0) after the column row, or, in a
+    file with fewer rows, of the line after its last row."""
+    line = column_line
+    with open(path, "rb") as fh:
+        for k, (line, _, _) in enumerate(_data_lines(fh, column_line)):
+            if k == row:
+                return line
+    return line + 1
 
 
 def _data_lines(fh, column_line: int) -> Iterable[tuple[int, str, bool]]:

@@ -71,8 +71,10 @@ def test_shield_outputs(tmp_path):
     rc = main(["shield", "--out-dir", str(tmp_path)])
     assert rc == 0
     text = (tmp_path / "shield.csv").read_text()
-    assert "ratio_316uk" in text
     assert "a_316uk=4.2066" in text
+    # the paper's scan: 26 points of s0 from 0 to 50 at three temperatures
+    assert "# rows=26\ns0,ratio_316uk,ratio_506uk,ratio_705uk\n" in text
+    assert text.splitlines()[-1].startswith("50.0,")
 
 
 def test_pipeline_end_to_end(tmp_path, capsys):
@@ -121,7 +123,7 @@ _PROVENANCE = ("# bin_width_s=0.1\n# cal_per_atom_rate_hz=10000.0\n"
 def test_fit_rejects_inconsistent_log(tmp_path, capsys):
     path = tmp_path / "detected_events.csv"
     path.write_text("# n0=0\n# duration_s=10.0\n# seed=1\n" + _PROVENANCE +
-                    "time_s,kind,n_before,n_after\n2.0,0,0,1\n1.0,0,1,2\n")
+                    "# rows=2\ntime_s,kind,n_before,n_after\n2.0,0,0,1\n1.0,0,1,2\n")
     assert main(["fit", "--out-dir", str(tmp_path)]) == 2
     assert str(path) in capsys.readouterr().err
     assert not (tmp_path / "fit.csv").exists()
@@ -129,7 +131,7 @@ def test_fit_rejects_inconsistent_log(tmp_path, capsys):
 
 def test_fit_requires_detection_provenance(tmp_path, capsys):
     path = tmp_path / "detected_events.csv"
-    path.write_text("# n0=0\n# duration_s=10.0\n# seed=1\n"
+    path.write_text("# n0=0\n# duration_s=10.0\n# seed=1\n# rows=2\n"
                     "time_s,kind,n_before,n_after\n1.0,0,0,1\n2.0,0,1,2\n")
     assert main(["fit", "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
@@ -138,12 +140,12 @@ def test_fit_requires_detection_provenance(tmp_path, capsys):
 
 
 _DETECTED_HEAD = "# n0=0\n# duration_s=10.0\n# seed=1\n" + _PROVENANCE  # 10 lines
-_DETECTED_ROWS = "time_s,kind,n_before,n_after\n1.0,0,0,1\n2.0,0,1,2\n"
+_DETECTED_ROWS = "# rows=2\ntime_s,kind,n_before,n_after\n1.0,0,0,1\n2.0,0,1,2\n"
 
 
 @pytest.mark.parametrize("text, line", [
     # after the rows, where fit once took the bin width from
-    (_DETECTED_HEAD + _DETECTED_ROWS + "# bin_width_s=0.05\n", 14),
+    (_DETECTED_HEAD + _DETECTED_ROWS + "# bin_width_s=0.05\n", 15),
     (_DETECTED_HEAD + "# n0=0\n" + _DETECTED_ROWS, 11),  # a key given twice
 ], ids=["after_rows", "repeated_key"])
 def test_fit_rejects_stray_header_line(tmp_path, capsys, text, line):
@@ -203,9 +205,9 @@ _TRACE_HEAD = ("# bin_width_s=0.1\n# per_atom_rate_hz=10000.0\n"
 
 def test_detect_names_bad_trace_row(tmp_path, capsys):
     path = tmp_path / "trace.csv"
-    path.write_text(_TRACE_HEAD + "counts\n510\nabc\n")
+    path.write_text(_TRACE_HEAD + "# rows=2\ncounts\n510\nabc\n")
     assert main(["detect", "--out-dir", str(tmp_path)]) == 2
-    assert f"{path}, line 7" in capsys.readouterr().err
+    assert f"{path}, line 8" in capsys.readouterr().err
 
 
 def test_detect_rejects_truncated_trace(tmp_path, capsys):
@@ -225,10 +227,32 @@ def test_detect_rejects_truncated_trace(tmp_path, capsys):
     assert not (tmp_path / "detected_events.csv").exists()
 
 
+@pytest.mark.parametrize("step, name, output", [
+    ("detect", "trace.csv", "detected_events.csv"),
+    ("fit", "detected_events.csv", "fit.csv")])
+def test_step_rejects_input_cut_at_a_row_end(tmp_path, capsys, step, name, output):
+    # the input loses its whole last row: every row left ends as written, so
+    # only the header's row count tells that the file is cut
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sim.duration_s = 2000\n")
+    assert main(["pipeline", "--preset", "fig2", "--config", str(cfg),
+                 "--seed", "3", "--out-dir", str(tmp_path)]) == 0
+    path = tmp_path / name
+    text = path.read_bytes()
+    text = text[:text.rstrip(b"\r\n").rfind(b"\n") + 1]
+    path.write_bytes(text)
+    (tmp_path / output).unlink()
+    capsys.readouterr()
+    assert main([step, "--out-dir", str(tmp_path)]) == 2
+    line = text.count(b"\n") + 1
+    assert f"{path}, line {line}: file ends after " in capsys.readouterr().err
+    assert not (tmp_path / output).exists()
+
+
 def test_detect_rejects_two_column_trace(tmp_path, capsys):
     # trace.csv holds the counts alone; bin i starts at i * bin_width_s
     path = tmp_path / "trace.csv"
-    path.write_text(_TRACE_HEAD + "t_start_s,counts\n0.0,510\n0.1,512\n")
+    path.write_text(_TRACE_HEAD + "# rows=2\nt_start_s,counts\n0.0,510\n0.1,512\n")
     assert main(["detect", "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert str(path) in err and "counts" in err
@@ -241,7 +265,7 @@ def test_detect_rejects_two_column_trace(tmp_path, capsys):
     ("nan", "must be finite, got nan"), ("inf", "must be finite, got inf")])
 def test_detect_names_bad_bin_width(tmp_path, capsys, value, fault):
     path = tmp_path / "trace.csv"
-    path.write_text(_TRACE_HEAD.replace("=0.1", f"={value}") + "counts\n"
+    path.write_text(_TRACE_HEAD.replace("=0.1", f"={value}") + "# rows=20\ncounts\n"
                     + "510\n" * 20)
     assert main(["detect", "--out-dir", str(tmp_path)]) == 2
     assert f"{path}, line 1: bin_width_s: {fault}" in capsys.readouterr().err
@@ -260,7 +284,7 @@ def test_detect_names_bad_bin_width(tmp_path, capsys, value, fault):
 ], ids=["cal_rate_nan", "cal_rate_negative", "duration_0"])
 def test_fit_names_bad_header_value(tmp_path, capsys, head, line, fault):
     path = tmp_path / "detected_events.csv"
-    path.write_text(head + "time_s,kind,n_before,n_after\n")
+    path.write_text(head + "# rows=0\ntime_s,kind,n_before,n_after\n")
     assert main(["fit", "--out-dir", str(tmp_path)]) == 2
     assert f"{path}, line {line}: {fault}" in capsys.readouterr().err
     assert not (tmp_path / "fit.csv").exists()
@@ -270,7 +294,7 @@ def test_fit_names_bad_header_value(tmp_path, capsys, head, line, fault):
 def test_detect_refuses_a_huge_count(tmp_path, capsys, huge):
     # one histogram slot per count value up to the highest would not fit
     path = tmp_path / "trace.csv"
-    path.write_text(_TRACE_HEAD + "counts\n" + "510\n" * 20 + f"{huge}\n")
+    path.write_text(_TRACE_HEAD + "# rows=21\ncounts\n" + "510\n" * 20 + f"{huge}\n")
     assert main(["detect", "--out-dir", str(tmp_path)]) == 2
     assert f"bin 20: count {huge} above 4194304" in capsys.readouterr().err
     assert not (tmp_path / "detected_events.csv").exists()

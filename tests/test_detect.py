@@ -11,7 +11,8 @@ from fewatom.detect import (BUMP_NSIGMA, SPIKE_KEEP_SNR, Calibration,
                             _bump_pairs, _bumps, _comb_peaks,
                             _events_from_levels, _hist_percentile, _levels,
                             _linfit, _merge_down_down, _read_levels, _restep,
-                            _steps, calibrate, detect)
+                            _steps, bump_threshold, calibrate, detect,
+                            shot_noise)
 from fewatom.markov import (KIND_LOAD, KIND_LOSS1, KIND_LOSS2, EventLog,
                             RateModel, simulate)
 from fewatom.trace import (BLOCK_BINS, MAX_COUNT, FluorescenceTrace,
@@ -87,8 +88,20 @@ def test_detect_low_snr_rejected():
     tr = synthesize(log, per_atom_rate=200.0, bg_rate=100.0, seed=3)
     cal = Calibration(per_atom_rate=200.0, bg_rate=100.0,
                       per_atom_err=5.0, bg_err=3.0, n_levels=4)
-    with pytest.raises(DetectionQualityError):
+    with pytest.raises(DetectionQualityError, match="below minimum 5.00"):
         detect(tr, cal)
+
+
+@pytest.mark.parametrize("offset", [0.0, 50.0, 5000.0])
+def test_bump_pass_runs_where_its_threshold_is_inside_half_a_level(offset):
+    # SPIKE_KEEP_SNR is the SNR from which the bump threshold at the level
+    # the SNR is taken at lies within half a level: 2 * BUMP_NSIGMA, still 9
+    assert SPIKE_KEEP_SNR == 2 * BUMP_NSIGMA == 9.0
+    level = 3.0
+    for spacing in np.geomspace(1.0, 1e5, 400):
+        snr = spacing / shot_noise(level, offset, spacing)
+        inside = bump_threshold(level, offset, spacing) <= 0.5 * (1 + 1e-12)
+        assert inside == (snr >= SPIKE_KEEP_SNR * (1 - 1e-12))
 
 
 def test_detect_rejects_empty_trace():
@@ -518,7 +531,8 @@ def _detect_constructed(counts, offset, spacing, bin_width=0.1):
                            bg_rate=offset / bin_width, seed=0)
     cal = Calibration(per_atom_rate=spacing / bin_width, bg_rate=offset / bin_width,
                       per_atom_err=0.0, bg_err=0.0, n_levels=2)
-    log, rep = detect(tr, cal, min_snr=0.0)
+    with mock.patch.object(detect_module, "MIN_SNR", 0.0):
+        log, rep = detect(tr, cal)
     offset, spacing = cal.per_bin(bin_width)
     return log, rep, _detect_reference(counts, offset, spacing, bin_width,
                                        low_snr=rep.snr < SPIKE_KEEP_SNR)
@@ -579,7 +593,7 @@ def test_detect_matches_reference(case, spacing, block):
 
 
 def test_detect_at_moderate_snr_matches_reference():
-    # a fig2 log read between min_snr and SPIKE_KEEP_SNR: spikes are
+    # a fig2 log read between MIN_SNR and SPIKE_KEEP_SNR: spikes are
     # suppressed, and merges and re-votes then read the rewritten levels
     model = RateModel(load_rate=0.1403, bg_rate=1.0 / 60.0, b1=0.004, b2=0.006)
     tr = synthesize(simulate(model, duration=5000.0, seed=11), per_atom_rate=3000.0,

@@ -385,6 +385,14 @@ def test_fit_rates_matches_reference(width, cal):
     assert clipped >= {"bg_rate", "b1"}
 
 
+def test_fit_rates_refuses_calibration_without_width():
+    # the calibration only enters the pile-up transfers, which need the bin
+    # width; once it was dropped without a word
+    table = next(_reference_tables())
+    with pytest.raises(ValueError, match="coincidence_width"):
+        fit_rates(table, calibration=_CAL)
+
+
 def test_fit_rates_degenerate_tables():
     # each channel needs as many populated levels from its lowest N as it
     # fits coefficients; with two levels from N = 1 on, one is at N >= 2

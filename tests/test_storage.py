@@ -84,8 +84,13 @@ def test_atomic_write_follows_umask(tmp_path, umask, mode):
     assert (tmp_path / "out.txt").stat().st_mode & 0o777 == mode
 
 
-# long enough for the 70 002 rows below, one every 0.5 s
-_EVENT_HEADER = "# n0=0\n# duration_s=40000.0\n# seed=1\ntime_s,kind,n_before,n_after\n"
+def _event_header(rows: int) -> str:
+    # long enough for the 70 002 rows below, one every 0.5 s
+    return (f"# n0=0\n# duration_s=40000.0\n# seed=1\n# rows={rows}\n"
+            "time_s,kind,n_before,n_after\n")
+
+
+_EVENT_HEADER = _event_header(2)
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -99,16 +104,16 @@ def test_read_event_csv_validates_log(tmp_path, rows, message):
     path.write_text(_EVENT_HEADER + rows)
     with pytest.raises(ValueError, match=message) as info:
         read_event_csv(path)
-    assert str(info.value).startswith(f"{path}, line 6: ")
+    assert str(info.value).startswith(f"{path}, line 7: ")
 
 
-# rows from line 6, after a blank line 5
+# rows from line 7, after a blank line 6
 @pytest.mark.parametrize("rows, line, message", [
-    ("2.0,0,0,1\n1.0,0,1,2\n", 7, "strictly increasing from 0, got 1.0"),
-    ("0.0,0,0,1\n1.0,0,1,2\n", 6, "strictly increasing from 0, got 0.0"),
-    ("1.0,0,0,1\n50000.0,0,1,2\n", 7, r"lie in \(0, duration\], got 50000.0"),
-    ("1.0,1,0,-1\n2.0,0,-1,0\n", 6, "negative atom number in event log: 0 -> -1"),
-    ("1.0,0,0,1\n2.0,1,3,2\n", 7,
+    ("2.0,0,0,1\n1.0,0,1,2\n", 8, "strictly increasing from 0, got 1.0"),
+    ("0.0,0,0,1\n1.0,0,1,2\n", 7, "strictly increasing from 0, got 0.0"),
+    ("1.0,0,0,1\n50000.0,0,1,2\n", 8, r"lie in \(0, duration\], got 50000.0"),
+    ("1.0,1,0,-1\n2.0,0,-1,0\n", 7, "negative atom number in event log: 0 -> -1"),
+    ("1.0,0,0,1\n2.0,1,3,2\n", 8,
      "not self-consistent: n_before 3 where the events before leave 1"),
 ], ids=["decreasing", "at_0", "after_duration", "negative", "sequence"])
 def test_read_event_csv_names_log_fault_line(tmp_path, rows, line, message):
@@ -130,7 +135,7 @@ def test_read_event_csv_names_bad_row(tmp_path, row):
     path.write_text(_EVENT_HEADER + "1.0,0,0,1\n\n" + row + "\n")
     with pytest.raises(ValueError) as info:
         read_event_csv(path)
-    assert f"{path}, line 7" in str(info.value)
+    assert f"{path}, line 8" in str(info.value)
 
 
 def test_read_event_csv_requires_header(tmp_path):
@@ -147,8 +152,12 @@ def test_read_trace_csv_requires_header(tmp_path):
         read_trace_csv(path)
 
 
-_TRACE_HEADER = ("# bin_width_s=0.1\n# per_atom_rate_hz=10000.0\n"
-                 "# bg_rate_hz=500.0\n# seed=1\ncounts\n")
+def _trace_header(rows: int) -> str:
+    return ("# bin_width_s=0.1\n# per_atom_rate_hz=10000.0\n"
+            f"# bg_rate_hz=500.0\n# seed=1\n# rows={rows}\ncounts\n")
+
+
+_TRACE_HEADER = _trace_header(3)
 
 
 @pytest.mark.parametrize("row", [
@@ -161,7 +170,7 @@ def test_read_trace_csv_names_bad_row(tmp_path, row):
     path.write_text(_TRACE_HEADER + "510\n\n" + row + "\n505\n")
     with pytest.raises(ValueError) as info:
         read_trace_csv(path)
-    assert f"{path}, line 8" in str(info.value)
+    assert f"{path}, line 9" in str(info.value)
 
 
 @st.composite
@@ -223,8 +232,9 @@ def test_detected_log_roundtrip_bitwise(tmp_path, log, bin_width, cal, bump_pass
 # the byte-for-byte reference for their output
 
 def _reference_csv(meta, columns, rows) -> bytes:
+    rows = list(rows)
     buf = io.StringIO()
-    for key, val in meta.items():
+    for key, val in {**meta, "rows": len(rows)}.items():
         buf.write(f"# {key}={float(val)!r}\n" if isinstance(val, float)
                   else f"# {key}={val}\n")
     writer = csv.writer(buf)
@@ -354,12 +364,12 @@ _EVENT_ROWS = [f"{(i + 1) * 0.5!r},{i % 2},{i % 2},{1 - i % 2}"
                for i in range(_N_ROWS)]
 
 
-def _with_row(header: str, rows: list[str], i: int, row: str,
+def _with_row(header, rows: list[str], i: int, row: str,
               newline: str) -> tuple[str, int]:
-    """File text with rows[i] replaced by `row`, a blank line after the
-    column row and another just before row i, and row i's 1-based line
-    number."""
-    head = header.splitlines()
+    """File text under header(len(rows)) with rows[i] replaced by `row`, a
+    blank line after the column row and another just before row i, and row
+    i's 1-based line number."""
+    head = header(len(rows)).splitlines()
     lines = head + [""] + rows[:i] + ["", row] + rows[i + 1:]
     return newline.join(lines) + newline, len(head) + i + 3
 
@@ -386,8 +396,7 @@ _BAD_ROWS = pytest.mark.parametrize("bad_row, newline", [
     ("5\r10", "counts"),  # a '\r' not before the row end
 ])
 def test_read_trace_csv_names_bad_line(tmp_path, newline, bad_row, bad, fault):
-    text, line = _with_row(_TRACE_HEADER, _TRACE_ROWS, bad_row, bad,
-                               newline)
+    text, line = _with_row(_trace_header, _TRACE_ROWS, bad_row, bad, newline)
     path = tmp_path / "trace.csv"
     path.write_bytes(text.encode())
     with pytest.raises(ValueError, match=fault) as info:
@@ -395,20 +404,70 @@ def test_read_trace_csv_names_bad_line(tmp_path, newline, bad_row, bad, fault):
     assert str(info.value).startswith(f"{path}, line {line}: ")
 
 
-@pytest.mark.parametrize("cut", [4, 2, 1], ids=["in_row", "row_end", "lf"])
-def test_read_trace_csv_rejects_truncated_trace(tmp_path, cut):
+def _three_bin_trace(path) -> bytes:
+    write_trace_csv(FluorescenceTrace(
+        bin_width=0.1, counts=np.array([1234, 5678, 9012]),
+        per_atom_rate=10000.0, bg_rate=500.0, seed=1), path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("cut, fault", [
+    (4, "row has no row end"), (2, "row has no row end"), (1, "row has no row end"),
+    (6, "file ends after 2 of the header's rows=3")],
+    ids=["in_row", "row_end", "lf", "whole_row"])
+def test_read_trace_csv_rejects_truncated_trace(tmp_path, cut, fault):
     # a file cut short reads as fewer or shorter counts unless every row
-    # must end as the writer ends it
-    trace = FluorescenceTrace(bin_width=0.1, counts=np.array([1234, 5678, 9012]),
-                              per_atom_rate=10000.0, bg_rate=500.0, seed=1)
+    # must end as the writer ends it and the rows number what the header
+    # gives: cut at a row end, every row left ends as written
     path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path)
-    text = path.read_bytes()[:-cut]
+    text = _three_bin_trace(path)[:-cut]
     path.write_bytes(text)
     with pytest.raises(ValueError) as info:
         read_trace_csv(path)
     line = text.count(b"\n") + 1
-    assert str(info.value) == f"{path}, line {line}: row has no row end"
+    assert str(info.value) == f"{path}, line {line}: {fault}"
+
+
+@pytest.mark.parametrize("write, read", [
+    (write_event_csv, read_event_csv),
+    (lambda log, path: write_detected_csv(log, 0.1, _CAL, True, path),
+     read_detected_csv)], ids=["events", "detected"])
+def test_read_event_csv_rejects_log_cut_at_a_row_end(tmp_path, write, read):
+    # a 43-event log cut after its 42nd row is a valid 42-event log but for
+    # the header's row count
+    log = simulate(RateModel(0.1403, 1 / 60, 0.004, 0.006), duration=200.0, seed=6)
+    assert len(log) == 43
+    path = tmp_path / "events.csv"
+    write(log, path)
+    text = path.read_bytes()
+    text = text[:text.rstrip(b"\r\n").rfind(b"\n") + 1]
+    path.write_bytes(text)
+    with pytest.raises(ValueError) as info:
+        read(path)
+    line = text.count(b"\n") + 1
+    assert str(info.value) == (f"{path}, line {line}: file ends after 42 of "
+                               "the header's rows=43")
+
+
+def test_read_trace_csv_rejects_rows_past_the_count(tmp_path):
+    path = tmp_path / "trace.csv"
+    text = _three_bin_trace(path) + b"\r\n42\r\n"
+    path.write_bytes(text)
+    with pytest.raises(ValueError) as info:
+        read_trace_csv(path)
+    line = text.count(b"\n")
+    assert str(info.value) == f"{path}, line {line}: row 4 past the header's rows=3"
+
+
+def test_read_trace_csv_never_allocates_the_header_count(tmp_path):
+    # the row count is compared with the rows read, so a huge one fails
+    # instead of asking for 8e18 bytes
+    path = tmp_path / "trace.csv"
+    text = _three_bin_trace(path).replace(b"rows=3", b"rows=" + str(10**18).encode())
+    path.write_bytes(text)
+    with pytest.raises(ValueError, match=f"file ends after 3 of the header's "
+                                         f"rows={10**18}$"):
+        read_trace_csv(path)
 
 
 @_BAD_ROWS
@@ -439,8 +498,8 @@ def test_read_event_csv_names_bad_line(tmp_path, newline, bad_row, bad, fault):
     fields = dict(t=repr((i + 1) * 0.5), k=i % 2, nb=i % 2, na=1 - i % 2,
                   wrong=3, prev=repr(i * 0.5), below=i % 2 - 2,
                   up_nb=i % 2 + 1, up_na=2 - i % 2)
-    text, line = _with_row(_EVENT_HEADER, _EVENT_ROWS, bad_row,
-                               bad.format(**fields), newline)
+    text, line = _with_row(_event_header, _EVENT_ROWS, bad_row,
+                           bad.format(**fields), newline)
     path = tmp_path / "events.csv"
     path.write_bytes(text.encode())
     with pytest.raises(ValueError, match=fault) as info:
@@ -450,13 +509,13 @@ def test_read_event_csv_names_bad_line(tmp_path, newline, bad_row, bad, fault):
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
 def test_readers_accept_either_row_end(tmp_path, newline):
-    trace_text, _ = _with_row(_TRACE_HEADER, _TRACE_ROWS[:100], 50,
-                                  _TRACE_ROWS[50], newline)
+    trace_text, _ = _with_row(_trace_header, _TRACE_ROWS[:100], 50,
+                              _TRACE_ROWS[50], newline)
     (tmp_path / "trace.csv").write_bytes(trace_text.encode())
     np.testing.assert_array_equal(read_trace_csv(tmp_path / "trace.csv").counts,
                                   [500 + i % 7 for i in range(100)])
-    event_text, _ = _with_row(_EVENT_HEADER, _EVENT_ROWS[:20], 10,
-                                  _EVENT_ROWS[10], newline)
+    event_text, _ = _with_row(_event_header, _EVENT_ROWS[:20], 10,
+                              _EVENT_ROWS[10], newline)
     (tmp_path / "events.csv").write_bytes(event_text.encode())
     log = read_event_csv(tmp_path / "events.csv")
     np.testing.assert_array_equal(log.times, np.arange(1, 21) * 0.5)
@@ -464,9 +523,9 @@ def test_readers_accept_either_row_end(tmp_path, newline):
 
 
 @pytest.mark.parametrize("text, line, fault", [
-    ("# bin_width_s=0.05\n" + _TRACE_HEADER + "510\n", 2,
+    ("# bin_width_s=0.05\n" + _trace_header(1) + "510\n", 2,
      "header key bin_width_s given twice"),
-    ("# a note\n" + _TRACE_HEADER + "510\n", 1, "not '# key=value'"),
+    ("# a note\n" + _trace_header(1) + "510\n", 1, "not '# key=value'"),
 ], ids=["repeated_key", "no_value"])
 def test_read_trace_csv_rejects_stray_header_line(tmp_path, text, line, fault):
     path = tmp_path / "trace.csv"
@@ -476,11 +535,11 @@ def test_read_trace_csv_rejects_stray_header_line(tmp_path, text, line, fault):
     assert str(info.value).startswith(f"{path}, line {line}: ")
 
 
-_DETECTED_HEADER = (_EVENT_HEADER.partition("time_s")[0] + "# bin_width_s=0.1\n"
+_DETECTED_HEADER = (_EVENT_HEADER.partition("# rows")[0] + "# bin_width_s=0.1\n"
                     "# cal_per_atom_rate_hz=10000.0\n# cal_bg_rate_hz=500.0\n"
                     "# cal_per_atom_err_hz=1.0\n# cal_bg_err_hz=1.0\n"
-                    "# cal_n_levels=4\n# bump_pass=1\ntime_s,kind,n_before,n_after\n"
-                    "1.0,0,0,1\n")
+                    "# cal_n_levels=4\n# bump_pass=1\n# rows=1\n"
+                    "time_s,kind,n_before,n_after\n1.0,0,0,1\n")
 
 
 @pytest.mark.parametrize("read, text, line, fault", [
@@ -488,11 +547,15 @@ _DETECTED_HEADER = (_EVENT_HEADER.partition("time_s")[0] + "# bin_width_s=0.1\n"
     (read_event_csv, _EVENT_HEADER.replace("n0=0", "n0=99999999999999999999"), 1,
      "n0: must be a count in"),
     (read_event_csv, _EVENT_HEADER.replace("n0=0", "n0=-1"), 1, "n0: must be a count in"),
-    (read_event_csv, _EVENT_HEADER.replace("# seed=1\n", ""), 3,
+    (read_event_csv, _EVENT_HEADER.replace("# seed=1\n", ""), 4,
      r"missing header field\(s\) \['seed'\]"),
-    (read_event_csv, _EVENT_HEADER.replace(",n_after", ""), 4, "missing column header"),
-    (read_event_csv, _EVENT_HEADER.partition("time_s")[0], 4, "missing column header"),
-    (read_trace_csv, _TRACE_HEADER.removesuffix("\n"), 5, "row has no row end"),
+    (read_event_csv, _EVENT_HEADER.replace(",n_after", ""), 5, "missing column header"),
+    (read_event_csv, _EVENT_HEADER.partition("time_s")[0], 5, "missing column header"),
+    (read_trace_csv, _TRACE_HEADER.removesuffix("\n"), 6, "row has no row end"),
+    (read_trace_csv, _TRACE_HEADER.replace("# rows=3\n", ""), 5,
+     r"missing header field\(s\) \['rows'\]"),
+    (read_trace_csv, _TRACE_HEADER.replace("rows=3", "rows=-1"), 5,
+     "rows: must be a count, got -1"),
     (read_trace_csv, _TRACE_HEADER.replace("=10000.0", "=fast"), 2,
      "per_atom_rate_hz: could not convert"),
     (read_detected_csv, _DETECTED_HEADER.replace("=0.1", "=0.0"), 4,
@@ -501,7 +564,7 @@ _DETECTED_HEADER = (_EVENT_HEADER.partition("time_s")[0] + "# bin_width_s=0.1\n"
      "cal_n_levels: invalid literal"),
     (read_detected_csv, _DETECTED_HEADER.replace("pass=1", "pass=2"), 10,
      "bump_pass: must be 0 or 1, got 2"),
-    (read_detected_csv, _DETECTED_HEADER.replace("# bump_pass=1\n", ""), 10,
+    (read_detected_csv, _DETECTED_HEADER.replace("# bump_pass=1\n", ""), 11,
      r"missing header field\(s\) \['bump_pass'\]"),
     # the ranges the writers' sources guarantee
     (read_trace_csv, _TRACE_HEADER.replace("=0.1", "=0.0"), 1,
@@ -544,7 +607,7 @@ _DETECTED_HEADER = (_EVENT_HEADER.partition("time_s")[0] + "# bin_width_s=0.1\n"
     (read_detected_csv, _DETECTED_HEADER.replace("levels=4", "levels=1"), 9,
      "cal_n_levels: must be at least 2, got 1"),
 ], ids=["bad_value", "n0_past_int64", "n0_negative", "missing_key", "wrong_columns", "no_columns",
-        "unended_columns", "trace_value",
+        "unended_columns", "no_rows", "rows_negative", "trace_value",
         "bin_width_0", "float_levels", "bump_pass_2", "no_bump_pass",
         "trace_bin_width_0", "trace_bin_width_negative", "trace_bin_width_nan",
         "trace_bin_width_inf", "trace_rate_0", "trace_rate_inf", "trace_bg_negative",
@@ -568,7 +631,7 @@ def test_read_detected_csv_rejects_trailing_bin_width(tmp_path):
         fh.write("# bin_width_s=0.05\n")
     with pytest.raises(ValueError, match="header line after the column row") as info:
         read_detected_csv(path)
-    assert str(info.value).startswith(f"{path}, line 16: ")
+    assert str(info.value).startswith(f"{path}, line 17: ")
 
 
 # -- the field rule: a field reads only as the writer writes its value,

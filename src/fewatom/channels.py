@@ -117,7 +117,7 @@ def suppression_ratio(s0, temperature: float, params: ShieldingParams | None = N
 
 def outcome_probabilities(channel: str, trap: TrapConfig, cs: ChannelSet,
                           rng: np.random.Generator,
-                          n_samples: int = 100_000) -> tuple[float, float, float]:
+                          n_samples: int) -> tuple[float, float, float]:
     """Monte Carlo estimate of (P_none, P_one, P_two) for a channel: the
     shares of n_samples collisions that eject no atom, one or both.
 

@@ -9,6 +9,7 @@ and are applied underneath any user config.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -154,9 +155,12 @@ def build_config(pairs: dict[str, str]) -> RunConfig:
             raise ConfigError(f"unknown config key {key!r}{hint}")
         group, name, conv = _KEYS[key]
         try:
-            groups[group][name] = conv(raw)
+            value = conv(raw)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError("must be finite")
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
+        groups[group][name] = value
     try:
         trap = TrapConfig(**groups["trap"])
         cs = ChannelSet(**groups["channels"])

@@ -65,14 +65,15 @@ def tabulate(log: EventLog) -> EventRateTable:
 
 
 # Geometric acceptances, in bins, for the pair-confusion modes of level
-# rounding. Obtained by integrating the rounding, transition-bin, and bump
-# rules over event phases (deterministic quadrature reproduces these rationals
-# to 4 digits). Two one-atom losses closer than about a bin fuse into a read
-# of one two-atom loss; a load within the same window of a two-atom loss
+# rounding. Two one-atom losses closer than about a bin fuse into a read of
+# one two-atom loss; a load within the same window of a two-atom loss
 # swallows it into a read of one one-atom loss; a load/loss1 pair that flips
 # no bin cancels entirely unless its residual clears the bump threshold, which
 # leaves an acceptance of theta + theta^2/2 per event order at threshold
-# theta (in atoms).
+# theta (in atoms). The fuse and swallow values are hand-set: detect, run on
+# noise-free pairs at N = 2-5 (test_fitting pins N = 3), fuses over 1.35-1.41
+# bins and swallows over 1.30-1.43, and no transfer models its three-event
+# misreads of 0.09-0.18 bins each; ROADMAP item 2 replaces both with a table.
 PAIR_FUSE_BINS = 1.5
 PAIR_SWALLOW_BINS = 1.625
 # chance a flat bin's shot noise alone clears the two-sided bump threshold

@@ -12,6 +12,7 @@ and beta_2atoms/V = 2*b2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Callable
@@ -41,7 +42,7 @@ class TruncationError(RuntimeError):
 
 @dataclass
 class RateModel:
-    """Rates of the birth-death chain. All non-negative; bg_rate = 1/tau."""
+    """Rates of the birth-death chain, all finite and >= 0; bg_rate = 1/tau."""
 
     load_rate: float  # 1/s
     bg_rate: float  # 1/s per atom
@@ -50,8 +51,8 @@ class RateModel:
 
     def __post_init__(self):
         for name in ("load_rate", "bg_rate", "b1", "b2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
 
     def channel_rates(self, n: int | np.ndarray) -> tuple:
         """(load, loss1, loss2) event rates out of state n (an int or an int array)."""
@@ -119,7 +120,7 @@ class EventLog:
 _BUF = 4096
 
 
-def simulate(model: RateModel, n0: int = 0, duration: float = 0.0,
+def simulate(model: RateModel, n0: int = 0, *, duration: float,
              seed: int = 0) -> EventLog:
     """Exact next-event simulation of the chain; bitwise reproducible per seed.
 
@@ -136,8 +137,8 @@ def simulate(model: RateModel, n0: int = 0, duration: float = 0.0,
     one lookup, and the table holds only the states visited (12 in a 1e6 s
     run at the fig2 rates; from n0 at most one per event).
     """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    if not 0 < duration < math.inf:
+        raise ValueError("duration must be positive and finite")
     if n0 < 0:
         raise ValueError("n0 must be non-negative")
     rng = np.random.default_rng(np.random.PCG64(seed))

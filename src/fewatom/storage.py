@@ -13,15 +13,16 @@ take the rows _BLOCK_BYTES of whole lines at a time, parse each block loosely
 with numpy's C parsers (np.fromstring for a trace's counts, np.loadtxt for a
 table with a float column) and render the values again with the writer: a
 block reads only if the bytes are the same, or the same once '\\n' row ends
-become '\\r\\n' and blank lines are dropped, the two liberties the readers
-take. Every row, the column row included, must end with a row end, so a
-file cut inside its last row does not read, and the rows must number what
-the '# rows=N' header line the writer adds gives, so neither does one cut
-at a row end. So a field reads only if the writer would write its value as
-the same bytes, and ' 5', '+5', '05' or '0.50' fail. Header values are
-checked against the ranges their sources guarantee, and rows against the
-writers' invariants as array operations; only a file whose rows fail is
-scanned line by line, to name its first bad line.
+become '\\r\\n', the one liberty the readers take. So a blank line does
+not read, and row k (from 0) sits k + 1 lines below the column row. Every
+row, the column row included, must end with a row end, so a file cut inside
+its last row does not read, and the rows must number what the '# rows=N'
+header line the writer adds gives, so neither does one cut at a row end.
+So a field reads only if the writer would write its value as the same
+bytes, and ' 5', '+5', '05' or '0.50' fail. Header values are checked
+against the ranges their sources guarantee, and rows against the writers'
+invariants as array operations; only a file whose rows fail is scanned line
+by line, to name its first bad line.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import math
 import os
 import tempfile
 import warnings
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -167,7 +168,7 @@ def _read_csv(path: str | Path, keys: dict[str, Callable[[str], object]],
                     meta[key] = keys.get(key, str)(val.strip())
                 except ValueError as exc:
                     raise ValueError(f"{path}, line {line_no}: {key}: {exc}") from None
-            elif line.strip():
+            else:
                 break
         else:
             line, line_no = "", line_no + 1
@@ -189,7 +190,7 @@ def _read_csv(path: str | Path, keys: dict[str, Callable[[str], object]],
     # has fewer rows, and one with rows appended more
     n, want = len(rows[0]), meta[_ROWS_KEY]
     if n != want:
-        raise ValueError(f"{path}, line {_line_of(path, line_no, min(n, want))}: "
+        raise ValueError(f"{path}, line {line_no + 1 + min(n, want)}: "
                          + (f"row {want + 1} past the header's rows={want}" if n > want
                             else f"file ends after {n} of the header's rows={want}"))
     return meta, dict(zip(columns, rows)), line_no
@@ -213,7 +214,8 @@ def _rows(fh, columns: dict[str, type]) -> list[np.ndarray] | None:
             return None
         k = len(values[0])
         text = _render(values, 0, k) if k else b""
-        if text != block and text.replace(b"\r\n", b"\n") != _lf_rows(block):
+        if text != block and (text.replace(b"\r\n", b"\n")
+                              != block.replace(b"\r\n", b"\n")):
             return None
         for column, v in zip(out, values):
             column[n:n + k] = v
@@ -247,54 +249,28 @@ def _parse(block: bytes, columns: dict[str, type]) -> list[np.ndarray] | None:
     return [table[name] for name in columns]
 
 
-def _lf_rows(block: bytes) -> bytes:
-    """The lines of block with '\\n' row ends and without blank lines."""
-    block = block.replace(b"\r\n", b"\n")
-    while b"\n\n" in block:
-        block = block.replace(b"\n\n", b"\n")
-    return block.removeprefix(b"\n")
-
-
 def _raise_first(path: str | Path, column_line: int, faults: list) -> None:
     """Raise for the earliest row that any fault's mask rejects (the earlier
     fault on a tie), naming the file and the row's line; see EventLog.faults."""
     bad = [(np.argmax(mask), k) for k, (mask, _) in enumerate(faults) if mask.any()]
     if bad:
         row, k = min(bad)
-        raise ValueError(f"{path}, line {_line_of(path, column_line, row)}: "
+        raise ValueError(f"{path}, line {column_line + 1 + row}: "
                          f"{faults[k][1](row)}")
-
-
-def _line_of(path: str | Path, column_line: int, row: int) -> int:
-    """The line number of row `row` (from 0) after the column row, or, in a
-    file with fewer rows, of the line after its last row."""
-    line = column_line
-    with open(path, "rb") as fh:
-        for k, (line, _, _) in enumerate(_data_lines(fh, column_line)):
-            if k == row:
-                return line
-    return line + 1
-
-
-def _data_lines(fh, column_line: int) -> Iterable[tuple[int, str, bool]]:
-    """(line number, text without its '\\n' or '\\r\\n', whether it has
-    a row end) of each row after the column row of the binary file fh; blank
-    lines hold no row."""
-    for n, raw in enumerate(fh, start=1):
-        line = raw.decode("latin-1").removesuffix("\n").removesuffix("\r")
-        ended = raw.endswith(b"\n")
-        if n > column_line and (line or not ended):
-            yield n, line, ended
 
 
 def _bad_line(path: str | Path, column_line: int, columns: dict[str, type]
               ) -> tuple[int, str] | None:
-    """(line number, fault) of the first data line the writer could not
-    have written, or None if there is none."""
+    """(line number, fault) of the first line after the column row that
+    the writer could not have written, or None if there is none."""
     with open(path, "rb") as fh:
-        for line_no, line, ended in _data_lines(fh, column_line):
-            if not ended:
+        for line_no, raw in enumerate(islice(fh, column_line, None),
+                                      start=column_line + 1):
+            line = raw.decode("latin-1").removesuffix("\n").removesuffix("\r")
+            if not raw.endswith(b"\n"):
                 return line_no, "row has no row end"
+            if not line:
+                return line_no, "blank line"
             if line.startswith("#"):
                 return line_no, "header line after the column row"
             fields = line.split(",")

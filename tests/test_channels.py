@@ -52,7 +52,7 @@ def test_outcome_probabilities_normalized():
         assert p0 + p1 + p2 == pytest.approx(1.0)
         assert min(p0, p1, p2) >= 0.0
     with pytest.raises(ValueError):
-        outcome_probabilities("bogus", trap, cs, rng)
+        outcome_probabilities("bogus", trap, cs, rng, n_samples=10)
 
 
 def test_fcc_always_ejects_both():

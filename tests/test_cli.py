@@ -53,6 +53,24 @@ def test_simulate_requires_duration(tmp_path, capsys):
     assert "duration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, raw", [
+    ("sim.duration_s", "nan"), ("sim.duration_s", "inf"),
+    ("trap.load_rate_per_s", "nan")])
+def test_simulate_rejects_non_finite_value(tmp_path, key, raw):
+    # in a subprocess with a timeout: a simulate that took the value would
+    # never end
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in
+                           {"sim.duration_s": "100", key: raw}.items()))
+    env = {**os.environ, "PYTHONPATH": str(Path(fewatom.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-m", "fewatom.cli", "simulate", "--preset", "fig2",
+         "--config", str(cfg), "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 2
+    assert f"bad value for {key}: {raw!r} (must be finite)" in run.stderr
+
+
 def test_unknown_config_key_exit_code(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("trap.bogus = 1\n")

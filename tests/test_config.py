@@ -155,6 +155,23 @@ def test_bad_value_reports_key():
     assert "sim.seed" in str(err.value)
 
 
+# every key but the two integer ones converts to a float
+@pytest.mark.parametrize("key", sorted(set(_KEYS) - {"sim.n0", "sim.seed"}))
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_non_finite_value_rejected(key, raw):
+    # a nan or infinite duration or rate would keep simulate's loop going
+    with pytest.raises(ConfigError) as err:
+        load_config(preset="fig2", overrides={key: raw})
+    assert str(err.value) == f"bad value for {key}: {raw!r} (must be finite)"
+
+
+def test_value_that_overflows_its_unit_rejected():
+    with pytest.raises(ConfigError) as err:
+        build_config({"trap.intensity_mw_cm2": "1e308"})
+    assert str(err.value) == ("bad value for trap.intensity_mw_cm2: '1e308' "
+                              "(must be finite)")
+
+
 def test_fig2_preset_rate_model():
     cfg = load_config(preset="fig2")
     model = cfg.rate_model()

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -17,11 +18,20 @@ def test_kind_codes_distinct():
     assert {KIND_LOAD, KIND_LOSS1, KIND_LOSS2} == {0, 1, 2}
 
 
-def test_rate_model_validation():
-    with pytest.raises(ValueError):
-        RateModel(load_rate=-0.1, bg_rate=0.01, b1=0.0, b2=0.0)
-    with pytest.raises(ValueError):
-        RateModel(load_rate=0.1, bg_rate=0.01, b1=-1e-3, b2=0.0)
+@pytest.mark.parametrize("field", ["load_rate", "bg_rate", "b1", "b2"])
+@pytest.mark.parametrize("value", [-1e-3, math.nan, math.inf])
+def test_rate_model_validation(field, value):
+    # simulate's loop never ends on a nan or infinite total rate
+    rates = {"load_rate": 0.1, "bg_rate": 0.01, "b1": 0.0, "b2": 0.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite and non-negative"):
+        RateModel(**rates)
+
+
+@pytest.mark.parametrize("duration", [math.nan, math.inf, 0.0, -1.0])
+def test_simulate_rejects_duration(duration):
+    # all rates 0: the loop would end at once, so only the check can raise
+    with pytest.raises(ValueError, match="duration must be positive and finite"):
+        simulate(RateModel(0.0, 0.0, 0.0, 0.0), duration=duration, seed=1)
 
 
 def test_channel_rates():

@@ -7,7 +7,7 @@ the dominant two-atom loss channel.
 
 from .constants import c3_atomic_to_si
 from .trap import (TrapConfig, depth_from_cos, depth_minimum, effective_volume,
-                   photons_to_stop, saturation_parameter)
+                   saturation_parameter)
 from .channels import (ChannelSet, ShieldingParams, condon_radius,
                        effective_betas, outcome_probabilities,
                        scaling_constant, suppression_ratio)
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "c3_atomic_to_si",
     "TrapConfig", "depth_from_cos", "depth_minimum", "effective_volume",
-    "photons_to_stop", "saturation_parameter",
+    "saturation_parameter",
     "ChannelSet", "ShieldingParams", "condon_radius", "effective_betas",
     "outcome_probabilities", "scaling_constant", "suppression_ratio",
     "EventLog", "RateModel", "TruncationError", "master_stationary",

@@ -8,6 +8,14 @@ Three two-body channels are modeled:
        distributed energy;
   fcc  fine-structure-changing collisions, 400 K per atom, always over threshold.
 
+outcome_probabilities samples each collision's directions and depth jitters,
+drawing every variate, but computes atom 2's direction only for the samples
+whose energy lies between atom 2's jittered shallow-axis and deep-axis depths;
+above both it escapes and at or below both it stays, in any direction. An hcc
+or fcc energy above the deep depth times 1 + JITTER_SIGMAS * depth_jitter
+ejects both atoms in every collision: the channel returns (0, 0, 1) before
+sampling and draws nothing from rng.
+
 Rate coefficients are quoted in the total-loss flux convention: a channel with
 coefficient beta whose every collision ejects both atoms removes atoms at
 beta * N(N-1) / V per second. The pair-event coefficient is then beta/2.
@@ -38,6 +46,8 @@ from .trap import TrapConfig, depth_from_cos
 
 
 CHANNELS = ("hcc", "re", "fcc")
+# bound on a depth jitter draw, in widths: the Gaussian tail past it underflows in float64
+JITTER_SIGMAS = 40.0
 
 
 @dataclass
@@ -52,6 +62,9 @@ class ChannelSet:
     angular_spread: float = 0.35  # rad, rms deviation of atom 2 from back-to-back
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         for name in ("beta_hcc", "beta_re", "beta_fcc"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -123,31 +136,46 @@ def outcome_probabilities(channel: str, trap: TrapConfig, cs: ChannelSet,
 
     Each atom escapes when its energy exceeds the (jittered) trap depth
     along its direction; atom 2 leaves back-to-back up to a random tilt.
+    Atom 2's direction is computed only where the energy lies between its
+    jittered shallow and deep depths. An hcc or fcc energy above deep * (1 +
+    JITTER_SIGMAS * depth_jitter) returns (0, 0, 1) and draws nothing from rng.
     """
     if channel not in CHANNELS:
         raise ValueError(f"unknown channel {channel!r}")
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
+    # 1e-12 of slack covers rounding in c2, whose |c2| can round to just above 1
+    shallow = depth_from_cos(trap, 0.0) * (1.0 - 1e-12)
+    deep = depth_from_cos(trap, 1.0) * (1.0 + 1e-12)
+    fixed = {"hcc": E_HCC_PER_ATOM, "fcc": E_FCC_PER_ATOM}.get(channel)
+    if fixed is not None and fixed > deep * (1.0 + JITTER_SIGMAS * cs.depth_jitter):
+        return tuple(np.array([0.0, 0.0, 1.0]))
     # atom 1 direction: isotropic, only cos(theta) matters for the depth
     c1 = rng.uniform(-1.0, 1.0, n_samples)
     # atom 2: back-to-back up to a half-normal tilt with uniform azimuth
     if cs.angular_spread > 0:
         alpha = np.abs(rng.normal(0.0, cs.angular_spread, n_samples))
         phi = rng.uniform(0.0, 2.0 * math.pi, n_samples)
-        s1 = np.sqrt(1.0 - c1**2)
-        c2 = -c1 * np.cos(alpha) + s1 * np.sin(alpha) * np.cos(phi)
-    else:
-        c2 = -c1
-    d1 = depth_from_cos(trap, c1)
-    d2 = depth_from_cos(trap, c2)
+    f1 = f2 = np.ones(n_samples)
     if cs.depth_jitter > 0:
-        d1 = d1 * (1.0 + rng.normal(0.0, cs.depth_jitter, n_samples))
-        d2 = d2 * (1.0 + rng.normal(0.0, cs.depth_jitter, n_samples))
-    if channel == "hcc":
-        energy = E_HCC_PER_ATOM
-    elif channel == "fcc":
-        energy = E_FCC_PER_ATOM
-    else:
+        f1 = 1.0 + rng.normal(0.0, cs.depth_jitter, n_samples)
+        f2 = 1.0 + rng.normal(0.0, cs.depth_jitter, n_samples)
+    if fixed is None:
         energy = rng.exponential(cs.re_energy_scale, n_samples)
-    escaped = (energy > d1).astype(np.int64) + (energy > d2)
+    elif fixed > deep * max(f1.max(), f2.max()):
+        return tuple(np.array([0.0, 0.0, 1.0]))
+    else:
+        energy = np.full(n_samples, fixed)
+    escaped = (energy > depth_from_cos(trap, c1) * f1).astype(np.int64)
+    # atom 2's depth lies in [shallow, deep] * f2; a factor f2 < 0 puts both
+    # bounds below 0 <= energy, so such a sample escapes like its depth does
+    hi = deep * f2
+    escaped += energy > hi
+    i = np.flatnonzero((energy > shallow * f2) & (energy <= hi))
+    c2 = -c1[i]
+    if cs.angular_spread > 0:
+        c2 = c2 * np.cos(alpha[i]) + np.sqrt(1.0 - c2**2) * np.sin(alpha[i]) * np.cos(phi[i])
+    escaped[i] += energy[i] > depth_from_cos(trap, c2) * f2[i]
     return tuple(np.bincount(escaped, minlength=3) / n_samples)
 
 

@@ -30,7 +30,6 @@ E_HCC_PER_ATOM = 0.22  # K, kinetic energy per atom after a hyperfine-changing c
 E_FCC_PER_ATOM = 400.0  # K, per atom after a fine-structure-changing collision
 
 DOPPLER_TEMP = HBAR * GAMMA / (2.0 * KB)  # K, hbar*gamma/(2 kB), about 125 uK
-RECOIL_SPEED = HBAR * (2.0 * math.pi / WAVELENGTH) / CS_MASS  # m/s, single-photon hbar*k/m
 
 # practical-unit factors
 G_PER_CM_TO_T_PER_M = 1e-2

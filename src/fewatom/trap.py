@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import (BOHR_MAGNETON, CS_MASS, GAMMA, HBAR, I_SAT, KB,
-                        RECOIL_SPEED, WAVELENGTH)
+from .constants import BOHR_MAGNETON, GAMMA, HBAR, I_SAT, KB, WAVELENGTH
 
 MU_EFF = BOHR_MAGNETON  # J/T, effective Zeeman moment of the escaping atom
 # Calibrated so depth_minimum(375 G/cm, s=0.87) = 0.15 K with MU_EFF.
@@ -52,6 +51,9 @@ class TrapConfig:
     bg_lifetime: float = 60.0  # s, background-collision lifetime
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.intensity <= 0:
             raise ValueError("intensity must be positive")
         if self.repump_sat < 0:
@@ -106,12 +108,3 @@ def depth_from_cos(config: TrapConfig, cos_theta):
     """
     du_min = depth_minimum(config)
     return du_min * (1.0 + (config.depth_anisotropy - 1.0) * np.asarray(cos_theta) ** 2)
-
-
-def photons_to_stop(energy_kelvin: float) -> float:
-    """Number of photon recoils needed to remove the speed of an atom with the
-    given kinetic energy (kelvin): sqrt(2 kB E / m) / v_recoil."""
-    if energy_kelvin < 0:
-        raise ValueError("energy must be non-negative")
-    v = math.sqrt(2.0 * KB * energy_kelvin / CS_MASS)
-    return v / RECOIL_SPEED

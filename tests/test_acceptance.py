@@ -23,7 +23,7 @@ from fewatom.fitting import (extrapolate_beta_hcc, fit_rates, fit_repump_decay,
                              infer_temperature, tabulate)
 from fewatom.markov import (KIND_LOSS1, KIND_LOSS2, RateModel,
                             master_stationary, simulate)
-from fewatom.trap import TrapConfig, effective_volume, photons_to_stop
+from fewatom.trap import TrapConfig, effective_volume
 from fewatom.trace import synthesize
 
 pytestmark = pytest.mark.acceptance
@@ -218,13 +218,6 @@ def test_09_outcome_classifier():
     _verdict("accept-09 outcome-classifier", ok,
              f"P2(fcc)={p2_fcc:.6f}, P2(hcc, 45 mK)={p2_hcc:.6f} (=1), "
              f"one-atom share {frac:.1%} in [5%,20%]")
-
-
-def test_10_photon_budget():
-    n = photons_to_stop(0.1)
-    ok = abs(n / 1000.0 - 1.0) < 0.05
-    _verdict("accept-10 photon-budget", ok, f"photons_to_stop(0.1 K)={n:.0f} "
-             "(1000 +- 5%)")
 
 
 @cache

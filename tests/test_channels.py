@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from fewatom.channels import (ChannelSet, ShieldingParams, condon_radius,
-                              effective_betas, outcome_probabilities,
-                              scaling_constant, suppression_ratio)
+from fewatom.channels import (CHANNELS, ChannelSet, ShieldingParams,
+                              condon_radius, effective_betas,
+                              outcome_probabilities, scaling_constant,
+                              suppression_ratio)
+from fewatom.constants import E_FCC_PER_ATOM, E_HCC_PER_ATOM
 from fewatom.trap import TrapConfig, depth_from_cos
 
 
@@ -126,3 +128,89 @@ def test_channel_set_validation():
         ShieldingParams(repump_detuning=0.0)
     with pytest.raises(ValueError):
         ShieldingParams(c3=-1.0)
+
+
+def _straight_mc(channel, trap, cs, rng, n_samples):
+    """The classifier as a straight Monte Carlo: atom 2's direction and both
+    depths for every sample; the reference the bounded version must match."""
+    c1 = rng.uniform(-1.0, 1.0, n_samples)
+    if cs.angular_spread > 0:
+        alpha = np.abs(rng.normal(0.0, cs.angular_spread, n_samples))
+        phi = rng.uniform(0.0, 2.0 * math.pi, n_samples)
+        s1 = np.sqrt(1.0 - c1**2)
+        c2 = -c1 * np.cos(alpha) + s1 * np.sin(alpha) * np.cos(phi)
+    else:
+        c2 = -c1
+    d1 = depth_from_cos(trap, c1)
+    d2 = depth_from_cos(trap, c2)
+    if cs.depth_jitter > 0:
+        d1 = d1 * (1.0 + rng.normal(0.0, cs.depth_jitter, n_samples))
+        d2 = d2 * (1.0 + rng.normal(0.0, cs.depth_jitter, n_samples))
+    if channel == "hcc":
+        energy = E_HCC_PER_ATOM
+    elif channel == "fcc":
+        energy = E_FCC_PER_ATOM
+    else:
+        energy = rng.exponential(cs.re_energy_scale, n_samples)
+    escaped = (energy > d1).astype(np.int64) + (energy > d2)
+    return tuple(np.bincount(escaped, minlength=3) / n_samples)
+
+
+def _jitter_seed(cs, n_samples):
+    """First seed in 0-99 whose draws include a depth jitter factor <= 0."""
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        rng.uniform(-1.0, 1.0, n_samples)
+        rng.normal(0.0, cs.angular_spread, n_samples)
+        rng.uniform(0.0, 2.0 * math.pi, n_samples)
+        f1 = 1.0 + rng.normal(0.0, cs.depth_jitter, n_samples)
+        f2 = 1.0 + rng.normal(0.0, cs.depth_jitter, n_samples)
+        if min(f1.min(), f2.min()) <= 0.0:
+            return seed
+    return None
+
+
+@pytest.mark.parametrize("cs", [
+    ChannelSet(), ChannelSet(angular_spread=0.0), ChannelSet(depth_jitter=0.0),
+    ChannelSet(depth_jitter=0.199)], ids=["default", "no-spread", "no-jitter", "jitter-0.199"])
+@pytest.mark.parametrize("trap", [
+    TrapConfig(depth_min=0.045), TrapConfig(), TrapConfig(depth_min=0.01),
+    TrapConfig(depth_anisotropy=1.0)], ids=["repump", "derived", "10mK", "isotropic"])
+def test_outcome_probabilities_match_straight_mc(trap, cs):
+    # computing atom 2's direction only between the depth bounds changes no
+    # share and no draw; a channel decided before sampling draws nothing
+    n = 200_000
+    seed = 5
+    if cs.depth_jitter == 0.199:
+        seed = _jitter_seed(cs, n)
+        assert seed is not None
+    # the pre-draw rule, with JITTER_SIGMAS written out
+    deep = depth_from_cos(trap, 1.0) * (1.0 + 40.0 * cs.depth_jitter)
+    for channel in CHANNELS:
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        shares = outcome_probabilities(channel, trap, cs, rng, n)
+        assert shares == _straight_mc(channel, trap, cs, ref, n)
+        energy = {"hcc": E_HCC_PER_ATOM, "fcc": E_FCC_PER_ATOM}.get(channel)
+        if energy is not None and energy > deep:
+            assert shares == (0.0, 0.0, 1.0)
+            ref = np.random.default_rng(seed)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("channel", ["fcc", "re"])
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_outcome_probabilities_refuses_no_samples(channel, n_samples):
+    # fcc is decided before sampling at this trap; the count is checked first
+    rng = np.random.default_rng(8)
+    with pytest.raises(ValueError, match="n_samples"):
+        outcome_probabilities(channel, TrapConfig(), ChannelSet(), rng, n_samples)
+    with pytest.raises(ValueError, match="n_samples"):
+        effective_betas(TrapConfig(), ChannelSet(), n_samples=n_samples)
+
+
+@pytest.mark.parametrize("name", ["beta_hcc", "beta_re", "beta_fcc", "re_energy_scale",
+                                  "depth_jitter", "angular_spread"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_channel_set_refuses_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        ChannelSet(**{name: value})

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from fewatom.trap import (TrapConfig, depth_from_cos, depth_minimum,
-                          effective_volume, photons_to_stop,
-                          saturation_parameter)
+                          effective_volume, saturation_parameter)
 
 
 def test_saturation_parameter_default():
@@ -61,15 +60,6 @@ def test_trap_depth_anisotropy():
                                depth_from_cos(cfg, np.cos(math.pi - th)), rtol=1e-12)
 
 
-def test_photons_to_stop():
-    n = photons_to_stop(0.1)
-    assert n == pytest.approx(1004.18683298019, rel=1e-10)
-    # sqrt(E) scaling of the stopping requirement
-    assert photons_to_stop(0.4) == pytest.approx(2.0 * n, rel=1e-12)
-    with pytest.raises(ValueError):
-        photons_to_stop(-0.1)
-
-
 def test_trap_config_validation():
     with pytest.raises(ValueError):
         TrapConfig(intensity=-1.0)
@@ -79,3 +69,14 @@ def test_trap_config_validation():
         TrapConfig(depth_anisotropy=0.5)
     with pytest.raises(ValueError):
         TrapConfig(bg_lifetime=0.0)
+
+
+@pytest.mark.parametrize("name", ["detuning", "intensity", "repump_sat", "gradient", "r0",
+                                  "temperature", "depth_min", "depth_anisotropy",
+                                  "load_rate", "bg_lifetime"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_trap_config_refuses_non_finite(name, value):
+    # a nan or infinite depth, anisotropy or intensity used to read as a
+    # trap every fcc collision stays in
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        TrapConfig(**{name: value})

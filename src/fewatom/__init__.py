@@ -5,12 +5,11 @@ step detection, per-occupancy rate fitting, and the repump-shielding model of
 the dominant two-atom loss channel.
 """
 
-from .constants import c3_atomic_to_si
 from .trap import (TrapConfig, depth_from_cos, depth_minimum, effective_volume,
                    saturation_parameter)
-from .channels import (ChannelSet, ShieldingParams, condon_radius,
-                       effective_betas, outcome_probabilities,
-                       scaling_constant, suppression_ratio)
+from .channels import (ChannelSet, ShieldingParams, effective_betas,
+                       outcome_probabilities, scaling_constant,
+                       suppression_ratio)
 from .markov import (EventLog, RateModel, TruncationError, master_stationary,
                      simulate, stationary_moments)
 from .trace import FluorescenceTrace, binned_mean_counts, synthesize
@@ -25,10 +24,9 @@ from .config import PRESETS, ConfigError, RunConfig, build_config, load_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "c3_atomic_to_si",
     "TrapConfig", "depth_from_cos", "depth_minimum", "effective_volume",
     "saturation_parameter",
-    "ChannelSet", "ShieldingParams", "condon_radius", "effective_betas",
+    "ChannelSet", "ShieldingParams", "effective_betas",
     "outcome_probabilities", "scaling_constant", "suppression_ratio",
     "EventLog", "RateModel", "TruncationError", "master_stationary",
     "simulate", "stationary_moments",

@@ -20,11 +20,9 @@ Rate coefficients are quoted in the total-loss flux convention: a channel with
 coefficient beta whose every collision ejects both atoms removes atoms at
 beta * N(N-1) / V per second. The pair-event coefficient is then beta/2.
 
-Shielding model: the blue-detuned repump dresses a repulsive excited pair state
-that crosses the ground asymptote at the Condon radius. The implemented
-suppression factor is a Gaussian in the ratio of the Rabi energy hbar*Omega to
-the collision energy scale, where the thermal scale kB*T and the linewidth
-floor sqrt(2)*kB*T_D add in quadrature:
+Shielding model: the repump suppression factor is a Gaussian in the ratio of
+the Rabi energy hbar*Omega to the collision energy scale, where the thermal
+scale kB*T and the linewidth floor sqrt(2)*kB*T_D add in quadrature:
 
     P_hcc(s0, T) = exp(-(hbar Omega)^2 / ((kB T)^2 + 2 (kB T_D)^2)),
     Omega = rabi_coeff * Gamma * sqrt(s0).
@@ -41,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import (DOPPLER_TEMP, E_FCC_PER_ATOM, E_HCC_PER_ATOM, GAMMA,
-                        H_PLANCK, HBAR, KB, c3_atomic_to_si)
+                        HBAR, KB)
 from .trap import TrapConfig, depth_from_cos
 
 
@@ -78,31 +76,20 @@ class ChannelSet:
 
 @dataclass
 class ShieldingParams:
-    """Repump-dressing parameters for the ground-channel suppression."""
+    """Repump-dressing strength of the ground-channel suppression."""
 
-    repump_detuning: float = 9.0e9  # Hz, blue detuning of the repump
-    c3: float = c3_atomic_to_si(12.0)  # J m^3, excited-pair dispersion coefficient
     rabi_coeff: float = 1.0 / math.sqrt(2.0)  # Omega = rabi_coeff * Gamma * sqrt(s0)
 
     def __post_init__(self):
-        if self.repump_detuning <= 0:
-            raise ValueError("repump_detuning must be positive")
-        if self.c3 <= 0:
-            raise ValueError("c3 must be positive")
-        if self.rabi_coeff <= 0:
-            raise ValueError("rabi_coeff must be positive")
-
-
-def condon_radius(params: ShieldingParams) -> float:
-    """Crossing radius R_C = (C3 / (h * detuning))^(1/3), meters."""
-    return (params.c3 / (H_PLANCK * params.repump_detuning)) ** (1.0 / 3.0)
+        if not 0 < self.rabi_coeff < math.inf:
+            raise ValueError("rabi_coeff must be positive and finite")
 
 
 def scaling_constant(temperature: float):
     """Suppression decay constant A(T) = 1 + (T / T_D)^2 / 2."""
     t = np.asarray(temperature, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("temperature must be non-negative")
+    if not np.all((0 <= t) & (t < math.inf)):
+        raise ValueError("temperature must be non-negative and finite")
     out = 1.0 + 0.5 * (t / DOPPLER_TEMP) ** 2
     return float(out) if np.isscalar(temperature) else out
 
@@ -117,10 +104,10 @@ def suppression_ratio(s0, temperature: float, params: ShieldingParams | None = N
     if params is None:
         params = ShieldingParams()
     s = np.asarray(s0, dtype=float)
-    if np.any(s < 0):
-        raise ValueError("s0 must be non-negative")
-    if temperature < 0:
-        raise ValueError("temperature must be non-negative")
+    if not np.all((0 <= s) & (s < math.inf)):
+        raise ValueError("s0 must be non-negative and finite")
+    if not 0 <= temperature < math.inf:
+        raise ValueError("temperature must be non-negative and finite")
     omega_sq = (params.rabi_coeff * GAMMA) ** 2 * s
     e_thermal = KB * temperature
     e_floor = KB * DOPPLER_TEMP

@@ -1,6 +1,6 @@
 """Physical constants of cesium and its D2 line, and the unit conversions used package-wide.
 
-The package models one atom, Cs-133, so its mass, linewidth, wavelength,
+The package models one atom, Cs-133, so its linewidth, wavelength,
 saturation intensity and collision energy scales are module constants.
 Internal unit system is SI. Energies that parametrize collision channels and
 trap depths are quoted as temperatures (kelvin) and multiplied by KB where an
@@ -14,13 +14,7 @@ import math
 # CODATA 2018
 KB = 1.380649e-23  # J/K, exact
 HBAR = 1.054571817e-34  # J s
-H_PLANCK = 6.62607015e-34  # J s, exact
-HARTREE_ENERGY = 4.3597447222071e-18  # J
-BOHR_RADIUS = 5.29177210903e-11  # m
-ATOMIC_MASS = 1.66053906660e-27  # kg
 BOHR_MAGNETON = 9.2740100783e-24  # J/T
-
-CS_MASS = 132.905451961 * ATOMIC_MASS  # kg, Cs-133
 
 # Cs D2 line (6S1/2 -> 6P3/2) and the collision energy scales
 GAMMA = 2.0 * math.pi * 5.2e6  # natural linewidth, rad/s
@@ -35,13 +29,3 @@ DOPPLER_TEMP = HBAR * GAMMA / (2.0 * KB)  # K, hbar*gamma/(2 kB), about 125 uK
 G_PER_CM_TO_T_PER_M = 1e-2
 MW_PER_CM2_TO_W_PER_M2 = 10.0
 CM3_PER_M3 = 1e6
-
-
-def c3_atomic_to_si(c3_au: float) -> float:
-    """Convert a C3 dispersion coefficient from atomic units (Hartree * a0^3) to J m^3.
-
-    1 a.u. = 6.4605e-49 J m^3.
-    """
-    if c3_au <= 0:
-        raise ValueError(f"C3 must be positive, got {c3_au}")
-    return c3_au * HARTREE_ENERGY * BOHR_RADIUS**3

@@ -274,13 +274,17 @@ def fit_repump_decay(s0: np.ndarray, y: np.ndarray,
     # which nothing else in the package needs
     from scipy.optimize import least_squares
 
-    s0 = np.asarray(s0, dtype=float)
-    y = np.asarray(y, dtype=float)
+    s0, y, sigma = (np.asarray(a, dtype=float) for a in (s0, y, sigma))
+    for name, a in (("s0", s0), ("y", y), ("sigma", sigma)):
+        if a.shape != (s0.size,):
+            raise ValueError(f"{name} must be a 1-D array of {s0.size} points, "
+                             f"got shape {a.shape}")
     if len(s0) < 4:
         raise DegenerateDataError("need at least 4 points for the 3-parameter fit")
-    sigma = np.asarray(sigma, dtype=float)
-    if np.any(sigma <= 0):
-        raise ValueError("sigma must be positive")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y must be finite")
+    if not np.all((0 < sigma) & (sigma < np.inf)):
+        raise ValueError("sigma must be positive and finite")
 
     # seed from the high-s0 tail (offset) and a log-linear slope
     order = np.argsort(s0)
@@ -321,8 +325,8 @@ def fit_repump_decay(s0: np.ndarray, y: np.ndarray,
 
 def infer_temperature(scale: float) -> float:
     """Invert A = 1 + (T/T_D)^2/2 to the sample temperature in kelvin."""
-    if scale <= 1.0:
-        raise ValueError(f"saturation constant {scale} must exceed 1")
+    if not 1.0 < scale < np.inf:
+        raise ValueError(f"saturation constant {scale} must exceed 1 and be finite")
     return DOPPLER_TEMP * np.sqrt(2.0 * (scale - 1.0))
 
 

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fewatom.channels import (ChannelSet, ShieldingParams, condon_radius,
-                              effective_betas, outcome_probabilities,
-                              scaling_constant, suppression_ratio)
-from fewatom.constants import CM3_PER_M3, c3_atomic_to_si
+from fewatom.channels import (ChannelSet, ShieldingParams, effective_betas,
+                              outcome_probabilities, scaling_constant,
+                              suppression_ratio)
+from fewatom.constants import CM3_PER_M3
 from fewatom.detect import calibrate, detect
 from fewatom.fitting import (extrapolate_beta_hcc, fit_rates, fit_repump_decay,
                              infer_temperature, tabulate)
@@ -142,16 +142,6 @@ def test_05_shielding_scaling_law():
         ok &= abs(a_fit / a_model - 1.0) < 0.20 and elapsed < 10.0
         parts.append(f"{t*1e6:.0f}uK A={a_fit:.2f} vs {a_model:.2f}")
     _verdict("accept-05 shielding-law", ok, ", ".join(parts) + " (within 20%)")
-
-
-def test_06_condon_radius_window():
-    params = ShieldingParams(repump_detuning=9.0e9, c3=c3_atomic_to_si(12.0))
-    rc = condon_radius(params)
-    rc2 = condon_radius(replace(params, c3=2.0 * params.c3))
-    shift = rc2 / rc - 1.0
-    ok = 90e-10 <= rc <= 120e-10 and shift <= 0.26
-    _verdict("accept-06 condon-radius", ok,
-             f"R_C={rc*1e10:.1f} A in [90,120], 2x C3 shift {shift:.1%} (<=26%)")
 
 
 def test_07_temperature_inversion():

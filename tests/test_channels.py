@@ -4,26 +4,10 @@ import numpy as np
 import pytest
 
 from fewatom.channels import (CHANNELS, ChannelSet, ShieldingParams,
-                              condon_radius, effective_betas,
-                              outcome_probabilities, scaling_constant,
-                              suppression_ratio)
+                              effective_betas, outcome_probabilities,
+                              scaling_constant, suppression_ratio)
 from fewatom.constants import E_FCC_PER_ATOM, E_HCC_PER_ATOM
 from fewatom.trap import TrapConfig, depth_from_cos
-
-
-def test_condon_radius_default():
-    rc = condon_radius(ShieldingParams())
-    assert rc == pytest.approx(1.091396078253693e-8, rel=1e-12)
-    # 90..120 angstrom window for the default C3 and 9 GHz detuning
-    assert 90e-10 < rc < 120e-10
-
-
-def test_condon_radius_c3_scaling():
-    rc1 = condon_radius(ShieldingParams())
-    rc2 = condon_radius(ShieldingParams(c3=2.0 * ShieldingParams().c3))
-    assert rc2 / rc1 == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12)
-    # doubling C3 moves the crossing by under 26%
-    assert rc2 / rc1 - 1.0 < 0.26
 
 
 def test_scaling_constant():
@@ -31,8 +15,11 @@ def test_scaling_constant():
     assert scaling_constant(125e-6) == pytest.approx(1.5017620851315905, rel=1e-12)
     assert scaling_constant(316e-6) == pytest.approx(4.206653105465604, rel=1e-12)
     assert scaling_constant(705e-6) == pytest.approx(16.960851223201836, rel=1e-12)
-    with pytest.raises(ValueError):
-        scaling_constant(-1e-6)
+    for bad in (-1e-6, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="temperature must be non-negative and finite"):
+            scaling_constant(bad)
+        with pytest.raises(ValueError, match="temperature must be non-negative and finite"):
+            scaling_constant(np.array([316e-6, bad]))
 
 
 def test_suppression_ratio():
@@ -43,6 +30,13 @@ def test_suppression_ratio():
     assert suppression_ratio(0.0, 316e-6) == 1.0
     assert suppression_ratio(4.0, 316e-6) == pytest.approx(0.38640288987361304,
                                                            rel=1e-12)
+    for bad in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="s0 must be non-negative and finite"):
+            suppression_ratio(bad, 316e-6)
+        with pytest.raises(ValueError, match="s0 must be non-negative and finite"):
+            suppression_ratio(np.array([4.0, bad]), 316e-6)
+        with pytest.raises(ValueError, match="temperature must be non-negative and finite"):
+            suppression_ratio(4.0, bad * 1e-6)
 
 
 def test_outcome_probabilities_normalized():
@@ -124,10 +118,13 @@ def test_channel_set_validation():
         ChannelSet(re_energy_scale=0.0)
     with pytest.raises(ValueError):
         ChannelSet(depth_jitter=0.5)
-    with pytest.raises(ValueError):
-        ShieldingParams(repump_detuning=0.0)
-    with pytest.raises(ValueError):
-        ShieldingParams(c3=-1.0)
+
+
+@pytest.mark.parametrize("rabi_coeff", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_shielding_params_validation(rabi_coeff):
+    # a nan coefficient once made effective_betas return (nan, nan)
+    with pytest.raises(ValueError, match="rabi_coeff must be positive and finite"):
+        ShieldingParams(rabi_coeff=rabi_coeff)
 
 
 def _straight_mc(channel, trap, cs, rng, n_samples):

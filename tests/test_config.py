@@ -46,7 +46,7 @@ def test_unknown_key_hints_prefix():
     "shield.temperatures_uk", "shield.s0_min", "shield.s0_max",
     "shield.s0_points"])
 def test_removed_keys_rejected(key):
-    # the first two only fed condon_radius, which no run reads; the shielding
+    # the first two set a crossing-radius model that no run read; the shielding
     # calibration and the shield scan's grid are module constants. With no
     # shielding.* or shield.* key left, the messages have no prefix hint
     with pytest.raises(ConfigError) as err:

@@ -1,5 +1,6 @@
 import collections
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -221,6 +222,40 @@ def test_fit_repump_decay_needs_points():
         fit_repump_decay(s0, y, np.full_like(y, 0.01))
 
 
+_S0_SCAN = np.array([2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 20.0, 32.0, 48.0])
+
+
+@pytest.mark.parametrize("s0, y, sigma, message", [
+    # a length-1 sigma was broadcast over the nine points
+    (_S0_SCAN, np.exp(-_S0_SCAN / 4.2), np.array([0.01]),
+     r"sigma must be a 1-D array of 9 points, got shape \(1,\)"),
+    # a 5-point y raised IndexError
+    (_S0_SCAN, np.exp(-_S0_SCAN[:5] / 4.2), np.full(9, 0.01),
+     r"y must be a 1-D array of 9 points, got shape \(5,\)"),
+    (_S0_SCAN.reshape(3, 3), np.exp(-_S0_SCAN / 4.2), np.full(9, 0.01),
+     r"s0 must be a 1-D array of 9 points, got shape \(3, 3\)"),
+    (_S0_SCAN, np.exp(-_S0_SCAN / 4.2).reshape(9, 1), np.full(9, 0.01),
+     r"y must be a 1-D array of 9 points, got shape \(9, 1\)"),
+    (_S0_SCAN, np.exp(-_S0_SCAN / 4.2), 0.01,
+     r"sigma must be a 1-D array of 9 points, got shape \(\)"),
+    # a nan in y raised scipy's "Initial guess is outside of provided bounds"
+    (_S0_SCAN, np.where(_S0_SCAN == 4.0, np.nan, np.exp(-_S0_SCAN / 4.2)),
+     np.full(9, 0.01), "y must be finite"),
+    (_S0_SCAN, np.where(_S0_SCAN == 4.0, np.inf, np.exp(-_S0_SCAN / 4.2)),
+     np.full(9, 0.01), "y must be finite"),
+    (_S0_SCAN, np.exp(-_S0_SCAN / 4.2), np.where(_S0_SCAN == 4.0, np.nan, 0.01),
+     "sigma must be positive and finite"),
+    (_S0_SCAN, np.exp(-_S0_SCAN / 4.2), np.where(_S0_SCAN == 4.0, np.inf, 0.01),
+     "sigma must be positive and finite"),
+    (_S0_SCAN, np.exp(-_S0_SCAN / 4.2), np.where(_S0_SCAN == 4.0, 0.0, 0.01),
+     "sigma must be positive and finite"),
+], ids=["sigma-length-1", "y-length-5", "s0-2d", "y-2d", "sigma-scalar",
+        "y-nan", "y-inf", "sigma-nan", "sigma-inf", "sigma-zero"])
+def test_fit_repump_decay_checks_arrays(s0, y, sigma, message):
+    with pytest.raises(ValueError, match=message):
+        fit_repump_decay(s0, y, sigma)
+
+
 def test_infer_temperature_quartet():
     # decay constants from the three calibrated operating points
     assert infer_temperature(4.2) == pytest.approx(315.672e-6, rel=1e-4)
@@ -229,8 +264,9 @@ def test_infer_temperature_quartet():
     # inverse of the decay-constant model
     for t in (125e-6, 316e-6, 705e-6):
         assert infer_temperature(scaling_constant(t)) == pytest.approx(t, rel=1e-10)
-    with pytest.raises(ValueError):
-        infer_temperature(0.5)
+    for bad in (0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="must exceed 1 and be finite"):
+            infer_temperature(bad)
 
 
 def test_extrapolate_beta_hcc_error_budget():

@@ -8,10 +8,10 @@ synth, detect, fit and pipeline share one function per stage.
 
 Outputs land in --out-dir under conventional names (events.csv, trace.csv,
 detected_events.csv, rates_by_n.csv, fit.csv, shield.csv, stationary.csv,
-report.txt). detected_events.csv records the trace bin width, calibration
-and whether detect ran its bump pass, so fit re-fits it without trace.csv or
-a config. Exit codes: 0 success, 2 configuration, usage or input-file error,
-3 numerical failure, 4 detection quality failure.
+report.txt). detected_events.csv records the trace bin width and
+calibration, so fit re-fits it without trace.csv or a config. Exit codes:
+0 success, 2 configuration, usage or input-file error, 3 numerical failure,
+4 detection quality failure.
 """
 
 from __future__ import annotations
@@ -136,12 +136,10 @@ def _synth_stage(cfg: RunConfig, out_dir: Path
 def _detect_stage(trace: FluorescenceTrace, out_dir: Path
                   ) -> tuple[EventLog, Calibration, DetectionReport, list[str]]:
     """Calibrate and read the event log back from a trace; writes
-    detected_events.csv with the bin width, calibration and detection path a
-    re-fit needs."""
+    detected_events.csv with the bin width and calibration a re-fit needs."""
     cal = calibrate(trace)
     log, report = detect(trace, cal)
-    write_detected_csv(log, trace.bin_width, cal, report.bump_pass,
-                       out_dir / "detected_events.csv")
+    write_detected_csv(log, trace.bin_width, cal, out_dir / "detected_events.csv")
     return log, cal, report, [
         "detection:",
         f"per_atom_rate_hz = {cal.per_atom_rate:.6g} +- {cal.per_atom_err:.2g}",
@@ -166,12 +164,11 @@ _FIT_COLUMNS = ("load_rate", "load_rate_err", "bg_rate", "bg_rate_err", "b1",
 
 
 def _fit_stage(log: EventLog, source: str, out_dir: Path,
-               bin_width: float | None, cal: Calibration | None,
-               bump_pass: bool) -> tuple[FitResult, list[str]]:
+               bin_width: float | None, cal: Calibration | None
+               ) -> tuple[FitResult, list[str]]:
     """Tabulate and fit the per-occupancy rates of `log`, which file
     `source` holds; writes rates_by_n.csv and fit.csv. A detected log passes
-    its trace bin width and calibration for the pile-up corrections, and
-    whether detect ran the bump pass that the calibrated ones assume."""
+    its trace bin width and calibration for the pile-up corrections."""
     table = tabulate(log)
     cols = {"n": table.n, "occupancy_s": table.occupancy_s}
     cols.update((f"n_{kind}", getattr(table, f"n_{kind}").astype(np.int64))
@@ -180,8 +177,7 @@ def _fit_stage(log: EventLog, source: str, out_dir: Path,
         cols[f"rate_{kind}"] = table.rate(kind)
         cols[f"rate_{kind}_err"] = table.rate_err(kind)
     write_table_csv(out_dir / "rates_by_n.csv", cols)
-    fit = fit_rates(table, coincidence_width=bin_width,
-                    calibration=cal if bump_pass else None)
+    fit = fit_rates(table, coincidence_width=bin_width, calibration=cal)
     clipped = ",".join(fit.clipped) or "none"
     write_table_csv(out_dir / "fit.csv",
                     {name: [getattr(fit, name)] for name in _FIT_COLUMNS},
@@ -231,14 +227,14 @@ def _cmd_fit(args) -> int:
     _, out_dir = _load(args)
     src = out_dir / "detected_events.csv"
     if src.is_file():
-        log, bin_width, cal, bump_pass = read_detected_csv(src)
+        log, bin_width, cal = read_detected_csv(src)
     else:
         # an exact simulation log: no binning, so no pile-up correction
         src = out_dir / "events.csv"
         if not src.is_file():
             raise ConfigError(f"no detected_events.csv or events.csv in {out_dir}")
-        log, bin_width, cal, bump_pass = read_event_csv(src), None, None, False
-    fit, fitted = _fit_stage(log, src.name, out_dir, bin_width, cal, bump_pass)
+        log, bin_width, cal = read_event_csv(src), None, None
+    fit, fitted = _fit_stage(log, src.name, out_dir, bin_width, cal)
     _write_report(out_dir, "fit", fitted)
     print(f"fit from {src.name}: load {fit.load_rate:.4g}/s, "
           f"b1 {fit.b1:.4g}/s, b2 {fit.b2_event:.4g}/s; wrote fit.csv to {out_dir}")
@@ -264,7 +260,7 @@ def _cmd_pipeline(args) -> int:
     model, log, trace, truth = _synth_stage(cfg, out_dir)
     detected, cal, report, detection = _detect_stage(trace, out_dir)
     fit, fitted = _fit_stage(detected, "detected_events.csv", out_dir,
-                             trace.bin_width, cal, report.bump_pass)
+                             trace.bin_width, cal)
     _write_report(out_dir, "pipeline", detection, fitted, truth)
     print(f"pipeline done in {out_dir}: {len(log)} true events, "
           f"{report.n_events} detected, fitted b2 {fit.b2_event:.4g}/s "

@@ -2,10 +2,11 @@
 
 calibrate() locates the equally spaced count levels (atom number comb) in the
 trace histogram and refines background and per-atom spacing by a global
-regression. detect() rounds each bin to its nearest level, applies two
-structural corrections (single-bin excursions are noise-suppressed only at low
-SNR, and down-down transition bins are folded into two-atom steps), and emits
-number-changing events at bin boundaries.
+regression. detect() rounds each bin to its nearest level, folds down-down
+transition bins into two-atom steps, re-votes jumps of more than two atoms,
+reads sub-level bumps on flat stretches as quick load/loss pairs, and emits
+number-changing events at bin boundaries. Every trace it accepts is read by
+these rules, so a one-bin excursion to another level is a pair of events.
 
 Each rule runs once per count value, once per step or once per rewritten
 bin wherever it can; per bin, detect() only reads levels and finds steps:
@@ -20,8 +21,8 @@ bin wherever it can; per bin, detect() only reads levels and finds steps:
   alone, and only the bins of such values and the rewritten bins are
   tested further.
 - Per step. One pass finds the boundaries where the level changes. The
-  spike, merge and re-vote rewrites change only the boundaries on either
-  side of the bins they rewrite, so the step set is updated there, and the
+  merge and re-vote rewrites change only the boundaries on either side of
+  the bins they rewrite, so the step set is updated there, and the
   down-down candidates, the |dN| > 2 re-votes and the events come from it.
 
 The per-bin passes run BLOCK_BINS bins (2**16) at a time, and nothing
@@ -116,10 +117,9 @@ class DetectionReport:
     n_bins: int
     n_events: int
     snr: float  # level separation over shot noise at the brightest common level
-    spike_bins: int  # isolated single-bin excursions suppressed
+    spike_bins: int  # always 0, no bin is suppressed; the benchmark still reads it
     merged_bins: int  # one-bin transition dwells folded into a two-atom step
     pair_bumps: int  # sub-threshold bumps recovered as quick load/loss pairs
-    bump_pass: bool  # the bump pass ran: snr >= SPIKE_KEEP_SNR
     ambiguous_bins: int  # boundaries with |dN| > 2 needing local re-vote
     event_rate: float  # detected events/s
     coincidence_probability: float  # chance two events share one bin at that rate
@@ -242,18 +242,16 @@ def _linfit(bins_per_level: np.ndarray, counts_per_level: np.ndarray,
 
 
 # Below this SNR (level separation over shot noise at the typical occupancy)
-# adjacent levels overlap too much to count atoms one by one.
-MIN_SNR = 5.0
+# adjacent levels overlap too much to read the counts without bias. On 20
+# fig2 logs of 1e5 s, each read again at a lower per-atom rate and paired
+# with its read at 1e4 Hz (SNR near 12), no fitted coefficient's mean pull
+# moves by more than 0.18 sigma at 3500 Hz (SNR 7.0-7.5), but b1's moves by
+# +0.52 sigma at 3000 Hz (SNR 6.5-7.0) and by +1.20 at 2700 Hz (6.1-6.6).
+MIN_SNR = 7.0
 
 # Residual threshold, in shot-noise sigma of the local level, above which a
 # flat-stretch bin is read back as a quick load/loss pair.
 BUMP_NSIGMA = 4.5
-
-# Above this SNR a one-bin excursion to the next level would need a count
-# fluctuation beyond BUMP_NSIGMA sigma, so it is kept as a quick load/loss
-# pair, not median-suppressed, and the bump pass runs: its threshold then
-# lies inside half a level at the typical occupancy.
-SPIKE_KEEP_SNR = 2 * BUMP_NSIGMA
 
 
 def bump_threshold(level, offset: float, spacing: float):
@@ -286,30 +284,15 @@ def detect(trace: FluorescenceTrace, cal: Calibration
     if snr < MIN_SNR:
         raise DetectionQualityError(
             f"level separation / shot noise = {snr:.2f} below minimum {MIN_SNR:.2f}")
-    bump_pass = snr >= SPIKE_KEEP_SNR
 
-    # The per-bin passes: each bin's level and, for the bump pass, the bins
-    # whose count value is a bump at its own level; then the steps. Each
-    # rewrite below updates the step set around the bins it rewrites, and
-    # the merge and re-vote add them to the bins the bump pass tests.
-    n_hat, bump_bins = _read_levels(
-        trace.counts, table,
-        _bumps(value, table, offset, spacing)[1] if bump_pass else None)
+    # The per-bin passes: each bin's level and the bins whose count value is
+    # a bump at its own level; then the steps. Each rewrite below updates the
+    # step set around the bins it rewrites and adds them to the bins the bump
+    # pass tests.
+    n_hat, bump_bins = _read_levels(trace.counts, table,
+                                    _bumps(value, table, offset, spacing)[1])
     tested = [bump_bins]
     steps = _steps(n_hat)
-
-    # One-bin excursions that return to the surrounding level: below
-    # SPIKE_KEEP_SNR these are suppressed as noise; above it shot noise cannot
-    # reach the next level and every such excursion is a real load+loss (or
-    # loss+load) pair, so it is left in place.
-    spikes = 0
-    if not bump_pass:
-        d = n_hat[steps + 1] - n_hat[steps]
-        # a step into the bin and the opposite step out of it
-        idx = steps[1:][(np.diff(steps) == 1) & (d[1:] == -d[:-1])]
-        spikes = len(idx)
-        n_hat[idx] = n_hat[idx - 1]
-        steps = _restep(n_hat, steps, idx)
 
     # A two-atom loss mid-bin leaves one transition bin at the intermediate
     # level, which would read as two consecutive one-atom losses. Fold the
@@ -333,39 +316,34 @@ def detect(trace: FluorescenceTrace, cal: Calibration
     tested.append(bad + 1)
 
     times, kinds = _events_from_levels(n_hat, steps, w)
-    bumps = 0
-    if bump_pass:
-        pair_times, pair_kinds = _bump_pairs(
-            trace.counts, n_hat, _unique(np.concatenate(tested)), offset,
-            spacing, w)
-        bumps = len(pair_times) // 2
-        times = np.concatenate([times, pair_times])
-        order = np.argsort(times, kind="stable")
-        times, kinds = times[order], np.concatenate([kinds, pair_kinds])[order]
+    pair_times, pair_kinds = _bump_pairs(
+        trace.counts, n_hat, _unique(np.concatenate(tested)), offset, spacing, w)
+    times = np.concatenate([times, pair_times])
+    order = np.argsort(times, kind="stable")
+    times, kinds = times[order], np.concatenate([kinds, pair_kinds])[order]
 
     log = EventLog(times=times, kinds=kinds, n0=int(n_hat[0]),
                    duration=len(n_hat) * w, seed=trace.seed)
     rate = len(log) / trace.duration if trace.duration > 0 else 0.0
     report = DetectionReport(
         n_bins=len(trace.counts), n_events=len(log), snr=snr,
-        spike_bins=spikes, merged_bins=merged, pair_bumps=bumps, bump_pass=bump_pass,
+        spike_bins=0, merged_bins=merged, pair_bumps=len(pair_times) // 2,
         ambiguous_bins=ambiguous, event_rate=rate,
         coincidence_probability=1.0 - float(np.exp(-rate * w)))
     return log, report
 
 
-def _read_levels(counts: np.ndarray, table: np.ndarray, strong: np.ndarray | None
+def _read_levels(counts: np.ndarray, table: np.ndarray, strong: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(table[counts], the bins i where strong[counts[i]] is set, or none if
-    strong is None), read BLOCK_BINS bins at a time. By indexing: np.take
-    would copy the read-only counts whole."""
+    """(table[counts], the bins i where strong[counts[i]] is set), read
+    BLOCK_BINS bins at a time. By indexing: np.take would copy the
+    read-only counts whole."""
     n_hat = np.empty(len(counts), dtype=table.dtype)
     found = [np.empty(0, dtype=np.int64)]
     for lo in range(0, len(counts), BLOCK_BINS):
         block = counts[lo:lo + BLOCK_BINS]
         n_hat[lo:lo + BLOCK_BINS] = table[block]
-        if strong is not None:
-            found.append(np.flatnonzero(strong[block]) + lo)
+        found.append(np.flatnonzero(strong[block]) + lo)
     return n_hat, np.concatenate(found)
 
 

@@ -97,8 +97,7 @@ def correct_coincidences(table: EventRateTable, bin_width: float,
       below the bump threshold theta(N) vanishes; the lost load and loss1 are
       restored with acceptance theta + theta^2/2 per order. The bump pass also
       fires on bare noise in BUMP_FP_PER_BIN of flat bins, adding a spurious
-      load/loss1 pair that is subtracted here. Both model the bump pass, so
-      pass `calibration` only when detect ran it (DetectionReport.bump_pass).
+      load/loss1 pair that is subtracted here. Both model detect's bump pass.
 
     Without the transfers the quadratic loss coefficients read several percent
     low at typical occupancies and the linear term correspondingly high.
@@ -216,11 +215,11 @@ def fit_rates(table: EventRateTable,
     load: constant R. loss1: bg*N + b1*N(N-1). loss2: b2*N(N-1). Each is a
     weighted least-squares fit over the populated levels from its lowest N
     on. Coefficients driven negative by noise are clipped to zero and
-    flagged. Pass the trace bin width as coincidence_width (plus the
-    calibration, when detect ran its bump pass) when the table comes from
-    binned detection to apply the pile-up corrections; leave both None for
-    exact logs. A calibration without coincidence_width raises ValueError:
-    its transfers would not apply.
+    flagged. Pass the trace bin width as coincidence_width and its
+    calibration when the table comes from binned detection to apply the
+    pile-up corrections; leave both None for exact logs. A calibration
+    without coincidence_width raises ValueError: its transfers would not
+    apply.
     """
     if coincidence_width is not None:
         table = correct_coincidences(table, coincidence_width, calibration)
@@ -281,8 +280,9 @@ def fit_repump_decay(s0: np.ndarray, y: np.ndarray,
                              f"got shape {a.shape}")
     if len(s0) < 4:
         raise DegenerateDataError("need at least 4 points for the 3-parameter fit")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y must be finite")
+    for name, a in (("s0", s0), ("y", y)):
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{name} must be finite")
     if not np.all((0 < sigma) & (sigma < np.inf)):
         raise ValueError("sigma must be positive and finite")
 
@@ -338,13 +338,15 @@ def extrapolate_beta_hcc(fit: SuppressionFit, volume_cm3: float,
     The effective volume scales as r0^3, so a trap-size uncertainty dr0
     contributes a relative volume error of 3*dr0/r0.
     """
-    if volume_cm3 <= 0:
-        raise ValueError("volume must be positive")
+    if not 0 < volume_cm3 < np.inf:
+        raise ValueError("volume_cm3 must be positive and finite")
     beta = fit.amplitude * volume_cm3
     var = (fit.amplitude_err * volume_cm3) ** 2
     if r0_m is not None:
-        if r0_m <= 0 or dr0_m < 0:
-            raise ValueError("r0 must be positive and dr0 non-negative")
+        if not 0 < r0_m < np.inf:
+            raise ValueError("r0_m must be positive and finite")
+        if not 0 <= dr0_m < np.inf:
+            raise ValueError("dr0_m must be finite and non-negative")
         var += (fit.amplitude * volume_cm3 * 3.0 * dr0_m / r0_m) ** 2
     return float(beta), float(np.sqrt(var))
 

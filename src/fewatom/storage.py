@@ -2,7 +2,7 @@
 
 Files carry their metadata in '# key=value' header comments so a log or trace
 round-trips without a sidecar; a detected log's header also holds the bin
-width, the calibration and the detection path of the trace it was read from.
+width and the calibration of the trace it was read from.
 Writes go through a temp file and os.replace so a crashed run never leaves a
 truncated CSV behind.
 
@@ -354,34 +354,28 @@ def read_event_csv(path: str | Path) -> EventLog:
 
 # What a detected log adds to an event log's header: the bin width and the
 # calibration of the trace it was read from, which a re-fit needs, as
-# header key -> (Calibration field, converter); and whether detect ran its
-# bump pass, 1 or 0, which decides the pile-up transfers the re-fit applies
+# header key -> (Calibration field, converter)
 _CAL_KEYS = {"cal_per_atom_rate_hz": ("per_atom_rate", _POSITIVE),
              "cal_bg_rate_hz": ("bg_rate", _NON_NEGATIVE),
              "cal_per_atom_err_hz": ("per_atom_err", _NON_NEGATIVE),
              "cal_bg_err_hz": ("bg_err", _NON_NEGATIVE),
              "cal_n_levels": ("n_levels",
                               _checked(int, lambda n: n >= 2, "at least 2"))}
-_BUMP_KEY = "bump_pass"
 
 
 def write_detected_csv(log: EventLog, bin_width: float, cal: Calibration,
-                       bump_pass: bool, path: str | Path) -> None:
+                       path: str | Path) -> None:
     _write_events(log, path, {"bin_width_s": bin_width, **{
-        key: getattr(cal, name) for key, (name, _) in _CAL_KEYS.items()},
-        _BUMP_KEY: int(bump_pass)})
+        key: getattr(cal, name) for key, (name, _) in _CAL_KEYS.items()}})
 
 
-def read_detected_csv(path: str | Path
-                      ) -> tuple[EventLog, float, Calibration, bool]:
-    """(log, bin width, calibration, whether the bump pass ran) of a file
-    write_detected_csv made."""
+def read_detected_csv(path: str | Path) -> tuple[EventLog, float, Calibration]:
+    """(log, bin width, calibration) of a file write_detected_csv made."""
     log, meta = _read_events(path, {
         **_EVENT_KEYS, "bin_width_s": _POSITIVE,
-        **{key: kind for key, (_, kind) in _CAL_KEYS.items()},
-        _BUMP_KEY: _checked(int, lambda b: b in (0, 1), "0 or 1")})
+        **{key: kind for key, (_, kind) in _CAL_KEYS.items()}})
     return log, meta["bin_width_s"], Calibration(**{
-        name: meta[key] for key, (name, _) in _CAL_KEYS.items()}), bool(meta[_BUMP_KEY])
+        name: meta[key] for key, (name, _) in _CAL_KEYS.items()})
 
 
 # bin i starts at i * bin_width_s, so the counts are the only column

@@ -96,10 +96,11 @@ class FluorescenceTrace:
 def _whole_bins(log: EventLog, per_atom_rate: float, bg_rate: float,
                 bin_width: float) -> int:
     """Checked arguments of a synthesis; the number of whole bins in `log`."""
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
-    if per_atom_rate <= 0 or bg_rate < 0:
-        raise ValueError("per_atom_rate > 0 and bg_rate >= 0 required")
+    for name, value in (("bin_width", bin_width), ("per_atom_rate", per_atom_rate)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    if not 0 <= bg_rate < np.inf:
+        raise ValueError(f"bg_rate must be finite and non-negative, got {bg_rate}")
     n_bins = int(round(log.duration / bin_width))
     if n_bins < 1 or abs(n_bins * bin_width - log.duration) > 1e-9 * max(1.0, log.duration):
         # keep whole bins; a ragged final bin would bias its mean

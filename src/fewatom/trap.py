@@ -79,8 +79,8 @@ def saturation_parameter(config: TrapConfig) -> float:
 
 def effective_volume(r0: float) -> float:
     """Gaussian-cloud pair volume (pi/2)^(3/2) r0^3, m^3."""
-    if r0 <= 0:
-        raise ValueError("r0 must be positive")
+    if not 0 < r0 < math.inf:
+        raise ValueError("r0 must be positive and finite")
     return (math.pi / 2.0) ** 1.5 * r0**3
 
 

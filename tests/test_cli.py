@@ -1,17 +1,15 @@
-import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import fewatom
 from fewatom.cli import main
 from fewatom.markov import EventLog
-from fewatom.fitting import fit_rates, tabulate
-from fewatom.storage import read_detected_csv, read_event_csv
+from fewatom.storage import read_event_csv
 
 
 def test_requires_subcommand():
@@ -135,7 +133,7 @@ def test_synth_report_replaces_pipeline_report(tmp_path):
 
 _PROVENANCE = ("# bin_width_s=0.1\n# cal_per_atom_rate_hz=10000.0\n"
                "# cal_bg_rate_hz=500.0\n# cal_per_atom_err_hz=1.0\n"
-               "# cal_bg_err_hz=1.0\n# cal_n_levels=4\n# bump_pass=1\n")
+               "# cal_bg_err_hz=1.0\n# cal_n_levels=4\n")
 
 
 def test_fit_rejects_inconsistent_log(tmp_path, capsys):
@@ -157,14 +155,14 @@ def test_fit_requires_detection_provenance(tmp_path, capsys):
     assert not (tmp_path / "fit.csv").exists()
 
 
-_DETECTED_HEAD = "# n0=0\n# duration_s=10.0\n# seed=1\n" + _PROVENANCE  # 10 lines
+_DETECTED_HEAD = "# n0=0\n# duration_s=10.0\n# seed=1\n" + _PROVENANCE  # 9 lines
 _DETECTED_ROWS = "# rows=2\ntime_s,kind,n_before,n_after\n1.0,0,0,1\n2.0,0,1,2\n"
 
 
 @pytest.mark.parametrize("text, line", [
     # after the rows, where fit once took the bin width from
-    (_DETECTED_HEAD + _DETECTED_ROWS + "# bin_width_s=0.05\n", 15),
-    (_DETECTED_HEAD + "# n0=0\n" + _DETECTED_ROWS, 11),  # a key given twice
+    (_DETECTED_HEAD + _DETECTED_ROWS + "# bin_width_s=0.05\n", 14),
+    (_DETECTED_HEAD + "# n0=0\n" + _DETECTED_ROWS, 10),  # a key given twice
 ], ids=["after_rows", "repeated_key"])
 def test_fit_rejects_stray_header_line(tmp_path, capsys, text, line):
     path = tmp_path / "detected_events.csv"
@@ -192,29 +190,18 @@ def test_fit_reproduces_pipeline_fit(tmp_path, config, drop_trace):
     assert (out / "fit.csv").read_bytes() == want
 
 
-def test_fit_skips_bump_transfers_without_bump_pass(tmp_path):
-    # at SNR 5-9 detect suppresses spikes and runs no bump pass, so neither
-    # the pipeline nor a re-fit may apply the transfers that model it
+def test_pipeline_refuses_trace_below_min_snr(tmp_path, capsys):
+    # at 3000 Hz per atom the fig2 trace reads SNR 6.5-7.0, where neither
+    # spike suppression nor the bump pass reads b1 without bias
     cfg = tmp_path / "run.cfg"
     cfg.write_text("sim.duration_s = 8000\ntrace.per_atom_rate_hz = 3000\n")
     out = tmp_path / "out"
     assert main(["pipeline", "--preset", "fig2", "--config", str(cfg),
-                 "--seed", "12", "--out-dir", str(out)]) == 0
-    snr = float((out / "report.txt").read_text().partition("snr = ")[2].split()[0])
-    assert 5.0 < snr < 9.0
-    log, bin_width, cal, bump_pass = read_detected_csv(out / "detected_events.csv")
-    assert not bump_pass
-    table = tabulate(log)
-    want = fit_rates(table, coincidence_width=bin_width)
-    assert fit_rates(table, coincidence_width=bin_width, calibration=cal).b1 != want.b1
-    with (out / "fit.csv").open(newline="") as fh:
-        names, values = [row for row in csv.reader(fh) if not row[0].startswith("#")]
-    got = dict(zip(names, values))
-    for name in ("load_rate", "bg_rate", "b1", "b2_event", "chi2"):
-        assert float(got[name]) == getattr(want, name), name
-    pipeline_fit = (out / "fit.csv").read_bytes()
-    assert main(["fit", "--out-dir", str(out)]) == 0
-    assert (out / "fit.csv").read_bytes() == pipeline_fit
+                 "--seed", "12", "--out-dir", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"detection error: level separation / shot noise = "
+                        r"6\.\d\d below minimum 7\.00\n", err), err
+    assert not (out / "detected_events.csv").exists()
 
 
 _TRACE_HEAD = ("# bin_width_s=0.1\n# per_atom_rate_hz=10000.0\n"

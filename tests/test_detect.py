@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from fewatom.detect import (BUMP_NSIGMA, SPIKE_KEEP_SNR, Calibration,
+from fewatom.detect import (BUMP_NSIGMA, Calibration,
                             CalibrationError, DetectionQualityError,
                             _bump_pairs, _bumps, _comb_peaks,
                             _events_from_levels, _hist_percentile, _levels,
                             _linfit, _merge_down_down, _read_levels, _restep,
-                            _steps, bump_threshold, calibrate, detect,
-                            shot_noise)
+                            _steps, calibrate, detect)
 from fewatom.markov import (KIND_LOAD, KIND_LOSS1, KIND_LOSS2, EventLog,
                             RateModel, simulate)
 from fewatom.trace import (BLOCK_BINS, MAX_COUNT, FluorescenceTrace,
@@ -58,6 +57,20 @@ def test_calibrate_finds_empty_trap_level_near_zero_counts(per_atom_rate, bg_rat
     assert cal.bg_rate == pytest.approx(bg_rate, abs=0.01 * per_atom_rate)
 
 
+@pytest.mark.xfail(strict=True, reason="_comb_peaks finds 315, 615, 915, ... "
+                   "and misses the N = 0 peak near count 15, so every level "
+                   "reads one atom low")
+def test_calibrate_finds_empty_trap_level_at_30ms_bins():
+    # the fig2 replica of accept-11's seeds 1000 and 5000 in 0.03 s bins
+    # reads bg_rate 9 307 Hz for 500 Hz; at 0.02, 0.035 and 0.04 s the peak
+    # is found. detect refuses this trace (SNR 6.74), but other seeds at
+    # 0.03 s read up to SNR 7.29 and pass MIN_SNR.
+    model = RateModel(load_rate=0.1403, bg_rate=1.0 / 60.0, b1=0.004, b2=0.006)
+    tr = synthesize(simulate(model, duration=1e5, seed=1000), per_atom_rate=1e4,
+                    bg_rate=500.0, bin_width=0.03, seed=5000)
+    assert calibrate(tr).bg_rate == pytest.approx(500.0, rel=0.1)
+
+
 def test_calibrate_flat_trace_fails():
     # a single occupied level gives no comb spacing
     log = _log([], [], n0=1, duration=100.0)
@@ -88,20 +101,8 @@ def test_detect_low_snr_rejected():
     tr = synthesize(log, per_atom_rate=200.0, bg_rate=100.0, seed=3)
     cal = Calibration(per_atom_rate=200.0, bg_rate=100.0,
                       per_atom_err=5.0, bg_err=3.0, n_levels=4)
-    with pytest.raises(DetectionQualityError, match="below minimum 5.00"):
+    with pytest.raises(DetectionQualityError, match="below minimum 7.00"):
         detect(tr, cal)
-
-
-@pytest.mark.parametrize("offset", [0.0, 50.0, 5000.0])
-def test_bump_pass_runs_where_its_threshold_is_inside_half_a_level(offset):
-    # SPIKE_KEEP_SNR is the SNR from which the bump threshold at the level
-    # the SNR is taken at lies within half a level: 2 * BUMP_NSIGMA, still 9
-    assert SPIKE_KEEP_SNR == 2 * BUMP_NSIGMA == 9.0
-    level = 3.0
-    for spacing in np.geomspace(1.0, 1e5, 400):
-        snr = spacing / shot_noise(level, offset, spacing)
-        inside = bump_threshold(level, offset, spacing) <= 0.5 * (1 + 1e-12)
-        assert inside == (snr >= SPIKE_KEEP_SNR * (1 - 1e-12))
 
 
 def test_detect_rejects_empty_trace():
@@ -191,20 +192,19 @@ def test_bump_pair_recovery():
     assert 15.0 <= det.times[0] < det.times[1] <= 15.1
 
 
-def test_spike_suppressed_at_moderate_snr():
-    # an isolated 3-atom single-bin excursion is killed by the spike guard
-    cal = Calibration(per_atom_rate=900.0, bg_rate=100.0,
+def test_one_bin_excursion_kept_at_moderate_snr():
+    # below SNR 9 a one-bin excursion to the next level was median-suppressed;
+    # it reads as the quick load and loss it is, as at any SNR
+    cal = Calibration(per_atom_rate=1500.0, bg_rate=100.0,
                       per_atom_err=10.0, bg_err=5.0, n_levels=6)
-    log = _log([20.0], [KIND_LOAD], n0=1, duration=60.0)
-    tr = synthesize(log, per_atom_rate=900.0, bg_rate=100.0, seed=1)
-    counts = tr.counts.copy()
-    counts[450] += 270
-    tr_s = FluorescenceTrace(bin_width=0.1, counts=counts, per_atom_rate=900.0,
-                             bg_rate=100.0, seed=1)
-    det, rep = detect(tr_s, cal)
-    assert 5.0 < rep.snr < 9.0
-    assert rep.spike_bins >= 1
-    assert det.kinds.tolist() == [KIND_LOAD]
+    log = _log([20.0, 45.0, 45.1], [KIND_LOAD, KIND_LOAD, KIND_LOSS1],
+               n0=1, duration=60.0)
+    tr = synthesize(log, per_atom_rate=1500.0, bg_rate=100.0, seed=1)
+    det, rep = detect(tr, cal)
+    assert 7.0 <= rep.snr < 9.0
+    assert rep.spike_bins == 0
+    assert det.kinds.tolist() == [KIND_LOAD, KIND_LOAD, KIND_LOSS1]
+    np.testing.assert_allclose(det.times, [20.0, 45.0, 45.1])
 
 
 @pytest.mark.parametrize("block", [1, 4, BLOCK_BINS])
@@ -249,10 +249,10 @@ def test_hist_percentile_matches_numpy(sample, q):
 
 
 @pytest.mark.parametrize("per_atom_rate, bg_rate", [(10_000.0, 500.0),
-                                                    (3_000.0, 500.0)])
+                                                    (5_000.0, 500.0)])
 def test_detect_in_small_blocks(per_atom_rate, bg_rate):
-    # every per-bin pass (levels, spikes at the lower SNR, merges, re-votes,
-    # event bounds, bumps at the higher) reads the same with 7-bin blocks
+    # every per-bin pass (levels, merges, re-votes, event bounds, bumps)
+    # reads the same with 7-bin blocks, at SNR 7.4 and 12
     model = RateModel(load_rate=0.3, bg_rate=1.0 / 60.0, b1=0.004, b2=0.006)
     tr = synthesize(simulate(model, duration=2000.0, seed=4),
                     per_atom_rate=per_atom_rate, bg_rate=bg_rate, seed=104)
@@ -262,7 +262,7 @@ def test_detect_in_small_blocks(per_atom_rate, bg_rate):
     with mock.patch.object(detect_module, "BLOCK_BINS", 7):
         got, got_rep = detect(tr, cal)
     assert got_rep == want_rep
-    assert want_rep.spike_bins + want_rep.pair_bumps > 0
+    assert want_rep.merged_bins > 0 and want_rep.pair_bumps > 0
     _assert_same_events((got.times, got.kinds, got.n_before),
                         (want.times, want.kinds, want.n_before))
 
@@ -437,30 +437,16 @@ def test_merge_and_events_match_reference(case, bin_width, block, dtype):
         _assert_same_events(got, _events_reference(levels, bin_width))
 
 
-def _spike_reference(n_hat):
-    """Every bin with a step in and the opposite step out takes the level of
-    the bin before it in the sequence as given."""
-    out = n_hat.copy()
-    for i in range(1, len(n_hat) - 1):
-        step_in, step_out = n_hat[i] - n_hat[i - 1], n_hat[i + 1] - n_hat[i]
-        if step_in != 0 and step_out == -step_in:
-            out[i] = n_hat[i - 1]
-    return out
-
-
-def _detect_reference(counts, offset, spacing, bin_width, low_snr=False):
-    """detect() on int64 levels, from the reference loops: spike suppression
-    below SPIKE_KEEP_SNR (low_snr), merge, re-vote, boundary events and, at
-    or above it, bump pairs."""
+def _detect_reference(counts, offset, spacing, bin_width):
+    """detect() on int64 levels, from the reference loops: merge, re-vote,
+    boundary events and bump pairs."""
     n_hat = np.maximum(np.round((counts - offset) / spacing), 0).astype(np.int64)
-    if low_snr:
-        n_hat = _spike_reference(n_hat)
     n_hat, _ = _merge_reference(n_hat, counts, offset, spacing)
     for i in np.flatnonzero(np.abs(np.diff(n_hat)) > 2):
         n_hat[i + 1] = int(np.median(n_hat[max(i - 1, 0):i + 3]))
     times, kinds = _events_reference(n_hat, bin_width)
-    pair_times, pair_kinds, _ = ([], [], 0) if low_snr else _bump_reference(
-        counts, n_hat, offset, spacing, bin_width)
+    pair_times, pair_kinds, _ = _bump_reference(counts, n_hat, offset, spacing,
+                                                bin_width)
     times = np.concatenate([times, np.asarray(pair_times, dtype=np.float64)])
     order = np.argsort(times, kind="stable")
     kinds = np.concatenate([kinds, np.asarray(pair_kinds, dtype=np.int8)])
@@ -492,7 +478,6 @@ def test_detect_at_the_top_of_the_level_type(top, dtype):
     cal = Calibration(per_atom_rate=spacing / bin_width, bg_rate=offset / bin_width,
                       per_atom_err=0.0, bg_err=0.0, n_levels=top + 1)
     got, rep = detect(tr, cal)
-    assert rep.snr >= detect_module.SPIKE_KEEP_SNR
     assert rep.merged_bins >= 2 and rep.pair_bumps >= 2 and rep.ambiguous_bins >= 2
     times, kinds, n0 = _detect_reference(counts, offset, spacing, bin_width)
     _assert_same_events((got.times, got.kinds), (times, kinds))
@@ -512,7 +497,7 @@ def test_detect_with_the_calibration_of_a_dimmer_trace():
     # at least three levels above the dimmer trace's top count
     assert bright.counts.max() > dim.counts.max() + 3 * cal.per_bin(bright.bin_width)[1]
     got, rep = detect(bright, cal)
-    assert rep.snr >= detect_module.SPIKE_KEEP_SNR and rep.pair_bumps > 0
+    assert rep.pair_bumps > 0
     offset, spacing = cal.per_bin(bright.bin_width)
     times, kinds, n0 = _detect_reference(bright.counts, offset, spacing,
                                          bright.bin_width)
@@ -534,8 +519,7 @@ def _detect_constructed(counts, offset, spacing, bin_width=0.1):
     with mock.patch.object(detect_module, "MIN_SNR", 0.0):
         log, rep = detect(tr, cal)
     offset, spacing = cal.per_bin(bin_width)
-    return log, rep, _detect_reference(counts, offset, spacing, bin_width,
-                                       low_snr=rep.snr < SPIKE_KEEP_SNR)
+    return log, rep, _detect_reference(counts, offset, spacing, bin_width)
 
 
 def _assert_detects_as_reference(counts, offset, spacing, bin_width=0.1):
@@ -582,25 +566,26 @@ def test_detect_rewritten_bins_beside_bumps_match_reference(case, block):
 @given(_level_sequences(), st.sampled_from([100.0, 100_000.0]),
        st.sampled_from([1, 2, 3, 5, BLOCK_BINS]))
 def test_detect_matches_reference(case, spacing, block):
-    # bumps, spikes, merges and re-votes side by side and across block
-    # edges; spacing 100 reads below SPIKE_KEEP_SNR, 1e5 above it
+    # bumps, one-bin excursions, merges and re-votes side by side and across
+    # block edges; spacing 100 reads below MIN_SNR (lifted here), 1e5 far
+    # above it
     n_hat, _, offset, _ = case
     frac = np.linspace(-0.45, 0.45, len(n_hat))[::-1]
     counts = np.maximum(np.round(offset + spacing * (n_hat + frac)), 0).astype(np.int64)
     with mock.patch.object(detect_module, "BLOCK_BINS", block):
         rep = _assert_detects_as_reference(counts, offset, spacing)
-    assert (rep.snr < SPIKE_KEEP_SNR) == (spacing == 100.0)
+    assert (rep.snr < detect_module.MIN_SNR) == (spacing == 100.0)
 
 
 def test_detect_at_moderate_snr_matches_reference():
-    # a fig2 log read between MIN_SNR and SPIKE_KEEP_SNR: spikes are
-    # suppressed, and merges and re-votes then read the rewritten levels
+    # a fig2 log read between MIN_SNR and SNR 9, where the bump threshold
+    # lies beyond half a level at the typical occupancy
     model = RateModel(load_rate=0.1403, bg_rate=1.0 / 60.0, b1=0.004, b2=0.006)
-    tr = synthesize(simulate(model, duration=5000.0, seed=11), per_atom_rate=3000.0,
+    tr = synthesize(simulate(model, duration=5000.0, seed=11), per_atom_rate=4000.0,
                     bg_rate=500.0, seed=111)
-    log, rep, (times, kinds, n0) = _detect_constructed(tr.counts, 50.0, 300.0)
-    assert 5.0 < rep.snr < SPIKE_KEEP_SNR
-    assert rep.spike_bins > 0 and rep.merged_bins > 0
+    log, rep, (times, kinds, n0) = _detect_constructed(tr.counts, 50.0, 400.0)
+    assert detect_module.MIN_SNR <= rep.snr < 9.0
+    assert rep.merged_bins > 0 and rep.pair_bumps > 0
     _assert_same_events((log.times, log.kinds), (times, kinds))
     assert log.n0 == n0
 

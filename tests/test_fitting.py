@@ -243,6 +243,13 @@ _S0_SCAN = np.array([2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 20.0, 32.0, 48.0])
      np.full(9, 0.01), "y must be finite"),
     (_S0_SCAN, np.where(_S0_SCAN == 4.0, np.inf, np.exp(-_S0_SCAN / 4.2)),
      np.full(9, 0.01), "y must be finite"),
+    # a nan or infinite s0 raised numpy's LinAlgError from the seed's polyfit
+    (np.where(_S0_SCAN == 4.0, np.nan, _S0_SCAN), np.exp(-_S0_SCAN / 4.2),
+     np.full(9, 0.01), "s0 must be finite"),
+    (np.where(_S0_SCAN == 4.0, np.inf, _S0_SCAN), np.exp(-_S0_SCAN / 4.2),
+     np.full(9, 0.01), "s0 must be finite"),
+    (np.where(_S0_SCAN == 4.0, -np.inf, _S0_SCAN), np.exp(-_S0_SCAN / 4.2),
+     np.full(9, 0.01), "s0 must be finite"),
     (_S0_SCAN, np.exp(-_S0_SCAN / 4.2), np.where(_S0_SCAN == 4.0, np.nan, 0.01),
      "sigma must be positive and finite"),
     (_S0_SCAN, np.exp(-_S0_SCAN / 4.2), np.where(_S0_SCAN == 4.0, np.inf, 0.01),
@@ -250,7 +257,8 @@ _S0_SCAN = np.array([2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 20.0, 32.0, 48.0])
     (_S0_SCAN, np.exp(-_S0_SCAN / 4.2), np.where(_S0_SCAN == 4.0, 0.0, 0.01),
      "sigma must be positive and finite"),
 ], ids=["sigma-length-1", "y-length-5", "s0-2d", "y-2d", "sigma-scalar",
-        "y-nan", "y-inf", "sigma-nan", "sigma-inf", "sigma-zero"])
+        "y-nan", "y-inf", "s0-nan", "s0-inf", "s0-minus-inf", "sigma-nan",
+        "sigma-inf", "sigma-zero"])
 def test_fit_repump_decay_checks_arrays(s0, y, sigma, message):
     with pytest.raises(ValueError, match=message):
         fit_repump_decay(s0, y, sigma)
@@ -282,6 +290,21 @@ def test_extrapolate_beta_hcc_error_budget():
     assert beta2 == beta
     expect = np.hypot(0.001 * v, 0.020 * v * 3.0 * 2.0 / 10.0)
     assert err2 == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name, message", [
+    ("volume_cm3", "volume_cm3 must be positive and finite"),
+    ("r0_m", "r0_m must be positive and finite"),
+    ("dr0_m", "dr0_m must be finite and non-negative")])
+def test_extrapolate_beta_hcc_refuses_non_finite_geometry(name, message, bad):
+    # a nan volume returned (nan, nan), and a nan r0 a nan error
+    fit = SuppressionFit(offset=0.01, offset_err=0.001, amplitude=0.020,
+                         amplitude_err=0.001, scale=4.2, scale_err=0.3,
+                         chi2=5.0, dof=6)
+    args = {"volume_cm3": 2.0e-9, "r0_m": 10e-6, "dr0_m": 2e-6, name: bad}
+    with pytest.raises(ValueError, match=message):
+        extrapolate_beta_hcc(fit, **args)
 
 
 

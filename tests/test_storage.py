@@ -195,13 +195,11 @@ _NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
        bin_width=st.floats(min_value=0.0, max_value=1e3, exclude_min=True),
        cal=st.builds(Calibration, per_atom_rate=_POSITIVE, bg_rate=_NON_NEGATIVE,
                      per_atom_err=_NON_NEGATIVE, bg_err=_NON_NEGATIVE,
-                     n_levels=st.integers(2, 10_000)),
-       bump_pass=st.booleans())
-def test_detected_log_roundtrip_bitwise(tmp_path, log, bin_width, cal, bump_pass):
+                     n_levels=st.integers(2, 10_000)))
+def test_detected_log_roundtrip_bitwise(tmp_path, log, bin_width, cal):
     path = tmp_path / "detected_events.csv"
-    write_detected_csv(log, bin_width, cal, bump_pass, path)
-    back, back_width, back_cal, back_bump_pass = read_detected_csv(path)
-    assert back_bump_pass is bump_pass
+    write_detected_csv(log, bin_width, cal, path)
+    back, back_width, back_cal = read_detected_csv(path)
     for name in ("times", "kinds", "n_before"):
         got, want = getattr(back, name), getattr(log, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
@@ -275,12 +273,11 @@ def test_writers_match_csv_writer(tmp_path, n):
     log = _alternating_log(n)
     write_event_csv(log, tmp_path / "events.csv")
     assert (tmp_path / "events.csv").read_bytes() == _reference_events(log)
-    write_detected_csv(log, 0.05, _CAL, False, tmp_path / "detected.csv")
+    write_detected_csv(log, 0.05, _CAL, tmp_path / "detected.csv")
     assert (tmp_path / "detected.csv").read_bytes() == _reference_events(log, {
         "bin_width_s": 0.05, "cal_per_atom_rate_hz": _CAL.per_atom_rate,
         "cal_bg_rate_hz": _CAL.bg_rate, "cal_per_atom_err_hz": _CAL.per_atom_err,
-        "cal_bg_err_hz": _CAL.bg_err, "cal_n_levels": _CAL.n_levels,
-        "bump_pass": 0})
+        "cal_bg_err_hz": _CAL.bg_err, "cal_n_levels": _CAL.n_levels})
 
     # integers at both ends of int64 and uint64, and of every digit count
     k = np.arange(n)
@@ -416,7 +413,7 @@ def test_read_trace_csv_rejects_truncated_trace(tmp_path, cut, fault):
 
 @pytest.mark.parametrize("write, read", [
     (write_event_csv, read_event_csv),
-    (lambda log, path: write_detected_csv(log, 0.1, _CAL, True, path),
+    (lambda log, path: write_detected_csv(log, 0.1, _CAL, path),
      read_detected_csv)], ids=["events", "detected"])
 def test_read_event_csv_rejects_log_cut_at_a_row_end(tmp_path, write, read):
     # a 43-event log cut after its 42nd row is a valid 42-event log but for
@@ -525,7 +522,7 @@ def test_read_trace_csv_rejects_stray_header_line(tmp_path, text, line, fault):
 _DETECTED_HEADER = (_EVENT_HEADER.partition("# rows")[0] + "# bin_width_s=0.1\n"
                     "# cal_per_atom_rate_hz=10000.0\n# cal_bg_rate_hz=500.0\n"
                     "# cal_per_atom_err_hz=1.0\n# cal_bg_err_hz=1.0\n"
-                    "# cal_n_levels=4\n# bump_pass=1\n# rows=1\n"
+                    "# cal_n_levels=4\n# rows=1\n"
                     "time_s,kind,n_before,n_after\n1.0,0,0,1\n")
 
 
@@ -551,10 +548,6 @@ _DETECTED_HEADER = (_EVENT_HEADER.partition("# rows")[0] + "# bin_width_s=0.1\n"
      "bin_width_s: must be positive, got 0.0"),
     (read_detected_csv, _DETECTED_HEADER.replace("levels=4", "levels=4.5"), 9,
      "cal_n_levels: invalid literal"),
-    (read_detected_csv, _DETECTED_HEADER.replace("pass=1", "pass=2"), 10,
-     "bump_pass: must be 0 or 1, got 2"),
-    (read_detected_csv, _DETECTED_HEADER.replace("# bump_pass=1\n", ""), 11,
-     r"missing header field\(s\) \['bump_pass'\]"),
     # the ranges the writers' sources guarantee
     (read_trace_csv, _TRACE_HEADER.replace("=0.1", "=0.0"), 1,
      "bin_width_s: must be positive, got 0.0"),
@@ -598,7 +591,7 @@ _DETECTED_HEADER = (_EVENT_HEADER.partition("# rows")[0] + "# bin_width_s=0.1\n"
 ], ids=["bad_value", "n0_past_int64", "n0_negative", "missing_key", "wrong_columns", "no_columns",
         "blank_before_columns",
         "unended_columns", "no_rows", "rows_negative", "trace_value",
-        "bin_width_0", "float_levels", "bump_pass_2", "no_bump_pass",
+        "bin_width_0", "float_levels",
         "trace_bin_width_0", "trace_bin_width_negative", "trace_bin_width_nan",
         "trace_bin_width_inf", "trace_rate_0", "trace_rate_inf", "trace_bg_negative",
         "trace_bg_nan", "duration_negative", "duration_0", "duration_nan",
@@ -616,12 +609,25 @@ def test_read_detected_csv_rejects_trailing_bin_width(tmp_path):
     # the bin width comes from the header alone: appended after the rows,
     # a second bin_width_s is an error, never the value fit uses
     path = tmp_path / "detected_events.csv"
-    write_detected_csv(_alternating_log(4), 0.1, _CAL, True, path)
+    write_detected_csv(_alternating_log(4), 0.1, _CAL, path)
     with path.open("a") as fh:
         fh.write("# bin_width_s=0.05\n")
     with pytest.raises(ValueError, match="header line after the column row") as info:
         read_detected_csv(path)
-    assert str(info.value).startswith(f"{path}, line 17: ")
+    assert str(info.value).startswith(f"{path}, line 16: ")
+
+
+def test_read_detected_csv_reads_a_bump_pass_line(tmp_path):
+    # files written while detect had a second, low-SNR path record which
+    # one ran as '# bump_pass=0' or '=1': now an unknown key like any other
+    path = tmp_path / "detected_events.csv"
+    path.write_text(_DETECTED_HEADER)
+    want = read_detected_csv(path)
+    path.write_text(_DETECTED_HEADER.replace("# rows", "# bump_pass=1\n# rows"))
+    log, bin_width, cal = read_detected_csv(path)
+    assert (bin_width, cal) == want[1:]
+    assert (log.times.tolist(), log.kinds.tolist(), log.n0) == (
+        want[0].times.tolist(), want[0].kinds.tolist(), want[0].n0)
 
 
 # -- the field rule: a field reads only as the writer writes its value,

@@ -110,6 +110,20 @@ def test_synthesize_validation():
         synthesize(log, bin_width=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name, rule", [
+    ("bin_width", "positive and finite"), ("per_atom_rate", "positive and finite"),
+    ("bg_rate", "finite and non-negative")])
+@pytest.mark.parametrize("stage", [synthesize, binned_mean_counts])
+def test_synthesis_refuses_non_finite_arguments(stage, name, rule, bad):
+    # nan raised numpy's "lam value too large" or "cannot convert float NaN
+    # to integer", and an infinite per_atom_rate a RuntimeWarning
+    log = _log([5.0], [KIND_LOAD], n0=1, duration=10.0)
+    args = {"per_atom_rate": 10_000.0, "bg_rate": 500.0, "bin_width": 0.1, name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be {rule}, got {bad}$"):
+        stage(log, **args)
+
+
 # --- blocked synthesis against the whole-array code it replaced -----------
 
 def _binned_mean_reference(log, per_atom_rate, bg_rate, bin_width):

@@ -27,8 +27,9 @@ def test_effective_volume():
     assert v == pytest.approx(1.9687012432153028e-15, rel=1e-12)
     assert v == pytest.approx((math.pi / 2.0) ** 1.5 * 1e-15, rel=1e-14)
     assert effective_volume(20e-6) == pytest.approx(8.0 * v, rel=1e-12)
-    with pytest.raises(ValueError):
-        effective_volume(0.0)
+    for bad in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^r0 must be positive and finite$"):
+            effective_volume(bad)
 
 
 def test_depth_minimum_default():

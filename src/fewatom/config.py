@@ -158,6 +158,8 @@ def build_config(pairs: dict[str, str]) -> RunConfig:
             value = conv(raw)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError("must be finite")
+            if key == "sim.seed" and value < 0:  # numpy seeds are non-negative
+                raise ValueError("must be non-negative")
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
         groups[group][name] = value

@@ -173,7 +173,8 @@ def _comb_peaks(hist: np.ndarray, sigma: float) -> np.ndarray:
     they reach 0.5% of the highest point, are at least 2 sigma apart (higher
     peaks first) and stand out from their surroundings by that same 0.5%.
     The same operations as scipy's gaussian_filter1d and find_peaks with
-    height, distance and prominence, in that order, plus maxima at count 0.
+    height, distance and prominence, in that order, plus maxima at count 0,
+    with prominences taken on the histogram mirrored at count 0.
     """
     radius = int(4.0 * sigma + 0.5)
     x = np.arange(-radius, radius + 1)
@@ -203,15 +204,16 @@ def _comb_peaks(hist: np.ndarray, sigma: float) -> np.ndarray:
     peaks = peaks[keep]
 
     # prominence: height above the higher of the two minima reached before
-    # the trace climbs above the peak on either side; at 0 both sides are one
+    # the trace climbs above the peak on either side, on the histogram
+    # mirrored at count 0 (so the left side of a peak with nothing higher
+    # to its left reaches the right side's minimum)
     prominence = np.empty(len(peaks))
     for m, p in enumerate(peaks):
-        higher = np.flatnonzero(smooth[:p] > smooth[p])
-        lo = higher[-1] + 1 if len(higher) else 0
         higher = np.flatnonzero(smooth[p:] > smooth[p])
-        hi = p + higher[0] if len(higher) else len(smooth)
-        right = smooth[p:hi].min()
-        prominence[m] = smooth[p] - max(smooth[lo:p + 1].min() if p else right, right)
+        right = smooth[p:p + higher[0] if len(higher) else len(smooth)].min()
+        higher = np.flatnonzero(smooth[:p] > smooth[p])
+        left = smooth[higher[-1] + 1:p + 1].min() if len(higher) else right
+        prominence[m] = smooth[p] - max(left, right)
     return peaks[prominence >= min_height]
 
 

@@ -44,9 +44,10 @@ class EventRateTable:
             return np.where(self.occupancy_s > 0, counts / self.occupancy_s, np.nan)
 
     def rate_err(self, kind: str) -> np.ndarray:
-        """Poisson rate uncertainty, max(sqrt(c), 1)/T so zero counts still bound."""
+        """Poisson rate uncertainty, max(sqrt(c), 1)/T so zero counts still bound;
+        inf, no weight, where T is so short that 1/T overflows."""
         counts = getattr(self, f"n_{kind}")
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return np.where(self.occupancy_s > 0,
                             np.maximum(np.sqrt(counts), 1.0) / self.occupancy_s, np.nan)
 

@@ -13,6 +13,7 @@ and beta_2atoms/V = 2*b2.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Callable
@@ -139,6 +140,7 @@ def simulate(model: RateModel, n0: int = 0, *, duration: float,
     """
     if not 0 < duration < math.inf:
         raise ValueError("duration must be positive and finite")
+    n0 = operator.index(n0)
     if n0 < 0:
         raise ValueError("n0 must be non-negative")
     rng = np.random.default_rng(np.random.PCG64(seed))
@@ -182,38 +184,35 @@ def simulate(model: RateModel, n0: int = 0, *, duration: float,
         n0=n0, duration=duration, seed=seed)
 
 
-def _generator_matrix(model: RateModel, n_max: int) -> np.ndarray:
-    n = np.arange(n_max + 1)
-    load, loss1, loss2 = model.channel_rates(n)
-    q = np.zeros((n_max + 1, n_max + 1))
-    q[n[:-1], n[1:]] = load
-    q[n[1:], n[:-1]] = loss1[1:]
-    q[n[2:], n[:-2]] = loss2[2:]
-    q[n, n] = -q.sum(axis=1)
-    return q
-
-
 def master_stationary(model: RateModel) -> np.ndarray:
-    """Stationary occupancy of the truncated chain by direct global-balance solve.
+    """Stationary occupancy of the truncated chain, from its cut equations.
 
+    The chain steps up by one atom only, so the load across the cut between
+    N and N+1 balances the losses down across it,
+        R p[N] = (loss1 + loss2)(N+1) p[N+1] + loss2(N+2) p[N+2],
+    solved downward from p[n_max] = 1 with no states above. Every term is
+    non-negative, so the tail keeps its relative precision; a value that
+    would pass 2**500 first scales those above it by a power of two (exact).
     The truncation doubles from 64 until the boundary state holds less than
     1e-12 probability, or raises TruncationError past _MASTER_NMAX_CAP.
-    With load_rate 0 it is the point mass at N = 0 over 65 states.
     """
     n = 64
-    if model.load_rate == 0.0:
-        p = np.zeros(n + 1)
-        p[0] = 1.0
-        return p
+    if model.load_rate == 0.0:  # the point mass at N = 0, over 65 states
+        return np.r_[1.0, np.zeros(n)]
+    load = float(model.load_rate)
+    ceiling = load * 2.0 ** 500  # inf for a load that no quotient can overflow
     while True:
-        q = _generator_matrix(model, n)
-        a = q.T.copy()
-        a[-1, :] = 1.0  # replace one balance row with normalization
-        b = np.zeros(n + 1)
-        b[-1] = 1.0
-        p = np.linalg.solve(a, b)
-        p = np.clip(p, 0.0, None)
-        p /= p.sum()
+        _, loss1, loss2 = model.channel_rates(np.arange(n + 3))
+        down, pair = (loss1 + loss2).tolist(), loss2.tolist()
+        p = [0.0] * n + [1.0, 0.0, 0.0]
+        for k in range(n - 1, -1, -1):
+            flux = down[k + 1] * p[k + 1] + pair[k + 2] * p[k + 2]
+            if flux > ceiling:
+                shift = math.frexp(flux)[1] - math.frexp(load)[1]
+                p[k + 1:] = [math.ldexp(x, -shift) for x in p[k + 1:]]
+                flux = math.ldexp(flux, -shift)
+            p[k] = flux / load
+        p = np.array(p[:-2]) / math.fsum(p)
         if p[-1] < MASTER_TAIL_MASS:
             return p
         if n >= _MASTER_NMAX_CAP:

@@ -30,7 +30,6 @@ from __future__ import annotations
 import io
 import math
 import os
-import tempfile
 import warnings
 from itertools import chain, islice
 from pathlib import Path
@@ -40,7 +39,7 @@ import numpy as np
 
 from .detect import Calibration
 from .markov import EventLog
-from .trace import FluorescenceTrace
+from .trace import MAX_COUNT, FluorescenceTrace
 
 # rows rendered per string handed to the file, and file bytes parsed per
 # block: large enough that the per-call cost vanishes, small enough that the
@@ -52,21 +51,17 @@ _ROWS_KEY = "rows"  # the header key of the row count, which every reader requir
 
 
 def atomic_write_text(path: str | Path, chunks: Iterable[str]) -> None:
-    """Write the text chunks in order to path atomically (temp file + rename
-    in the same dir)."""
+    """Write the text chunks in order to path atomically: into a temp file of
+    a fresh name in the same dir, created with the umask's mode, then renamed."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "x", newline="")
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
+        with fh:
             fh.writelines(chunks)
-        # mkstemp creates the file 0600; give it the mode open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 
@@ -394,7 +389,8 @@ def read_trace_csv(path: str | Path) -> FluorescenceTrace:
                "bg_rate_hz": _NON_NEGATIVE, "seed": int}, _TRACE_COLUMNS)
     counts = rows["counts"]
     _raise_first(path, column_line,
-                 [(counts < 0, lambda i: f"negative count {counts[i]}")])
+                 [(counts < 0, lambda i: f"negative count {counts[i]}"),
+                  (counts > MAX_COUNT, lambda i: f"count {counts[i]} above {MAX_COUNT}")])
     return FluorescenceTrace(
         bin_width=meta["bin_width_s"], counts=counts,
         per_atom_rate=meta["per_atom_rate_hz"], bg_rate=meta["bg_rate_hz"],

@@ -301,8 +301,22 @@ def test_detect_refuses_a_huge_count(tmp_path, capsys, huge):
     path = tmp_path / "trace.csv"
     path.write_text(_TRACE_HEAD + "# rows=21\ncounts\n" + "510\n" * 20 + f"{huge}\n")
     assert main(["detect", "--out-dir", str(tmp_path)]) == 2
-    assert f"bin 20: count {huge} above 4194304" in capsys.readouterr().err
+    assert f"{path}, line 27: count {huge} above 4194304" in capsys.readouterr().err
     assert not (tmp_path / "detected_events.csv").exists()
+
+
+@pytest.mark.parametrize("line, option, raw", [
+    ("", ["--seed", "-1"], "-1"), ("sim.seed = -5\n", [], "-5")],
+    ids=["option", "config"])
+def test_negative_seed_names_sim_seed(tmp_path, capsys, line, option, raw):
+    # numpy refuses a negative seed, but without saying where it came from
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sim.duration_s = 100\n" + line)
+    assert main(["simulate", "--preset", "fig2", "--config", str(cfg), *option,
+                 "--out-dir", str(tmp_path)]) == 2
+    assert (f"bad value for sim.seed: '{raw}' (must be non-negative)"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "events.csv").exists()
 
 
 def test_import_leaves_scipy_unloaded():

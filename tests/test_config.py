@@ -149,10 +149,15 @@ def test_key_sets_its_field(key):
     np.testing.assert_allclose(got, float(raw) * factor, rtol=1e-15, atol=0)
 
 
-def test_bad_value_reports_key():
+# numpy's own refusal of a negative seed would not name the key
+@pytest.mark.parametrize("raw, why", [
+    ("ten", "invalid literal for int() with base 10: 'ten'"),
+    ("-5", "must be non-negative")])
+def test_bad_value_reports_key(raw, why):
     with pytest.raises(ConfigError) as err:
-        build_config({"sim.seed": "ten"})
-    assert "sim.seed" in str(err.value)
+        build_config({"sim.seed": raw})
+    assert str(err.value) == f"bad value for sim.seed: {raw!r} ({why})"
+    assert build_config({"sim.seed": "0"}).seed == 0
 
 
 # every key but the two integer ones converts to a float

@@ -57,14 +57,11 @@ def test_calibrate_finds_empty_trap_level_near_zero_counts(per_atom_rate, bg_rat
     assert cal.bg_rate == pytest.approx(bg_rate, abs=0.01 * per_atom_rate)
 
 
-@pytest.mark.xfail(strict=True, reason="_comb_peaks finds 315, 615, 915, ... "
-                   "and misses the N = 0 peak near count 15, so every level "
-                   "reads one atom low")
 def test_calibrate_finds_empty_trap_level_at_30ms_bins():
-    # the fig2 replica of accept-11's seeds 1000 and 5000 in 0.03 s bins
-    # reads bg_rate 9 307 Hz for 500 Hz; at 0.02, 0.035 and 0.04 s the peak
-    # is found. detect refuses this trace (SNR 6.74), but other seeds at
-    # 0.03 s read up to SNR 7.29 and pass MIN_SNR.
+    # the fig2 replica of accept-11's seeds 1000 and 5000 in 0.03 s bins:
+    # the smoothing's padding lifts the histogram's left end to about the
+    # N = 0 peak near count 15, so a prominence measured against that end
+    # dropped the peak and read bg_rate 9 307 Hz for 500 Hz
     model = RateModel(load_rate=0.1403, bg_rate=1.0 / 60.0, b1=0.004, b2=0.006)
     tr = synthesize(simulate(model, duration=1e5, seed=1000), per_atom_rate=1e4,
                     bg_rate=500.0, bin_width=0.03, seed=5000)
@@ -653,8 +650,9 @@ def _grid_traces(model, rates):
 
 def _scipy_peaks(hist, sigma):
     """scipy's gaussian_filter1d, then find_peaks with height and distance
-    and peak_prominences, as find_peaks runs them, with _comb_peaks' rule
-    at count 0: a maximum there is a peak, its left side its mirror image."""
+    and peak_prominences, as find_peaks runs them, with _comb_peaks' rules
+    at count 0: a maximum there is a peak, and every prominence is measured
+    on the histogram mirrored there."""
     from scipy.ndimage import gaussian_filter1d
     from scipy.signal import find_peaks, peak_prominences
 
@@ -665,10 +663,7 @@ def _scipy_peaks(hist, sigma):
     peaks, _ = find_peaks(np.r_[smooth.min() - 1.0, smooth], height=min_height,
                           distance=max(2, int(2.0 * sigma)))
     peaks -= 1
-    at_0 = peaks[:1][peaks[:1] == 0]
-    prominence = np.r_[
-        peak_prominences(np.r_[smooth[::-1], smooth], at_0 + len(smooth))[0],
-        peak_prominences(smooth, peaks[len(at_0):])[0]]
+    prominence = peak_prominences(np.r_[smooth[::-1], smooth], peaks + len(smooth))[0]
     return peaks[prominence >= min_height]
 
 

@@ -10,8 +10,8 @@ from scipy import stats
 from fewatom import markov
 from fewatom.config import load_config
 from fewatom.markov import (KIND_LOAD, KIND_LOSS1, KIND_LOSS2, EventLog,
-                            RateModel, TruncationError, _generator_matrix,
-                            master_stationary, simulate, stationary_moments)
+                            RateModel, TruncationError, master_stationary,
+                            simulate, stationary_moments)
 
 
 def test_kind_codes_distinct():
@@ -32,6 +32,17 @@ def test_simulate_rejects_duration(duration):
     # all rates 0: the loop would end at once, so only the check can raise
     with pytest.raises(ValueError, match="duration must be positive and finite"):
         simulate(RateModel(0.0, 0.0, 0.0, 0.0), duration=duration, seed=1)
+
+
+def test_simulate_takes_only_integer_n0():
+    # a float n0 once gave atom numbers 2.5, 0.5, -0.5 and a log that its
+    # CSV reader refuses
+    model = RateModel(0.1, 0.02, 0.003, 0.004)
+    with pytest.raises(TypeError):
+        simulate(model, n0=2.5, duration=100.0, seed=1)
+    log = simulate(model, n0=np.int64(2), duration=100.0, seed=1)
+    assert type(log.n0) is int and log.n0 == 2
+    log.validate()
 
 
 def test_channel_rates():
@@ -205,7 +216,7 @@ def test_simulate_matches_master_short():
 
 
 def _generator_matrix_loop(model, n_max):
-    """The per-state loop _generator_matrix replaced; kept as its reference."""
+    """The generator of the chain truncated at n_max, one state at a time."""
     q = np.zeros((n_max + 1, n_max + 1))
     for n in range(n_max + 1):
         load, loss1, loss2 = model.channel_rates(n)
@@ -232,12 +243,20 @@ def _reference_models():
     return models
 
 
-def test_generator_matrix_matches_loop():
+def test_master_stationary_exact_tail_and_balance():
+    # without pair losses the truncated chain is Poisson up to normalisation,
+    # the far tail included
+    p = master_stationary(RateModel(load_rate=3.0, bg_rate=1.0))
+    ref = stats.poisson.pmf(np.arange(len(p)), 3.0)
+    kept = ref > 1e-300
+    assert kept.sum() == len(p)
+    np.testing.assert_allclose(p[kept], ref[kept], rtol=1e-12, atol=0.0)
+    # every state balances its own flux, however small
     for model in _reference_models():
-        for n_max in (64, 128, 256):
-            q = _generator_matrix(model, n_max)
-            ref = _generator_matrix_loop(model, n_max)
-            assert q.tobytes() == ref.tobytes()
+        p = master_stationary(model)
+        q = _generator_matrix_loop(model, len(p) - 1)
+        flux = -p * np.diag(q)
+        assert np.all(np.abs(p @ q) <= 1e-14 * flux)
 
 
 _RATES = st.floats(0.0, 1.0)

@@ -15,7 +15,7 @@ from fewatom.storage import (_CHUNK_ROWS, _EVENT_COLUMNS, _rows, atomic_write_te
                              read_detected_csv, read_event_csv, read_trace_csv,
                              write_detected_csv, write_event_csv,
                              write_table_csv, write_trace_csv)
-from fewatom.trace import FluorescenceTrace, synthesize
+from fewatom.trace import MAX_COUNT, FluorescenceTrace, synthesize
 
 
 def test_event_roundtrip_exact(tmp_path):
@@ -82,6 +82,16 @@ def test_atomic_write_follows_umask(tmp_path, umask, mode):
     finally:
         os.umask(old)
     assert (tmp_path / "out.txt").stat().st_mode & 0o777 == mode
+
+
+def test_atomic_write_leaves_the_umask_alone(tmp_path, monkeypatch):
+    # setting the umask to read it would, for a moment, give a file that
+    # another thread creates the mode 0666
+    def umask(mask):
+        raise AssertionError("os.umask called")
+    monkeypatch.setattr(os, "umask", umask)
+    atomic_write_text(tmp_path / "out.txt", ["x"])
+    assert (tmp_path / "out.txt").read_text() == "x"
 
 
 def _event_header(rows: int) -> str:
@@ -313,7 +323,9 @@ _BIN_WIDTHS = st.one_of(
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(counts=st.lists(st.integers(0, 2**62), max_size=60), bin_width=_BIN_WIDTHS,
+# counts up to MAX_COUNT, the highest the reader takes; the table writer's
+# test covers the whole int64 range
+@given(counts=st.lists(st.integers(0, MAX_COUNT), max_size=60), bin_width=_BIN_WIDTHS,
        seed=st.integers(0, 2**64 - 1))
 def test_trace_writer_and_roundtrip(tmp_path, counts, bin_width, seed):
     trace = FluorescenceTrace(bin_width=bin_width,
@@ -366,6 +378,7 @@ _BAD_ROWS = pytest.mark.parametrize("bad_row, newline", [
 @pytest.mark.parametrize("bad, fault", [
     ("", "blank line"),  # no writer writes one
     ("-4", "negative count -4"),  # an array check
+    (str(MAX_COUNT + 1), f"count {MAX_COUNT + 1} above {MAX_COUNT}"),  # another
     ("abc", "counts"),  # does not parse
     ("12,3", "expected 1 columns, got 2"),
     ("1.0", "counts"),  # a float in the int column

@@ -158,8 +158,8 @@ def build_config(pairs: dict[str, str]) -> RunConfig:
             value = conv(raw)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError("must be finite")
-            if key == "sim.seed" and value < 0:  # numpy seeds are non-negative
-                raise ValueError("must be non-negative")
+            if isinstance(value, int) and not 0 <= value < 2**63:  # n0, seed: int64 counts
+                raise ValueError("must be non-negative" if value < 0 else "must be below 2**63")
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
         groups[group][name] = value

@@ -28,8 +28,8 @@ bin wherever it can; per bin, detect() only reads levels and finds steps:
 The per-bin passes run BLOCK_BINS bins (2**16) at a time, and nothing
 trace-sized is kept but the level sequence: each bin's level in the
 smallest signed integer type that fits the top level, one byte per bin up
-to level 127. A negative count, or one above trace.MAX_COUNT, raises
-ValueError naming its first bin.
+to level 127. Every trace keeps trace.count_faults' rule from when it is
+made, so no count lies below 0 or above MAX_COUNT.
 """
 
 from __future__ import annotations

@@ -93,7 +93,7 @@ class EventLog:
 
     def faults(self) -> list[tuple[np.ndarray, Callable[[int], str]]]:
         """Each invariant of a log as (mask of the events that break it,
-        message about event i), in the order validate() checks them."""
+        message about event i), in the order that breaks a tie."""
         t, kinds, n_before, n_after = self.times, self.kinds, self.n_before, self.n_after
         return [
             (self._delta() == 0, lambda i: f"unknown event kind {kinds[i]}"),
@@ -106,16 +106,24 @@ class EventLog:
         ]
 
     def validate(self) -> None:
-        """Raise ValueError about the first invariant the log breaks."""
-        for mask, message in self.faults():
-            if mask.any():
-                raise ValueError(message(int(np.argmax(mask))))
+        """Raise ValueError about the earliest event that breaks an invariant."""
+        raise_first(self.faults(), lambda i: f"event {i}")
 
     def staircase(self) -> tuple[np.ndarray, np.ndarray]:
         """Breakpoints t_0=0 < t_1 < ... <= duration and the level on [t_i, t_{i+1})."""
         t = np.concatenate([[0.0], self.times])
         n = np.concatenate([[self.n0], self.n_after])
         return t, n
+
+
+def raise_first(faults: list, where: Callable[[int], str]) -> None:
+    """Raise ValueError about the earliest element i that any fault's mask
+    rejects (the earlier fault on a tie), as 'where(i): message'; faults
+    as EventLog.faults lists them."""
+    bad = [(int(np.argmax(mask)), k) for k, (mask, _) in enumerate(faults) if mask.any()]
+    if bad:
+        i, k = min(bad)
+        raise ValueError(f"{where(i)}: {faults[k][1](i)}")
 
 
 _BUF = 4096
@@ -141,8 +149,8 @@ def simulate(model: RateModel, n0: int = 0, *, duration: float,
     if not 0 < duration < math.inf:
         raise ValueError("duration must be positive and finite")
     n0 = operator.index(n0)
-    if n0 < 0:
-        raise ValueError("n0 must be non-negative")
+    if not 0 <= n0 < 2**63:  # the int64 atom numbers of the log
+        raise ValueError(f"n0 must be in [0, 2**63), got {n0}")
     rng = np.random.default_rng(np.random.PCG64(seed))
     variates = chain.from_iterable(
         zip(rng.standard_exponential(_BUF).tolist(), rng.random(_BUF).tolist())

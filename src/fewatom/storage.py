@@ -38,8 +38,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .detect import Calibration
-from .markov import EventLog
-from .trace import MAX_COUNT, FluorescenceTrace
+from .markov import EventLog, raise_first
+from .trace import FluorescenceTrace, count_faults
 
 # rows rendered per string handed to the file, and file bytes parsed per
 # block: large enough that the per-call cost vanishes, small enough that the
@@ -140,12 +140,12 @@ def write_table_csv(path: str | Path, columns: dict[str, np.ndarray],
 
 def _read_csv(path: str | Path, keys: dict[str, Callable[[str], object]],
               columns: dict[str, type]
-              ) -> tuple[dict[str, object], dict[str, np.ndarray], int]:
+              ) -> tuple[dict[str, object], dict[str, np.ndarray], Callable[[int], str]]:
     """Header metadata, which must hold `keys` and the row count, each
     converted by its function; the rows under the `columns` row, one array
-    per column of its type, as many as the header gives; and the line number
-    of the column row. Header lines come only before the column row, each
-    key once."""
+    per column of its type, as many as the header gives; and where(k), the
+    file and line of row k (from 0), k + 1 lines below the column row.
+    Header lines come only before the column row, each key once."""
     keys = {**keys, _ROWS_KEY: _checked(int, lambda n: n >= 0, "a count")}
     meta: dict[str, object] = {}
     with open(path, "rb") as fh:
@@ -188,7 +188,7 @@ def _read_csv(path: str | Path, keys: dict[str, Callable[[str], object]],
         raise ValueError(f"{path}, line {line_no + 1 + min(n, want)}: "
                          + (f"row {want + 1} past the header's rows={want}" if n > want
                             else f"file ends after {n} of the header's rows={want}"))
-    return meta, dict(zip(columns, rows)), line_no
+    return meta, dict(zip(columns, rows)), lambda k: f"{path}, line {line_no + 1 + k}"
 
 
 def _rows(fh, columns: dict[str, type]) -> list[np.ndarray] | None:
@@ -242,16 +242,6 @@ def _parse(block: bytes, columns: dict[str, type]) -> list[np.ndarray] | None:
     except ValueError:
         return None
     return [table[name] for name in columns]
-
-
-def _raise_first(path: str | Path, column_line: int, faults: list) -> None:
-    """Raise for the earliest row that any fault's mask rejects (the earlier
-    fault on a tie), naming the file and the row's line; see EventLog.faults."""
-    bad = [(np.argmax(mask), k) for k, (mask, _) in enumerate(faults) if mask.any()]
-    if bad:
-        row, k = min(bad)
-        raise ValueError(f"{path}, line {column_line + 1 + row}: "
-                         f"{faults[k][1](row)}")
 
 
 def _bad_line(path: str | Path, column_line: int, columns: dict[str, type]
@@ -329,16 +319,16 @@ def _read_events(path: str | Path, keys: dict[str, Callable[[str], object]]
                  ) -> tuple[EventLog, dict[str, object]]:
     """An event log and its header metadata, which must hold `keys`,
     rejecting any log its writer could not have made."""
-    meta, rows, column_line = _read_csv(path, keys, _EVENT_COLUMNS)
+    meta, rows, where = _read_csv(path, keys, _EVENT_COLUMNS)
     # int8 kinds only once checked: the cast would wrap 257 onto a known kind
     log = EventLog(times=rows["time_s"], kinds=rows["kind"],
                    n0=meta["n0"], duration=meta["duration_s"], seed=meta["seed"])
     n_before, n_after = rows["n_before"], rows["n_after"]
-    _raise_first(path, column_line, [*log.faults(), (
+    raise_first([*log.faults(), (
         n_before != log.n_before, lambda i: "event sequence is not self-consistent: "
         f"n_before {n_before[i]} where the events before leave {log.n_before[i]}"), (
         n_after != log.n_after, lambda i: f"n_after {n_after[i]} does not follow "
-        f"from n_before {n_before[i]} and kind {log.kinds[i]}")])
+        f"from n_before {n_before[i]} and kind {log.kinds[i]}")], where)
     log.kinds = log.kinds.astype(np.int8)
     return log, meta
 
@@ -384,14 +374,11 @@ def write_trace_csv(trace: FluorescenceTrace, path: str | Path) -> None:
 
 
 def read_trace_csv(path: str | Path) -> FluorescenceTrace:
-    meta, rows, column_line = _read_csv(
+    meta, rows, where = _read_csv(
         path, {"bin_width_s": _POSITIVE, "per_atom_rate_hz": _POSITIVE,
                "bg_rate_hz": _NON_NEGATIVE, "seed": int}, _TRACE_COLUMNS)
-    counts = rows["counts"]
-    _raise_first(path, column_line,
-                 [(counts < 0, lambda i: f"negative count {counts[i]}"),
-                  (counts > MAX_COUNT, lambda i: f"count {counts[i]} above {MAX_COUNT}")])
+    raise_first(count_faults(rows["counts"]), where)
     return FluorescenceTrace(
-        bin_width=meta["bin_width_s"], counts=counts,
+        bin_width=meta["bin_width_s"], counts=rows["counts"],
         per_atom_rate=meta["per_atom_rate_hz"], bg_rate=meta["bg_rate_hz"],
         seed=meta["seed"])

@@ -19,19 +19,19 @@ number of events in it.
 
 A trace holds its counts read-only and histograms them on first use of
 count_hist, BLOCK_BINS bins at a time; calibration and detection both read
-that one histogram. It refuses a count above MAX_COUNT, because every table
-built from it spans all values from 0 to the highest count.
+that one histogram. A trace refuses, when made, a count below 0 or above
+MAX_COUNT (count_faults, which the CSV reader shares; see MAX_COUNT).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .markov import EventLog
+from .markov import EventLog, raise_first
 
 # bins per block of the per-bin passes here and in detect.py
 BLOCK_BINS = 2 ** 16
@@ -43,22 +43,38 @@ BLOCK_BINS = 2 ** 16
 MAX_COUNT = 2 ** 22
 
 
+def count_faults(counts: np.ndarray) -> list[tuple[np.ndarray, Callable[[int], str]]]:
+    """(mask of the bins, message about bin i) per part of the count rule
+    broken: below 0, above MAX_COUNT. Clean counts cost a min and a max."""
+    faults = []
+    if counts.min(initial=0) < 0:
+        faults.append((counts < 0, lambda i: f"negative count {counts[i]}"))
+    if counts.max(initial=0) > MAX_COUNT:
+        faults.append((counts > MAX_COUNT, lambda i: f"count {counts[i]} above "
+                       f"{MAX_COUNT}, the highest a count histogram covers"))
+    return faults
+
+
 @dataclass(frozen=True)
 class FluorescenceTrace:
     """Binned photon counts; bin i covers [i*bin_width, (i+1)*bin_width).
 
-    The trace keeps a read-only view of the counts it is given, so its
-    cached count_hist cannot go stale through them.
+    The counts must be 1-D integers that keep count_faults' rule. The trace
+    keeps a read-only view of them, so its cached count_hist cannot go stale.
     """
 
     bin_width: float  # s
-    counts: np.ndarray  # int64
+    counts: np.ndarray  # 1-D, int64 or a narrower integer type
     per_atom_rate: float  # counts/s per atom used at synthesis
     bg_rate: float  # counts/s
     seed: int
 
     def __post_init__(self) -> None:
         counts = np.asarray(self.counts).view()
+        if counts.ndim != 1 or counts.dtype.kind not in "iu" or counts.dtype == np.uint64:
+            raise ValueError(f"counts must be 1-D int64 or narrower, got "
+                             f"{counts.ndim}-D {counts.dtype}")
+        raise_first(count_faults(counts), lambda i: f"bin {i}")
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
 
@@ -73,24 +89,13 @@ class FluorescenceTrace:
     def count_hist(self) -> np.ndarray:
         """np.bincount(counts): the number of bins that hold each count
         value, computed on first use, BLOCK_BINS bins at a time (np.bincount
-        copies a read-only array it is given whole). A negative count, or
-        one above MAX_COUNT, raises ValueError naming the first such bin."""
+        copies a read-only array it is given whole)."""
         counts = self.counts
         top = int(counts.max(initial=0))
-        if top <= MAX_COUNT:
-            hist = np.zeros(top + 1, dtype=np.int64)
-            try:
-                for lo in range(0, len(counts), BLOCK_BINS):
-                    hist += np.bincount(counts[lo:lo + BLOCK_BINS], minlength=top + 1)
-                return hist
-            except ValueError:
-                if not (counts < 0).any():
-                    raise
-        i = int(np.argmax((counts < 0) | (counts > MAX_COUNT)))
-        if counts[i] < 0:
-            raise ValueError(f"bin {i}: negative count {counts[i]}")
-        raise ValueError(f"bin {i}: count {counts[i]} above {MAX_COUNT}, "
-                         "the highest a count histogram covers")
+        hist = np.zeros(top + 1, dtype=np.int64)
+        for lo in range(0, len(counts), BLOCK_BINS):
+            hist += np.bincount(counts[lo:lo + BLOCK_BINS], minlength=top + 1)
+        return hist
 
 
 def _whole_bins(log: EventLog, per_atom_rate: float, bg_rate: float,

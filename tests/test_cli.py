@@ -319,6 +319,35 @@ def test_negative_seed_names_sim_seed(tmp_path, capsys, line, option, raw):
     assert not (tmp_path / "events.csv").exists()
 
 
+@pytest.mark.parametrize("raw, why", [
+    ("-1", "must be non-negative"), (str(2**63), "must be below 2**63")],
+    ids=["negative", "2**63"])
+def test_out_of_range_n0_names_sim_n0(tmp_path, capsys, raw, why):
+    # -1 was refused by simulate without naming the key, and 2**63 (with no
+    # loss to end the run at once) overflowed the log's int64 atom numbers
+    # with a traceback and exit 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"sim.duration_s = 100\nsim.n0 = {raw}\nrates.b1_per_s = 0\n"
+                   "rates.b2_per_s = 0\ntrap.bg_lifetime_s = 1e300\n")
+    assert main(["simulate", "--preset", "fig2", "--config", str(cfg),
+                 "--out-dir", str(tmp_path)]) == 2
+    assert f"bad value for sim.n0: '{raw}' ({why})" in capsys.readouterr().err
+    assert not (tmp_path / "events.csv").exists()
+
+
+def test_synth_refuses_a_count_the_reader_would(tmp_path, capsys):
+    # at 1e8 Hz per atom a 0.1 s bin holds about 1e7 counts per atom: synth
+    # once wrote that trace with exit 0, and detect then refused to read it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sim.duration_s = 100\nsim.n0 = 1\ntrace.per_atom_rate_hz = 1e8\n")
+    out = tmp_path / "out"
+    assert main(["synth", "--preset", "fig2", "--config", str(cfg),
+                 "--out-dir", str(out)]) == 2
+    assert re.search(r"error: bin 0: count \d+ above 4194304, the highest a count "
+                     "histogram covers", capsys.readouterr().err)
+    assert not (out / "trace.csv").exists()
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy.optimize is imported by fit_repump_decay alone, and the peak
     # search needs neither scipy.signal nor scipy.ndimage

@@ -149,15 +149,24 @@ def test_key_sets_its_field(key):
     np.testing.assert_allclose(got, float(raw) * factor, rtol=1e-15, atol=0)
 
 
-# numpy's own refusal of a negative seed would not name the key
+# numpy's own refusal of a negative seed, and simulate's of a negative n0,
+# would not name the key; an n0 of 2**63 overflowed the log's int64 atom
+# numbers with an OverflowError. Both integer keys take the int64 counts.
+@pytest.mark.parametrize("key", ["sim.seed", "sim.n0"])
 @pytest.mark.parametrize("raw, why", [
     ("ten", "invalid literal for int() with base 10: 'ten'"),
-    ("-5", "must be non-negative")])
-def test_bad_value_reports_key(raw, why):
+    ("-5", "must be non-negative"),
+    (str(2**63), "must be below 2**63")])
+def test_bad_value_reports_key(key, raw, why):
     with pytest.raises(ConfigError) as err:
-        build_config({"sim.seed": raw})
-    assert str(err.value) == f"bad value for sim.seed: {raw!r} ({why})"
-    assert build_config({"sim.seed": "0"}).seed == 0
+        build_config({key: raw})
+    assert str(err.value) == f"bad value for {key}: {raw!r} ({why})"
+
+
+@pytest.mark.parametrize("key, name", [("sim.seed", "seed"), ("sim.n0", "n0")])
+def test_integer_keys_take_every_int64_count(key, name):
+    for value in (0, 2**63 - 1):
+        assert getattr(build_config({key: str(value)}), name) == value
 
 
 # every key but the two integer ones converts to a float

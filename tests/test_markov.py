@@ -45,6 +45,13 @@ def test_simulate_takes_only_integer_n0():
     log.validate()
 
 
+@pytest.mark.parametrize("n0", [-1, 2**63])
+def test_simulate_refuses_n0_outside_int64(n0):
+    # 2**63 overflowed the log's int64 atom numbers with an OverflowError
+    with pytest.raises(ValueError, match=rf"^n0 must be in \[0, 2\*\*63\), got {n0}$"):
+        simulate(RateModel(0.1, 0.0), n0=n0, duration=1.0, seed=1)
+
+
 def test_channel_rates():
     model = RateModel(load_rate=0.1, bg_rate=0.02, b1=0.003, b2=0.004)
     load, loss1, loss2 = model.channel_rates(3)
@@ -171,6 +178,15 @@ def _hand_log(times, kinds, n0=1, duration=10.0):
 def test_validate_names_the_fault(times, kinds, message):
     log = _hand_log(times, kinds)
     with pytest.raises(ValueError, match=message):
+        log.validate()
+
+
+def test_validate_names_the_earliest_bad_event():
+    # as the CSV reader names the earliest bad line: event 1 takes the trap
+    # below zero before event 2 breaks three invariants at once
+    log = _hand_log([1.0, 3.0, 2.0], [KIND_LOSS1, KIND_LOSS1, 7])
+    with pytest.raises(ValueError, match=r"^event 1: negative atom number in "
+                       r"event log: 0 -> -1$"):
         log.validate()
 
 

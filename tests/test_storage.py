@@ -15,7 +15,7 @@ from fewatom.storage import (_CHUNK_ROWS, _EVENT_COLUMNS, _rows, atomic_write_te
                              read_detected_csv, read_event_csv, read_trace_csv,
                              write_detected_csv, write_event_csv,
                              write_table_csv, write_trace_csv)
-from fewatom.trace import MAX_COUNT, FluorescenceTrace, synthesize
+from fewatom.trace import MAX_COUNT, FluorescenceTrace, binned_mean_counts, synthesize
 
 
 def test_event_roundtrip_exact(tmp_path):
@@ -340,6 +340,37 @@ def test_trace_writer_and_roundtrip(tmp_path, counts, bin_width, seed):
     for name in ("bin_width", "per_atom_rate", "bg_rate"):
         assert _bits(getattr(back, name)) == _bits(getattr(trace, name)), name
     assert back.seed == trace.seed
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(per_atom_rate=st.floats(1.0, 1e8), bg_rate=st.floats(0.0, 1e6),
+       bin_width=st.sampled_from([0.1, 0.05, 0.3]), n0=st.integers(0, 3),
+       log_seed=st.integers(0, 20), seed=st.integers(0, 2**64 - 1))
+def test_synthesized_trace_reads_back_or_is_refused(tmp_path, per_atom_rate, bg_rate,
+                                                    bin_width, n0, log_seed, seed):
+    # synthesize once returned counts above MAX_COUNT, which the writer wrote
+    # and the reader refused; now such a trace is refused when it is made,
+    # naming its first bad bin, and every trace it returns reads back
+    log = simulate(RateModel(0.5, 0.1, 0.01, 0.01), n0=n0, duration=6.0, seed=log_seed)
+    # the one Poisson draw synthesize makes in blocks
+    counts = np.random.default_rng(np.random.PCG64(seed)).poisson(
+        binned_mean_counts(log, per_atom_rate, bg_rate, bin_width))
+    huge = np.flatnonzero(counts > MAX_COUNT)
+    if len(huge):
+        with pytest.raises(ValueError, match=f"^bin {huge[0]}: count {counts[huge[0]]} "
+                           f"above {MAX_COUNT}, the highest a count histogram covers$"):
+            synthesize(log, per_atom_rate, bg_rate, bin_width, seed)
+        return
+    trace = synthesize(log, per_atom_rate, bg_rate, bin_width, seed)
+    assert trace.counts.tobytes() == counts.tobytes()
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    back = read_trace_csv(path)
+    assert back.counts.tobytes() == counts.tobytes()
+    for name in ("bin_width", "per_atom_rate", "bg_rate"):
+        assert _bits(getattr(back, name)) == _bits(getattr(trace, name)), name
+    assert back.seed == seed
 
 
 @settings(max_examples=100, deadline=None,

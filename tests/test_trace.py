@@ -95,6 +95,25 @@ def test_count_hist_in_blocks(block):
     np.testing.assert_array_equal(hist, np.bincount(counts))
 
 
+@pytest.mark.parametrize("counts", [
+    np.zeros((2, 3), dtype=np.int64), np.array(5), np.array([1.0, 2.0]),
+    np.array([True, False]), np.array([1, 2], dtype=np.uint64), ["1", "2"]],
+    ids=["2-D", "0-D", "float", "bool", "uint64", "str"])
+def test_trace_refuses_counts_that_are_not_1d_integers(counts):
+    # the histogram's np.bincount needs one axis of integers that cast to
+    # intp safely, which uint64 does not
+    with pytest.raises(ValueError,
+                       match=r"^counts must be 1-D int64 or narrower, got \d-D \S+$"):
+        FluorescenceTrace(bin_width=0.1, counts=counts, per_atom_rate=1.0,
+                          bg_rate=1.0, seed=0)
+
+
+def test_trace_takes_narrow_counts():
+    tr = FluorescenceTrace(bin_width=0.1, counts=np.array([3, 1, 3], dtype=np.uint16),
+                           per_atom_rate=1.0, bg_rate=1.0, seed=0)
+    assert tr.count_hist.tolist() == [0, 1, 0, 2]
+
+
 def test_count_hist_takes_counts_up_to_the_limit():
     tr = FluorescenceTrace(bin_width=0.1, counts=np.array([0, MAX_COUNT]),
                            per_atom_rate=1.0, bg_rate=1.0, seed=0)

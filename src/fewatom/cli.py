@@ -103,16 +103,14 @@ def _model_rates(model: RateModel) -> dict[str, float]:
     return {f"{name}_per_s": rate for name, rate in asdict(model).items()}
 
 
-def _simulate_stage(cfg: RunConfig, out_dir: Path
-                    ) -> tuple[RateModel, EventLog, list[str]]:
-    """Simulate the configured model; writes events.csv and returns the
-    model, its log and the report's true-model section."""
+def _simulate_stage(cfg: RunConfig) -> tuple[RateModel, EventLog, list[str]]:
+    """Simulate the configured model; returns the model, its log and the
+    report's true-model section. The caller writes events.csv."""
     if cfg.duration <= 0:
         raise ConfigError("sim.duration_s must be positive for this command")
     model = cfg.rate_model()
     log = simulate(model, n0=cfg.n0, duration=cfg.duration,
                    seed=_stage_seeds(cfg.seed)[0])
-    write_event_csv(log, out_dir / "events.csv")
     return model, log, [
         "true model:",
         *(f"{key} = {rate:.6g}" for key, rate in _model_rates(model).items()),
@@ -124,11 +122,13 @@ def _simulate_stage(cfg: RunConfig, out_dir: Path
 def _synth_stage(cfg: RunConfig, out_dir: Path
                  ) -> tuple[RateModel, EventLog, FluorescenceTrace, list[str]]:
     """The simulate stage, then its log rendered as a photon trace; writes
-    events.csv and trace.csv."""
-    model, log, truth = _simulate_stage(cfg, out_dir)
+    events.csv and trace.csv once both are made, so a failed synthesis
+    leaves the out-dir's previous pair whole."""
+    model, log, truth = _simulate_stage(cfg)
     trace = synthesize(log, per_atom_rate=cfg.per_atom_rate,
                        bg_rate=cfg.trace_bg_rate, bin_width=cfg.bin_width,
                        seed=_stage_seeds(cfg.seed)[1])
+    write_event_csv(log, out_dir / "events.csv")
     write_trace_csv(trace, out_dir / "trace.csv")
     return model, log, trace, truth
 
@@ -196,7 +196,8 @@ def _fit_stage(log: EventLog, source: str, out_dir: Path,
 
 def _cmd_simulate(args) -> int:
     cfg, out_dir = _load(args)
-    _, log, truth = _simulate_stage(cfg, out_dir)
+    _, log, truth = _simulate_stage(cfg)
+    write_event_csv(log, out_dir / "events.csv")
     _write_report(out_dir, "simulate", truth)
     print(f"wrote events.csv ({len(log)} events) to {out_dir}")
     return EXIT_OK

@@ -20,10 +20,13 @@ bin wherever it can; per bin, detect() only reads levels and finds steps:
   value's level, so whether its residual is a bump depends on its count
   alone, and only the bins of such values and the rewritten bins are
   tested further.
-- Per step. One pass finds the boundaries where the level changes. The
-  merge and re-vote rewrites change only the boundaries on either side of
-  the bins they rewrite, so the step set is updated there, and the
-  down-down candidates, the |dN| > 2 re-votes and the events come from it.
+- Per step. Two passes find the boundaries where the level changes. The
+  first, before any rewrite, gives the down-down candidates (dN = -1) and
+  the |dN| > 2 re-votes. A merge moves a bin to one of its neighbours'
+  levels, which differ by 2, so each -1 step it touches becomes 0 or -2
+  and no |dN| > 2 boundary appears or goes: the first pass's re-vote set
+  is the one after the merge. The second pass, after both rewrites, gives
+  the events.
 
 The per-bin passes run BLOCK_BINS bins (2**16) at a time, and nothing
 trace-sized is kept but the level sequence: each bin's level in the
@@ -288,38 +291,32 @@ def detect(trace: FluorescenceTrace, cal: Calibration
             f"level separation / shot noise = {snr:.2f} below minimum {MIN_SNR:.2f}")
 
     # The per-bin passes: each bin's level and the bins whose count value is
-    # a bump at its own level; then the steps. Each rewrite below updates the
-    # step set around the bins it rewrites and adds them to the bins the bump
-    # pass tests.
+    # a bump at its own level; then the steps. The bump pass also tests the
+    # bins the rewrites below change.
     n_hat, bump_bins = _read_levels(trace.counts, table,
                                     _bumps(value, table, offset, spacing)[1])
-    tested = [bump_bins]
     steps = _steps(n_hat)
+    d = n_hat[steps + 1] - n_hat[steps]
 
     # A two-atom loss mid-bin leaves one transition bin at the intermediate
     # level, which would read as two consecutive one-atom losses. Fold the
     # down-down one-bin dwell back into a single -2 step; genuine one-atom
     # losses one bin apart are rarer than this artifact by roughly the event
     # rate times the bin width.
-    idx = _merge_down_down(n_hat, steps, trace.counts, offset, spacing)
-    merged = len(idx)
-    steps = _restep(n_hat, steps, idx)
-    tested.append(idx)
+    idx = _merge_down_down(n_hat, steps[d == -1], trace.counts, offset, spacing)
 
-    # re-vote implausible jumps with the local median
-    d = n_hat[steps + 1] - n_hat[steps]
+    # re-vote implausible jumps with the local median; the merge left each
+    # such jump as it was
     bad = steps[np.abs(d, out=d) > 2]
-    ambiguous = len(bad)
     for i in bad:
         lo = max(i - 1, 0)
         hi = min(i + 3, len(n_hat))
         n_hat[i + 1] = int(np.median(n_hat[lo:hi]))
-    steps = _restep(n_hat, steps, bad + 1)
-    tested.append(bad + 1)
 
-    times, kinds = _events_from_levels(n_hat, steps, w)
+    times, kinds = _events_from_levels(n_hat, _steps(n_hat), w)
     pair_times, pair_kinds = _bump_pairs(
-        trace.counts, n_hat, _unique(np.concatenate(tested)), offset, spacing, w)
+        trace.counts, n_hat, _unique(np.concatenate([bump_bins, idx, bad + 1])),
+        offset, spacing, w)
     times = np.concatenate([times, pair_times])
     order = np.argsort(times, kind="stable")
     times, kinds = times[order], np.concatenate([kinds, pair_kinds])[order]
@@ -329,8 +326,8 @@ def detect(trace: FluorescenceTrace, cal: Calibration
     rate = len(log) / trace.duration if trace.duration > 0 else 0.0
     report = DetectionReport(
         n_bins=len(trace.counts), n_events=len(log), snr=snr,
-        spike_bins=0, merged_bins=merged, pair_bumps=len(pair_times) // 2,
-        ambiguous_bins=ambiguous, event_rate=rate,
+        spike_bins=0, merged_bins=len(idx), pair_bumps=len(pair_times) // 2,
+        ambiguous_bins=len(bad), event_rate=rate,
         coincidence_probability=1.0 - float(np.exp(-rate * w)))
     return log, report
 
@@ -367,26 +364,10 @@ def _unique(i: np.ndarray) -> np.ndarray:
     return i[np.diff(i, prepend=i[:1] - 1) != 0]
 
 
-def _restep(n_hat: np.ndarray, steps: np.ndarray, bins: np.ndarray) -> np.ndarray:
-    """_steps(n_hat) after a rewrite of `bins`, from the steps before it.
-
-    Only the boundaries on either side of a rewritten bin can change, so
-    those are tested again and the rest of the sorted step set is kept.
-    """
-    near = _unique(np.concatenate([bins - 1, bins]))
-    near = near[(near >= 0) & (near < len(n_hat) - 1)]
-    at = np.searchsorted(steps, near)
-    on_step = at < len(steps)
-    on_step[on_step] = steps[at[on_step]] == near[on_step]
-    kept = np.delete(steps, at[on_step])
-    new = near[n_hat[near + 1] != n_hat[near]]
-    return np.insert(kept, np.searchsorted(kept, new), new)
-
-
-def _merge_down_down(n_hat: np.ndarray, steps: np.ndarray, counts: np.ndarray,
+def _merge_down_down(n_hat: np.ndarray, down: np.ndarray, counts: np.ndarray,
                      offset: float, spacing: float) -> np.ndarray:
     """Fold one-bin down-down dwells into two-atom steps in place; return
-    the bins rewritten. steps is _steps(n_hat).
+    the bins rewritten. down is the sorted boundaries of n_hat with dN = -1.
 
     Bins are judged in order on the level sequence as rewritten so far.
     Only down-down bins of the sequence as given can qualify, and a rewrite
@@ -394,7 +375,6 @@ def _merge_down_down(n_hat: np.ndarray, steps: np.ndarray, counts: np.ndarray,
     of adjacent candidates the first, third, fifth... are rewritten. No two
     of them are neighbours, so all are rewritten at once.
     """
-    down = steps[n_hat[steps + 1] - n_hat[steps] == -1]
     candidates = down[1:][np.diff(down) == 1]
     # the first candidate of each one's run
     first = np.maximum.accumulate(

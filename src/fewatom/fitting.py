@@ -74,7 +74,7 @@ def tabulate(log: EventLog) -> EventRateTable:
 # theta (in atoms). The fuse and swallow values are hand-set: detect, run on
 # noise-free pairs at N = 2-5 (test_fitting pins N = 3), fuses over 1.35-1.41
 # bins and swallows over 1.30-1.43, and no transfer models its three-event
-# misreads of 0.09-0.18 bins each; ROADMAP item 2 replaces both with a table.
+# misreads of 0.09-0.18 bins each; ROADMAP item 3 replaces both with a table.
 PAIR_FUSE_BINS = 1.5
 PAIR_SWALLOW_BINS = 1.625
 # chance a flat bin's shot noise alone clears the two-sided bump threshold

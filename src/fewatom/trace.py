@@ -19,8 +19,9 @@ number of events in it.
 
 A trace holds its counts read-only and histograms them on first use of
 count_hist, BLOCK_BINS bins at a time; calibration and detection both read
-that one histogram. A trace refuses, when made, a count below 0 or above
-MAX_COUNT (count_faults, which the CSV reader shares; see MAX_COUNT).
+that one histogram. A trace refuses, when made, a bin width that is not
+positive and finite, and a count below 0 or above MAX_COUNT (count_faults,
+which the CSV reader shares; see MAX_COUNT).
 """
 
 from __future__ import annotations
@@ -59,8 +60,9 @@ def count_faults(counts: np.ndarray) -> list[tuple[np.ndarray, Callable[[int], s
 class FluorescenceTrace:
     """Binned photon counts; bin i covers [i*bin_width, (i+1)*bin_width).
 
-    The counts must be 1-D integers that keep count_faults' rule. The trace
-    keeps a read-only view of them, so its cached count_hist cannot go stale.
+    The bin width must be positive and finite, and the counts 1-D integers
+    that keep count_faults' rule. The trace keeps a read-only view of the
+    counts, so its cached count_hist cannot go stale.
     """
 
     bin_width: float  # s
@@ -70,6 +72,7 @@ class FluorescenceTrace:
     seed: int
 
     def __post_init__(self) -> None:
+        _check_positive("bin_width", self.bin_width)
         counts = np.asarray(self.counts).view()
         if counts.ndim != 1 or counts.dtype.kind not in "iu" or counts.dtype == np.uint64:
             raise ValueError(f"counts must be 1-D int64 or narrower, got "
@@ -98,12 +101,16 @@ class FluorescenceTrace:
         return hist
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def _whole_bins(log: EventLog, per_atom_rate: float, bg_rate: float,
                 bin_width: float) -> int:
     """Checked arguments of a synthesis; the number of whole bins in `log`."""
-    for name, value in (("bin_width", bin_width), ("per_atom_rate", per_atom_rate)):
-        if not 0 < value < np.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+    _check_positive("bin_width", bin_width)
+    _check_positive("per_atom_rate", per_atom_rate)
     if not 0 <= bg_rate < np.inf:
         raise ValueError(f"bg_rate must be finite and non-negative, got {bg_rate}")
     n_bins = int(round(log.duration / bin_width))

@@ -261,7 +261,7 @@ def test_11_replica_coverage_exact():
     _coverage("exact")
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the detected chain "
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the detected chain "
                    "reads bg high and b1 and b2_event low")
 def test_11_replica_coverage_detected():
     _coverage("detected")

@@ -348,6 +348,22 @@ def test_synth_refuses_a_count_the_reader_would(tmp_path, capsys):
     assert not (out / "trace.csv").exists()
 
 
+def test_failed_synth_leaves_the_previous_run_whole(tmp_path, capsys):
+    # a synth that fails in synthesis writes nothing: events.csv once went
+    # out first and sat beside the previous run's trace.csv
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sim.duration_s = 2000\n")
+    assert main(["synth", "--preset", "fig2", "--config", str(cfg),
+                 "--out-dir", str(out)]) == 0
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+    cfg.write_text("sim.duration_s = 3000\ntrace.per_atom_rate_hz = 1e8\n")
+    assert main(["synth", "--preset", "fig2", "--config", str(cfg),
+                 "--out-dir", str(out)]) == 2
+    assert "above 4194304" in capsys.readouterr().err
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy.optimize is imported by fit_repump_decay alone, and the peak
     # search needs neither scipy.signal nor scipy.ndimage

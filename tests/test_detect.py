@@ -10,7 +10,7 @@ from fewatom.detect import (BUMP_NSIGMA, Calibration,
                             CalibrationError, DetectionQualityError,
                             _bump_pairs, _bumps, _comb_peaks,
                             _events_from_levels, _hist_percentile, _levels,
-                            _linfit, _merge_down_down, _read_levels, _restep,
+                            _linfit, _merge_down_down, _read_levels,
                             _steps, calibrate, detect)
 from fewatom.markov import (KIND_LOAD, KIND_LOSS1, KIND_LOSS2, EventLog,
                             RateModel, simulate)
@@ -417,10 +417,14 @@ def test_merge_and_events_match_reference(case, bin_width, block, dtype):
     got_levels = n_hat.astype(dtype)
     with mock.patch.object(detect_module, "BLOCK_BINS", block):
         steps = _steps(got_levels)
-        merged = _merge_down_down(got_levels, steps, counts, offset, spacing)
-        # the step set after the merge, from the one before it
-        steps = _restep(got_levels, steps, merged)
-        np.testing.assert_array_equal(steps, _steps(got_levels))
+        d = got_levels[steps + 1].astype(np.int64) - got_levels[steps]
+        jumps = steps[np.abs(d) > 2]
+        merged = _merge_down_down(got_levels, steps[d == -1], counts, offset,
+                                  spacing)
+        # detect() takes the re-vote set from the steps before the merge:
+        # the merge neither adds nor removes a |dN| > 2 boundary
+        after = np.diff(got_levels.astype(np.int64))
+        np.testing.assert_array_equal(jumps, np.flatnonzero(np.abs(after) > 2))
         got_events = [_events_from_levels(levels, _steps(levels), bin_width)
                       for levels in (n_hat.astype(dtype), got_levels)]
     np.testing.assert_array_equal(got_levels, want_levels)

@@ -162,7 +162,7 @@ def test_pair_reads_of_detect():
     assert _pair_reads("CA") == {"B": 132, "CA": 432, "BBA": 36}
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the hand-set pile-up "
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the hand-set pile-up "
                    "constants exceed what detect misreads (1.35 and 1.31 bins)")
 def test_pair_constants_match_detect():
     fuse = _acceptance_bins("BB", "C")

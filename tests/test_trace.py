@@ -114,6 +114,16 @@ def test_trace_takes_narrow_counts():
     assert tr.count_hist.tolist() == [0, 1, 0, 2]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+def test_trace_refuses_a_bin_width_that_is_not_positive_and_finite(bad):
+    # a trace of -0.1 s bins once calibrated to negative rates and detected
+    # events at negative times; 0 and nan raised from deep in detect
+    with pytest.raises(ValueError,
+                       match=f"^bin_width must be positive and finite, got {bad}$"):
+        FluorescenceTrace(bin_width=bad, counts=np.array([3, 1, 3]),
+                          per_atom_rate=1.0, bg_rate=0.0, seed=0)
+
+
 def test_count_hist_takes_counts_up_to_the_limit():
     tr = FluorescenceTrace(bin_width=0.1, counts=np.array([0, MAX_COUNT]),
                            per_atom_rate=1.0, bg_rate=1.0, seed=0)

@@ -35,7 +35,7 @@ from .channels import scaling_constant, suppression_ratio
 from .storage import (atomic_write_text, read_detected_csv, read_event_csv,
                       read_trace_csv, write_detected_csv, write_event_csv,
                       write_table_csv, write_trace_csv)
-from .trace import FluorescenceTrace, synthesize
+from .trace import MAX_BINS, MAX_COUNT, FluorescenceTrace, synthesize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -82,13 +82,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> tuple[RunConfig, Path]:
+def _load(args) -> RunConfig:
+    """The preset, then --config, then --seed; detect, fit and shield skip it."""
     overrides = {}
     if args.seed is not None:
         overrides["sim.seed"] = str(args.seed)
-    cfg = load_config(args.config, args.preset, overrides)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg, args.out_dir
+    return load_config(args.config, args.preset, overrides)
 
 
 def _write_report(out_dir: Path, command: str, *sections: list[str]) -> None:
@@ -123,8 +122,21 @@ def _synth_stage(cfg: RunConfig, out_dir: Path
                  ) -> tuple[RateModel, EventLog, FluorescenceTrace, list[str]]:
     """The simulate stage, then its log rendered as a photon trace; writes
     events.csv and trace.csv once both are made, so a failed synthesis
-    leaves the out-dir's previous pair whole."""
+    leaves the out-dir's previous pair whole. Refuses by key a run of more
+    than MAX_BINS bins before simulating, and a log whose bins could mean
+    more than MAX_COUNT counts before drawing any."""
+    bins = cfg.duration / cfg.bin_width
+    if bins > MAX_BINS:
+        raise ConfigError(f"sim.duration_s / trace.bin_width_s = {bins:.3g} "
+                          f"bins, above {MAX_BINS}, the most a run may ask for")
     model, log, truth = _simulate_stage(cfg)
+    n_max = int(log.n_after.max(initial=log.n0))  # Python floats overflow to inf quietly
+    top = cfg.bin_width * (cfg.trace_bg_rate + cfg.per_atom_rate * n_max)
+    if top > MAX_COUNT:
+        raise ConfigError(
+            f"trace.bin_width_s * (trace.bg_rate_hz + trace.per_atom_rate_hz * "
+            f"{n_max} atoms) = {top:.3g} counts, above {MAX_COUNT}, the highest "
+            "a count histogram covers")
     trace = synthesize(log, per_atom_rate=cfg.per_atom_rate,
                        bg_rate=cfg.trace_bg_rate, bin_width=cfg.bin_width,
                        seed=_stage_seeds(cfg.seed)[1])
@@ -195,7 +207,7 @@ def _fit_stage(log: EventLog, source: str, out_dir: Path,
 
 
 def _cmd_simulate(args) -> int:
-    cfg, out_dir = _load(args)
+    cfg, out_dir = _load(args), args.out_dir
     _, log, truth = _simulate_stage(cfg)
     write_event_csv(log, out_dir / "events.csv")
     _write_report(out_dir, "simulate", truth)
@@ -204,7 +216,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    cfg, out_dir = _load(args)
+    cfg, out_dir = _load(args), args.out_dir
     _, log, trace, truth = _synth_stage(cfg, out_dir)
     _write_report(out_dir, "synth", truth)
     print(f"wrote events.csv ({len(log)} events) and trace.csv "
@@ -213,7 +225,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    _, out_dir = _load(args)
+    out_dir = args.out_dir
     trace_path = out_dir / "trace.csv"
     if not trace_path.is_file():
         raise ConfigError(f"no trace.csv in {out_dir}; run 'fewatom synth' first")
@@ -225,7 +237,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    _, out_dir = _load(args)
+    out_dir = args.out_dir
     src = out_dir / "detected_events.csv"
     if src.is_file():
         log, bin_width, cal = read_detected_csv(src)
@@ -243,7 +255,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_shield(args) -> int:
-    _, out_dir = _load(args)
+    out_dir = args.out_dir
     cols: dict[str, np.ndarray] = {"s0": SHIELD_S0}
     header: dict[str, object] = {}
     for t in SHIELD_TEMPERATURES:
@@ -257,7 +269,7 @@ def _cmd_shield(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    cfg, out_dir = _load(args)
+    cfg, out_dir = _load(args), args.out_dir
     model, log, trace, truth = _synth_stage(cfg, out_dir)
     detected, cal, report, detection = _detect_stage(trace, out_dir)
     fit, fitted = _fit_stage(detected, "detected_events.csv", out_dir,
@@ -270,7 +282,7 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    cfg, out_dir = _load(args)
+    cfg, out_dir = _load(args), args.out_dir
     model = cfg.rate_model()
     p = master_stationary(model)
     n = np.arange(len(p))

@@ -26,6 +26,6 @@ E_FCC_PER_ATOM = 400.0  # K, per atom after a fine-structure-changing collision
 DOPPLER_TEMP = HBAR * GAMMA / (2.0 * KB)  # K, hbar*gamma/(2 kB), about 125 uK
 
 # practical-unit factors
-G_PER_CM_TO_T_PER_M = 1e-2
+G_CM_PER_T_M = 100.0  # G/cm in one T/m
 MW_PER_CM2_TO_W_PER_M2 = 10.0
 CM3_PER_M3 = 1e6

@@ -4,7 +4,7 @@ Files carry their metadata in '# key=value' header comments so a log or trace
 round-trips without a sidecar; a detected log's header also holds the bin
 width and the calibration of the trace it was read from.
 Writes go through a temp file and os.replace so a crashed run never leaves a
-truncated CSV behind.
+truncated CSV behind; a writer makes the file's directory if it is missing.
 
 The writer is the one statement of the format. It renders _CHUNK_ROWS rows
 at a time into a byte matrix, integers by digit arithmetic on whole columns
@@ -52,8 +52,9 @@ _ROWS_KEY = "rows"  # the header key of the row count, which every reader requir
 
 def atomic_write_text(path: str | Path, chunks: Iterable[str]) -> None:
     """Write the text chunks in order to path atomically: into a temp file of
-    a fresh name in the same dir, created with the umask's mode, then renamed."""
+    a fresh name and the umask's mode in path's dir (made if missing), renamed."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     fh = open(tmp, "x", newline="")
     try:

@@ -43,6 +43,11 @@ BLOCK_BINS = 2 ** 16
 # tops out near 2**14 counts.
 MAX_COUNT = 2 ** 22
 
+# The most bins a synth or pipeline run may ask for, sim.duration_s /
+# trace.bin_width_s, checked by key before simulating: about 100 times the
+# 1e7 bins of the longest benchmark trace. Counts of 2**30 bins take 8 GB.
+MAX_BINS = 2 ** 30
+
 
 def count_faults(counts: np.ndarray) -> list[tuple[np.ndarray, Callable[[int], str]]]:
     """(mask of the bins, message about bin i) per part of the count rule

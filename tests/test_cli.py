@@ -83,6 +83,49 @@ def test_fit_without_inputs(tmp_path, capsys):
     assert "events.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step", ["detect", "fit"])
+def test_read_only_step_leaves_no_out_dir(tmp_path, capsys, step):
+    # a step that finds no input writes nothing, not even its out-dir
+    out = tmp_path / "missing"
+    assert main([step, "--out-dir", str(out)]) == 2
+    assert f"in {out}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def fig2_run(tmp_path_factory):
+    """A short fig2 pipeline out-dir, for the steps that read one."""
+    out = tmp_path_factory.mktemp("fig2_run")
+    cfg = out / "run.cfg"
+    cfg.write_text("sim.duration_s = 2000\n")
+    assert main(["pipeline", "--preset", "fig2", "--config", str(cfg),
+                 "--seed", "3", "--out-dir", str(out)]) == 0
+    cfg.unlink()
+    return {f.name: f.read_bytes() for f in out.iterdir()}
+
+
+@pytest.mark.parametrize("config", ["trap.bogus = 1\n", None],
+                         ids=["unknown_key", "missing_file"])
+@pytest.mark.parametrize("step", ["detect", "fit", "shield"])
+def test_read_only_step_reads_no_config(tmp_path, fig2_run, step, config):
+    # detect, fit and shield read only their out-dir: a config they never
+    # read once failed them on its unknown key or missing file
+    cfg = tmp_path / "run.cfg"
+    if config is not None:
+        cfg.write_text(config)
+    runs = {}
+    for name, flags in (("plain", []), ("flagged", [
+            "--preset", "fig2", "--config", str(cfg), "--seed", "3"])):
+        out = tmp_path / name
+        out.mkdir()
+        for file, data in fig2_run.items():
+            (out / file).write_bytes(data)
+        assert main([step, *flags, "--out-dir", str(out)]) == 0
+        runs[name] = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert runs["flagged"] == runs["plain"]
+    assert runs["plain"] != fig2_run  # the step wrote its files
+
+
 def test_shield_outputs(tmp_path):
     rc = main(["shield", "--out-dir", str(tmp_path)])
     assert rc == 0
@@ -337,15 +380,51 @@ def test_out_of_range_n0_names_sim_n0(tmp_path, capsys, raw, why):
 
 def test_synth_refuses_a_count_the_reader_would(tmp_path, capsys):
     # at 1e8 Hz per atom a 0.1 s bin holds about 1e7 counts per atom: synth
-    # once wrote that trace with exit 0, and detect then refused to read it
+    # once wrote that trace with exit 0, and detect then refused to read it;
+    # the bin mean's bound now refuses it before any count is drawn
     cfg = tmp_path / "run.cfg"
     cfg.write_text("sim.duration_s = 100\nsim.n0 = 1\ntrace.per_atom_rate_hz = 1e8\n")
     out = tmp_path / "out"
     assert main(["synth", "--preset", "fig2", "--config", str(cfg),
                  "--out-dir", str(out)]) == 2
-    assert re.search(r"error: bin 0: count \d+ above 4194304, the highest a count "
-                     "histogram covers", capsys.readouterr().err)
+    assert re.search(r"error: trace\.bin_width_s \* \(trace\.bg_rate_hz \+ "
+                     r"trace\.per_atom_rate_hz \* \d+ atoms\) = \S+ counts, above "
+                     "4194304, the highest a count histogram covers",
+                     capsys.readouterr().err)
     assert not (out / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "pipeline"])
+@pytest.mark.parametrize("key, raw", [
+    ("trace.bg_rate_hz", "1e300"), ("trace.per_atom_rate_hz", "1e300"),
+    ("trace.per_atom_rate_hz", "1e308")])  # the bound itself overflows to inf
+def test_mean_count_above_the_cap_names_its_key(tmp_path, capsys, command, key, raw):
+    # numpy's Poisson draw once refused the mean as 'lam value too large',
+    # naming no key; the run is refused before the first draw, and writes
+    # nothing
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"sim.duration_s = 1000\n{key} = {raw}\n")
+    out = tmp_path / "out"
+    assert main([command, "--preset", "fig2", "--config", str(cfg),
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "counts, above 4194304" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "pipeline"])
+def test_bin_count_above_the_cap_names_its_keys(tmp_path, capsys, command):
+    # 1e303 bins once reached np.empty, whose 'Maximum allowed dimension
+    # exceeded' named no key; the run is refused before it simulates
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sim.duration_s = 1000\ntrace.bin_width_s = 1e-300\n")
+    out = tmp_path / "out"
+    assert main([command, "--preset", "fig2", "--config", str(cfg),
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: sim.duration_s / trace.bin_width_s = 1e+303 bins, above "
+        "1073741824, the most a run may ask for\n")
+    assert not out.exists()
 
 
 def test_failed_synth_leaves_the_previous_run_whole(tmp_path, capsys):

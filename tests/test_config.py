@@ -1,11 +1,14 @@
+from fractions import Fraction
 from operator import attrgetter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fewatom.cli import SHIELD_TEMPERATURES
 from fewatom.config import (_KEYS, PRESETS, ConfigError, RunConfig,
                             build_config, load_config, parse_pairs)
+from fewatom.trap import TrapConfig
 
 
 def test_defaults():
@@ -196,12 +199,26 @@ def test_fig2_preset_rate_model():
 
 
 def test_fig4_presets():
-    for name, t_uk in (("fig4a", 316.0), ("fig4b", 506.0), ("fig4c", 705.0)):
+    # bit for bit: times 1e-6, '10' um once read as 9.999999999999999e-06 m
+    # and '506' uK as 0.0005059999999999999 K, not the values the library
+    # and shield use
+    for name, t in zip(("fig4a", "fig4b", "fig4c"), SHIELD_TEMPERATURES):
         cfg = load_config(preset=name)
-        assert cfg.trap.temperature == pytest.approx(t_uk * 1e-6)
+        assert cfg.trap.temperature == t
+        assert cfg.trap.r0 == 10e-6 == TrapConfig().r0
         assert cfg.trap.depth_min == pytest.approx(0.045)
     with pytest.raises(ConfigError):
         load_config(preset="fig9")
+
+
+@pytest.mark.parametrize("key, field, power", [
+    ("trap.r0_um", "r0", 10**6), ("trap.temperature_uk", "temperature", 10**6),
+    ("trap.gradient_g_cm", "gradient", 10**2)])
+def test_power_of_ten_units_are_exact(key, field, power):
+    # an integer in the key's unit reads as the double nearest its exact value
+    for raw in range(1, 1000):
+        got = getattr(build_config({key: str(raw)}).trap, field)
+        assert got == float(Fraction(raw, power)), raw
 
 
 def test_precedence_preset_file_overrides(tmp_path):

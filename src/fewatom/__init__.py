@@ -5,8 +5,7 @@ step detection, per-occupancy rate fitting, and the repump-shielding model of
 the dominant two-atom loss channel.
 """
 
-from .trap import (TrapConfig, depth_from_cos, depth_minimum, effective_volume,
-                   saturation_parameter)
+from .trap import TrapConfig, depth_from_cos, effective_volume
 from .channels import (ChannelSet, ShieldingParams, effective_betas,
                        outcome_probabilities, scaling_constant,
                        suppression_ratio)
@@ -24,8 +23,7 @@ from .config import PRESETS, ConfigError, RunConfig, build_config, load_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "TrapConfig", "depth_from_cos", "depth_minimum", "effective_volume",
-    "saturation_parameter",
+    "TrapConfig", "depth_from_cos", "effective_volume",
     "ChannelSet", "ShieldingParams", "effective_betas",
     "outcome_probabilities", "scaling_constant", "suppression_ratio",
     "EventLog", "RateModel", "TruncationError", "master_stationary",

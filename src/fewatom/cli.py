@@ -35,7 +35,7 @@ from .channels import scaling_constant, suppression_ratio
 from .storage import (atomic_write_text, read_detected_csv, read_event_csv,
                       read_trace_csv, write_detected_csv, write_event_csv,
                       write_table_csv, write_trace_csv)
-from .trace import MAX_BINS, MAX_COUNT, FluorescenceTrace, synthesize
+from .trace import MAX_BINS, MAX_COUNT, FluorescenceTrace, max_bin_mean, synthesize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -46,6 +46,14 @@ EXIT_DETECTION = 4
 # three calibrated temperatures (K) of the paper's repump-power scans
 SHIELD_S0 = np.linspace(0.0, 50.0, 26)
 SHIELD_TEMPERATURES = (316e-6, 506e-6, 705e-6)
+
+
+# The most events a simulate stage may expect, about 100 times the 2.4e5
+# of the longest benchmark run: simulate peaks near 70 bytes per event
+# while it builds the log, so 2.5e7 of them take about 1.7 GB. Each loss
+# takes an atom that was loaded or there at the start, so a run expects at
+# most 2 * load_rate * duration + n0 events.
+MAX_EVENTS = 25_000_000
 
 
 def _stage_seeds(seed: int) -> tuple[int, int]:
@@ -104,9 +112,16 @@ def _model_rates(model: RateModel) -> dict[str, float]:
 
 def _simulate_stage(cfg: RunConfig) -> tuple[RateModel, EventLog, list[str]]:
     """Simulate the configured model; returns the model, its log and the
-    report's true-model section. The caller writes events.csv."""
+    report's true-model section. The caller writes events.csv. Refuses by
+    key, before composing the rates, a run that may expect more than
+    MAX_EVENTS events."""
     if cfg.duration <= 0:
         raise ConfigError("sim.duration_s must be positive for this command")
+    events = 2.0 * cfg.trap.load_rate * cfg.duration + cfg.n0
+    if events > MAX_EVENTS:
+        raise ConfigError(
+            f"2 * trap.load_rate_per_s * sim.duration_s + sim.n0 = {events:.3g} "
+            f"events, above MAX_EVENTS = {MAX_EVENTS}, the most a run may expect")
     model = cfg.rate_model()
     log = simulate(model, n0=cfg.n0, duration=cfg.duration,
                    seed=_stage_seeds(cfg.seed)[0])
@@ -130,8 +145,7 @@ def _synth_stage(cfg: RunConfig, out_dir: Path
         raise ConfigError(f"sim.duration_s / trace.bin_width_s = {bins:.3g} "
                           f"bins, above {MAX_BINS}, the most a run may ask for")
     model, log, truth = _simulate_stage(cfg)
-    n_max = int(log.n_after.max(initial=log.n0))  # Python floats overflow to inf quietly
-    top = cfg.bin_width * (cfg.trace_bg_rate + cfg.per_atom_rate * n_max)
+    n_max, top = max_bin_mean(log, cfg.per_atom_rate, cfg.trace_bg_rate, cfg.bin_width)
     if top > MAX_COUNT:
         raise ConfigError(
             f"trace.bin_width_s * (trace.bg_rate_hz + trace.per_atom_rate_hz * "

@@ -15,17 +15,13 @@ from pathlib import Path
 from typing import Callable
 
 from .channels import ChannelSet, effective_betas
-from .constants import CM3_PER_M3, G_CM_PER_T_M, MW_PER_CM2_TO_W_PER_M2
+from .constants import CM3_PER_M3
 from .markov import RateModel
 from .trap import TrapConfig, effective_volume
 
 
 class ConfigError(ValueError):
     """Unknown key, malformed value, or inconsistent parameter set."""
-
-
-def _scaled(factor: float) -> Callable[[str], float]:
-    return lambda v: float(v) * factor
 
 
 def _per(power_of_ten: float) -> Callable[[str], float]:
@@ -36,10 +32,7 @@ def _per(power_of_ten: float) -> Callable[[str], float]:
 
 # key -> (constructor group, field name, converter to internal units)
 _KEYS: dict[str, tuple[str, str, Callable[[str], object]]] = {
-    "trap.detuning_gamma": ("trap", "detuning", float),
-    "trap.intensity_mw_cm2": ("trap", "intensity", _scaled(MW_PER_CM2_TO_W_PER_M2)),
     "trap.repump_sat": ("trap", "repump_sat", float),
-    "trap.gradient_g_cm": ("trap", "gradient", _per(G_CM_PER_T_M)),
     "trap.r0_um": ("trap", "r0", _per(1e6)),
     "trap.temperature_uk": ("trap", "temperature", _per(1e6)),
     "trap.depth_min_k": ("trap", "depth_min", float),

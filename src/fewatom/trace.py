@@ -43,9 +43,10 @@ BLOCK_BINS = 2 ** 16
 # tops out near 2**14 counts.
 MAX_COUNT = 2 ** 22
 
-# The most bins a synth or pipeline run may ask for, sim.duration_s /
-# trace.bin_width_s, checked by key before simulating: about 100 times the
-# 1e7 bins of the longest benchmark trace. Counts of 2**30 bins take 8 GB.
+# The most bins a trace may have: about 100 times the 1e7 bins of the
+# longest benchmark trace. Counts of 2**30 bins take 8 GB. synthesize
+# refuses more before allocating; synth and pipeline check
+# sim.duration_s / trace.bin_width_s by key before simulating.
 MAX_BINS = 2 ** 30
 
 
@@ -118,13 +119,26 @@ def _whole_bins(log: EventLog, per_atom_rate: float, bg_rate: float,
     _check_positive("per_atom_rate", per_atom_rate)
     if not 0 <= bg_rate < np.inf:
         raise ValueError(f"bg_rate must be finite and non-negative, got {bg_rate}")
-    n_bins = int(round(log.duration / bin_width))
+    bins = log.duration / bin_width
+    if bins > MAX_BINS:
+        raise ValueError(f"log duration / bin_width = {bins:.3g} bins, above "
+                         f"MAX_BINS = {MAX_BINS}, the most a trace may have")
+    n_bins = int(round(bins))
     if n_bins < 1 or abs(n_bins * bin_width - log.duration) > 1e-9 * max(1.0, log.duration):
         # keep whole bins; a ragged final bin would bias its mean
         n_bins = int(np.floor(log.duration / bin_width + 1e-12))
     if n_bins < 1:
         raise ValueError("duration shorter than one bin")
     return n_bins
+
+
+def max_bin_mean(log: EventLog, per_atom_rate: float, bg_rate: float,
+                 bin_width: float) -> tuple[int, float]:
+    """The log's highest atom number N and the bound it sets on every bin's
+    mean count, bin_width * (bg_rate + per_atom_rate * N); one pass over
+    the events, none over the bins."""
+    n_max = int(log.n_after.max(initial=log.n0))  # Python floats overflow to inf quietly
+    return n_max, bin_width * (bg_rate + per_atom_rate * n_max)
 
 
 def _mean_blocks(log: EventLog, per_atom_rate: float, bg_rate: float,
@@ -168,8 +182,16 @@ def binned_mean_counts(log: EventLog, per_atom_rate: float, bg_rate: float,
 
 def synthesize(log: EventLog, per_atom_rate: float = 10_000.0, bg_rate: float = 500.0,
                bin_width: float = 0.1, seed: int = 0) -> FluorescenceTrace:
-    """Poisson-sample a photon-count trace from an event log."""
+    """Poisson-sample a photon-count trace from an event log.
+
+    Refuses, before allocating the counts, a trace of more than MAX_BINS
+    bins, and a log whose max_bin_mean passes MAX_COUNT."""
     n_bins = _whole_bins(log, per_atom_rate, bg_rate, bin_width)
+    n_max, top = max_bin_mean(log, per_atom_rate, bg_rate, bin_width)
+    if top > MAX_COUNT:
+        raise ValueError(f"bin_width * (bg_rate + per_atom_rate * {n_max} atoms) = "
+                         f"{top:.3g} counts, above MAX_COUNT = {MAX_COUNT}, the "
+                         "highest a count histogram covers")
     rng = np.random.default_rng(np.random.PCG64(seed))
     counts = np.empty(n_bins, dtype=np.int64)
     blocks = _mean_blocks(log, per_atom_rate, bg_rate, bin_width, n_bins)

@@ -69,7 +69,7 @@ def test_hcc_shallow_trap_ejects_both():
 
 
 def test_hcc_deep_trap_is_mixed():
-    # the derived default depth (about 0.145 K) straddles the 0.22 K release
+    # the default depth (about 0.145 K) straddles the 0.22 K release
     rng = np.random.default_rng(4)
     p0, p1, p2 = outcome_probabilities("hcc", TrapConfig(), ChannelSet(), rng,
                                        n_samples=50_000)

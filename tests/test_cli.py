@@ -1,5 +1,6 @@
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import fewatom
-from fewatom.cli import main
+from fewatom.cli import MAX_EVENTS, main
 from fewatom.markov import EventLog
 from fewatom.storage import read_event_csv
 
@@ -67,6 +68,35 @@ def test_simulate_rejects_non_finite_value(tmp_path, key, raw):
         capture_output=True, text=True, env=env, timeout=60)
     assert run.returncode == 2
     assert f"bad value for {key}: {raw!r} (must be finite)" in run.stderr
+
+
+def _cap_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize("key, raw", [
+    ("sim.n0", str(10**12)), ("sim.duration_s", "1e300"),
+    ("trap.load_rate_per_s", "1e300")])
+def test_simulate_refuses_a_run_past_max_events(tmp_path, key, raw):
+    # each ran simulate out of memory, exiting 1 on a MemoryError that named
+    # no key; the child runs under a 1 GB address-space cap and a timeout,
+    # so a run that is not refused fails the test, not the machine
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in
+                           {"sim.duration_s": "10", key: raw}.items()))
+    env = {**os.environ, "PYTHONPATH": str(Path(fewatom.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    run = subprocess.run(
+        [sys.executable, "-m", "fewatom.cli", "simulate", "--preset", "fig2",
+         "--config", str(cfg), "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=_cap_address_space)
+    assert run.returncode == 2, run.stderr[-500:]
+    assert run.stderr.startswith(
+        "error: 2 * trap.load_rate_per_s * sim.duration_s + sim.n0 = ")
+    assert run.stderr.endswith(
+        f" events, above MAX_EVENTS = {MAX_EVENTS}, the most a run may expect\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_config_key_exit_code(tmp_path, capsys):

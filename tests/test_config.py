@@ -81,10 +81,13 @@ def test_single_value_keys_removed():
 @pytest.mark.parametrize("key", [
     "constants.gamma_mhz", "constants.lambda_nm", "constants.i_sat_mw_cm2",
     "constants.e_hcc_k", "constants.e_fcc_k", "constants.c3_au",
-    "trap.kappa_geom", "trap.mu_eff_bohr"])
+    "trap.kappa_geom", "trap.mu_eff_bohr", "trap.detuning_gamma",
+    "trap.intensity_mw_cm2", "trap.gradient_g_cm"])
 def test_atom_constant_keys_removed(key):
-    # the Cs values and the depth model's calibration are module constants;
-    # with no constants.* key left, those messages have no prefix hint
+    # the Cs values are module constants, and the trap depth is set by
+    # trap.depth_min_k alone, with no force model left to take a detuning,
+    # intensity or gradient; with no constants.* key left, those messages
+    # have no prefix hint
     with pytest.raises(ConfigError) as err:
         load_config(overrides={key: "3"})
     if key.startswith("constants."):
@@ -98,21 +101,16 @@ def test_atom_constant_keys_removed(key):
 
 def test_unit_conversions():
     cfg = build_config({
-        "trap.intensity_mw_cm2": "42",
         "trap.temperature_uk": "316",
         "trap.r0_um": "10",
     })
-    assert cfg.trap.intensity == pytest.approx(420.0)
     assert cfg.trap.temperature == pytest.approx(316e-6)
     assert cfg.trap.r0 == pytest.approx(10e-6)
 
 
 # each key's RunConfig field and the factor from the key's unit to the field's
 _UNITS = {
-    "trap.detuning_gamma": ("trap.detuning", 1.0),
-    "trap.intensity_mw_cm2": ("trap.intensity", 10.0),  # W/m^2 per mW/cm^2
     "trap.repump_sat": ("trap.repump_sat", 1.0),
-    "trap.gradient_g_cm": ("trap.gradient", 0.01),  # T/m per G/cm
     "trap.r0_um": ("trap.r0", 1e-6),
     "trap.temperature_uk": ("trap.temperature", 1e-6),
     "trap.depth_min_k": ("trap.depth_min", 1.0),
@@ -182,13 +180,6 @@ def test_non_finite_value_rejected(key, raw):
     assert str(err.value) == f"bad value for {key}: {raw!r} (must be finite)"
 
 
-def test_value_that_overflows_its_unit_rejected():
-    with pytest.raises(ConfigError) as err:
-        build_config({"trap.intensity_mw_cm2": "1e308"})
-    assert str(err.value) == ("bad value for trap.intensity_mw_cm2: '1e308' "
-                              "(must be finite)")
-
-
 def test_fig2_preset_rate_model():
     cfg = load_config(preset="fig2")
     model = cfg.rate_model()
@@ -212,8 +203,7 @@ def test_fig4_presets():
 
 
 @pytest.mark.parametrize("key, field, power", [
-    ("trap.r0_um", "r0", 10**6), ("trap.temperature_uk", "temperature", 10**6),
-    ("trap.gradient_g_cm", "gradient", 10**2)])
+    ("trap.r0_um", "r0", 10**6), ("trap.temperature_uk", "temperature", 10**6)])
 def test_power_of_ten_units_are_exact(key, field, power):
     # an integer in the key's unit reads as the double nearest its exact value
     for raw in range(1, 1000):

@@ -15,7 +15,8 @@ from fewatom.storage import (_CHUNK_ROWS, _EVENT_COLUMNS, _rows, atomic_write_te
                              read_detected_csv, read_event_csv, read_trace_csv,
                              write_detected_csv, write_event_csv,
                              write_table_csv, write_trace_csv)
-from fewatom.trace import MAX_COUNT, FluorescenceTrace, binned_mean_counts, synthesize
+from fewatom.trace import (MAX_COUNT, FluorescenceTrace, binned_mean_counts,
+                           max_bin_mean, synthesize)
 
 
 def test_event_roundtrip_exact(tmp_path):
@@ -350,9 +351,14 @@ def test_trace_writer_and_roundtrip(tmp_path, counts, bin_width, seed):
 def test_synthesized_trace_reads_back_or_is_refused(tmp_path, per_atom_rate, bg_rate,
                                                     bin_width, n0, log_seed, seed):
     # synthesize once returned counts above MAX_COUNT, which the writer wrote
-    # and the reader refused; now such a trace is refused when it is made,
-    # naming its first bad bin, and every trace it returns reads back
+    # and the reader refused; now a log whose bin means could pass it is
+    # refused before drawing, any other such trace when it is made, naming
+    # its first bad bin, and every trace it returns reads back
     log = simulate(RateModel(0.5, 0.1, 0.01, 0.01), n0=n0, duration=6.0, seed=log_seed)
+    if max_bin_mean(log, per_atom_rate, bg_rate, bin_width)[1] > MAX_COUNT:
+        with pytest.raises(ValueError, match=" counts, above MAX_COUNT = "):
+            synthesize(log, per_atom_rate, bg_rate, bin_width, seed)
+        return
     # the one Poisson draw synthesize makes in blocks
     counts = np.random.default_rng(np.random.PCG64(seed)).poisson(
         binned_mean_counts(log, per_atom_rate, bg_rate, bin_width))

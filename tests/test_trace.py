@@ -153,6 +153,28 @@ def test_synthesis_refuses_non_finite_arguments(stage, name, rule, bad):
         stage(log, **args)
 
 
+@pytest.mark.parametrize("args, message", [
+    ({"bg_rate": 1e300}, r"bin_width \* \(bg_rate \+ per_atom_rate \* 2 atoms\) = "
+     r"1e\+299 counts, above MAX_COUNT = 4194304, the highest a count histogram covers"),
+    ({"per_atom_rate": 1e308}, r"bin_width \* \(bg_rate \+ per_atom_rate \* 2 atoms\) "
+     r"= inf counts, above MAX_COUNT = 4194304, the highest a count histogram covers"),
+    ({"bin_width": 1e-300}, r"log duration / bin_width = 1e\+306 bins, above "
+     r"MAX_BINS = 1073741824, the most a trace may have")])
+def test_synthesize_refuses_an_oversized_trace_by_argument(args, message):
+    # numpy once refused these as 'lam value too large' and 'Maximum allowed
+    # dimension exceeded', naming no argument, the first after allocating
+    # the counts of all 1e7 bins; both bounds are checked before that
+    log = _log([5.0], [KIND_LOAD], n0=1, duration=1e6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            synthesize(log, **args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 # --- blocked synthesis against the whole-array code it replaced -----------
 
 def _binned_mean_reference(log, per_atom_rate, bg_rate, bin_width):

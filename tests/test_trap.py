@@ -1,25 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fewatom.trap import (TrapConfig, depth_from_cos, depth_minimum,
-                          effective_volume, saturation_parameter)
-
-
-def test_saturation_parameter_default():
-    s = saturation_parameter(TrapConfig())
-    assert s == pytest.approx(0.8320291606410586, rel=1e-12)
-
-
-def test_saturation_parameter_scaling():
-    base = TrapConfig()
-    s0 = saturation_parameter(base)
-    # linear in intensity
-    assert saturation_parameter(TrapConfig(intensity=840.0)) == pytest.approx(2 * s0)
-    # on resonance the Lorentzian factor drops out
-    res = TrapConfig(detuning=0.0, intensity=11.0)
-    assert saturation_parameter(res) == pytest.approx(1.0, rel=1e-12)
+from fewatom.trap import TrapConfig, depth_from_cos, effective_volume
 
 
 def test_effective_volume():
@@ -32,28 +17,30 @@ def test_effective_volume():
             effective_volume(bad)
 
 
-def test_depth_minimum_default():
-    # force-model estimate at the default operating point
-    d = depth_minimum(TrapConfig())
-    assert d == pytest.approx(0.14492300282222922, rel=1e-12)
+def test_depth_min_default():
+    # the value the retired scattering-force model gave at the default
+    # operating point, bit for bit, so a run with no depth key keeps its bits
+    assert TrapConfig().depth_min == 0.14492300282222922
 
 
-def test_depth_minimum_override():
-    assert depth_minimum(TrapConfig(depth_min=0.045)) == 0.045
+def test_depth_min_is_the_shallow_axis_depth():
+    assert depth_from_cos(TrapConfig(depth_min=0.045), 0.0) == 0.045
 
 
-def test_depth_reference_point():
-    # KAPPA_GEOM was calibrated so the reference point gives 0.15 K
-    cfg = TrapConfig(intensity=420.0 * 0.87 / saturation_parameter(TrapConfig()))
-    assert saturation_parameter(cfg) == pytest.approx(0.87, rel=1e-12)
-    assert depth_minimum(cfg) == pytest.approx(0.15, rel=1e-3)
+def test_intensity_is_accepted_and_ignored():
+    # the benchmark's repump scan builds its trap this way, then replaces
+    # repump_sat at each scan point
+    trap = TrapConfig(depth_min=0.045, intensity=420.0)
+    point = replace(trap, repump_sat=2.0)
+    assert point == TrapConfig(depth_min=0.045, repump_sat=2.0)
+    assert TrapConfig(intensity=1.0) == TrapConfig()
 
 
 def test_trap_depth_anisotropy():
     cfg = TrapConfig(depth_anisotropy=4.0)
     d_min = depth_from_cos(cfg, math.cos(math.pi / 2.0))
     d_max = depth_from_cos(cfg, math.cos(0.0))
-    assert d_min == pytest.approx(depth_minimum(cfg), rel=1e-12)
+    assert d_min == cfg.depth_min
     assert d_max / d_min == pytest.approx(4.0, rel=1e-12)
     # symmetric under theta -> pi - theta
     th = np.linspace(0.0, math.pi / 2.0, 7)
@@ -62,8 +49,8 @@ def test_trap_depth_anisotropy():
 
 
 def test_trap_config_validation():
-    with pytest.raises(ValueError):
-        TrapConfig(intensity=-1.0)
+    with pytest.raises(ValueError, match="^depth_min must be positive$"):
+        TrapConfig(depth_min=0.0)
     with pytest.raises(ValueError):
         TrapConfig(r0=1e-7)
     with pytest.raises(ValueError):
@@ -72,12 +59,11 @@ def test_trap_config_validation():
         TrapConfig(bg_lifetime=0.0)
 
 
-@pytest.mark.parametrize("name", ["detuning", "intensity", "repump_sat", "gradient", "r0",
-                                  "temperature", "depth_min", "depth_anisotropy",
-                                  "load_rate", "bg_lifetime"])
+@pytest.mark.parametrize("name", ["repump_sat", "r0", "temperature", "depth_min",
+                                  "depth_anisotropy", "load_rate", "bg_lifetime"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_trap_config_refuses_non_finite(name, value):
-    # a nan or infinite depth, anisotropy or intensity used to read as a
+    # a nan or infinite depth or anisotropy used to read as a
     # trap every fcc collision stays in
     with pytest.raises(ValueError, match=f"^{name} must be finite$"):
         TrapConfig(**{name: value})

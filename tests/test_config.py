@@ -202,6 +202,15 @@ def test_fig4_presets():
         load_config(preset="fig9")
 
 
+@pytest.mark.parametrize("preset, depth", [
+    (None, 0.14492300282222922), ("fig2", 0.045), ("fig4a", 0.045),
+    ("fig4b", 0.045), ("fig4c", 0.045)])
+def test_preset_depth_min_is_exact(preset, depth):
+    # a run takes its depth from the preset's trap.depth_min_k, or with no
+    # preset from the default, bit for bit
+    assert load_config(preset=preset).trap.depth_min == depth
+
+
 @pytest.mark.parametrize("key, field, power", [
     ("trap.r0_um", "r0", 10**6), ("trap.temperature_uk", "temperature", 10**6)])
 def test_power_of_ten_units_are_exact(key, field, power):

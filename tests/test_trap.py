@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -48,15 +49,29 @@ def test_trap_depth_anisotropy():
                                depth_from_cos(cfg, np.cos(math.pi - th)), rtol=1e-12)
 
 
-def test_trap_config_validation():
-    with pytest.raises(ValueError, match="^depth_min must be positive$"):
-        TrapConfig(depth_min=0.0)
-    with pytest.raises(ValueError):
-        TrapConfig(r0=1e-7)
-    with pytest.raises(ValueError):
-        TrapConfig(depth_anisotropy=0.5)
-    with pytest.raises(ValueError):
-        TrapConfig(bg_lifetime=0.0)
+@pytest.mark.parametrize("name, value, message", [
+    ("repump_sat", -1.0, "repump_sat must be non-negative"),
+    ("r0", 1e-7, "r0 = 1e-07 m outside the sane band [1 um, 1 mm]"),
+    ("r0", 2e-3, "r0 = 0.002 m outside the sane band [1 um, 1 mm]"),
+    ("temperature", 0.0, "temperature must be positive"),
+    ("temperature", -316e-6, "temperature must be positive"),
+    ("depth_min", 0.0, "depth_min must be positive"),
+    ("depth_min", -0.045, "depth_min must be positive"),
+    ("depth_anisotropy", 0.5, "depth_anisotropy must be >= 1"),
+    ("load_rate", -0.1, "load_rate >= 0 and bg_lifetime > 0 required"),
+    ("bg_lifetime", 0.0, "load_rate >= 0 and bg_lifetime > 0 required"),
+    ("bg_lifetime", -60.0, "load_rate >= 0 and bg_lifetime > 0 required")])
+def test_trap_config_refuses_out_of_range(name, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TrapConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("repump_sat", 0.0), ("r0", 1e-6), ("r0", 1e-3), ("depth_anisotropy", 1.0),
+    ("load_rate", 0.0), ("depth_min", 5e-324)])
+def test_trap_config_accepts_range_edges(name, value):
+    # depth_min is a plain field: any positive depth stands as given
+    assert getattr(TrapConfig(**{name: value}), name) == value
 
 
 @pytest.mark.parametrize("name", ["repump_sat", "r0", "temperature", "depth_min",

@@ -29,8 +29,8 @@ from .detect import (Calibration, CalibrationError, DetectionQualityError,
                      DetectionReport, calibrate, detect)
 from .fitting import (ConvergenceError, DegenerateDataError, FitResult,
                       fit_rates, tabulate)
-from .markov import (KIND_NAMES, EventLog, RateModel, TruncationError,
-                     master_stationary, simulate, stationary_moments)
+from .markov import (KIND_NAMES, MAX_EVENTS, EventLog, RateModel, TruncationError,
+                     master_stationary, max_events, simulate, stationary_moments)
 from .channels import scaling_constant, suppression_ratio
 from .storage import (atomic_write_text, read_detected_csv, read_event_csv,
                       read_trace_csv, write_detected_csv, write_event_csv,
@@ -46,14 +46,6 @@ EXIT_DETECTION = 4
 # three calibrated temperatures (K) of the paper's repump-power scans
 SHIELD_S0 = np.linspace(0.0, 50.0, 26)
 SHIELD_TEMPERATURES = (316e-6, 506e-6, 705e-6)
-
-
-# The most events a simulate stage may expect, about 100 times the 2.4e5
-# of the longest benchmark run: simulate peaks near 70 bytes per event
-# while it builds the log, so 2.5e7 of them take about 1.7 GB. Each loss
-# takes an atom that was loaded or there at the start, so a run expects at
-# most 2 * load_rate * duration + n0 events.
-MAX_EVENTS = 25_000_000
 
 
 def _stage_seeds(seed: int) -> tuple[int, int]:
@@ -114,10 +106,10 @@ def _simulate_stage(cfg: RunConfig) -> tuple[RateModel, EventLog, list[str]]:
     """Simulate the configured model; returns the model, its log and the
     report's true-model section. The caller writes events.csv. Refuses by
     key, before composing the rates, a run that may expect more than
-    MAX_EVENTS events."""
+    markov.MAX_EVENTS events."""
     if cfg.duration <= 0:
         raise ConfigError("sim.duration_s must be positive for this command")
-    events = 2.0 * cfg.trap.load_rate * cfg.duration + cfg.n0
+    events = max_events(cfg.trap.load_rate, cfg.duration, cfg.n0)
     if events > MAX_EVENTS:
         raise ConfigError(
             f"2 * trap.load_rate_per_s * sim.duration_s + sim.n0 = {events:.3g} "
@@ -137,10 +129,13 @@ def _synth_stage(cfg: RunConfig, out_dir: Path
                  ) -> tuple[RateModel, EventLog, FluorescenceTrace, list[str]]:
     """The simulate stage, then its log rendered as a photon trace; writes
     events.csv and trace.csv once both are made, so a failed synthesis
-    leaves the out-dir's previous pair whole. Refuses by key a run of more
-    than MAX_BINS bins before simulating, and a log whose bins could mean
-    more than MAX_COUNT counts before drawing any."""
+    leaves the out-dir's previous pair whole. Refuses by key a run of less
+    than one bin or more than MAX_BINS before simulating, and a log whose
+    bins could mean more than MAX_COUNT counts before drawing any."""
     bins = cfg.duration / cfg.bin_width
+    if bins < 1:
+        raise ConfigError(f"sim.duration_s / trace.bin_width_s = {bins:.3g} "
+                          "bins, below 1, the fewest a run may ask for")
     if bins > MAX_BINS:
         raise ConfigError(f"sim.duration_s / trace.bin_width_s = {bins:.3g} "
                           f"bins, above {MAX_BINS}, the most a run may ask for")

@@ -113,12 +113,18 @@ class RunConfig:
         """
         b1, b2 = self.b1, self.b2
         if b1 is None or b2 is None:
-            e1, e2 = effective_betas(self.trap, self.channels)
+            # as Python floats, whose quotient overflows to inf without a warning
+            e1, e2 = map(float, effective_betas(self.trap, self.channels))
             v = self.volume_cm3()
             if b1 is None:
                 b1 = e1 / v
             if b2 is None:
                 b2 = e2 / (2.0 * v)
+            if not max(b1, b2) < math.inf:
+                raise ConfigError(
+                    "channels.beta_hcc_cm3_s, channels.beta_re_cm3_s and "
+                    "channels.beta_fcc_cm3_s over the trap.r0_um volume compose "
+                    f"to b1 = {b1:.3g}, b2 = {b2:.3g} per s, not finite")
         return RateModel(load_rate=self.trap.load_rate,
                          bg_rate=1.0 / self.trap.bg_lifetime, b1=b1, b2=b2)
 
@@ -168,12 +174,15 @@ def build_config(pairs: dict[str, str]) -> RunConfig:
         run = RunConfig(trap=trap, channels=cs, **groups["run"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if run.duration < 0:
-        raise ConfigError("sim.duration_s must be non-negative")
-    if run.bin_width <= 0 or run.per_atom_rate <= 0 or run.trace_bg_rate < 0:
-        raise ConfigError("trace parameters must be positive (bg may be zero)")
-    if run.b1 is not None and run.b1 < 0 or run.b2 is not None and run.b2 < 0:
-        raise ConfigError("explicit rates must be non-negative")
+    for key, ok, rule in (
+            ("sim.duration_s", run.duration >= 0, "non-negative"),
+            ("trace.bin_width_s", run.bin_width > 0, "positive"),
+            ("trace.per_atom_rate_hz", run.per_atom_rate > 0, "positive"),
+            ("trace.bg_rate_hz", run.trace_bg_rate >= 0, "non-negative"),
+            ("rates.b1_per_s", run.b1 is None or run.b1 >= 0, "non-negative"),
+            ("rates.b2_per_s", run.b2 is None or run.b2 >= 0, "non-negative")):
+        if not ok:
+            raise ConfigError(f"{key} must be {rule}")
     return run
 
 

@@ -3,7 +3,8 @@
 tabulate() reduces an event log to per-occupancy dwell times and event counts.
 fit_rates() extracts the load rate, the one-atom loss terms bg*N + b1*N(N-1),
 and the two-atom loss term b2*N(N-1) by weighted least squares on the
-per-occupancy rates. fit_repump_decay() fits the shielding curve
+per-occupancy rates of an exact log, or of a detected log after
+correct_coincidences(). fit_repump_decay() fits the shielding curve
 y = offset + amplitude*exp(-s0/scale) used to infer temperatures and to
 extrapolate the unshielded two-atom loss coefficient.
 """
@@ -82,9 +83,8 @@ BUMP_FP_PER_BIN = float(erfc(BUMP_NSIGMA / np.sqrt(2.0)))
 
 
 def correct_coincidences(table: EventRateTable, bin_width: float,
-                         calibration: Calibration | None = None,
-                         ) -> EventRateTable:
-    """First-order pile-up correction of a table read from binned detection.
+                         calibration: Calibration) -> EventRateTable:
+    """First-order pile-up correction of a table read by detect.
 
     Expectation transfers, all computable from the observed table:
 
@@ -94,11 +94,11 @@ def correct_coincidences(table: EventRateTable, bin_width: float,
     * swallow: a load next to a loss2 reads as one loss1. Expected count is
       r2(N) * R * PAIR_SWALLOW_BINS * w * occupancy(N); the loss2 and the load
       are restored and the spurious loss1 at N removed.
-    * cancel (needs `calibration` for the shot-noise scale): a load/loss1 pair
-      below the bump threshold theta(N) vanishes; the lost load and loss1 are
-      restored with acceptance theta + theta^2/2 per order. The bump pass also
-      fires on bare noise in BUMP_FP_PER_BIN of flat bins, adding a spurious
-      load/loss1 pair that is subtracted here. Both model detect's bump pass.
+    * cancel: a load/loss1 pair below the bump threshold theta(N), set by
+      the calibration's shot noise, vanishes; the lost load and loss1 are
+      restored with acceptance theta + theta^2/2 per order.
+    * noise bump: shot noise alone clears theta in BUMP_FP_PER_BIN of flat
+      bins, reading a spurious load/loss1 pair, which is subtracted.
 
     Without the transfers the quadratic loss coefficients read several percent
     low at typical occupancies and the linear term correspondingly high.
@@ -123,24 +123,23 @@ def correct_coincidences(table: EventRateTable, bin_width: float,
     loads = table.n_load + swallow
     loss2 = table.n_loss2 - fuse + swallow
 
-    if calibration is not None:
-        o_w, s_w = calibration.per_bin(bin_width)
-        theta = np.minimum(bump_threshold(table.n, o_w, s_w), 0.5)
-        k_half = (theta + 0.5 * theta**2) * bin_width * load_rate
-        # load-first pair at N eats a load(N) and a loss1(N+1)
-        f_up = occ * k_half * np.append(r1[1:], 0.0)
-        # loss1-first pair at N eats a loss1(N) and a load(N-1)
-        f_dn = occ * k_half * r1
-        loads += f_up
-        loads[:-1] += f_dn[1:]
-        loss1 += f_dn
-        loss1[1:] += f_up[:-1]
-        # noise-only bump pairs: a spurious load booked at the stretch level
-        # and a spurious loss1 booked one level up. The top row has no
-        # matching loss1 row, so it stays uncorrected.
-        fp = BUMP_FP_PER_BIN * occ / bin_width
-        loads[:-1] -= fp[:-1]
-        loss1[1:] -= fp[:-1]
+    o_w, s_w = calibration.per_bin(bin_width)
+    theta = np.minimum(bump_threshold(table.n, o_w, s_w), 0.5)
+    k_half = (theta + 0.5 * theta**2) * bin_width * load_rate
+    # load-first pair at N eats a load(N) and a loss1(N+1)
+    f_up = occ * k_half * np.append(r1[1:], 0.0)
+    # loss1-first pair at N eats a loss1(N) and a load(N-1)
+    f_dn = occ * k_half * r1
+    loads += f_up
+    loads[:-1] += f_dn[1:]
+    loss1 += f_dn
+    loss1[1:] += f_up[:-1]
+    # noise-only bump pairs: a spurious load booked at the stretch level
+    # and a spurious loss1 booked one level up. The top row has no
+    # matching loss1 row, so it stays uncorrected.
+    fp = BUMP_FP_PER_BIN * occ / bin_width
+    loads[:-1] -= fp[:-1]
+    loss1[1:] -= fp[:-1]
 
     return EventRateTable(n=table.n.copy(), occupancy_s=occ.copy(),
                           n_load=np.maximum(loads, 0.0),
@@ -216,17 +215,17 @@ def fit_rates(table: EventRateTable,
     load: constant R. loss1: bg*N + b1*N(N-1). loss2: b2*N(N-1). Each is a
     weighted least-squares fit over the populated levels from its lowest N
     on. Coefficients driven negative by noise are clipped to zero and
-    flagged. Pass the trace bin width as coincidence_width and its
-    calibration when the table comes from binned detection to apply the
-    pile-up corrections; leave both None for exact logs. A calibration
-    without coincidence_width raises ValueError: its transfers would not
-    apply.
+    flagged. Two modes: an exact log's table, with both keywords None, is
+    fitted as it is; a detected log's table, with the trace bin width as
+    coincidence_width and its calibration, is first pile-up corrected by
+    correct_coincidences. Given only one of the two, raises ValueError
+    naming the other.
     """
-    if coincidence_width is not None:
+    if (coincidence_width is None) != (calibration is None):
+        missing = "calibration" if calibration is None else "coincidence_width"
+        raise ValueError(f"fit_rates: {missing} missing; a detected log needs both")
+    if calibration is not None:
         table = correct_coincidences(table, coincidence_width, calibration)
-    elif calibration is not None:
-        raise ValueError("fit_rates: a calibration needs the coincidence_width "
-                         "of the trace it was taken from")
     fields: dict[str, float] = {}
     clipped: list[str] = []
     chi2, dof = 0.0, 0

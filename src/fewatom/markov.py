@@ -29,6 +29,11 @@ KIND_DELTA = (1, -1, -2)
 MASTER_TAIL_MASS = 1e-12
 _MASTER_NMAX_CAP = 4096
 
+# The most events a run may expect, about 100 times the 2.4e5 of the
+# longest benchmark run: simulate peaks near 70 bytes per event while it
+# builds the log, so 2.5e7 of them take about 1.7 GB.
+MAX_EVENTS = 25_000_000
+
 
 class TruncationError(RuntimeError):
     """State-space truncation left too much probability at the boundary."""
@@ -126,6 +131,12 @@ def raise_first(faults: list, where: Callable[[int], str]) -> None:
         raise ValueError(f"{where(i)}: {faults[k][1](i)}")
 
 
+def max_events(load_rate: float, duration: float, n0: int) -> float:
+    """The bound 2 * load_rate * duration + n0 on the events a run expects:
+    each loss takes an atom that was loaded or there at the start."""
+    return 2.0 * load_rate * duration + n0
+
+
 _BUF = 4096
 
 
@@ -145,12 +156,18 @@ def simulate(model: RateModel, n0: int = 0, *, duration: float,
     that separates a one-atom loss from a two-atom one. An event then costs
     one lookup, and the table holds only the states visited (12 in a 1e6 s
     run at the fig2 rates; from n0 at most one per event).
+
+    Refuses, before the first draw, a run whose max_events passes MAX_EVENTS.
     """
     if not 0 < duration < math.inf:
         raise ValueError("duration must be positive and finite")
     n0 = operator.index(n0)
     if not 0 <= n0 < 2**63:  # the int64 atom numbers of the log
         raise ValueError(f"n0 must be in [0, 2**63), got {n0}")
+    events = max_events(model.load_rate, duration, n0)
+    if events > MAX_EVENTS:
+        raise ValueError(f"2 * model.load_rate * duration + n0 = {events:.3g} events, "
+                         f"above MAX_EVENTS = {MAX_EVENTS}, the most a run may expect")
     rng = np.random.default_rng(np.random.PCG64(seed))
     variates = chain.from_iterable(
         zip(rng.standard_exponential(_BUF).tolist(), rng.random(_BUF).tolist())

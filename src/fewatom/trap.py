@@ -41,6 +41,9 @@ class TrapConfig:
             raise ValueError(f"r0 = {self.r0} m outside the sane band [1 um, 1 mm]")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
+        if self.temperature > 1.0:  # (kB T)**2 overflows past 1e177 K
+            raise ValueError(f"temperature = {self.temperature} K above 1 K, "
+                             "far hotter than any trap holds")
         if self.depth_min <= 0:
             raise ValueError("depth_min must be positive")
         if self.depth_anisotropy < 1:

@@ -3,12 +3,16 @@ import re
 import resource
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import fewatom
 from fewatom.cli import MAX_EVENTS, main
+from fewatom.config import _KEYS
+from fewatom.trace import MAX_BINS, MAX_COUNT
 from fewatom.markov import EventLog
 from fewatom.storage import read_event_csv
 
@@ -97,6 +101,50 @@ def test_simulate_refuses_a_run_past_max_events(tmp_path, key, raw):
     assert run.stderr.endswith(
         f" events, above MAX_EVENTS = {MAX_EVENTS}, the most a run may expect\n")
     assert not (tmp_path / "out").exists()
+
+
+# Each config key at 0, 1e-300, 1e300 and -1, and the keys of each cap just
+# past it, on top of sim.duration_s = 100 and the default 0.1 s bins of
+# 10 kHz per atom over 500 Hz: MAX_BINS bins, MAX_COUNT counts in a one-atom
+# bin (a bin longer than the run) or MAX_EVENTS events
+_EXTREMES = [(key, raw) for key in _KEYS for raw in ("0", "1e-300", "1e300", "-1")] + [
+    ("sim.duration_s", repr(MAX_BINS * 0.1 * 1.001)),
+    ("trace.bin_width_s", repr(100 / MAX_BINS / 1.001)),
+    ("trace.bin_width_s", repr(MAX_COUNT / 10_500 * 1.001)),
+    ("trace.per_atom_rate_hz", repr(MAX_COUNT / 0.1 * 1.001)),
+    ("trace.bg_rate_hz", repr(MAX_COUNT / 0.1 * 1.001)),
+    ("trap.load_rate_per_s", repr(MAX_EVENTS / 200 * 1.001)),
+    ("sim.n0", str(MAX_EVENTS))]
+
+
+# fig2 sets the rates, fig4a composes them through effective_betas; the
+# examples are the values that exited 1 with a traceback or 2 naming no key
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(preset=st.sampled_from(["fig2", "fig4a"]), case=st.sampled_from(_EXTREMES))
+@example(preset="fig2", case=("rates.b2_per_s", "-1"))
+@example(preset="fig2", case=("trace.per_atom_rate_hz", "0"))
+@example(preset="fig2", case=("sim.duration_s", "1e-300"))
+@example(preset="fig4a", case=("trap.temperature_uk", "1e300"))
+@example(preset="fig4a", case=("channels.beta_re_cm3_s", "1e300"))
+def test_extreme_config_value_exits_by_key(preset, case):
+    # one child at a time, under a 1 GB address-space cap and a timeout
+    key, raw = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in
+                               {"sim.duration_s": "100", key: raw}.items()))
+        env = {**os.environ, "PYTHONPATH": str(Path(fewatom.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": "1"}
+        run = subprocess.run(
+            [sys.executable, "-m", "fewatom.cli", "pipeline", "--preset", preset,
+             "--config", str(cfg), "--out-dir", str(Path(tmp) / "out")],
+            capture_output=True, text=True, env=env, timeout=60,
+            preexec_fn=_cap_address_space)
+    assert run.returncode in (0, 2, 3, 4), run.stderr[-500:]
+    assert "Traceback" not in run.stderr, run.stderr[-500:]
+    if run.returncode == 2:
+        field = _KEYS[key][1]
+        assert key in run.stderr or re.search(rf"\b{field}\b", run.stderr), run.stderr
 
 
 def test_unknown_config_key_exit_code(tmp_path, capsys):
@@ -443,17 +491,23 @@ def test_mean_count_above_the_cap_names_its_key(tmp_path, capsys, command, key, 
 
 
 @pytest.mark.parametrize("command", ["synth", "pipeline"])
-def test_bin_count_above_the_cap_names_its_keys(tmp_path, capsys, command):
+@pytest.mark.parametrize("duration, width, message", [
+    ("1000", "1e-300", "1e+303 bins, above 1073741824, the most a run may ask for"),
+    ("1e-300", "0.1", "1e-299 bins, below 1, the fewest a run may ask for")],
+    ids=["above", "below"])
+def test_bin_count_outside_the_caps_names_its_keys(tmp_path, capsys, command,
+                                                   duration, width, message):
     # 1e303 bins once reached np.empty, whose 'Maximum allowed dimension
-    # exceeded' named no key; the run is refused before it simulates
+    # exceeded' named no key, and 1e-299 the synthesis, whose 'duration
+    # shorter than one bin' named none either; each run is refused before it
+    # simulates
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("sim.duration_s = 1000\ntrace.bin_width_s = 1e-300\n")
+    cfg.write_text(f"sim.duration_s = {duration}\ntrace.bin_width_s = {width}\n")
     out = tmp_path / "out"
     assert main([command, "--preset", "fig2", "--config", str(cfg),
                  "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "error: sim.duration_s / trace.bin_width_s = 1e+303 bins, above "
-        "1073741824, the most a run may ask for\n")
+        f"error: sim.duration_s / trace.bin_width_s = {message}\n")
     assert not out.exists()
 
 

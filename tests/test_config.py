@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from operator import attrgetter
 
@@ -268,8 +269,26 @@ def test_composed_rate_model_uses_channels():
     assert model.b2 * 2.0 * v < 1e-9
 
 
-def test_run_validation():
-    with pytest.raises(ConfigError):
-        build_config({"trace.bin_width_s": "0"})
-    with pytest.raises(ConfigError):
-        build_config({"rates.b1_per_s": "-1"})
+@pytest.mark.parametrize("key, raw, rule", [
+    ("sim.duration_s", "-1", "non-negative"),
+    ("trace.bin_width_s", "0", "positive"), ("trace.bin_width_s", "-0.1", "positive"),
+    ("trace.per_atom_rate_hz", "0", "positive"),
+    ("trace.bg_rate_hz", "-1", "non-negative"),
+    ("rates.b1_per_s", "-1", "non-negative"), ("rates.b2_per_s", "-1", "non-negative")])
+def test_run_validation(key, raw, rule):
+    # the trace and rate checks once said "trace parameters must be positive
+    # (bg may be zero)" and "explicit rates must be non-negative", naming no key
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be {rule}$"):
+        build_config({key: raw})
+
+
+@pytest.mark.parametrize("key", ["channels.beta_re_cm3_s", "channels.beta_fcc_cm3_s"])
+def test_composed_rate_that_overflows_names_the_channel_keys(key):
+    # b2 = beta / (2 V) overflowed with a RuntimeWarning, and RateModel then
+    # refused "b2 must be finite and non-negative", naming no key
+    cfg = load_config(preset="fig4a", overrides={key: "1e300"})
+    with pytest.raises(ConfigError, match=(
+            r"^channels\.beta_hcc_cm3_s, channels\.beta_re_cm3_s and "
+            r"channels\.beta_fcc_cm3_s over the trap\.r0_um volume compose to "
+            r"b1 = \S+, b2 = inf per s, not finite$")):
+        cfg.rate_model()

@@ -19,6 +19,8 @@ from fewatom.trace import FluorescenceTrace, binned_mean_counts
 from test_storage import _event_logs
 
 FIG2 = RateModel(load_rate=0.1403, bg_rate=1.0 / 60.0, b1=0.004, b2=0.006)
+_CAL = Calibration(per_atom_rate=10_000.0, bg_rate=500.0,
+                   per_atom_err=50.0, bg_err=20.0, n_levels=10)
 
 
 def _log(times, kinds, n0, duration):
@@ -93,23 +95,20 @@ def test_correct_coincidences_balance():
     # the pile-up transfers reshuffle reads between channels but never create
     # or destroy net atom loss
     tab = _dense_table()
-    cal = Calibration(per_atom_rate=10_000.0, bg_rate=500.0,
-                      per_atom_err=50.0, bg_err=20.0, n_levels=10)
     before = (tab.n_loss1 + 2.0 * tab.n_loss2 - tab.n_load).sum()
-    for calib in (None, cal):
-        out = correct_coincidences(tab, 0.1, calib)
-        after = (out.n_loss1 + 2.0 * out.n_loss2 - out.n_load).sum()
-        assert after == pytest.approx(before, rel=1e-9)
-        np.testing.assert_array_equal(out.n, tab.n)
-        np.testing.assert_array_equal(out.occupancy_s, tab.occupancy_s)
+    out = correct_coincidences(tab, 0.1, _CAL)
+    after = (out.n_loss1 + 2.0 * out.n_loss2 - out.n_load).sum()
+    assert after == pytest.approx(before, rel=1e-9)
+    np.testing.assert_array_equal(out.n, tab.n)
+    np.testing.assert_array_equal(out.occupancy_s, tab.occupancy_s)
 
 
 def test_correct_coincidences_fuse_magnitude():
-    # without calibration only the fuse and swallow transfers act; check the
-    # loss2 column against the closed-form first-order rates
+    # only the fuse and swallow transfers touch loss2 (cancel and the noise
+    # bump move loads and loss1); check it against the closed-form rates
     tab = _dense_table()
     w = 0.1
-    out = correct_coincidences(tab, w)
+    out = correct_coincidences(tab, w, _CAL)
     r1 = tab.n_loss1 / tab.occupancy_s
     r2 = tab.n_loss2 / tab.occupancy_s
     load_rate = tab.n_load.sum() / tab.occupancy_s.sum()
@@ -176,7 +175,7 @@ def test_correct_coincidences_direction():
     # corrected table must move counts from loss2 into loss1
     log = simulate(RateModel(0.5, 0.05, 0.0, 0.0), duration=20_000.0, seed=4)
     tab = tabulate(log)
-    out = correct_coincidences(tab, 0.1)
+    out = correct_coincidences(tab, 0.1, _CAL)
     assert out.n_loss2.sum() <= tab.n_loss2.sum()
     assert out.n_loss1.sum() >= tab.n_loss1.sum()
 
@@ -185,7 +184,7 @@ def test_correct_coincidences_validation():
     log = simulate(FIG2, duration=1000.0, seed=2)
     tab = tabulate(log)
     with pytest.raises(ValueError):
-        correct_coincidences(tab, 0.0)
+        correct_coincidences(tab, 0.0, _CAL)
     bad_cal = Calibration(per_atom_rate=0.0, bg_rate=500.0,
                           per_atom_err=1.0, bg_err=1.0, n_levels=3)
     with pytest.raises(ValueError):
@@ -195,7 +194,7 @@ def test_correct_coincidences_validation():
 def test_correct_coincidences_never_negative():
     log = simulate(FIG2, duration=5000.0, seed=6)
     tab = tabulate(log)
-    out = correct_coincidences(tab, 0.1)
+    out = correct_coincidences(tab, 0.1, _CAL)
     assert out.n_loss1.min() >= 0.0
     assert out.n_loss2.min() >= 0.0
     assert out.n_load.min() >= 0.0
@@ -332,7 +331,7 @@ def _tabulate_reference(log):
                           n_load=loads, n_loss1=loss1, n_loss2=loss2)
 
 
-def _correct_coincidences_reference(table, bin_width, calibration=None):
+def _correct_coincidences_reference(table, bin_width, calibration):
     from fewatom.fitting import BUMP_FP_PER_BIN, BUMP_NSIGMA
     occ = table.occupancy_s
     total = float(occ.sum())
@@ -348,22 +347,21 @@ def _correct_coincidences_reference(table, bin_width, calibration=None):
     loss1[:-1] += fuse[1:]
     loads = table.n_load + swallow
     loss2 = table.n_loss2 - fuse + swallow
-    if calibration is not None:
-        s_w = calibration.per_atom_rate * bin_width
-        o_w = calibration.bg_rate * bin_width
-        lvl = np.maximum(table.n.astype(float), 0.0)
-        sig = np.sqrt(np.maximum(o_w + s_w * lvl, 1.0)) / s_w
-        theta = np.minimum(BUMP_NSIGMA * sig, 0.5)
-        k_half = (theta + 0.5 * theta**2) * bin_width * load_rate
-        f_up = occ * k_half * np.append(r1[1:], 0.0)
-        f_dn = occ * k_half * r1
-        loads += f_up
-        loads[:-1] += f_dn[1:]
-        loss1 += f_dn
-        loss1[1:] += f_up[:-1]
-        fp = BUMP_FP_PER_BIN * occ / bin_width
-        loads[:-1] -= fp[:-1]
-        loss1[1:] -= fp[:-1]
+    s_w = calibration.per_atom_rate * bin_width
+    o_w = calibration.bg_rate * bin_width
+    lvl = np.maximum(table.n.astype(float), 0.0)
+    sig = np.sqrt(np.maximum(o_w + s_w * lvl, 1.0)) / s_w
+    theta = np.minimum(BUMP_NSIGMA * sig, 0.5)
+    k_half = (theta + 0.5 * theta**2) * bin_width * load_rate
+    f_up = occ * k_half * np.append(r1[1:], 0.0)
+    f_dn = occ * k_half * r1
+    loads += f_up
+    loads[:-1] += f_dn[1:]
+    loss1 += f_dn
+    loss1[1:] += f_up[:-1]
+    fp = BUMP_FP_PER_BIN * occ / bin_width
+    loads[:-1] -= fp[:-1]
+    loss1[1:] -= fp[:-1]
     return EventRateTable(n=table.n.copy(), occupancy_s=occ.copy(),
                           n_load=np.maximum(loads, 0.0),
                           n_loss1=np.maximum(loss1, 0.0),
@@ -377,7 +375,7 @@ def _weighted_mean_reference(values, errors):
 
 
 def _fit_rates_reference(table, coincidence_width=None, calibration=None):
-    if coincidence_width is not None:
+    if calibration is not None:
         table = correct_coincidences(table, coincidence_width, calibration)
     pop = table.occupancy_s > 0
     n = table.n
@@ -461,17 +459,13 @@ def _reference_tables():
     yield from _clipping_tables()
 
 
-_CAL = Calibration(per_atom_rate=10_000.0, bg_rate=500.0,
-                   per_atom_err=50.0, bg_err=20.0, n_levels=10)
-
-
 # rates whose bump threshold, regrouped, moves the corrected dense table
 _CAL_ODD = Calibration(per_atom_rate=7000.0, bg_rate=321.0,
                        per_atom_err=50.0, bg_err=20.0, n_levels=10)
 
 
-@pytest.mark.parametrize("cal", [None, _CAL, _CAL_ODD],
-                         ids=["bin_width", "calibration", "odd_calibration"])
+@pytest.mark.parametrize("cal", [_CAL, _CAL_ODD],
+                         ids=["calibration", "odd_calibration"])
 def test_correct_coincidences_matches_reference(cal):
     for table in _reference_tables():
         got = correct_coincidences(table, 0.1, cal)
@@ -481,8 +475,8 @@ def test_correct_coincidences_matches_reference(cal):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
-@pytest.mark.parametrize("width, cal", [(None, None), (0.1, None), (0.1, _CAL)],
-                         ids=["exact", "bin_width", "bin_width_and_calibration"])
+@pytest.mark.parametrize("width, cal", [(None, None), (0.1, _CAL)],
+                         ids=["exact", "bin_width_and_calibration"])
 def test_fit_rates_matches_reference(width, cal):
     clipped = set()
     for table in _reference_tables():
@@ -498,12 +492,16 @@ def test_fit_rates_matches_reference(width, cal):
     assert clipped >= {"bg_rate", "b1"}
 
 
-def test_fit_rates_refuses_calibration_without_width():
-    # the calibration only enters the pile-up transfers, which need the bin
-    # width; once it was dropped without a word
+@pytest.mark.parametrize("given, missing", [
+    ({"calibration": _CAL}, "coincidence_width"),
+    ({"coincidence_width": 0.1}, "calibration")], ids=["calibration", "width"])
+def test_fit_rates_refuses_calibration_without_width(given, missing):
+    # a detected log's table needs both: a calibration alone was once
+    # dropped without a word, and a width alone applied only the fuse and
+    # swallow transfers, for a detector that skipped its bump pass
     table = next(_reference_tables())
-    with pytest.raises(ValueError, match="coincidence_width"):
-        fit_rates(table, calibration=_CAL)
+    with pytest.raises(ValueError, match=f"^fit_rates: {missing} missing; "):
+        fit_rates(table, **given)
 
 
 def test_fit_rates_degenerate_tables():

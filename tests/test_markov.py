@@ -1,12 +1,19 @@
 import math
+import os
+import re
+import resource
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+import fewatom
 from fewatom import markov
 from fewatom.config import load_config
 from fewatom.markov import (KIND_LOAD, KIND_LOSS1, KIND_LOSS2, EventLog,
@@ -50,6 +57,35 @@ def test_simulate_refuses_n0_outside_int64(n0):
     # 2**63 overflowed the log's int64 atom numbers with an OverflowError
     with pytest.raises(ValueError, match=rf"^n0 must be in \[0, 2\*\*63\), got {n0}$"):
         simulate(RateModel(0.1, 0.0), n0=n0, duration=1.0, seed=1)
+
+
+def _cap_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (768 * 2**20, 768 * 2**20))
+
+
+@pytest.mark.parametrize("args", [
+    "RateModel(load_rate=1e300, bg_rate=0.01), duration=10.0",
+    "RateModel(0.1, 0.01), duration=1e300",
+    "RateModel(0.1, 0.01), n0=10**12, duration=10.0"],
+    ids=["load_rate", "duration", "n0"])
+def test_simulate_refuses_a_run_past_max_events(args):
+    # each ran until a bare MemoryError (exit 1 after about 6 s under this
+    # 768 MB address-space cap); the child runs under the cap and a
+    # timeout, so a run that is not refused fails the test, not the machine
+    code = ("from fewatom.markov import RateModel, simulate\n"
+            "try:\n"
+            f"    simulate({args}, seed=1)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(fewatom.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=60,
+                         preexec_fn=_cap_address_space)
+    assert run.returncode == 0, run.stderr[-500:]
+    assert re.fullmatch(
+        r"2 \* model\.load_rate \* duration \+ n0 = \S+ events, above MAX_EVENTS = "
+        rf"{markov.MAX_EVENTS}, the most a run may expect\n", run.stdout), run.stdout
 
 
 def test_channel_rates():

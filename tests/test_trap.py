@@ -55,6 +55,8 @@ def test_trap_depth_anisotropy():
     ("r0", 2e-3, "r0 = 0.002 m outside the sane band [1 um, 1 mm]"),
     ("temperature", 0.0, "temperature must be positive"),
     ("temperature", -316e-6, "temperature must be positive"),
+    # 1e300 K overflowed (kB T)**2 in suppression_ratio with an OverflowError
+    ("temperature", 1.5, "temperature = 1.5 K above 1 K, far hotter than any trap holds"),
     ("depth_min", 0.0, "depth_min must be positive"),
     ("depth_min", -0.045, "depth_min must be positive"),
     ("depth_anisotropy", 0.5, "depth_anisotropy must be >= 1"),
@@ -68,7 +70,7 @@ def test_trap_config_refuses_out_of_range(name, value, message):
 
 @pytest.mark.parametrize("name, value", [
     ("repump_sat", 0.0), ("r0", 1e-6), ("r0", 1e-3), ("depth_anisotropy", 1.0),
-    ("load_rate", 0.0), ("depth_min", 5e-324)])
+    ("load_rate", 0.0), ("depth_min", 5e-324), ("temperature", 1.0)])
 def test_trap_config_accepts_range_edges(name, value):
     # depth_min is a plain field: any positive depth stands as given
     assert getattr(TrapConfig(**{name: value}), name) == value

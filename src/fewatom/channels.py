@@ -108,7 +108,8 @@ def suppression_ratio(s0, temperature: float, params: ShieldingParams | None = N
         raise ValueError("s0 must be non-negative and finite")
     if not 0 <= temperature < math.inf:
         raise ValueError("temperature must be non-negative and finite")
-    omega_sq = (params.rabi_coeff * GAMMA) ** 2 * s
+    with np.errstate(over="ignore"):  # omega_sq = inf past s0 = 3.4e293: ratio 0
+        omega_sq = (params.rabi_coeff * GAMMA) ** 2 * s
     e_thermal = KB * temperature
     e_floor = KB * DOPPLER_TEMP
     out = np.exp(-(HBAR**2) * omega_sq / (e_thermal**2 + 2.0 * e_floor**2))

@@ -29,13 +29,13 @@ from .detect import (Calibration, CalibrationError, DetectionQualityError,
                      DetectionReport, calibrate, detect)
 from .fitting import (ConvergenceError, DegenerateDataError, FitResult,
                       fit_rates, tabulate)
-from .markov import (KIND_NAMES, MAX_EVENTS, EventLog, RateModel, TruncationError,
-                     master_stationary, max_events, simulate, stationary_moments)
+from .markov import (KIND_NAMES, EventLog, RateModel, TruncationError, check_events,
+                     master_stationary, simulate, stationary_moments)
 from .channels import scaling_constant, suppression_ratio
 from .storage import (atomic_write_text, read_detected_csv, read_event_csv,
                       read_trace_csv, write_detected_csv, write_event_csv,
                       write_table_csv, write_trace_csv)
-from .trace import MAX_BINS, MAX_COUNT, FluorescenceTrace, max_bin_mean, synthesize
+from .trace import FluorescenceTrace, check_bin_mean, check_bins, synthesize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -105,15 +105,11 @@ def _model_rates(model: RateModel) -> dict[str, float]:
 def _simulate_stage(cfg: RunConfig) -> tuple[RateModel, EventLog, list[str]]:
     """Simulate the configured model; returns the model, its log and the
     report's true-model section. The caller writes events.csv. Refuses by
-    key, before composing the rates, a run that may expect more than
-    markov.MAX_EVENTS events."""
+    key, before composing the rates, a run that markov.check_events refuses."""
     if cfg.duration <= 0:
         raise ConfigError("sim.duration_s must be positive for this command")
-    events = max_events(cfg.trap.load_rate, cfg.duration, cfg.n0)
-    if events > MAX_EVENTS:
-        raise ConfigError(
-            f"2 * trap.load_rate_per_s * sim.duration_s + sim.n0 = {events:.3g} "
-            f"events, above MAX_EVENTS = {MAX_EVENTS}, the most a run may expect")
+    check_events(cfg.trap.load_rate, cfg.duration, cfg.n0,
+                 names=("trap.load_rate_per_s", "sim.duration_s", "sim.n0"))
     model = cfg.rate_model()
     log = simulate(model, n0=cfg.n0, duration=cfg.duration,
                    seed=_stage_seeds(cfg.seed)[0])
@@ -129,23 +125,13 @@ def _synth_stage(cfg: RunConfig, out_dir: Path
                  ) -> tuple[RateModel, EventLog, FluorescenceTrace, list[str]]:
     """The simulate stage, then its log rendered as a photon trace; writes
     events.csv and trace.csv once both are made, so a failed synthesis
-    leaves the out-dir's previous pair whole. Refuses by key a run of less
-    than one bin or more than MAX_BINS before simulating, and a log whose
-    bins could mean more than MAX_COUNT counts before drawing any."""
-    bins = cfg.duration / cfg.bin_width
-    if bins < 1:
-        raise ConfigError(f"sim.duration_s / trace.bin_width_s = {bins:.3g} "
-                          "bins, below 1, the fewest a run may ask for")
-    if bins > MAX_BINS:
-        raise ConfigError(f"sim.duration_s / trace.bin_width_s = {bins:.3g} "
-                          f"bins, above {MAX_BINS}, the most a run may ask for")
+    leaves the out-dir's previous pair whole. Refuses by key what
+    trace.check_bins refuses before simulating, and what trace.check_bin_mean
+    refuses before drawing a count."""
+    check_bins(cfg.duration, cfg.bin_width, names=("sim.duration_s", "trace.bin_width_s"))
     model, log, truth = _simulate_stage(cfg)
-    n_max, top = max_bin_mean(log, cfg.per_atom_rate, cfg.trace_bg_rate, cfg.bin_width)
-    if top > MAX_COUNT:
-        raise ConfigError(
-            f"trace.bin_width_s * (trace.bg_rate_hz + trace.per_atom_rate_hz * "
-            f"{n_max} atoms) = {top:.3g} counts, above {MAX_COUNT}, the highest "
-            "a count histogram covers")
+    check_bin_mean(log, cfg.per_atom_rate, cfg.trace_bg_rate, cfg.bin_width,
+                   names=("trace.per_atom_rate_hz", "trace.bg_rate_hz", "trace.bin_width_s"))
     trace = synthesize(log, per_atom_rate=cfg.per_atom_rate,
                        bg_rate=cfg.trace_bg_rate, bin_width=cfg.bin_width,
                        seed=_stage_seeds(cfg.seed)[1])

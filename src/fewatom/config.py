@@ -120,11 +120,12 @@ class RunConfig:
                 b1 = e1 / v
             if b2 is None:
                 b2 = e2 / (2.0 * v)
-            if not max(b1, b2) < math.inf:
+            if not 2.0 * (b1 + b2) < math.inf:  # the collision rates out of N = 2
                 raise ConfigError(
                     "channels.beta_hcc_cm3_s, channels.beta_re_cm3_s and "
                     "channels.beta_fcc_cm3_s over the trap.r0_um volume compose "
-                    f"to b1 = {b1:.3g}, b2 = {b2:.3g} per s, not finite")
+                    f"to b1 = {b1:.3g}, b2 = {b2:.3g} per s, whose pair rate "
+                    "2 * (b1 + b2) is not finite")
         return RateModel(load_rate=self.trap.load_rate,
                          bg_rate=1.0 / self.trap.bg_lifetime, b1=b1, b2=b2)
 

@@ -131,10 +131,15 @@ def raise_first(faults: list, where: Callable[[int], str]) -> None:
         raise ValueError(f"{where(i)}: {faults[k][1](i)}")
 
 
-def max_events(load_rate: float, duration: float, n0: int) -> float:
-    """The bound 2 * load_rate * duration + n0 on the events a run expects:
-    each loss takes an atom that was loaded or there at the start."""
-    return 2.0 * load_rate * duration + n0
+def check_events(load_rate: float, duration: float, n0: int,
+                 names: tuple = ("model.load_rate", "duration", "n0")) -> None:
+    """Refuse a run whose bound 2 * load_rate * duration + n0 on the events
+    it expects (each loss takes an atom that was loaded or there at the
+    start) passes MAX_EVENTS; the message calls the three terms `names`."""
+    events = 2.0 * load_rate * duration + n0
+    if events > MAX_EVENTS:
+        raise ValueError(f"2 * {names[0]} * {names[1]} + {names[2]} = {events:.3g} events, "
+                         f"above MAX_EVENTS = {MAX_EVENTS}, the most a run may expect")
 
 
 _BUF = 4096
@@ -157,17 +162,15 @@ def simulate(model: RateModel, n0: int = 0, *, duration: float,
     one lookup, and the table holds only the states visited (12 in a 1e6 s
     run at the fig2 rates; from n0 at most one per event).
 
-    Refuses, before the first draw, a run whose max_events passes MAX_EVENTS.
+    Refuses, before the first draw, a run that check_events refuses, and a
+    state whose total rate overflows to inf (and would add nothing to t).
     """
     if not 0 < duration < math.inf:
         raise ValueError("duration must be positive and finite")
     n0 = operator.index(n0)
     if not 0 <= n0 < 2**63:  # the int64 atom numbers of the log
         raise ValueError(f"n0 must be in [0, 2**63), got {n0}")
-    events = max_events(model.load_rate, duration, n0)
-    if events > MAX_EVENTS:
-        raise ValueError(f"2 * model.load_rate * duration + n0 = {events:.3g} events, "
-                         f"above MAX_EVENTS = {MAX_EVENTS}, the most a run may expect")
+    check_events(model.load_rate, duration, n0)
     rng = np.random.default_rng(np.random.PCG64(seed))
     variates = chain.from_iterable(
         zip(rng.standard_exponential(_BUF).tolist(), rng.random(_BUF).tolist())
@@ -187,6 +190,8 @@ def simulate(model: RateModel, n0: int = 0, *, duration: float,
         except KeyError:
             r_load, a1, a2 = model.channel_rates(n)
             total, load_a1 = rates[n] = (float(r_load + a1 + a2), float(r_load + a1))
+            if not total < math.inf:
+                raise ValueError(f"event rates out of N = {n} atoms sum to {total}")
         if total == 0.0:
             break
         t += e / total

@@ -42,11 +42,12 @@ BLOCK_BINS = 2 ** 16
 # highest count, so this bounds them near 100 MB together; a fig2 trace
 # tops out near 2**14 counts.
 MAX_COUNT = 2 ** 22
+_COUNT_CAP = "the highest a count histogram covers"
 
 # The most bins a trace may have: about 100 times the 1e7 bins of the
 # longest benchmark trace. Counts of 2**30 bins take 8 GB. synthesize
-# refuses more before allocating; synth and pipeline check
-# sim.duration_s / trace.bin_width_s by key before simulating.
+# refuses more before allocating; synth and pipeline make the same check
+# by key before simulating.
 MAX_BINS = 2 ** 30
 
 
@@ -58,7 +59,7 @@ def count_faults(counts: np.ndarray) -> list[tuple[np.ndarray, Callable[[int], s
         faults.append((counts < 0, lambda i: f"negative count {counts[i]}"))
     if counts.max(initial=0) > MAX_COUNT:
         faults.append((counts > MAX_COUNT, lambda i: f"count {counts[i]} above "
-                       f"{MAX_COUNT}, the highest a count histogram covers"))
+                       f"{MAX_COUNT}, {_COUNT_CAP}"))
     return faults
 
 
@@ -112,6 +113,32 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def check_bins(duration: float, bin_width: float,
+               names: tuple = ("log duration", "bin_width")) -> float:
+    """duration / bin_width, the bins of a trace of the run; refuses fewer
+    than 1 or more than MAX_BINS, calling the two terms `names`."""
+    bins = duration / bin_width
+    if bins < 1:
+        raise ValueError(f"{names[0]} / {names[1]} = {bins:.3g} bins, below 1, "
+                         "the fewest a trace may have")
+    if bins > MAX_BINS:
+        raise ValueError(f"{names[0]} / {names[1]} = {bins:.3g} bins, above "
+                         f"MAX_BINS = {MAX_BINS}, the most a trace may have")
+    return bins
+
+
+def check_bin_mean(log: EventLog, per_atom_rate: float, bg_rate: float, bin_width: float,
+                   names: tuple = ("per_atom_rate", "bg_rate", "bin_width")) -> None:
+    """Refuse a log whose highest atom number N lets a bin's mean count,
+    bin_width * (bg_rate + per_atom_rate * N), pass MAX_COUNT, calling the
+    three terms `names`; one pass over the events, none over the bins."""
+    n_max = int(log.n_after.max(initial=log.n0))  # Python floats overflow to inf quietly
+    top = bin_width * (bg_rate + per_atom_rate * n_max)
+    if top > MAX_COUNT:
+        raise ValueError(f"{names[2]} * ({names[1]} + {names[0]} * {n_max} atoms) = "
+                         f"{top:.3g} counts, above MAX_COUNT = {MAX_COUNT}, {_COUNT_CAP}")
+
+
 def _whole_bins(log: EventLog, per_atom_rate: float, bg_rate: float,
                 bin_width: float) -> int:
     """Checked arguments of a synthesis; the number of whole bins in `log`."""
@@ -119,26 +146,12 @@ def _whole_bins(log: EventLog, per_atom_rate: float, bg_rate: float,
     _check_positive("per_atom_rate", per_atom_rate)
     if not 0 <= bg_rate < np.inf:
         raise ValueError(f"bg_rate must be finite and non-negative, got {bg_rate}")
-    bins = log.duration / bin_width
-    if bins > MAX_BINS:
-        raise ValueError(f"log duration / bin_width = {bins:.3g} bins, above "
-                         f"MAX_BINS = {MAX_BINS}, the most a trace may have")
+    bins = check_bins(log.duration, bin_width)
     n_bins = int(round(bins))
-    if n_bins < 1 or abs(n_bins * bin_width - log.duration) > 1e-9 * max(1.0, log.duration):
+    if abs(n_bins * bin_width - log.duration) > 1e-9 * max(1.0, log.duration):
         # keep whole bins; a ragged final bin would bias its mean
-        n_bins = int(np.floor(log.duration / bin_width + 1e-12))
-    if n_bins < 1:
-        raise ValueError("duration shorter than one bin")
+        n_bins = int(np.floor(bins + 1e-12))
     return n_bins
-
-
-def max_bin_mean(log: EventLog, per_atom_rate: float, bg_rate: float,
-                 bin_width: float) -> tuple[int, float]:
-    """The log's highest atom number N and the bound it sets on every bin's
-    mean count, bin_width * (bg_rate + per_atom_rate * N); one pass over
-    the events, none over the bins."""
-    n_max = int(log.n_after.max(initial=log.n0))  # Python floats overflow to inf quietly
-    return n_max, bin_width * (bg_rate + per_atom_rate * n_max)
 
 
 def _mean_blocks(log: EventLog, per_atom_rate: float, bg_rate: float,
@@ -184,14 +197,10 @@ def synthesize(log: EventLog, per_atom_rate: float = 10_000.0, bg_rate: float = 
                bin_width: float = 0.1, seed: int = 0) -> FluorescenceTrace:
     """Poisson-sample a photon-count trace from an event log.
 
-    Refuses, before allocating the counts, a trace of more than MAX_BINS
-    bins, and a log whose max_bin_mean passes MAX_COUNT."""
+    Refuses, before allocating the counts, a trace that check_bins or a
+    log that check_bin_mean refuses."""
     n_bins = _whole_bins(log, per_atom_rate, bg_rate, bin_width)
-    n_max, top = max_bin_mean(log, per_atom_rate, bg_rate, bin_width)
-    if top > MAX_COUNT:
-        raise ValueError(f"bin_width * (bg_rate + per_atom_rate * {n_max} atoms) = "
-                         f"{top:.3g} counts, above MAX_COUNT = {MAX_COUNT}, the "
-                         "highest a count histogram covers")
+    check_bin_mean(log, per_atom_rate, bg_rate, bin_width)
     rng = np.random.default_rng(np.random.PCG64(seed))
     counts = np.empty(n_bins, dtype=np.int64)
     blocks = _mean_blocks(log, per_atom_rate, bg_rate, bin_width, n_bins)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,15 @@ def test_suppression_ratio():
             suppression_ratio(np.array([4.0, bad]), 316e-6)
         with pytest.raises(ValueError, match="temperature must be non-negative and finite"):
             suppression_ratio(4.0, bad * 1e-6)
+
+
+def test_suppression_ratio_reaches_its_limit_without_a_warning():
+    # (rabi_coeff * GAMMA)**2 * s0 overflowed with numpy's RuntimeWarning,
+    # though the ratio it gave, 0, is the limit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert suppression_ratio(1e300, 316e-6) == 0.0
+        assert suppression_ratio(np.array([4.0, 1e300]), 316e-6)[1] == 0.0
 
 
 def test_outcome_probabilities_normalized():

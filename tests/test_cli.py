@@ -6,14 +6,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fewatom
-from fewatom.cli import MAX_EVENTS, main
-from fewatom.config import _KEYS
-from fewatom.trace import MAX_BINS, MAX_COUNT
-from fewatom.markov import EventLog
+from fewatom.cli import main
+from fewatom.config import _KEYS, load_config
+from fewatom.trace import MAX_BINS, MAX_COUNT, synthesize
+from fewatom.markov import MAX_EVENTS, EventLog
 from fewatom.storage import read_event_csv
 
 
@@ -78,23 +79,26 @@ def _cap_address_space() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
 
+def _capped(*args: str) -> subprocess.CompletedProcess:
+    """python `args` in a child under the 1 GB address-space cap and a 60 s
+    timeout, so a run that is not refused fails the test, not the machine."""
+    env = {**os.environ, "PYTHONPATH": str(Path(fewatom.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=60, preexec_fn=_cap_address_space)
+
+
 @pytest.mark.parametrize("key, raw", [
     ("sim.n0", str(10**12)), ("sim.duration_s", "1e300"),
     ("trap.load_rate_per_s", "1e300")])
 def test_simulate_refuses_a_run_past_max_events(tmp_path, key, raw):
     # each ran simulate out of memory, exiting 1 on a MemoryError that named
-    # no key; the child runs under a 1 GB address-space cap and a timeout,
-    # so a run that is not refused fails the test, not the machine
+    # no key
     cfg = tmp_path / "run.cfg"
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in
                            {"sim.duration_s": "10", key: raw}.items()))
-    env = {**os.environ, "PYTHONPATH": str(Path(fewatom.__file__).parents[1]),
-           "OPENBLAS_NUM_THREADS": "1"}
-    run = subprocess.run(
-        [sys.executable, "-m", "fewatom.cli", "simulate", "--preset", "fig2",
-         "--config", str(cfg), "--out-dir", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=60,
-        preexec_fn=_cap_address_space)
+    run = _capped("-m", "fewatom.cli", "simulate", "--preset", "fig2",
+                  "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
     assert run.returncode == 2, run.stderr[-500:]
     assert run.stderr.startswith(
         "error: 2 * trap.load_rate_per_s * sim.duration_s + sim.n0 = ")
@@ -126,20 +130,16 @@ _EXTREMES = [(key, raw) for key in _KEYS for raw in ("0", "1e-300", "1e300", "-1
 @example(preset="fig2", case=("sim.duration_s", "1e-300"))
 @example(preset="fig4a", case=("trap.temperature_uk", "1e300"))
 @example(preset="fig4a", case=("channels.beta_re_cm3_s", "1e300"))
+@example(preset="fig4a", case=("channels.beta_hcc_cm3_s", "1e300"))
 def test_extreme_config_value_exits_by_key(preset, case):
-    # one child at a time, under a 1 GB address-space cap and a timeout
+    # one child at a time
     key, raw = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.cfg"
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in
                                {"sim.duration_s": "100", key: raw}.items()))
-        env = {**os.environ, "PYTHONPATH": str(Path(fewatom.__file__).parents[1]),
-               "OPENBLAS_NUM_THREADS": "1"}
-        run = subprocess.run(
-            [sys.executable, "-m", "fewatom.cli", "pipeline", "--preset", preset,
-             "--config", str(cfg), "--out-dir", str(Path(tmp) / "out")],
-            capture_output=True, text=True, env=env, timeout=60,
-            preexec_fn=_cap_address_space)
+        run = _capped("-m", "fewatom.cli", "pipeline", "--preset", preset,
+                      "--config", str(cfg), "--out-dir", str(Path(tmp) / "out"))
     assert run.returncode in (0, 2, 3, 4), run.stderr[-500:]
     assert "Traceback" not in run.stderr, run.stderr[-500:]
     if run.returncode == 2:
@@ -467,7 +467,7 @@ def test_synth_refuses_a_count_the_reader_would(tmp_path, capsys):
                  "--out-dir", str(out)]) == 2
     assert re.search(r"error: trace\.bin_width_s \* \(trace\.bg_rate_hz \+ "
                      r"trace\.per_atom_rate_hz \* \d+ atoms\) = \S+ counts, above "
-                     "4194304, the highest a count histogram covers",
+                     "MAX_COUNT = 4194304, the highest a count histogram covers",
                      capsys.readouterr().err)
     assert not (out / "trace.csv").exists()
 
@@ -486,14 +486,14 @@ def test_mean_count_above_the_cap_names_its_key(tmp_path, capsys, command, key, 
     assert main([command, "--preset", "fig2", "--config", str(cfg),
                  "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
-    assert key in err and "counts, above 4194304" in err, err
+    assert key in err and "counts, above MAX_COUNT = 4194304" in err, err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["synth", "pipeline"])
 @pytest.mark.parametrize("duration, width, message", [
-    ("1000", "1e-300", "1e+303 bins, above 1073741824, the most a run may ask for"),
-    ("1e-300", "0.1", "1e-299 bins, below 1, the fewest a run may ask for")],
+    ("1000", "1e-300", "1e+303 bins, above MAX_BINS = 1073741824, the most a trace may have"),
+    ("1e-300", "0.1", "1e-299 bins, below 1, the fewest a trace may have")],
     ids=["above", "below"])
 def test_bin_count_outside_the_caps_names_its_keys(tmp_path, capsys, command,
                                                    duration, width, message):
@@ -511,6 +511,88 @@ def test_bin_count_outside_the_caps_names_its_keys(tmp_path, capsys, command,
     assert not out.exists()
 
 
+def _keyed(message: str, names: str, keys: str) -> str:
+    """The CLI's stderr for the library's refusal `message`: its head, the
+    argument names `names`, swapped for the config keys `keys`."""
+    assert message.startswith(names), message
+    return f"error: {keys}{message[len(names):]}\n"
+
+
+# One template per bound: given the same over-bound values, the CLI prints
+# the library's refusal with the config keys for the argument names.
+@pytest.mark.parametrize("load_rate, duration, n0", [
+    ("1e300", "10", "0"), ("0.1403", "1e300", "0"), ("0.1403", "10", str(10**12)),
+    (repr(MAX_EVENTS / 200 * 1.001), "100", "0")])
+def test_events_refusal_is_the_library_one_by_key(tmp_path, load_rate, duration, n0):
+    library = _capped("-c", "from fewatom.markov import RateModel, simulate\n"
+                      "try:\n"
+                      f"    simulate(RateModel({load_rate}, 1 / 60), n0={n0}, "
+                      f"duration={duration})\n"
+                      "except ValueError as exc:\n"
+                      "    print(exc)\n")
+    assert library.returncode == 0, library.stderr[-500:]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"trap.load_rate_per_s = {load_rate}\nsim.duration_s = {duration}\n"
+                   f"sim.n0 = {n0}\n")
+    cli = _capped("-m", "fewatom.cli", "simulate", "--preset", "fig2", "--config",
+                  str(cfg), "--out-dir", str(tmp_path / "out"))
+    assert cli.returncode == 2, cli.stderr[-500:]
+    assert cli.stderr == _keyed(library.stdout.removesuffix("\n"),
+                                "2 * model.load_rate * duration + n0",
+                                "2 * trap.load_rate_per_s * sim.duration_s + sim.n0")
+
+
+@pytest.mark.parametrize("duration, width", [
+    ("1000", "1e-300"), ("1e-300", "0.1"), ("0.0999", "0.1")])
+def test_bins_refusal_is_the_library_one_by_key(tmp_path, capsys, duration, width):
+    log = EventLog(np.empty(0), np.empty(0, np.int8), n0=0, duration=float(duration),
+                   seed=0)
+    with pytest.raises(ValueError) as refusal:
+        synthesize(log, bin_width=float(width))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"sim.duration_s = {duration}\ntrace.bin_width_s = {width}\n")
+    assert main(["synth", "--preset", "fig2", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == _keyed(str(refusal.value), "log duration / bin_width",
+                                             "sim.duration_s / trace.bin_width_s")
+
+
+@pytest.mark.parametrize("key, raw", [
+    ("trace.bg_rate_hz", "1e300"), ("trace.per_atom_rate_hz", "1e308"),
+    ("trace.per_atom_rate_hz", "1e8"), ("trace.bin_width_s", "1000")])
+def test_bin_mean_refusal_is_the_library_one_by_key(tmp_path, capsys, key, raw):
+    # the library synthesizes the log that the CLI's simulate stage draws
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"sim.duration_s = 2000\n{key} = {raw}\n")
+    args = ["--preset", "fig2", "--config", str(cfg_path)]
+    assert main(["simulate", *args, "--out-dir", str(tmp_path / "log")]) == 0
+    cfg = load_config(cfg_path, "fig2")
+    with pytest.raises(ValueError) as refusal:
+        synthesize(read_event_csv(tmp_path / "log" / "events.csv"), cfg.per_atom_rate,
+                   cfg.trace_bg_rate, cfg.bin_width)
+    capsys.readouterr()
+    assert main(["synth", *args, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == _keyed(
+        str(refusal.value), "bin_width * (bg_rate + per_atom_rate *",
+        "trace.bin_width_s * (trace.bg_rate_hz + trace.per_atom_rate_hz *")
+    assert not (tmp_path / "out").exists()
+
+
+def test_composed_pair_rate_that_overflows_names_the_channel_keys(tmp_path, capsys):
+    # b2 = 9.8e307 per s is finite, but the rate 2 * b2 out of N = 2 is not:
+    # simulate once wrote, with exit 0, a log of events at one time, which
+    # fit then refused as not strictly increasing
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sim.duration_s = 100\nchannels.beta_hcc_cm3_s = 1e300\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--preset", "fig4a", "--config", str(cfg),
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: channels.beta_hcc_cm3_s, ") and err.endswith(
+        "per s, whose pair rate 2 * (b1 + b2) is not finite\n"), err
+    assert not (out / "events.csv").exists()
+
+
 def test_failed_synth_leaves_the_previous_run_whole(tmp_path, capsys):
     # a synth that fails in synthesis writes nothing: events.csv once went
     # out first and sat beside the previous run's trace.csv
@@ -523,7 +605,7 @@ def test_failed_synth_leaves_the_previous_run_whole(tmp_path, capsys):
     cfg.write_text("sim.duration_s = 3000\ntrace.per_atom_rate_hz = 1e8\n")
     assert main(["synth", "--preset", "fig2", "--config", str(cfg),
                  "--out-dir", str(out)]) == 2
-    assert "above 4194304" in capsys.readouterr().err
+    assert "above MAX_COUNT = 4194304" in capsys.readouterr().err
     assert {f.name: f.read_bytes() for f in out.iterdir()} == before
 
 

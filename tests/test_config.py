@@ -282,13 +282,17 @@ def test_run_validation(key, raw, rule):
         build_config({key: raw})
 
 
-@pytest.mark.parametrize("key", ["channels.beta_re_cm3_s", "channels.beta_fcc_cm3_s"])
-def test_composed_rate_that_overflows_names_the_channel_keys(key):
+@pytest.mark.parametrize("key, b2", [
+    ("channels.beta_re_cm3_s", "inf"), ("channels.beta_fcc_cm3_s", "inf"),
+    ("channels.beta_hcc_cm3_s", r"9\.81e\+307")])
+def test_composed_rate_that_overflows_names_the_channel_keys(key, b2):
     # b2 = beta / (2 V) overflowed with a RuntimeWarning, and RateModel then
-    # refused "b2 must be finite and non-negative", naming no key
+    # refused "b2 must be finite and non-negative", naming no key; a finite
+    # b2 whose pair rate 2 * b2 overflows was taken, and simulate's log of
+    # it broke its own validate()
     cfg = load_config(preset="fig4a", overrides={key: "1e300"})
     with pytest.raises(ConfigError, match=(
             r"^channels\.beta_hcc_cm3_s, channels\.beta_re_cm3_s and "
             r"channels\.beta_fcc_cm3_s over the trap\.r0_um volume compose to "
-            r"b1 = \S+, b2 = inf per s, not finite$")):
+            rf"b1 = \S+, b2 = {b2} per s, whose pair rate 2 \* \(b1 \+ b2\) is not finite$")):
         cfg.rate_model()

@@ -88,6 +88,13 @@ def test_simulate_refuses_a_run_past_max_events(args):
         rf"{markov.MAX_EVENTS}, the most a run may expect\n", run.stdout), run.stdout
 
 
+def test_simulate_refuses_a_total_rate_that_overflows():
+    # 1e308 * N(N-1) is inf at N = 3, and e / inf added nothing to t: the
+    # log held a loss2 at t = 0.0, which its own validate() refused
+    with pytest.raises(ValueError, match=r"^event rates out of N = 3 atoms sum to inf$"):
+        simulate(RateModel(0.1, 0.0, 0.0, 1e308), n0=3, duration=1.0, seed=1)
+
+
 def test_channel_rates():
     model = RateModel(load_rate=0.1, bg_rate=0.02, b1=0.003, b2=0.004)
     load, loss1, loss2 = model.channel_rates(3)

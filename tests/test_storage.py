@@ -15,8 +15,7 @@ from fewatom.storage import (_CHUNK_ROWS, _EVENT_COLUMNS, _rows, atomic_write_te
                              read_detected_csv, read_event_csv, read_trace_csv,
                              write_detected_csv, write_event_csv,
                              write_table_csv, write_trace_csv)
-from fewatom.trace import (MAX_COUNT, FluorescenceTrace, binned_mean_counts,
-                           max_bin_mean, synthesize)
+from fewatom.trace import MAX_COUNT, FluorescenceTrace, binned_mean_counts, synthesize
 
 
 def test_event_roundtrip_exact(tmp_path):
@@ -355,7 +354,9 @@ def test_synthesized_trace_reads_back_or_is_refused(tmp_path, per_atom_rate, bg_
     # refused before drawing, any other such trace when it is made, naming
     # its first bad bin, and every trace it returns reads back
     log = simulate(RateModel(0.5, 0.1, 0.01, 0.01), n0=n0, duration=6.0, seed=log_seed)
-    if max_bin_mean(log, per_atom_rate, bg_rate, bin_width)[1] > MAX_COUNT:
+    # the bound on every bin's mean count at the log's highest atom number
+    n_max = int(log.n_after.max(initial=log.n0))
+    if bin_width * (bg_rate + per_atom_rate * n_max) > MAX_COUNT:
         with pytest.raises(ValueError, match=" counts, above MAX_COUNT = "):
             synthesize(log, per_atom_rate, bg_rate, bin_width, seed)
         return

@@ -159,7 +159,9 @@ def test_synthesis_refuses_non_finite_arguments(stage, name, rule, bad):
     ({"per_atom_rate": 1e308}, r"bin_width \* \(bg_rate \+ per_atom_rate \* 2 atoms\) "
      r"= inf counts, above MAX_COUNT = 4194304, the highest a count histogram covers"),
     ({"bin_width": 1e-300}, r"log duration / bin_width = 1e\+306 bins, above "
-     r"MAX_BINS = 1073741824, the most a trace may have")])
+     r"MAX_BINS = 1073741824, the most a trace may have"),
+    ({"bin_width": 2e6}, r"log duration / bin_width = 0\.5 bins, below 1, "
+     r"the fewest a trace may have")])
 def test_synthesize_refuses_an_oversized_trace_by_argument(args, message):
     # numpy once refused these as 'lam value too large' and 'Maximum allowed
     # dimension exceeded', naming no argument, the first after allocating
@@ -173,6 +175,15 @@ def test_synthesize_refuses_an_oversized_trace_by_argument(args, message):
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+
+
+def test_synthesize_refuses_a_log_just_short_of_one_bin():
+    # bins < 1 is the one comparison, as in the CLI: a log 1e-10 s short of
+    # one 0.1 s bin was snapped to one whole bin, which the CLI refused
+    log = _log([], [], n0=1, duration=0.1 - 1e-10)
+    with pytest.raises(ValueError, match=r"^log duration / bin_width = 1 bins, below 1, "
+                       "the fewest a trace may have$"):
+        synthesize(log, bin_width=0.1)
 
 
 # --- blocked synthesis against the whole-array code it replaced -----------

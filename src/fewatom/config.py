@@ -109,9 +109,14 @@ class RunConfig:
 
         Explicit rates.b1/b2 take precedence; otherwise the channel set is
         composed through the Monte Carlo outcome classifier and divided by the
-        effective volume.
+        effective volume. Rates whose pair rate 2 * (b1 + b2), the collision
+        rate out of N = 2, is not finite are refused, naming the keys that
+        gave them.
         """
         b1, b2 = self.b1, self.b2
+        sources = [key for key, b in (("rates.b1_per_s", b1), ("rates.b2_per_s", b2))
+                   if b is not None]
+        verb = "give" if sources else "compose to"
         if b1 is None or b2 is None:
             # as Python floats, whose quotient overflows to inf without a warning
             e1, e2 = map(float, effective_betas(self.trap, self.channels))
@@ -120,12 +125,12 @@ class RunConfig:
                 b1 = e1 / v
             if b2 is None:
                 b2 = e2 / (2.0 * v)
-            if not 2.0 * (b1 + b2) < math.inf:  # the collision rates out of N = 2
-                raise ConfigError(
-                    "channels.beta_hcc_cm3_s, channels.beta_re_cm3_s and "
-                    "channels.beta_fcc_cm3_s over the trap.r0_um volume compose "
-                    f"to b1 = {b1:.3g}, b2 = {b2:.3g} per s, whose pair rate "
-                    "2 * (b1 + b2) is not finite")
+            sources.append("channels.beta_hcc_cm3_s, channels.beta_re_cm3_s and "
+                           "channels.beta_fcc_cm3_s over the trap.r0_um volume")
+        if not 2.0 * (b1 + b2) < math.inf:
+            raise ConfigError(
+                f"{' and '.join(sources)} {verb} b1 = {b1:.3g}, b2 = {b2:.3g} per s, "
+                "whose pair rate 2 * (b1 + b2) is not finite")
         return RateModel(load_rate=self.trap.load_rate,
                          bg_rate=1.0 / self.trap.bg_lifetime, b1=b1, b2=b2)
 

@@ -8,10 +8,12 @@ truncated CSV behind; a writer makes the file's directory if it is missing.
 
 The writer is the one statement of the format. It renders _CHUNK_ROWS rows
 at a time into a byte matrix, integers by digit arithmetic on whole columns
-and floats as repr, as csv.writer's bytes ('\\r\\n' row ends). The readers
-take the rows _BLOCK_BYTES of whole lines at a time, parse each block loosely
+and floats as repr, as csv.writer's bytes ('\\r\\n' row ends). A reader
+reads a file once: it takes the rows in one pass, _BLOCK_BYTES of whole lines
+at a time, into arrays no longer than the file's size allows (a row takes
+two bytes at least), whatever the header's count, parses each block loosely
 with numpy's C parsers (np.fromstring for a trace's counts, np.loadtxt for a
-table with a float column) and render the values again with the writer: a
+table with a float column) and renders the values again with the writer: a
 block reads only if the bytes are the same, or the same once '\\n' row ends
 become '\\r\\n', the one liberty the readers take. So a blank line does
 not read, and row k (from 0) sits k + 1 lines below the column row. Every
@@ -21,8 +23,8 @@ header line the writer adds gives, so neither does one cut at a row end.
 So a field reads only if the writer would write its value as the same
 bytes, and ' 5', '+5', '05' or '0.50' fail. Header values are checked
 against the ranges their sources guarantee, and rows against the writers'
-invariants as array operations; only a file whose rows fail is scanned line
-by line, to name its first bad line.
+invariants as array operations; only the first block whose rows fail is
+scanned line by line, to name its first bad line.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import io
 import math
 import os
 import warnings
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -177,28 +179,30 @@ def _read_csv(path: str | Path, keys: dict[str, Callable[[str], object]],
         if missing:
             raise ValueError(f"{path}, line {line_no}: missing header field(s) "
                              f"{missing} before the column row")
-        rows = _rows(fh, columns)
-    if rows is None:
-        bad = _bad_line(path, line_no, columns)
-        raise ValueError(f"{path}, line {bad[0]}: {bad[1]}" if bad
-                         else f"{path}: rows the writer could not have written")
-    # the count is compared, never allocated from: a file cut at a row end
-    # has fewer rows, and one with rows appended more
-    n, want = len(rows[0]), meta[_ROWS_KEY]
+        want = meta[_ROWS_KEY]
+        where = lambda k: f"{path}, line {line_no + 1 + k}"
+        rows, n = _rows(fh, columns, want, where)
+    # the count is compared once every row has read, so a bad row anywhere
+    # is named first: a file cut at a row end has fewer rows, and one with
+    # rows appended more
     if n != want:
-        raise ValueError(f"{path}, line {line_no + 1 + min(n, want)}: "
+        raise ValueError(f"{where(min(n, want))}: "
                          + (f"row {want + 1} past the header's rows={want}" if n > want
                             else f"file ends after {n} of the header's rows={want}"))
-    return meta, dict(zip(columns, rows)), lambda k: f"{path}, line {line_no + 1 + k}"
+    return meta, dict(zip(columns, rows)), where
 
 
-def _rows(fh, columns: dict[str, type]) -> list[np.ndarray] | None:
-    """The rows from fh's position on, one array per column of its type,
-    read _BLOCK_BYTES of whole lines at a time, or None if a block is not
-    as the writer writes its rows or the last row has no row end."""
+def _rows(fh, columns: dict[str, type], want: int, where: Callable[[int], str]
+          ) -> tuple[list[np.ndarray], int]:
+    """The first `want` rows from fh's position on, one array per column of
+    its type, and the count of all rows, read in one pass, _BLOCK_BYTES of
+    whole lines at a time. A row takes two bytes at least, so the arrays
+    hold no more rows than the file could. Raises ValueError at where(k) for
+    the first row k not as the writer writes it, named from the first block
+    that fails, or for a last row with no row end."""
     start = fh.tell()
-    lines = sum(part.count(b"\n") for part in iter(lambda: fh.read(1 << 20), b""))
-    out = [np.empty(lines, kind) for kind in columns.values()]
+    out = [np.empty(min(want, (fh.seek(0, io.SEEK_END) - start) // 2), kind)
+           for kind in columns.values()]
     fh.seek(start)
     n, tail = 0, b""
     for block in iter(lambda: fh.read(_BLOCK_BYTES), b""):
@@ -206,19 +210,18 @@ def _rows(fh, columns: dict[str, type]) -> list[np.ndarray] | None:
         cut = block.rfind(b"\n") + 1
         block, tail = block[:cut], block[cut:]
         values = _parse(block, columns)
-        if values is None:
-            return None
-        k = len(values[0])
+        k = len(values[0]) if values else 0
         text = _render(values, 0, k) if k else b""
-        if text != block and (text.replace(b"\r\n", b"\n")
+        if values is None or (text != block and text.replace(b"\r\n", b"\n")
                               != block.replace(b"\r\n", b"\n")):
-            return None
+            i, fault = _bad_line(block, columns)
+            raise ValueError(f"{where(n + i)}: {fault}")
         for column, v in zip(out, values):
-            column[n:n + k] = v
+            column[n:n + k] = v[:max(want - n, 0)]
         n += k
     if tail:
-        return None
-    return [column[:n] for column in out]
+        raise ValueError(f"{where(n)}: row has no row end")
+    return [column[:min(n, want)] for column in out], n
 
 
 def _parse(block: bytes, columns: dict[str, type]) -> list[np.ndarray] | None:
@@ -245,33 +248,27 @@ def _parse(block: bytes, columns: dict[str, type]) -> list[np.ndarray] | None:
     return [table[name] for name in columns]
 
 
-def _bad_line(path: str | Path, column_line: int, columns: dict[str, type]
-              ) -> tuple[int, str] | None:
-    """(line number, fault) of the first line after the column row that
-    the writer could not have written, or None if there is none."""
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(islice(fh, column_line, None),
-                                      start=column_line + 1):
-            line = raw.decode("latin-1").removesuffix("\n").removesuffix("\r")
-            if not raw.endswith(b"\n"):
-                return line_no, "row has no row end"
-            if not line:
-                return line_no, "blank line"
-            if line.startswith("#"):
-                return line_no, "header line after the column row"
-            fields = line.split(",")
-            if len(fields) != len(columns):
-                return line_no, f"expected {len(columns)} columns, got {len(fields)}"
-            for field, (name, kind) in zip(fields, columns.items()):
-                try:
-                    value = kind(field)
-                except (ValueError, OverflowError) as exc:
-                    return line_no, f"{name}: {exc}"
-                written = repr(float(value)) if kind is np.float64 else str(value)
-                if field != written:
-                    return line_no, (f"{name}: {field!r}, where the writer "
-                                     f"writes {written!r}")
-    return None
+def _bad_line(block: bytes, columns: dict[str, type]) -> tuple[int, str]:
+    """(index, fault) of the first line of block, whole lines, that the
+    writer could not have written; (0, ...) if no one line is at fault."""
+    for i, raw in enumerate(block.split(b"\n")[:-1]):
+        line = raw.decode("latin-1").removesuffix("\r")
+        if not line:
+            return i, "blank line"
+        if line.startswith("#"):
+            return i, "header line after the column row"
+        fields = line.split(",")
+        if len(fields) != len(columns):
+            return i, f"expected {len(columns)} columns, got {len(fields)}"
+        for field, (name, kind) in zip(fields, columns.items()):
+            try:
+                value = kind(field)
+            except (ValueError, OverflowError) as exc:
+                return i, f"{name}: {exc}"
+            written = repr(float(value)) if kind is np.float64 else str(value)
+            if field != written:
+                return i, f"{name}: {field!r}, where the writer writes {written!r}"
+    return 0, "rows the writer could not have written"
 
 
 _EVENT_COLUMNS = {"time_s": np.float64, "kind": np.int64, "n_before": np.int64,

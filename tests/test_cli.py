@@ -131,6 +131,8 @@ _EXTREMES = [(key, raw) for key in _KEYS for raw in ("0", "1e-300", "1e300", "-1
 @example(preset="fig4a", case=("trap.temperature_uk", "1e300"))
 @example(preset="fig4a", case=("channels.beta_re_cm3_s", "1e300"))
 @example(preset="fig4a", case=("channels.beta_hcc_cm3_s", "1e300"))
+@example(preset="fig2", case=("rates.b1_per_s", "1e308"))
+@example(preset="fig2", case=("rates.b2_per_s", "1e308"))
 def test_extreme_config_value_exits_by_key(preset, case):
     # one child at a time
     key, raw = case
@@ -590,6 +592,24 @@ def test_composed_pair_rate_that_overflows_names_the_channel_keys(tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("error: channels.beta_hcc_cm3_s, ") and err.endswith(
         "per s, whose pair rate 2 * (b1 + b2) is not finite\n"), err
+    assert not (out / "events.csv").exists()
+
+
+@pytest.mark.parametrize("command, key, rates", [
+    ("simulate", "rates.b2_per_s", "b1 = 0.004, b2 = 1e+308"),
+    ("pipeline", "rates.b1_per_s", "b1 = 1e+308, b2 = 0.006")])
+def test_explicit_pair_rate_that_overflows_names_the_rate_keys(tmp_path, capsys,
+                                                               command, key, rates):
+    # explicit rates skipped the pair-rate check: simulate refused them with
+    # "event rates out of N = 2 atoms sum to inf", naming no key
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"sim.duration_s = 100\n{key} = 1e308\n")
+    out = tmp_path / "out"
+    assert main([command, "--preset", "fig2", "--config", str(cfg),
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: rates.b1_per_s and rates.b2_per_s give {rates} per s, whose pair "
+        "rate 2 * (b1 + b2) is not finite\n")
     assert not (out / "events.csv").exists()
 
 

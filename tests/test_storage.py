@@ -504,6 +504,48 @@ def test_read_trace_csv_never_allocates_the_header_count(tmp_path):
         read_trace_csv(path)
 
 
+class _Tally(io.BufferedReader):
+    """A binary file that counts the bytes its reads return."""
+    returned = 0
+
+    def read(self, size=-1):
+        data = super().read(size)
+        self.returned += len(data)
+        return data
+
+    def readline(self, size=-1):
+        data = super().readline(size)
+        self.returned += len(data)
+        return data
+
+
+@pytest.mark.parametrize("read, header, rows", [
+    (read_trace_csv, _trace_header, _TRACE_ROWS),
+    (read_event_csv, _event_header, _EVENT_ROWS)], ids=["trace", "events"])
+@pytest.mark.parametrize("last", [None, "+5"], ids=["clean", "rejected"])
+def test_reader_reads_the_file_once(tmp_path, monkeypatch, read, header, rows, last):
+    # one open and one pass, a rejected file's too: its bad line is named
+    # from the block that holds it, the last one here
+    text, line = _with_row(header, rows, len(rows) - 1, last or rows[-1], "\r\n")
+    path = tmp_path / "file.csv"
+    path.write_bytes(text.encode())
+    files = []
+
+    def tallied(file, mode):
+        assert mode == "rb"
+        files.append(_Tally(io.FileIO(file)))
+        return files[-1]
+
+    monkeypatch.setattr(storage, "open", tallied, raising=False)
+    if last:
+        with pytest.raises(ValueError) as info:
+            read(path)
+        assert str(info.value).startswith(f"{path}, line {line}: ")
+    else:
+        read(path)
+    assert [f.returned for f in files] == [len(text)]
+
+
 @_BAD_ROWS
 @pytest.mark.parametrize("bad, fault", [
     ("", "blank line"),  # no writer writes one
@@ -706,10 +748,17 @@ _FLOAT_CASES = [0.1 + 0.2, 1e16, 9999999999999998.0, 1e15, 123456789012345.6,
                 1e23, 0.0, -0.0, float("inf"), float("-inf"), float("nan"), -1.5]
 
 
+_ROW = "row {}".format  # where row k is, as the readers' messages name it
+
+
 def _reads(texts: list[str]) -> bool:
     """Whether one float column of these rows reads back."""
     data = "".join(f"{text}\r\n" for text in texts).encode()
-    return _rows(io.BytesIO(data), {"x": np.float64}) is not None
+    try:
+        _rows(io.BytesIO(data), {"x": np.float64}, len(texts), _ROW)
+    except ValueError:
+        return False
+    return True
 
 
 @settings(max_examples=300, deadline=None)
@@ -752,11 +801,12 @@ def test_float_column_reads_only_as_repr(seed):
 def test_int_field_reads_only_as_str(v):
     for text in {str(v), "+" + str(v), "0" + str(v), str(v) + " ", "-0" + str(v)}:
         data = f"7\r\n{text}\r\n-3\r\n".encode()
-        got = _rows(io.BytesIO(data), {"x": np.int64})
         if text == str(v) and -2**63 <= v < 2**63:
-            assert got is not None and got[0].tolist() == [7, v, -3]
+            got, n = _rows(io.BytesIO(data), {"x": np.int64}, 3, _ROW)
+            assert n == 3 and got[0].tolist() == [7, v, -3]
         else:
-            assert got is None, text
+            with pytest.raises(ValueError, match="^row 1: "):
+                _rows(io.BytesIO(data), {"x": np.int64}, 3, _ROW)
 
 
 @pytest.mark.parametrize("columns, rows", [
@@ -774,15 +824,17 @@ def test_rows_across_every_block_boundary(monkeypatch, columns, rows, end):
             in zip(columns.values(), zip(*(row.split(",") for row in rows)))]
     for block in range(1, len(text) + 2):
         monkeypatch.setattr(storage, "_BLOCK_BYTES", block)
-        got = _rows(io.BytesIO(text), columns)
         if end:
-            assert got is not None and [c.tolist() for c in got] == want, block
+            got, n = _rows(io.BytesIO(text), columns, len(rows), _ROW)
+            assert n == len(rows) and [c.tolist() for c in got] == want, block
         else:
-            assert got is None, block
+            with pytest.raises(ValueError, match=f"^row {len(rows) - 1}: row has no row end$"):
+                _rows(io.BytesIO(text), columns, len(rows), _ROW)
         for bad in (b"\n+", b"\n\r\n"):  # a sign, a blank line
-            assert _rows(io.BytesIO(text.replace(b"\n" + rows[4].encode(),
-                                                 bad + rows[4].encode())),
-                         columns) is None, (bad, block)
+            with pytest.raises(ValueError, match="^row 4: "):
+                _rows(io.BytesIO(text.replace(b"\n" + rows[4].encode(),
+                                              bad + rows[4].encode())),
+                      columns, len(rows), _ROW)
 
 
 # -- memory: integer columns are rendered and parsed a block at a time

@@ -2,16 +2,18 @@
 
 Subcommands cover the full measurement chain: simulate (event log), synth
 (photon trace), detect (log recovery from a trace), fit (per-occupancy rates),
-shield (suppression curves), pipeline (synth, detect and fit in one process),
-and oracle (stationary distribution of the configured rate model). simulate,
-synth, detect, fit and pipeline share one function per stage.
+shield (suppression curves) and pipeline (synth, detect and fit in one
+process). simulate, synth, detect, fit and pipeline share one function per
+stage; a stage returns what it made, and a command writes its files only
+once its last stage has succeeded, so a failed run leaves the out-dir as
+the last run left it.
 
 Outputs land in --out-dir under conventional names (events.csv, trace.csv,
-detected_events.csv, rates_by_n.csv, fit.csv, shield.csv, stationary.csv,
-report.txt). detected_events.csv records the trace bin width and
-calibration, so fit re-fits it without trace.csv or a config. Exit codes:
-0 success, 2 configuration, usage or input-file error, 3 numerical failure,
-4 detection quality failure.
+detected_events.csv, rates_by_n.csv, fit.csv, shield.csv, report.txt).
+detected_events.csv records the trace bin width and calibration, so fit
+re-fits it without trace.csv or a config. Exit codes: 0 success, 2
+configuration, usage or input-file error, 3 numerical failure (a fit with
+too few populated levels or a singular design), 4 detection quality failure.
 """
 
 from __future__ import annotations
@@ -27,10 +29,8 @@ from . import __version__
 from .config import ConfigError, PRESETS, RunConfig, load_config
 from .detect import (Calibration, CalibrationError, DetectionQualityError,
                      DetectionReport, calibrate, detect)
-from .fitting import (ConvergenceError, DegenerateDataError, FitResult,
-                      fit_rates, tabulate)
-from .markov import (KIND_NAMES, EventLog, RateModel, TruncationError, check_events,
-                     master_stationary, simulate, stationary_moments)
+from .fitting import DegenerateDataError, EventRateTable, FitResult, fit_rates, tabulate
+from .markov import KIND_NAMES, EventLog, RateModel, check_events, simulate
 from .channels import scaling_constant, suppression_ratio
 from .storage import (atomic_write_text, read_detected_csv, read_event_csv,
                       read_trace_csv, write_detected_csv, write_event_csv,
@@ -67,8 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
             ("detect", _cmd_detect, "recover an event log from trace.csv"),
             ("fit", _cmd_fit, "tabulate and fit per-occupancy rates from an event log"),
             ("shield", _cmd_shield, "tabulate suppression curves over the repump scan"),
-            ("pipeline", _cmd_pipeline, "simulate, synth, detect, and fit in one run"),
-            ("oracle", _cmd_oracle, "stationary distribution and expected rates of the model")]:
+            ("pipeline", _cmd_pipeline, "simulate, synth, detect, and fit in one run")]:
         p = sub.add_parser(name, help=help_)
         p.set_defaults(run=run)
         p.add_argument("--config", type=Path, default=None,
@@ -97,11 +96,6 @@ def _write_report(out_dir: Path, command: str, *sections: list[str]) -> None:
                       ["\n\n".join("\n".join(b) for b in blocks) + "\n"])
 
 
-def _model_rates(model: RateModel) -> dict[str, float]:
-    """The model's four rates, keyed as report.txt and stationary.csv name them."""
-    return {f"{name}_per_s": rate for name, rate in asdict(model).items()}
-
-
 def _simulate_stage(cfg: RunConfig) -> tuple[RateModel, EventLog, list[str]]:
     """Simulate the configured model; returns the model, its log and the
     report's true-model section. The caller writes events.csv. Refuses by
@@ -115,19 +109,17 @@ def _simulate_stage(cfg: RunConfig) -> tuple[RateModel, EventLog, list[str]]:
                    seed=_stage_seeds(cfg.seed)[0])
     return model, log, [
         "true model:",
-        *(f"{key} = {rate:.6g}" for key, rate in _model_rates(model).items()),
+        *(f"{name}_per_s = {rate:.6g}" for name, rate in asdict(model).items()),
         f"volume_cm3 = {cfg.volume_cm3():.6g}",
         f"true_events = {len(log)}",
     ]
 
 
-def _synth_stage(cfg: RunConfig, out_dir: Path
+def _synth_stage(cfg: RunConfig
                  ) -> tuple[RateModel, EventLog, FluorescenceTrace, list[str]]:
-    """The simulate stage, then its log rendered as a photon trace; writes
-    events.csv and trace.csv once both are made, so a failed synthesis
-    leaves the out-dir's previous pair whole. Refuses by key what
-    trace.check_bins refuses before simulating, and what trace.check_bin_mean
-    refuses before drawing a count."""
+    """The simulate stage, then its log rendered as a photon trace. Refuses
+    by key what trace.check_bins refuses before simulating, and what
+    trace.check_bin_mean refuses before drawing a count."""
     check_bins(cfg.duration, cfg.bin_width, names=("sim.duration_s", "trace.bin_width_s"))
     model, log, truth = _simulate_stage(cfg)
     check_bin_mean(log, cfg.per_atom_rate, cfg.trace_bg_rate, cfg.bin_width,
@@ -135,18 +127,14 @@ def _synth_stage(cfg: RunConfig, out_dir: Path
     trace = synthesize(log, per_atom_rate=cfg.per_atom_rate,
                        bg_rate=cfg.trace_bg_rate, bin_width=cfg.bin_width,
                        seed=_stage_seeds(cfg.seed)[1])
-    write_event_csv(log, out_dir / "events.csv")
-    write_trace_csv(trace, out_dir / "trace.csv")
     return model, log, trace, truth
 
 
-def _detect_stage(trace: FluorescenceTrace, out_dir: Path
+def _detect_stage(trace: FluorescenceTrace
                   ) -> tuple[EventLog, Calibration, DetectionReport, list[str]]:
-    """Calibrate and read the event log back from a trace; writes
-    detected_events.csv with the bin width and calibration a re-fit needs."""
+    """Calibrate and read the event log back from a trace."""
     cal = calibrate(trace)
     log, report = detect(trace, cal)
-    write_detected_csv(log, trace.bin_width, cal, out_dir / "detected_events.csv")
     return log, cal, report, [
         "detection:",
         f"per_atom_rate_hz = {cal.per_atom_rate:.6g} +- {cal.per_atom_err:.2g}",
@@ -170,26 +158,15 @@ _FIT_COLUMNS = ("load_rate", "load_rate_err", "bg_rate", "bg_rate_err", "b1",
                 "chi2", "dof")
 
 
-def _fit_stage(log: EventLog, source: str, out_dir: Path,
+def _fit_stage(log: EventLog, source: str,
                bin_width: float | None, cal: Calibration | None
-               ) -> tuple[FitResult, list[str]]:
+               ) -> tuple[EventRateTable, FitResult, list[str]]:
     """Tabulate and fit the per-occupancy rates of `log`, which file
-    `source` holds; writes rates_by_n.csv and fit.csv. A detected log passes
-    its trace bin width and calibration for the pile-up corrections."""
+    `source` holds. A detected log passes its trace bin width and
+    calibration for the pile-up corrections."""
     table = tabulate(log)
-    cols = {"n": table.n, "occupancy_s": table.occupancy_s}
-    cols.update((f"n_{kind}", getattr(table, f"n_{kind}").astype(np.int64))
-                for kind in KIND_NAMES)
-    for kind in KIND_NAMES:
-        cols[f"rate_{kind}"] = table.rate(kind)
-        cols[f"rate_{kind}_err"] = table.rate_err(kind)
-    write_table_csv(out_dir / "rates_by_n.csv", cols)
     fit = fit_rates(table, coincidence_width=bin_width, calibration=cal)
-    clipped = ",".join(fit.clipped) or "none"
-    write_table_csv(out_dir / "fit.csv",
-                    {name: [getattr(fit, name)] for name in _FIT_COLUMNS},
-                    header={"clipped": clipped})
-    return fit, [
+    return table, fit, [
         "fit:",
         f"source = {source}",
         f"load_rate_per_s = {fit.load_rate:.6g} +- {fit.load_rate_err:.2g}",
@@ -197,8 +174,22 @@ def _fit_stage(log: EventLog, source: str, out_dir: Path,
         f"b1_per_s = {fit.b1:.6g} +- {fit.b1_err:.2g}",
         f"b2_event_per_s = {fit.b2_event:.6g} +- {fit.b2_event_err:.2g}",
         f"chi2/dof = {fit.chi2:.4g}/{fit.dof}",
-        f"clipped = {clipped}",
+        f"clipped = {','.join(fit.clipped) or 'none'}",
     ]
+
+
+def _write_fit(out_dir: Path, table: EventRateTable, fit: FitResult) -> None:
+    """rates_by_n.csv, the per-occupancy table, and fit.csv, the fit."""
+    cols = {"n": table.n, "occupancy_s": table.occupancy_s}
+    cols.update((f"n_{kind}", getattr(table, f"n_{kind}").astype(np.int64))
+                for kind in KIND_NAMES)
+    for kind in KIND_NAMES:
+        cols[f"rate_{kind}"] = table.rate(kind)
+        cols[f"rate_{kind}_err"] = table.rate_err(kind)
+    write_table_csv(out_dir / "rates_by_n.csv", cols)
+    write_table_csv(out_dir / "fit.csv",
+                    {name: [getattr(fit, name)] for name in _FIT_COLUMNS},
+                    header={"clipped": ",".join(fit.clipped) or "none"})
 
 
 def _cmd_simulate(args) -> int:
@@ -212,7 +203,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_synth(args) -> int:
     cfg, out_dir = _load(args), args.out_dir
-    _, log, trace, truth = _synth_stage(cfg, out_dir)
+    _, log, trace, truth = _synth_stage(cfg)
+    write_event_csv(log, out_dir / "events.csv")
+    write_trace_csv(trace, out_dir / "trace.csv")
     _write_report(out_dir, "synth", truth)
     print(f"wrote events.csv ({len(log)} events) and trace.csv "
           f"({len(trace)} bins) to {out_dir}")
@@ -224,7 +217,9 @@ def _cmd_detect(args) -> int:
     trace_path = out_dir / "trace.csv"
     if not trace_path.is_file():
         raise ConfigError(f"no trace.csv in {out_dir}; run 'fewatom synth' first")
-    _, _, report, detection = _detect_stage(read_trace_csv(trace_path), out_dir)
+    trace = read_trace_csv(trace_path)
+    log, cal, report, detection = _detect_stage(trace)
+    write_detected_csv(log, trace.bin_width, cal, out_dir / "detected_events.csv")
     _write_report(out_dir, "detect", detection)
     print(f"detected {report.n_events} events at snr {report.snr:.1f}; "
           f"wrote detected_events.csv to {out_dir}")
@@ -242,7 +237,8 @@ def _cmd_fit(args) -> int:
         if not src.is_file():
             raise ConfigError(f"no detected_events.csv or events.csv in {out_dir}")
         log, bin_width, cal = read_event_csv(src), None, None
-    fit, fitted = _fit_stage(log, src.name, out_dir, bin_width, cal)
+    table, fit, fitted = _fit_stage(log, src.name, bin_width, cal)
+    _write_fit(out_dir, table, fit)
     _write_report(out_dir, "fit", fitted)
     print(f"fit from {src.name}: load {fit.load_rate:.4g}/s, "
           f"b1 {fit.b1:.4g}/s, b2 {fit.b2_event:.4g}/s; wrote fit.csv to {out_dir}")
@@ -265,30 +261,18 @@ def _cmd_shield(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     cfg, out_dir = _load(args), args.out_dir
-    model, log, trace, truth = _synth_stage(cfg, out_dir)
-    detected, cal, report, detection = _detect_stage(trace, out_dir)
-    fit, fitted = _fit_stage(detected, "detected_events.csv", out_dir,
-                             trace.bin_width, cal)
+    model, log, trace, truth = _synth_stage(cfg)
+    detected, cal, report, detection = _detect_stage(trace)
+    table, fit, fitted = _fit_stage(detected, "detected_events.csv",
+                                    trace.bin_width, cal)
+    write_event_csv(log, out_dir / "events.csv")
+    write_trace_csv(trace, out_dir / "trace.csv")
+    write_detected_csv(detected, trace.bin_width, cal, out_dir / "detected_events.csv")
+    _write_fit(out_dir, table, fit)
     _write_report(out_dir, "pipeline", detection, fitted, truth)
     print(f"pipeline done in {out_dir}: {len(log)} true events, "
           f"{report.n_events} detected, fitted b2 {fit.b2_event:.4g}/s "
           f"(model {model.b2:.4g}/s)")
-    return EXIT_OK
-
-
-def _cmd_oracle(args) -> int:
-    cfg, out_dir = _load(args), args.out_dir
-    model = cfg.rate_model()
-    p = master_stationary(model)
-    n = np.arange(len(p))
-    load, loss1, loss2 = model.channel_rates(n)
-    mean_n, mean_pairs = stationary_moments(p)
-    write_table_csv(out_dir / "stationary.csv", {
-        "n": n, "probability": p, "rate_load": np.full(len(p), load),
-        "rate_loss1": loss1, "rate_loss2": loss2,
-    }, header={"mean_n": mean_n, "mean_pairs": mean_pairs, **_model_rates(model)})
-    print(f"stationary mean N = {mean_n:.4f}, mean N(N-1) = {mean_pairs:.4f}; "
-          f"wrote stationary.csv to {out_dir}")
     return EXIT_OK
 
 
@@ -297,8 +281,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (TruncationError, ConvergenceError, DegenerateDataError,
-            np.linalg.LinAlgError) as exc:
+    except (DegenerateDataError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (CalibrationError, DetectionQualityError) as exc:

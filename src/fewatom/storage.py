@@ -148,14 +148,19 @@ def _read_csv(path: str | Path, keys: dict[str, Callable[[str], object]],
     converted by its function; the rows under the `columns` row, one array
     per column of its type, as many as the header gives; and where(k), the
     file and line of row k (from 0), k + 1 lines below the column row.
-    Header lines come only before the column row, each key once."""
+    Header lines come only before the column row, each key once; a line
+    there is read _BLOCK_BYTES at most, and a longer one is refused."""
     keys = {**keys, _ROWS_KEY: _checked(int, lambda n: n >= 0, "a count")}
     meta: dict[str, object] = {}
     with open(path, "rb") as fh:
         line_no = 0
-        for line_no, raw in enumerate(iter(fh.readline, b""), start=1):
+        for line_no, raw in enumerate(iter(lambda: fh.readline(_BLOCK_BYTES), b""),
+                                      start=1):
             line = raw.decode("latin-1")
             if line.startswith("#"):
+                if len(raw) == _BLOCK_BYTES and not line.endswith("\n"):
+                    raise ValueError(f"{path}, line {line_no}: header line longer "
+                                     f"than {_BLOCK_BYTES} bytes")
                 key, sep, val = line.lstrip("#").partition("=")
                 key = key.strip()
                 if not sep or key in meta:

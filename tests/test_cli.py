@@ -29,14 +29,6 @@ def test_version_flag(capsys):
     assert "fewatom" in capsys.readouterr().out
 
 
-def test_oracle_fig2(tmp_path, capsys):
-    rc = main(["oracle", "--preset", "fig2", "--out-dir", str(tmp_path)])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "mean N = 2.60" in out
-    assert (tmp_path / "stationary.csv").is_file()
-
-
 def test_simulate_writes_events(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("sim.duration_s = 2000\n")
@@ -152,7 +144,7 @@ def test_extreme_config_value_exits_by_key(preset, case):
 def test_unknown_config_key_exit_code(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("trap.bogus = 1\n")
-    rc = main(["oracle", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "unknown config key" in capsys.readouterr().err
 
@@ -315,16 +307,23 @@ def test_fit_reproduces_pipeline_fit(tmp_path, config, drop_trace):
 
 def test_pipeline_refuses_trace_below_min_snr(tmp_path, capsys):
     # at 3000 Hz per atom the fig2 trace reads SNR 6.5-7.0, where neither
-    # spike suppression nor the bump pass reads b1 without bias
+    # spike suppression nor the bump pass reads b1 without bias; the refused
+    # run writes nothing, so the last good run's files stay whole
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("sim.duration_s = 8000\ntrace.per_atom_rate_hz = 3000\n")
+    cfg.write_text("sim.duration_s = 8000\n")
     out = tmp_path / "out"
+    assert main(["pipeline", "--preset", "fig2", "--config", str(cfg),
+                 "--seed", "3", "--out-dir", str(out)]) == 0
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert len(before) == 6
+    capsys.readouterr()
+    cfg.write_text("sim.duration_s = 8000\ntrace.per_atom_rate_hz = 3000\n")
     assert main(["pipeline", "--preset", "fig2", "--config", str(cfg),
                  "--seed", "12", "--out-dir", str(out)]) == 4
     err = capsys.readouterr().err
     assert re.fullmatch(r"detection error: level separation / shot noise = "
                         r"6\.\d\d below minimum 7\.00\n", err), err
-    assert not (out / "detected_events.csv").exists()
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
 
 
 _TRACE_HEAD = ("# bin_width_s=0.1\n# per_atom_rate_hz=10000.0\n"

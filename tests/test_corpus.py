@@ -24,7 +24,6 @@ def _runs(cfg: Path):
         yield f"fig2_seed{seed}_simulate", [["simulate", *model]]
         yield f"fig2_seed{seed}_synth", [["synth", *model], ["detect"], ["fit"]]
         yield f"fig2_seed{seed}_pipeline", [["pipeline", *model]]
-        yield f"fig2_seed{seed}_oracle", [["oracle", *model]]
     yield "shield", [["shield"]]
     yield "fig4a_pipeline", [["pipeline", "--preset", "fig4a", "--config", str(cfg)]]
 

@@ -128,6 +128,12 @@ def test_master_stationary_pair_losses_narrow():
     assert q1 / m1 ** 2 < q0 / m0 ** 2
 
 
+def test_master_stationary_fig2_mean():
+    # the fig2 preset's model holds 2.60 atoms on average
+    mean, _ = stationary_moments(master_stationary(load_config(preset="fig2").rate_model()))
+    assert f"{mean:.4f}".startswith("2.60")
+
+
 def test_master_stationary_truncation_guard(monkeypatch):
     # Poisson(50) keeps far more than 1e-12 at N = 64, the only truncation
     # the lowered cap allows

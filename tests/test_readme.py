@@ -37,4 +37,4 @@ def test_readme_command_lines_run(tmp_path, monkeypatch):
         for name in re.findall(r"[\w.]+\.(?:csv|txt)", comment):
             assert (out / name).is_file(), (line, name)
         ran += 1
-    assert ran == 7
+    assert ran == 6

@@ -11,7 +11,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from fewatom.detect import Calibration
 from fewatom.markov import KIND_DELTA, KIND_LOAD, EventLog, RateModel, simulate
 from fewatom import storage
-from fewatom.storage import (_CHUNK_ROWS, _EVENT_COLUMNS, _rows, atomic_write_text,
+from fewatom.storage import (_BLOCK_BYTES, _CHUNK_ROWS, _EVENT_COLUMNS, _rows,
+                             atomic_write_text,
                              read_detected_csv, read_event_csv, read_trace_csv,
                              write_detected_csv, write_event_csv,
                              write_table_csv, write_trace_csv)
@@ -519,6 +520,20 @@ class _Tally(io.BufferedReader):
         return data
 
 
+def _tally_opens(monkeypatch) -> list[_Tally]:
+    """Patch storage.open to open each file as a _Tally; returns the list
+    the files it opens go to."""
+    files = []
+
+    def tallied(file, mode):
+        assert mode == "rb"
+        files.append(_Tally(io.FileIO(file)))
+        return files[-1]
+
+    monkeypatch.setattr(storage, "open", tallied, raising=False)
+    return files
+
+
 @pytest.mark.parametrize("read, header, rows", [
     (read_trace_csv, _trace_header, _TRACE_ROWS),
     (read_event_csv, _event_header, _EVENT_ROWS)], ids=["trace", "events"])
@@ -529,14 +544,7 @@ def test_reader_reads_the_file_once(tmp_path, monkeypatch, read, header, rows, l
     text, line = _with_row(header, rows, len(rows) - 1, last or rows[-1], "\r\n")
     path = tmp_path / "file.csv"
     path.write_bytes(text.encode())
-    files = []
-
-    def tallied(file, mode):
-        assert mode == "rb"
-        files.append(_Tally(io.FileIO(file)))
-        return files[-1]
-
-    monkeypatch.setattr(storage, "open", tallied, raising=False)
+    files = _tally_opens(monkeypatch)
     if last:
         with pytest.raises(ValueError) as info:
             read(path)
@@ -544,6 +552,25 @@ def test_reader_reads_the_file_once(tmp_path, monkeypatch, read, header, rows, l
     else:
         read(path)
     assert [f.returned for f in files] == [len(text)]
+
+
+@pytest.mark.parametrize("read, header", [
+    (read_trace_csv, _trace_header), (read_event_csv, _event_header)],
+    ids=["trace", "events"])
+@pytest.mark.parametrize("first, fault", [
+    ("# seed=" + "1" * 4 * _BLOCK_BYTES, f"header line longer than {_BLOCK_BYTES} bytes"),
+    ("5" * 4 * _BLOCK_BYTES, "missing column header ")], ids=["header", "column-row"])
+def test_reader_bounds_each_header_line(tmp_path, monkeypatch, read, header,
+                                        first, fault):
+    # a first line longer than a block is refused at line 1 from its first
+    # _BLOCK_BYTES alone, the rest of it unread
+    path = tmp_path / "file.csv"
+    path.write_text(first + "\n" + header(0))
+    files = _tally_opens(monkeypatch)
+    with pytest.raises(ValueError) as info:
+        read(path)
+    assert str(info.value).startswith(f"{path}, line 1: {fault}")
+    assert [f.returned for f in files] == [_BLOCK_BYTES]
 
 
 @_BAD_ROWS

@@ -9,11 +9,13 @@ once its last stage has succeeded, so a failed run leaves the out-dir as
 the last run left it.
 
 Outputs land in --out-dir under conventional names (events.csv, trace.csv,
-detected_events.csv, rates_by_n.csv, fit.csv, shield.csv, report.txt).
-detected_events.csv records the trace bin width and calibration, so fit
-re-fits it without trace.csv or a config. Exit codes: 0 success, 2
-configuration, usage or input-file error, 3 numerical failure (a fit with
-too few populated levels or a singular design), 4 detection quality failure.
+detected_events.csv, rates_by_n.csv, fit.csv, shield.csv, report.txt). Each
+command but shield prints to stdout exactly the report.txt it writes; shield
+writes no report and prints one line. detected_events.csv records the trace
+bin width and calibration, so fit re-fits it without trace.csv or a config.
+Exit codes: 0 success, 2 configuration, usage or input-file error, 3
+numerical failure (a fit with too few populated levels or a singular
+design), 4 detection quality failure.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, PRESETS, RunConfig, load_config
 from .detect import (Calibration, CalibrationError, DetectionQualityError,
-                     DetectionReport, calibrate, detect)
+                     calibrate, detect)
 from .fitting import DegenerateDataError, EventRateTable, FitResult, fit_rates, tabulate
-from .markov import KIND_NAMES, EventLog, RateModel, check_events, simulate
+from .markov import KIND_NAMES, EventLog, check_events, simulate
 from .channels import scaling_constant, suppression_ratio
 from .storage import (atomic_write_text, read_detected_csv, read_event_csv,
                       read_trace_csv, write_detected_csv, write_event_csv,
@@ -42,10 +44,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_DETECTION = 4
 
-# The grid `shield` tabulates: the repump saturation parameters s0, and the
-# three calibrated temperatures (K) of the paper's repump-power scans
+# The repump saturation parameters s0 of the paper's repump-power scans,
+# which `shield` tabulates at the fig4a-c presets' temperatures
 SHIELD_S0 = np.linspace(0.0, 50.0, 26)
-SHIELD_TEMPERATURES = (316e-6, 506e-6, 705e-6)
 
 
 def _stage_seeds(seed: int) -> tuple[int, int]:
@@ -90,16 +91,18 @@ def _load(args) -> RunConfig:
 
 
 def _write_report(out_dir: Path, command: str, *sections: list[str]) -> None:
-    """report.txt: the command, then each section after a blank line."""
+    """report.txt: the command, then each section after a blank line; the
+    same text goes to stdout."""
     blocks = [[f"command = {command}"], *sections]
-    atomic_write_text(out_dir / "report.txt",
-                      ["\n\n".join("\n".join(b) for b in blocks) + "\n"])
+    text = "\n\n".join("\n".join(b) for b in blocks) + "\n"
+    atomic_write_text(out_dir / "report.txt", [text])
+    print(text, end="")
 
 
-def _simulate_stage(cfg: RunConfig) -> tuple[RateModel, EventLog, list[str]]:
-    """Simulate the configured model; returns the model, its log and the
-    report's true-model section. The caller writes events.csv. Refuses by
-    key, before composing the rates, a run that markov.check_events refuses."""
+def _simulate_stage(cfg: RunConfig) -> tuple[EventLog, list[str]]:
+    """Simulate the configured model; returns its log and the report's
+    true-model section. The caller writes events.csv. Refuses by key, before
+    composing the rates, a run that markov.check_events refuses."""
     if cfg.duration <= 0:
         raise ConfigError("sim.duration_s must be positive for this command")
     check_events(cfg.trap.load_rate, cfg.duration, cfg.n0,
@@ -107,7 +110,7 @@ def _simulate_stage(cfg: RunConfig) -> tuple[RateModel, EventLog, list[str]]:
     model = cfg.rate_model()
     log = simulate(model, n0=cfg.n0, duration=cfg.duration,
                    seed=_stage_seeds(cfg.seed)[0])
-    return model, log, [
+    return log, [
         "true model:",
         *(f"{name}_per_s = {rate:.6g}" for name, rate in asdict(model).items()),
         f"volume_cm3 = {cfg.volume_cm3():.6g}",
@@ -115,27 +118,25 @@ def _simulate_stage(cfg: RunConfig) -> tuple[RateModel, EventLog, list[str]]:
     ]
 
 
-def _synth_stage(cfg: RunConfig
-                 ) -> tuple[RateModel, EventLog, FluorescenceTrace, list[str]]:
+def _synth_stage(cfg: RunConfig) -> tuple[EventLog, FluorescenceTrace, list[str]]:
     """The simulate stage, then its log rendered as a photon trace. Refuses
     by key what trace.check_bins refuses before simulating, and what
     trace.check_bin_mean refuses before drawing a count."""
     check_bins(cfg.duration, cfg.bin_width, names=("sim.duration_s", "trace.bin_width_s"))
-    model, log, truth = _simulate_stage(cfg)
+    log, truth = _simulate_stage(cfg)
     check_bin_mean(log, cfg.per_atom_rate, cfg.trace_bg_rate, cfg.bin_width,
                    names=("trace.per_atom_rate_hz", "trace.bg_rate_hz", "trace.bin_width_s"))
     trace = synthesize(log, per_atom_rate=cfg.per_atom_rate,
                        bg_rate=cfg.trace_bg_rate, bin_width=cfg.bin_width,
                        seed=_stage_seeds(cfg.seed)[1])
-    return model, log, trace, truth
+    return log, trace, truth
 
 
-def _detect_stage(trace: FluorescenceTrace
-                  ) -> tuple[EventLog, Calibration, DetectionReport, list[str]]:
+def _detect_stage(trace: FluorescenceTrace) -> tuple[EventLog, Calibration, list[str]]:
     """Calibrate and read the event log back from a trace."""
     cal = calibrate(trace)
     log, report = detect(trace, cal)
-    return log, cal, report, [
+    return log, cal, [
         "detection:",
         f"per_atom_rate_hz = {cal.per_atom_rate:.6g} +- {cal.per_atom_err:.2g}",
         f"bg_rate_hz = {cal.bg_rate:.6g} +- {cal.bg_err:.2g}",
@@ -194,21 +195,18 @@ def _write_fit(out_dir: Path, table: EventRateTable, fit: FitResult) -> None:
 
 def _cmd_simulate(args) -> int:
     cfg, out_dir = _load(args), args.out_dir
-    _, log, truth = _simulate_stage(cfg)
+    log, truth = _simulate_stage(cfg)
     write_event_csv(log, out_dir / "events.csv")
     _write_report(out_dir, "simulate", truth)
-    print(f"wrote events.csv ({len(log)} events) to {out_dir}")
     return EXIT_OK
 
 
 def _cmd_synth(args) -> int:
     cfg, out_dir = _load(args), args.out_dir
-    _, log, trace, truth = _synth_stage(cfg)
+    log, trace, truth = _synth_stage(cfg)
     write_event_csv(log, out_dir / "events.csv")
     write_trace_csv(trace, out_dir / "trace.csv")
     _write_report(out_dir, "synth", truth)
-    print(f"wrote events.csv ({len(log)} events) and trace.csv "
-          f"({len(trace)} bins) to {out_dir}")
     return EXIT_OK
 
 
@@ -218,11 +216,9 @@ def _cmd_detect(args) -> int:
     if not trace_path.is_file():
         raise ConfigError(f"no trace.csv in {out_dir}; run 'fewatom synth' first")
     trace = read_trace_csv(trace_path)
-    log, cal, report, detection = _detect_stage(trace)
+    log, cal, detection = _detect_stage(trace)
     write_detected_csv(log, trace.bin_width, cal, out_dir / "detected_events.csv")
     _write_report(out_dir, "detect", detection)
-    print(f"detected {report.n_events} events at snr {report.snr:.1f}; "
-          f"wrote detected_events.csv to {out_dir}")
     return EXIT_OK
 
 
@@ -240,8 +236,6 @@ def _cmd_fit(args) -> int:
     table, fit, fitted = _fit_stage(log, src.name, bin_width, cal)
     _write_fit(out_dir, table, fit)
     _write_report(out_dir, "fit", fitted)
-    print(f"fit from {src.name}: load {fit.load_rate:.4g}/s, "
-          f"b1 {fit.b1:.4g}/s, b2 {fit.b2_event:.4g}/s; wrote fit.csv to {out_dir}")
     return EXIT_OK
 
 
@@ -249,20 +243,22 @@ def _cmd_shield(args) -> int:
     out_dir = args.out_dir
     cols: dict[str, np.ndarray] = {"s0": SHIELD_S0}
     header: dict[str, object] = {}
-    for t in SHIELD_TEMPERATURES:
+    temperatures = [load_config(preset=p).trap.temperature
+                    for p in ("fig4a", "fig4b", "fig4c")]
+    for t in temperatures:
         label = f"{t * 1e6:g}uk"
         cols[f"ratio_{label}"] = suppression_ratio(SHIELD_S0, t)
         header[f"a_{label}"] = float(scaling_constant(t))
     write_table_csv(out_dir / "shield.csv", cols, header=header)
     print(f"wrote shield.csv ({len(SHIELD_S0)} points, "
-          f"{len(SHIELD_TEMPERATURES)} temperature(s)) to {out_dir}")
+          f"{len(temperatures)} temperature(s)) to {out_dir}")
     return EXIT_OK
 
 
 def _cmd_pipeline(args) -> int:
     cfg, out_dir = _load(args), args.out_dir
-    model, log, trace, truth = _synth_stage(cfg)
-    detected, cal, report, detection = _detect_stage(trace)
+    log, trace, truth = _synth_stage(cfg)
+    detected, cal, detection = _detect_stage(trace)
     table, fit, fitted = _fit_stage(detected, "detected_events.csv",
                                     trace.bin_width, cal)
     write_event_csv(log, out_dir / "events.csv")
@@ -270,9 +266,6 @@ def _cmd_pipeline(args) -> int:
     write_detected_csv(detected, trace.bin_width, cal, out_dir / "detected_events.csv")
     _write_fit(out_dir, table, fit)
     _write_report(out_dir, "pipeline", detection, fitted, truth)
-    print(f"pipeline done in {out_dir}: {len(log)} true events, "
-          f"{report.n_events} detected, fitted b2 {fit.b2_event:.4g}/s "
-          f"(model {model.b2:.4g}/s)")
     return EXIT_OK
 
 

@@ -95,7 +95,7 @@ class RunConfig:
     duration: float = 0.0  # s; must be set before simulating
     n0: int = 0
     seed: int = 0
-    b1: float | None = None  # 1/s; explicit override of the composed value
+    b1: float | None = None  # 1/s; with b2, explicit override of the composed pair
     b2: float | None = None  # 1/s
     per_atom_rate: float = 10_000.0  # Hz
     trace_bg_rate: float = 500.0  # Hz
@@ -107,30 +107,28 @@ class RunConfig:
     def rate_model(self) -> RateModel:
         """Birth-death rates at this operating point.
 
-        Explicit rates.b1/b2 take precedence; otherwise the channel set is
-        composed through the Monte Carlo outcome classifier and divided by the
-        effective volume. Rates whose pair rate 2 * (b1 + b2), the collision
-        rate out of N = 2, is not finite are refused, naming the keys that
-        gave them.
+        Explicit rates.b1/b2, set both or neither, take precedence;
+        otherwise the channel set is composed through the Monte Carlo outcome
+        classifier and divided by the effective volume. Rates whose pair rate
+        2 * (b1 + b2), the collision rate out of N = 2, is not finite are
+        refused, naming the keys that gave them.
         """
         b1, b2 = self.b1, self.b2
-        sources = [key for key, b in (("rates.b1_per_s", b1), ("rates.b2_per_s", b2))
-                   if b is not None]
-        verb = "give" if sources else "compose to"
-        if b1 is None or b2 is None:
+        if (b1 is None) != (b2 is None):
+            raise ConfigError("rates.b1_per_s and rates.b2_per_s must be set together "
+                              "or not at all")
+        if b1 is None:
             # as Python floats, whose quotient overflows to inf without a warning
             e1, e2 = map(float, effective_betas(self.trap, self.channels))
             v = self.volume_cm3()
-            if b1 is None:
-                b1 = e1 / v
-            if b2 is None:
-                b2 = e2 / (2.0 * v)
-            sources.append("channels.beta_hcc_cm3_s, channels.beta_re_cm3_s and "
-                           "channels.beta_fcc_cm3_s over the trap.r0_um volume")
+            b1, b2 = e1 / v, e2 / (2.0 * v)
+            sources = ("channels.beta_hcc_cm3_s, channels.beta_re_cm3_s and "
+                       "channels.beta_fcc_cm3_s over the trap.r0_um volume compose to")
+        else:
+            sources = "rates.b1_per_s and rates.b2_per_s give"
         if not 2.0 * (b1 + b2) < math.inf:
-            raise ConfigError(
-                f"{' and '.join(sources)} {verb} b1 = {b1:.3g}, b2 = {b2:.3g} per s, "
-                "whose pair rate 2 * (b1 + b2) is not finite")
+            raise ConfigError(f"{sources} b1 = {b1:.3g}, b2 = {b2:.3g} per s, "
+                              "whose pair rate 2 * (b1 + b2) is not finite")
         return RateModel(load_rate=self.trap.load_rate,
                          bg_rate=1.0 / self.trap.bg_lifetime, b1=b1, b2=b2)
 

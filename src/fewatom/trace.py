@@ -44,11 +44,13 @@ BLOCK_BINS = 2 ** 16
 MAX_COUNT = 2 ** 22
 _COUNT_CAP = "the highest a count histogram covers"
 
-# The most bins a trace may have: about 100 times the 1e7 bins of the
-# longest benchmark trace. Counts of 2**30 bins take 8 GB. synthesize
-# refuses more before allocating; synth and pipeline make the same check
-# by key before simulating.
-MAX_BINS = 2 ** 30
+# The most bins a trace may have. The library chain synthesize, calibrate,
+# detect, fit peaks at 11 bytes of numpy allocations per bin (tracemalloc,
+# fig2 at 2**21 and 2**23 bins; 8 of them the int64 counts), so a run at
+# 2**27 bins takes about 1.4 GiB: 13 times the 1e7 bins of the longest
+# benchmark trace. synthesize refuses more before allocating; synth and
+# pipeline make the same check by key before simulating.
+MAX_BINS = 2 ** 27
 
 
 def count_faults(counts: np.ndarray) -> list[tuple[np.ndarray, Callable[[int], str]]]:

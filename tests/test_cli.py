@@ -493,7 +493,7 @@ def test_mean_count_above_the_cap_names_its_key(tmp_path, capsys, command, key, 
 
 @pytest.mark.parametrize("command", ["synth", "pipeline"])
 @pytest.mark.parametrize("duration, width, message", [
-    ("1000", "1e-300", "1e+303 bins, above MAX_BINS = 1073741824, the most a trace may have"),
+    ("1000", "1e-300", "1e+303 bins, above MAX_BINS = 134217728, the most a trace may have"),
     ("1e-300", "0.1", "1e-299 bins, below 1, the fewest a trace may have")],
     ids=["above", "below"])
 def test_bin_count_outside_the_caps_names_its_keys(tmp_path, capsys, command,
@@ -510,6 +510,20 @@ def test_bin_count_outside_the_caps_names_its_keys(tmp_path, capsys, command,
     assert capsys.readouterr().err == (
         f"error: sim.duration_s / trace.bin_width_s = {message}\n")
     assert not out.exists()
+
+
+def test_a_run_too_large_for_memory_is_refused_by_key(tmp_path):
+    # 1e9 bins were under the old MAX_BINS = 2**30: under the 1 GB cap,
+    # synthesize's np.empty of the 8 GB counts exited 1 with numpy's
+    # _ArrayMemoryError traceback, after simulating 2.8e6 events
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sim.duration_s = 1e7\ntrace.bin_width_s = 0.01\n")
+    run = _capped("-m", "fewatom.cli", "synth", "--preset", "fig2", "--config",
+                  str(cfg), "--out-dir", str(tmp_path / "out"))
+    assert run.returncode == 2, run.stderr[-500:]
+    assert run.stderr == ("error: sim.duration_s / trace.bin_width_s = 1e+09 bins, above "
+                          f"MAX_BINS = {MAX_BINS}, the most a trace may have\n")
+    assert not (tmp_path / "out").exists()
 
 
 def _keyed(message: str, names: str, keys: str) -> str:
@@ -612,6 +626,20 @@ def test_explicit_pair_rate_that_overflows_names_the_rate_keys(tmp_path, capsys,
     assert not (out / "events.csv").exists()
 
 
+@pytest.mark.parametrize("key", ["rates.b1_per_s", "rates.b2_per_s"])
+def test_one_explicit_rate_is_refused(tmp_path, capsys, key):
+    # fig4a composes both rates: one explicit rate beside a composed one
+    # once ran, the b1/b2 split taken from two sources
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"sim.duration_s = 100\n{key} = 0.004\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--preset", "fig4a", "--config", str(cfg),
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: rates.b1_per_s and rates.b2_per_s must be set together or not at all\n")
+    assert not (out / "events.csv").exists()
+
+
 def test_failed_synth_leaves_the_previous_run_whole(tmp_path, capsys):
     # a synth that fails in synthesis writes nothing: events.csv once went
     # out first and sat beside the previous run's trace.csv
@@ -626,6 +654,24 @@ def test_failed_synth_leaves_the_previous_run_whole(tmp_path, capsys):
                  "--out-dir", str(out)]) == 2
     assert "above MAX_COUNT = 4194304" in capsys.readouterr().err
     assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+
+def test_stdout_is_the_report(tmp_path, capsys):
+    # each command that writes report.txt prints that text and nothing else;
+    # shield, which writes none, prints one line
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sim.duration_s = 2000\n")
+    out = tmp_path / "out"
+    model = ["--preset", "fig2", "--config", str(cfg), "--seed", "3"]
+    for argv in (["simulate", *model], ["synth", *model], ["detect"], ["fit"],
+                 ["pipeline", *model]):
+        assert main([*argv, "--out-dir", str(out)]) == 0, argv
+        stdout = capsys.readouterr().out
+        assert stdout.startswith(f"command = {argv[0]}\n")
+        assert stdout.encode() == (out / "report.txt").read_bytes(), argv
+    assert main(["shield", "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        f"wrote shield.csv (26 points, 3 temperature(s)) to {out}\n")
 
 
 def test_import_leaves_scipy_unloaded():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fewatom.cli import SHIELD_TEMPERATURES
 from fewatom.config import (_KEYS, PRESETS, ConfigError, RunConfig,
                             build_config, load_config, parse_pairs)
 from fewatom.trap import TrapConfig
@@ -193,8 +192,8 @@ def test_fig2_preset_rate_model():
 def test_fig4_presets():
     # bit for bit: times 1e-6, '10' um once read as 9.999999999999999e-06 m
     # and '506' uK as 0.0005059999999999999 K, not the values the library
-    # and shield use
-    for name, t in zip(("fig4a", "fig4b", "fig4c"), SHIELD_TEMPERATURES):
+    # uses; shield tabulates at these temperatures
+    for name, t in zip(("fig4a", "fig4b", "fig4c"), (316e-6, 506e-6, 705e-6)):
         cfg = load_config(preset=name)
         assert cfg.trap.temperature == t
         assert cfg.trap.r0 == 10e-6 == TrapConfig().r0

@@ -45,7 +45,7 @@ def digests(root: Path) -> dict[str, str]:
 def test_outputs_match_the_corpus(tmp_path, capsys):
     want = json.loads(CORPUS.read_text())
     got = digests(tmp_path)
-    capsys.readouterr()  # each command's one line of progress
+    capsys.readouterr()  # each command's report, and shield's one line
     assert got == want
 
 

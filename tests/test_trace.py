@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fewatom import trace
+from fewatom.detect import calibrate, detect
+from fewatom.fitting import fit_rates, tabulate
 from fewatom.markov import KIND_LOAD, KIND_LOSS1, EventLog, RateModel, simulate
-from fewatom.trace import (BLOCK_BINS, MAX_COUNT, FluorescenceTrace,
+from fewatom.trace import (BLOCK_BINS, MAX_BINS, MAX_COUNT, FluorescenceTrace,
                            binned_mean_counts, synthesize)
 
 
@@ -159,7 +161,7 @@ def test_synthesis_refuses_non_finite_arguments(stage, name, rule, bad):
     ({"per_atom_rate": 1e308}, r"bin_width \* \(bg_rate \+ per_atom_rate \* 2 atoms\) "
      r"= inf counts, above MAX_COUNT = 4194304, the highest a count histogram covers"),
     ({"bin_width": 1e-300}, r"log duration / bin_width = 1e\+306 bins, above "
-     r"MAX_BINS = 1073741824, the most a trace may have"),
+     r"MAX_BINS = 134217728, the most a trace may have"),
     ({"bin_width": 2e6}, r"log duration / bin_width = 0\.5 bins, below 1, "
      r"the fewest a trace may have")])
 def test_synthesize_refuses_an_oversized_trace_by_argument(args, message):
@@ -302,3 +304,21 @@ def test_synthesize_holds_the_counts_and_one_block():
         tracemalloc.stop()
     assert len(tr) == 2 ** 21
     assert peak < 1.5 * tr.counts.nbytes
+
+
+def test_a_run_at_max_bins_fits_in_2_gib():
+    # the chain synthesize, calibrate, detect, fit on a fig2 trace of 2**21
+    # bins, whose fixed costs are spread thin: at its numpy peak per bin, a
+    # run at MAX_BINS once needed about 11 GiB (2**30 bins)
+    model = RateModel(load_rate=0.1403, bg_rate=1.0 / 60.0, b1=0.004, b2=0.006)
+    log = simulate(model, duration=2 ** 21 * 0.1, seed=3)
+    tracemalloc.start()
+    try:
+        tr = synthesize(log, seed=103)
+        cal = calibrate(tr)
+        detected, _ = detect(tr, cal)
+        fit_rates(tabulate(detected), coincidence_width=tr.bin_width, calibration=cal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert MAX_BINS * peak / len(tr) <= 2 * 2 ** 30

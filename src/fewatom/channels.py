@@ -12,9 +12,10 @@ outcome_probabilities samples each collision's directions and depth jitters,
 drawing every variate, but computes atom 2's direction only for the samples
 whose energy lies between atom 2's jittered shallow-axis and deep-axis depths;
 above both it escapes and at or below both it stays, in any direction. An hcc
-or fcc energy above the deep depth times 1 + JITTER_SIGMAS * depth_jitter
+or fcc energy above the deep depth times 1 + JITTER_SIGMAS * DEPTH_JITTER
 ejects both atoms in every collision: the channel returns (0, 0, 1) before
-sampling and draws nothing from rng.
+sampling and draws nothing from rng. The RE energy scale, the depth jitter and
+atom 2's angular spread are module constants; no config key sets them.
 
 Rate coefficients are quoted in the total-loss flux convention: a channel with
 coefficient beta whose every collision ejects both atoms removes atoms at
@@ -44,20 +45,20 @@ from .trap import TrapConfig, depth_from_cos
 
 
 CHANNELS = ("hcc", "re", "fcc")
+RE_ENERGY_SCALE = 0.43  # K, exponential scale of the shared RE energy
+DEPTH_JITTER = 0.03  # fractional rms fluctuation of the escape threshold
+ANGULAR_SPREAD = 0.35  # rad, rms deviation of atom 2 from back-to-back
 # bound on a depth jitter draw, in widths: the Gaussian tail past it underflows in float64
 JITTER_SIGMAS = 40.0
 
 
 @dataclass
 class ChannelSet:
-    """Intrinsic channel coefficients (cm^3/s) and the classifier's nuisance parameters."""
+    """Intrinsic channel coefficients, cm^3/s."""
 
     beta_hcc: float = 4.1e-11  # cm^3/s, unshielded ground-state coefficient
     beta_re: float = 2.0e-11  # cm^3/s
     beta_fcc: float = 5.0e-12  # cm^3/s
-    re_energy_scale: float = 0.43  # K, exponential scale of the shared RE energy
-    depth_jitter: float = 0.03  # fractional rms fluctuation of the escape threshold
-    angular_spread: float = 0.35  # rad, rms deviation of atom 2 from back-to-back
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -66,12 +67,6 @@ class ChannelSet:
         for name in ("beta_hcc", "beta_re", "beta_fcc"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.re_energy_scale <= 0:
-            raise ValueError("re_energy_scale must be positive")
-        if not 0.0 <= self.depth_jitter < 0.2:
-            raise ValueError("depth_jitter must lie in [0, 0.2)")
-        if not 0.0 <= self.angular_spread < math.pi / 2:
-            raise ValueError("angular_spread must lie in [0, pi/2)")
 
 
 @dataclass
@@ -126,7 +121,9 @@ def outcome_probabilities(channel: str, trap: TrapConfig, cs: ChannelSet,
     along its direction; atom 2 leaves back-to-back up to a random tilt.
     Atom 2's direction is computed only where the energy lies between its
     jittered shallow and deep depths. An hcc or fcc energy above deep * (1 +
-    JITTER_SIGMAS * depth_jitter) returns (0, 0, 1) and draws nothing from rng.
+    JITTER_SIGMAS * DEPTH_JITTER) returns (0, 0, 1) and draws nothing from rng.
+    The shares do not depend on cs: its coefficients weight them only in
+    effective_betas.
     """
     if channel not in CHANNELS:
         raise ValueError(f"unknown channel {channel!r}")
@@ -136,20 +133,17 @@ def outcome_probabilities(channel: str, trap: TrapConfig, cs: ChannelSet,
     shallow = depth_from_cos(trap, 0.0) * (1.0 - 1e-12)
     deep = depth_from_cos(trap, 1.0) * (1.0 + 1e-12)
     fixed = {"hcc": E_HCC_PER_ATOM, "fcc": E_FCC_PER_ATOM}.get(channel)
-    if fixed is not None and fixed > deep * (1.0 + JITTER_SIGMAS * cs.depth_jitter):
+    if fixed is not None and fixed > deep * (1.0 + JITTER_SIGMAS * DEPTH_JITTER):
         return tuple(np.array([0.0, 0.0, 1.0]))
     # atom 1 direction: isotropic, only cos(theta) matters for the depth
     c1 = rng.uniform(-1.0, 1.0, n_samples)
     # atom 2: back-to-back up to a half-normal tilt with uniform azimuth
-    if cs.angular_spread > 0:
-        alpha = np.abs(rng.normal(0.0, cs.angular_spread, n_samples))
-        phi = rng.uniform(0.0, 2.0 * math.pi, n_samples)
-    f1 = f2 = np.ones(n_samples)
-    if cs.depth_jitter > 0:
-        f1 = 1.0 + rng.normal(0.0, cs.depth_jitter, n_samples)
-        f2 = 1.0 + rng.normal(0.0, cs.depth_jitter, n_samples)
+    alpha = np.abs(rng.normal(0.0, ANGULAR_SPREAD, n_samples))
+    phi = rng.uniform(0.0, 2.0 * math.pi, n_samples)
+    f1 = 1.0 + rng.normal(0.0, DEPTH_JITTER, n_samples)
+    f2 = 1.0 + rng.normal(0.0, DEPTH_JITTER, n_samples)
     if fixed is None:
-        energy = rng.exponential(cs.re_energy_scale, n_samples)
+        energy = rng.exponential(RE_ENERGY_SCALE, n_samples)
     elif fixed > deep * max(f1.max(), f2.max()):
         return tuple(np.array([0.0, 0.0, 1.0]))
     else:
@@ -160,9 +154,7 @@ def outcome_probabilities(channel: str, trap: TrapConfig, cs: ChannelSet,
     hi = deep * f2
     escaped += energy > hi
     i = np.flatnonzero((energy > shallow * f2) & (energy <= hi))
-    c2 = -c1[i]
-    if cs.angular_spread > 0:
-        c2 = c2 * np.cos(alpha[i]) + np.sqrt(1.0 - c2**2) * np.sin(alpha[i]) * np.cos(phi[i])
+    c2 = -c1[i] * np.cos(alpha[i]) + np.sqrt(1.0 - c1[i]**2) * np.sin(alpha[i]) * np.cos(phi[i])
     escaped[i] += energy[i] > depth_from_cos(trap, c2) * f2[i]
     return tuple(np.bincount(escaped, minlength=3) / n_samples)
 

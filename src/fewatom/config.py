@@ -36,15 +36,11 @@ _KEYS: dict[str, tuple[str, str, Callable[[str], object]]] = {
     "trap.r0_um": ("trap", "r0", _per(1e6)),
     "trap.temperature_uk": ("trap", "temperature", _per(1e6)),
     "trap.depth_min_k": ("trap", "depth_min", float),
-    "trap.depth_anisotropy": ("trap", "depth_anisotropy", float),
     "trap.load_rate_per_s": ("trap", "load_rate", float),
     "trap.bg_lifetime_s": ("trap", "bg_lifetime", float),
     "channels.beta_hcc_cm3_s": ("channels", "beta_hcc", float),
     "channels.beta_re_cm3_s": ("channels", "beta_re", float),
     "channels.beta_fcc_cm3_s": ("channels", "beta_fcc", float),
-    "channels.re_energy_k": ("channels", "re_energy_scale", float),
-    "channels.depth_jitter": ("channels", "depth_jitter", float),
-    "channels.angular_spread_rad": ("channels", "angular_spread", float),
     "sim.duration_s": ("run", "duration", float),
     "sim.n0": ("run", "n0", int),
     "sim.seed": ("run", "seed", int),

@@ -2,7 +2,8 @@
 
 The shallow-axis depth depth_min is a plain field; every preset sets it
 through trap.depth_min_k. Anisotropy between field axes is imposed explicitly:
-dU(theta) = dU_min * (1 + (a - 1) cos^2 theta), deep axis along z.
+dU(theta) = dU_min * (1 + (a - 1) cos^2 theta), deep axis along z, with the
+module constant a = DEPTH_ANISOTROPY; no config key sets it.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
+
+DEPTH_ANISOTROPY = 4.0  # max/min depth ratio between directions
 
 
 @dataclass
@@ -23,7 +26,6 @@ class TrapConfig:
     # K; the scattering-force estimate at 42 mW/cm^2, -3.35 gamma and
     # 375 G/cm that an earlier depth model derived, written out
     depth_min: float = 0.14492300282222922
-    depth_anisotropy: float = 4.0  # max/min depth ratio between directions
     load_rate: float = 0.17  # atoms/s
     bg_lifetime: float = 60.0  # s, background-collision lifetime
     # Accepted and ignored: the benchmark's repump scan still passes
@@ -46,8 +48,6 @@ class TrapConfig:
                              "far hotter than any trap holds")
         if self.depth_min <= 0:
             raise ValueError("depth_min must be positive")
-        if self.depth_anisotropy < 1:
-            raise ValueError("depth_anisotropy must be >= 1")
         if self.load_rate < 0 or self.bg_lifetime <= 0:
             raise ValueError("load_rate >= 0 and bg_lifetime > 0 required")
 
@@ -62,9 +62,9 @@ def effective_volume(r0: float) -> float:
 def depth_from_cos(config: TrapConfig, cos_theta):
     """Direction-dependent escape threshold dU(theta), kelvin, parametrized by cos(theta).
 
-    dU(theta) = dU_min * (1 + (a - 1) cos^2 theta) with a = depth_anisotropy;
+    dU(theta) = dU_min * (1 + (a - 1) cos^2 theta) with a = DEPTH_ANISOTROPY;
     symmetric under theta -> pi - theta, max/min ratio exactly a.
     Accepts scalar or ndarray cos_theta.
     """
     return config.depth_min * (
-        1.0 + (config.depth_anisotropy - 1.0) * np.asarray(cos_theta) ** 2)
+        1.0 + (DEPTH_ANISOTROPY - 1.0) * np.asarray(cos_theta) ** 2)

@@ -608,6 +608,25 @@ def test_composed_pair_rate_that_overflows_names_the_channel_keys(tmp_path, caps
     assert not (out / "events.csv").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("trap.depth_anisotropy", "4.0"), ("channels.re_energy_k", "0.43"),
+    ("channels.depth_jitter", "0.03"), ("channels.angular_spread_rad", "0.35")])
+@pytest.mark.parametrize("command", ["simulate", "synth", "pipeline"])
+def test_a_classifier_constant_key_is_refused(tmp_path, capsys, command, key, value):
+    # the trap's depth anisotropy and the classifier's RE energy scale, depth
+    # jitter and angular spread are module constants; every command that
+    # reads a config refuses one that sets them, even to the constant's
+    # value, exits 2 naming the key and writes nothing
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"sim.duration_s = 100\n{key} = {value}\n")
+    out = tmp_path / "out"
+    assert main([command, "--preset", "fig4a", "--config", str(cfg),
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unknown config key {key!r} "), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, key, rates", [
     ("simulate", "rates.b2_per_s", "b1 = 0.004, b2 = 1e+308"),
     ("pipeline", "rates.b1_per_s", "b1 = 1e+308, b2 = 0.006")])

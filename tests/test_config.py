@@ -82,19 +82,23 @@ def test_single_value_keys_removed():
     "constants.gamma_mhz", "constants.lambda_nm", "constants.i_sat_mw_cm2",
     "constants.e_hcc_k", "constants.e_fcc_k", "constants.c3_au",
     "trap.kappa_geom", "trap.mu_eff_bohr", "trap.detuning_gamma",
-    "trap.intensity_mw_cm2", "trap.gradient_g_cm"])
+    "trap.intensity_mw_cm2", "trap.gradient_g_cm", "trap.depth_anisotropy",
+    "channels.re_energy_k", "channels.depth_jitter", "channels.angular_spread_rad"])
 def test_atom_constant_keys_removed(key):
     # the Cs values are module constants, and the trap depth is set by
     # trap.depth_min_k alone, with no force model left to take a detuning,
-    # intensity or gradient; with no constants.* key left, those messages
+    # intensity or gradient; the depth anisotropy and the outcome
+    # classifier's RE energy scale, depth jitter and angular spread are
+    # module constants too. With no constants.* key left, those messages
     # have no prefix hint
     with pytest.raises(ConfigError) as err:
         load_config(overrides={key: "3"})
-    if key.startswith("constants."):
+    prefix = key.split(".")[0] + "."
+    if prefix == "constants.":
         assert str(err.value) == f"unknown config key {key!r}"
     else:
-        known = ", ".join(sorted(k for k in _KEYS if k.startswith("trap.")))
-        assert "trap.depth_min_k" in known
+        known = ", ".join(sorted(k for k in _KEYS if k.startswith(prefix)))
+        assert known.startswith(prefix)
         assert str(err.value) == (f"unknown config key {key!r} "
                                   f"(known keys with this prefix: {known})")
 
@@ -114,15 +118,11 @@ _UNITS = {
     "trap.r0_um": ("trap.r0", 1e-6),
     "trap.temperature_uk": ("trap.temperature", 1e-6),
     "trap.depth_min_k": ("trap.depth_min", 1.0),
-    "trap.depth_anisotropy": ("trap.depth_anisotropy", 1.0),
     "trap.load_rate_per_s": ("trap.load_rate", 1.0),
     "trap.bg_lifetime_s": ("trap.bg_lifetime", 1.0),
     "channels.beta_hcc_cm3_s": ("channels.beta_hcc", 1.0),
     "channels.beta_re_cm3_s": ("channels.beta_re", 1.0),
     "channels.beta_fcc_cm3_s": ("channels.beta_fcc", 1.0),
-    "channels.re_energy_k": ("channels.re_energy_scale", 1.0),
-    "channels.depth_jitter": ("channels.depth_jitter", 1.0),
-    "channels.angular_spread_rad": ("channels.angular_spread", 1.0),
     "sim.duration_s": ("duration", 1.0),
     "sim.n0": ("n0", 1.0),
     "sim.seed": ("seed", 1.0),
@@ -132,8 +132,6 @@ _UNITS = {
     "trace.bg_rate_hz": ("trace_bg_rate", 1.0),
     "trace.bin_width_s": ("bin_width", 1.0),
 }
-# 3 in each key's unit, but where the field's range excludes it
-_VALUES = {"channels.depth_jitter": "0.125", "channels.angular_spread_rad": "0.875"}
 
 
 def test_units_cover_every_key():
@@ -143,11 +141,10 @@ def test_units_cover_every_key():
 @pytest.mark.parametrize("key", sorted(_UNITS))
 def test_key_sets_its_field(key):
     field, factor = _UNITS[key]
-    raw = _VALUES.get(key, "3")
     default = attrgetter(field)(build_config({}))
-    got = attrgetter(field)(build_config({key: raw}))
+    got = attrgetter(field)(build_config({key: "3"}))
     assert got != default
-    np.testing.assert_allclose(got, float(raw) * factor, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(got, 3.0 * factor, rtol=1e-15, atol=0)
 
 
 # numpy's own refusal of a negative seed, and simulate's of a negative n0,
@@ -178,6 +175,18 @@ def test_non_finite_value_rejected(key, raw):
     with pytest.raises(ConfigError) as err:
         load_config(preset="fig2", overrides={key: raw})
     assert str(err.value) == f"bad value for {key}: {raw!r} (must be finite)"
+
+
+# the depth anisotropy and the outcome classifier's three parameters are
+# module constants: a non-finite value, or the 0 that once skipped the spread
+# and jitter draws, is refused as an unknown key before it is converted
+@pytest.mark.parametrize("key", ["trap.depth_anisotropy", "channels.re_energy_k",
+                                 "channels.depth_jitter", "channels.angular_spread_rad"])
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "0"])
+def test_classifier_constant_key_refused_whatever_its_value(key, raw):
+    with pytest.raises(ConfigError) as err:
+        load_config(preset="fig2", overrides={key: raw})
+    assert str(err.value).startswith(f"unknown config key {key!r} (known keys with this prefix: ")
 
 
 def test_fig2_preset_rate_model():

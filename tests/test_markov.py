@@ -420,6 +420,21 @@ def test_simulate_matches_reference_cases(model, n0):
     assert len(log) > 0
 
 
+def test_a_run_at_max_events_fits_in_2_gib():
+    # simulate on fig2 for 1e6 s, about 2.4e5 events, whose fixed costs are
+    # spread thin: about 71 bytes per event of numpy peak, so 1.66 GiB at
+    # MAX_EVENTS
+    model = RateModel(load_rate=0.1403, bg_rate=1.0 / 60.0, b1=0.004, b2=0.006)
+    tracemalloc.start()
+    try:
+        log = simulate(model, duration=1e6, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 2e5 < len(log) < 3e5
+    assert markov.MAX_EVENTS * peak / len(log) <= 2 * 2 ** 30
+
+
 def test_simulate_rate_table_holds_only_visited_states():
     # from N = 10**6 at fig2 rates a few microseconds hold about a thousand
     # losses; a table with a slot per state up to n0 would hold 10**6

@@ -9,6 +9,7 @@ from fewatom import trace
 from fewatom.detect import calibrate, detect
 from fewatom.fitting import fit_rates, tabulate
 from fewatom.markov import KIND_LOAD, KIND_LOSS1, EventLog, RateModel, simulate
+from fewatom.storage import read_trace_csv, write_trace_csv
 from fewatom.trace import (BLOCK_BINS, MAX_BINS, MAX_COUNT, FluorescenceTrace,
                            binned_mean_counts, synthesize)
 
@@ -321,4 +322,22 @@ def test_a_run_at_max_bins_fits_in_2_gib():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert MAX_BINS * peak / len(tr) <= 2 * 2 ** 30
+
+
+def test_a_detect_step_at_max_bins_fits_in_2_gib(tmp_path):
+    # the CLI's detect path, read_trace_csv, calibrate, detect, on a fig2
+    # trace.csv of 2**21 bins: about 11 bytes per bin of numpy peak
+    model = RateModel(load_rate=0.1403, bg_rate=1.0 / 60.0, b1=0.004, b2=0.006)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(synthesize(simulate(model, duration=2 ** 21 * 0.1, seed=3),
+                               seed=103), path)
+    tracemalloc.start()
+    try:
+        tr = read_trace_csv(path)
+        detect(tr, calibrate(tr))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tr) == 2 ** 21
     assert MAX_BINS * peak / len(tr) <= 2 * 2 ** 30

@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fewatom.trap import TrapConfig, depth_from_cos, effective_volume
+from fewatom.trap import (DEPTH_ANISOTROPY, TrapConfig, depth_from_cos,
+                         effective_volume)
 
 
 def test_effective_volume():
@@ -38,11 +39,12 @@ def test_intensity_is_accepted_and_ignored():
 
 
 def test_trap_depth_anisotropy():
-    cfg = TrapConfig(depth_anisotropy=4.0)
+    assert DEPTH_ANISOTROPY == 4.0
+    cfg = TrapConfig()
     d_min = depth_from_cos(cfg, math.cos(math.pi / 2.0))
     d_max = depth_from_cos(cfg, math.cos(0.0))
     assert d_min == cfg.depth_min
-    assert d_max / d_min == pytest.approx(4.0, rel=1e-12)
+    assert d_max / d_min == pytest.approx(DEPTH_ANISOTROPY, rel=1e-12)
     # symmetric under theta -> pi - theta
     th = np.linspace(0.0, math.pi / 2.0, 7)
     np.testing.assert_allclose(depth_from_cos(cfg, np.cos(th)),
@@ -59,7 +61,6 @@ def test_trap_depth_anisotropy():
     ("temperature", 1.5, "temperature = 1.5 K above 1 K, far hotter than any trap holds"),
     ("depth_min", 0.0, "depth_min must be positive"),
     ("depth_min", -0.045, "depth_min must be positive"),
-    ("depth_anisotropy", 0.5, "depth_anisotropy must be >= 1"),
     ("load_rate", -0.1, "load_rate >= 0 and bg_lifetime > 0 required"),
     ("bg_lifetime", 0.0, "load_rate >= 0 and bg_lifetime > 0 required"),
     ("bg_lifetime", -60.0, "load_rate >= 0 and bg_lifetime > 0 required")])
@@ -69,7 +70,7 @@ def test_trap_config_refuses_out_of_range(name, value, message):
 
 
 @pytest.mark.parametrize("name, value", [
-    ("repump_sat", 0.0), ("r0", 1e-6), ("r0", 1e-3), ("depth_anisotropy", 1.0),
+    ("repump_sat", 0.0), ("r0", 1e-6), ("r0", 1e-3),
     ("load_rate", 0.0), ("depth_min", 5e-324), ("temperature", 1.0)])
 def test_trap_config_accepts_range_edges(name, value):
     # depth_min is a plain field: any positive depth stands as given
@@ -77,10 +78,10 @@ def test_trap_config_accepts_range_edges(name, value):
 
 
 @pytest.mark.parametrize("name", ["repump_sat", "r0", "temperature", "depth_min",
-                                  "depth_anisotropy", "load_rate", "bg_lifetime"])
+                                  "load_rate", "bg_lifetime"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_trap_config_refuses_non_finite(name, value):
-    # a nan or infinite depth or anisotropy used to read as a
+    # a nan or infinite depth used to read as a
     # trap every fcc collision stays in
     with pytest.raises(ValueError, match=f"^{name} must be finite$"):
         TrapConfig(**{name: value})
